@@ -84,6 +84,4 @@ def syndromes(code: GldpcCode, e: PauliErrorPattern) -> tuple[np.ndarray, np.nda
     """s_x = H_Z e_x and s_z = H_X e_z (error-free measurement)."""
     if e.e_x.shape[0] != code.n:
         raise ValueError("error pattern length does not match code")
-    s_x = (code.h_z.astype(np.int64) @ e.e_x) % 2
-    s_z = (code.h_x.astype(np.int64) @ e.e_z) % 2
-    return s_x.astype(np.uint8), s_z.astype(np.uint8)
+    return code.z_graph.syndrome(e.e_x), code.x_graph.syndrome(e.e_z)

@@ -25,7 +25,7 @@ def _parse_iters_grid(text: str) -> list[int]:
 
 def _add_sim_args(sub):
     sub.add_argument("--code", required=True, help="code file path or builtin:NAME")
-    sub.add_argument("--decoder", default="sogrand", choices=DECODERS)
+    sub.add_argument("--decoder", default="sogrand", choices=tuple(DECODERS))
     sub.add_argument("--p", required=True, type=_parse_p_grid,
                      help="comma-separated physical error rates")
     sub.add_argument("--trials", type=int, default=1000)
@@ -77,7 +77,11 @@ def cmd_threshold(args) -> int:
 
 def cmd_convergence(args) -> int:
     cfg = _config_from_args(args)
-    rows: list[ConvergenceRow] = convergence_study(cfg, args.iters_grid)
+    try:
+        rows: list[ConvergenceRow] = convergence_study(cfg, args.iters_grid)
+    except ValueError as exc:
+        print(f"qgldpc convergence: error: {exc}", file=sys.stderr)
+        return 2
     print("n_iter,bler,failures,trials,mean_iters")
     for row in rows:
         pt = row.point

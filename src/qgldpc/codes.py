@@ -24,6 +24,7 @@ class CodeFormatError(ValueError):
 @dataclass(frozen=True)
 class ComponentCode:
     H: np.ndarray  # (m_c, n_c) parity-check matrix, uint8
+    syndrome: gf2.Syndrome = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=np.uint8) % 2
@@ -33,6 +34,7 @@ class ComponentCode:
             raise CodeFormatError("component matrix has more rows than columns")
         object.__setattr__(self, "H", H)
         H.setflags(write=False)
+        object.__setattr__(self, "syndrome", gf2.Syndrome(H))
 
     @property
     def m_c(self) -> int:
@@ -49,30 +51,31 @@ class TannerGraph:
     cns: list[list[int]]         # per check node: ordered incident VN indices
     component: ComponentCode
 
-    # derived, filled by __post_init__
+    # derived, filled by __post_init__; edge j*n_c + slot is slot ``slot`` of check j
     flat: np.ndarray = field(init=False, repr=False)
-    vn_cn: np.ndarray = field(init=False, repr=False)    # (n, 2) check index per VN edge
-    vn_slot: np.ndarray = field(init=False, repr=False)  # (n, 2) slot within the check
+    syndrome: gf2.Syndrome = field(init=False, repr=False)  # e -> flat e
+    edge_var: np.ndarray = field(init=False, repr=False)  # (m*n_c,) VN of each edge
+    vn_edge: np.ndarray = field(init=False, repr=False)   # (n, 2) edges of each VN
 
     def __post_init__(self):
         n_c = self.component.n_c
-        degree = [[] for _ in range(self.n)]
         for j, cn in enumerate(self.cns):
             if len(cn) != n_c:
                 raise CodeFormatError(
                     f"check {j} has {len(cn)} edges, component length is {n_c}")
-            for slot, vn in enumerate(cn):
+            for vn in cn:
                 if not 0 <= vn < self.n:
                     raise CodeFormatError(f"check {j} references VN {vn} out of range")
-                degree[vn].append((j, slot))
-        bad = [i for i, d in enumerate(degree) if len(d) != 2]
-        if bad:
-            raise CodeFormatError(
-                f"variable nodes must have degree exactly 2; violated at {bad[:8]}")
-        self.vn_cn = np.array([[d[0][0], d[1][0]] for d in degree], dtype=np.intp)
-        self.vn_slot = np.array([[d[0][1], d[1][1]] for d in degree], dtype=np.intp)
+        self.edge_var = np.array(self.cns, dtype=np.intp).reshape(-1)
+        bad = np.flatnonzero(np.bincount(self.edge_var, minlength=self.n) != 2)
+        if bad.size:
+            raise CodeFormatError("variable nodes must have degree exactly 2; "
+                                  f"violated at {bad[:8].tolist()}")
+        # a stable sort keeps each VN's two edges in check-major order
+        self.vn_edge = np.argsort(self.edge_var, kind="stable").reshape(self.n, 2)
         self.flat = flatten(self)
         self.flat.setflags(write=False)
+        self.syndrome = gf2.Syndrome(self.flat)
 
     @property
     def m(self) -> int:
@@ -109,10 +112,6 @@ def flatten(g: TannerGraph) -> np.ndarray:
     return out
 
 
-def local_view(x, j: int, g: TannerGraph) -> np.ndarray:
-    return g.local_view(x, j)
-
-
 @dataclass(frozen=True)
 class LogicalBasis:
     z_logicals: list[np.ndarray]
@@ -132,7 +131,7 @@ class GldpcCode:
         if self.x_graph.n != self.n or self.z_graph.n != self.n:
             raise CodeFormatError("graph lengths disagree with declared n")
         h_x, h_z = self.h_x, self.h_z
-        if np.any((h_x.astype(np.int64) @ h_z.T.astype(np.int64)) % 2):
+        if np.any(self.x_graph.syndrome(h_z.T)):
             raise CodeFormatError(
                 f"CSS condition violated: H_X H_Z^T != 0 for code {self.name!r}")
         k = self.n - gf2.rank(h_x) - gf2.rank(h_z)

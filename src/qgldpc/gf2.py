@@ -1,31 +1,18 @@
-"""Exact linear algebra over GF(2) and the binary symplectic product.
+"""Exact linear algebra over GF(2).
 
 Vectors and matrices cross the module boundary as numpy arrays with
-entries in {0, 1}.  Internally, rows are packed into Python integers
-(bit i of a row word is column i) so that elimination and syndrome
-kernels reduce to XOR and popcount.
+entries in {0, 1}.  Every matrix-vector product H v of the package goes
+through one operator, ``Syndrome``, which holds H once as an integer
+matrix.  For elimination and row-space tests, rows are packed into Python
+integers (bit i of a row word is column i), so those kernels reduce to XOR
+and popcount.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-
-
-class Pauli(Enum):
-    I = "I"
-    X = "X"
-    Y = "Y"
-    Z = "Z"
-
-
-def symplectic_product(a: Pauli, b: Pauli) -> int:
-    """0 if the two single-qubit Paulis commute, 1 otherwise."""
-    if a == Pauli.I or b == Pauli.I or a == b:
-        return 0
-    return 1
 
 
 def _as_bits(v, length: int | None = None) -> np.ndarray:
@@ -71,11 +58,23 @@ def unpack(word: int, n: int) -> np.ndarray:
     return out
 
 
-def mat_vec_mul(H, v) -> np.ndarray:
-    """Syndrome-style product s = H v over GF(2)."""
-    H = _as_bitmatrix(H)
-    v = _as_bits(v, H.shape[1])
-    return (H @ v.astype(np.int64)) % 2
+class Syndrome:
+    """The GF(2) map v -> H v, with H held once as an integer matrix.
+
+    ``v`` is a bit vector of length n_cols, or an (n_cols, k) matrix whose
+    columns are bit vectors; the result is a uint8 array.
+    """
+
+    def __init__(self, H):
+        self.H = _as_bitmatrix(H).astype(np.int64)
+        self.H.setflags(write=False)
+
+    def __call__(self, v) -> np.ndarray:
+        v = np.asarray(v)
+        if v.ndim not in (1, 2) or v.shape[0] != self.H.shape[1]:
+            raise ValueError(f"operand of shape {v.shape} does not fit a "
+                             f"{self.H.shape[0]}x{self.H.shape[1]} matrix")
+        return (self.H @ v % 2).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -144,37 +143,6 @@ def rank(H) -> int:
     return row_reduce(H).rank
 
 
-def solve_coset(elim: Elimination, s, non_pivot_fill=None) -> np.ndarray | None:
-    """Solve H v = s with non-pivot positions fixed to ``non_pivot_fill``.
-
-    Returns None when the system is inconsistent (s outside the column
-    space of H, given the fixed non-pivot values).
-    """
-    s = _as_bits(s, elim.n_rows)
-    s_word = pack_vector(s)
-
-    if non_pivot_fill is None:
-        fill_word = 0
-    else:
-        fill = _as_bits(non_pivot_fill, elim.n_cols)
-        fill_word = pack_vector(fill)
-        for c in elim.pivots:
-            fill_word &= ~(1 << c)
-
-    v_word = fill_word
-    for r in range(elim.rank):
-        # rhs for reduced row r, folding in the fixed non-pivot values
-        rhs = bin(elim.transform[r] & s_word).count("1") & 1
-        rhs ^= bin(elim.reduced[r] & fill_word).count("1") & 1
-        if rhs:
-            v_word |= 1 << elim.pivots[r]
-    # consistency: zero rows of the reduced system must have zero rhs
-    for r in range(elim.rank, elim.n_rows):
-        if bin(elim.transform[r] & s_word).count("1") & 1:
-            return None
-    return unpack(v_word, elim.n_cols)
-
-
 class RowSpace:
     """Reduced row basis supporting fast membership tests."""
 
@@ -199,18 +167,9 @@ class RowSpace:
         self._basis.append((w & -w, w))
         return True
 
-    @property
-    def rank(self) -> int:
-        return len(self._basis)
-
     def contains(self, r) -> bool:
         r = _as_bits(r, self.n_cols)
         return self._reduce_word(pack_vector(r)) == 0
-
-
-def in_row_space(H, r) -> bool:
-    """True iff r lies in the row space of H over GF(2)."""
-    return RowSpace(H).contains(r)
 
 
 def null_space(H) -> list[np.ndarray]:

@@ -1,22 +1,22 @@
-"""Iterative GLDPC decoding with SOGRAND check-node updates.
+"""Iterative GLDPC decoding: one flooding driver for every decoder.
 
-Flooding schedule: every check node soft-decodes its local view against
-the local syndrome and returns extrinsic LLRs; every variable node (degree
-two per graph) combines the channel prior with both incoming messages,
-takes a hard decision, and sends back extrinsic messages.  Decoding stops
-as soon as the hard decision reproduces the syndrome.
-
-Two variants: independent X/Z decoding on the two classical Tanner graphs,
-and a correlation-aware variant that fuses four-valued Pauli beliefs from
-both graphs at each qubit.
+Messages live on edges, in check-major order.  Each iteration a check rule
+maps every variable-to-check message to an extrinsic check-to-variable
+one (SOGRAND on the whole component code here; scaled min-sum, its single
+parity-check case, in ``minsum``), a variable-node fusion combines them
+with the channel prior (binary per side, or four-valued Pauli beliefs
+across both graphs), and decoding stops as soon as the hard decision
+reproduces the syndrome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
+from . import gf2
 from .channel import ChannelPrior, PauliErrorPattern, clamp_llr
 from .codes import GldpcCode, TannerGraph
 from .sogrand import SograndParams, sogrand_decode
@@ -56,45 +56,73 @@ class DecodeResult:
         return max(self.z_side.iterations_used, self.x_side.iterations_used)
 
 
-def _cn_update(graph: TannerGraph, v2c: np.ndarray, s: np.ndarray,
-               sog_params: SograndParams) -> np.ndarray:
-    """All check nodes in parallel; reads only previous-iteration messages."""
-    c2v = np.empty_like(v2c)
-    for j in range(graph.m):
-        out = sogrand_decode(graph.component, v2c[j],
-                             graph.local_syndrome(s, j), sog_params)
-        c2v[j] = out.L_E
-    return c2v
+@dataclass(frozen=True)
+class Side:
+    """One binary syndrome-decoding problem for the flooding driver."""
+
+    edge_var: np.ndarray   # (E,) variable node of each edge, check-major order
+    check: gf2.Syndrome    # e -> H e
+    s: np.ndarray          # target syndrome
+    rule: Callable[[np.ndarray], np.ndarray]  # check rule: (E,) v2c -> (E,) c2v
+
+
+def flood(sides: list[Side], L0: list[np.ndarray], n_iter: int,
+          fuse=None) -> list[SideResult]:
+    """Run the flooding schedule until every side meets its syndrome.
+
+    ``L0`` holds each side's channel LLRs, which are the first messages.
+    ``fuse`` maps the sides' c2v messages to per-side APP LLRs, v2c
+    messages and hard decisions; None fuses each side alone (binary).
+    Returns one ``SideResult`` per side, with the joint convergence flag.
+    """
+    if n_iter < 1:
+        raise ValueError("n_iter must be >= 1")
+    L0 = [np.asarray(L, dtype=float) for L in L0]
+    for side, L in zip(sides, L0):
+        m, n = side.check.H.shape
+        if side.s.shape != (m,) or L.shape != (n,):
+            raise ValueError(f"syndrome of shape {side.s.shape} and LLRs of shape "
+                             f"{L.shape} do not fit a {m}x{n} check matrix")
+
+    v2c = [L[side.edge_var] for side, L in zip(sides, L0)]
+    trace: list[bool] = []
+    for it in range(1, n_iter + 1):
+        c2v = [side.rule(msg) for side, msg in zip(sides, v2c)]
+        if fuse is None:
+            app = [L + np.bincount(side.edge_var, weights=c, minlength=L.shape[0])
+                   for side, L, c in zip(sides, L0, c2v)]
+            v2c = [clamp_llr(a[side.edge_var] - c) for side, a, c in zip(sides, app, c2v)]
+            e_hat = [(a < 0).astype(np.uint8) for a in app]  # L_APP >= 0 -> 0
+        else:
+            app, v2c, e_hat = fuse(c2v)
+        ok = all(np.array_equal(side.check(e), side.s) for side, e in zip(sides, e_hat))
+        trace.append(ok)
+        if ok:
+            break
+    return [SideResult(e_hat=e, converged=ok, iterations_used=it, app=a,
+                       syndrome_trace=list(trace)) for e, a in zip(e_hat, app)]
+
+
+def _sogrand_side(graph: TannerGraph, s, sog_params: SograndParams) -> Side:
+    """SOGRAND at every check node of ``graph``, against the syndrome ``s``."""
+    s = np.asarray(s, dtype=np.uint8) % 2
+
+    def rule(v2c):
+        v2c = v2c.reshape(graph.m, graph.component.n_c)
+        c2v = np.empty_like(v2c)
+        for j in range(graph.m):
+            out = sogrand_decode(graph.component, v2c[j],
+                                 graph.local_syndrome(s, j), sog_params)
+            c2v[j] = out.L_E
+        return c2v.reshape(-1)
+
+    return Side(edge_var=graph.edge_var, check=graph.syndrome, s=s, rule=rule)
 
 
 def decode_side(graph: TannerGraph, L_ch, s, n_iter: int = 20,
                 sog_params: SograndParams = SograndParams()) -> SideResult:
     """Decode one binary error component on one Tanner graph."""
-    L_ch = np.asarray(L_ch, dtype=float)
-    s = np.asarray(s, dtype=np.uint8) % 2
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
-
-    cn_idx, slot_idx = graph.vn_cn, graph.vn_slot
-    v2c = np.zeros((graph.m, graph.component.n_c))
-    v2c[cn_idx, slot_idx] = L_ch[:, None]
-
-    e_hat = (L_ch < 0).astype(np.uint8)
-    app = L_ch.copy()
-    trace: list[bool] = []
-    for it in range(1, n_iter + 1):
-        c2v = _cn_update(graph, v2c, s, sog_params)
-        incoming = c2v[cn_idx, slot_idx]                   # (n, 2)
-        app = L_ch + incoming.sum(axis=1)
-        e_hat = (app < 0).astype(np.uint8)                 # L_APP >= 0 -> 0
-        v2c[cn_idx, slot_idx] = clamp_llr(app[:, None] - incoming)
-        ok = bool(np.array_equal((graph.flat.astype(np.int64) @ e_hat) % 2, s))
-        trace.append(ok)
-        if ok:
-            return SideResult(e_hat=e_hat, converged=True, iterations_used=it,
-                              app=app, syndrome_trace=trace)
-    return SideResult(e_hat=e_hat, converged=False, iterations_used=n_iter,
-                      app=app, syndrome_trace=trace)
+    return flood([_sogrand_side(graph, s, sog_params)], [L_ch], n_iter)[0]
 
 
 def decode_independent(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
@@ -141,6 +169,35 @@ def _argmax_pauli(P_app: np.ndarray) -> np.ndarray:
     return _TIE_ORDER[np.argmax(reordered, axis=1)]
 
 
+def _pauli_fuse(prior: np.ndarray, xg: TannerGraph, zg: TannerGraph, c2v):
+    """Pauli-belief fusion of (X graph, Z graph) messages, about (e_z, e_x).
+
+    The hard decision is the most likely Pauli, not the marginals' signs."""
+    c2v_x, c2v_z = c2v
+    in_x = c2v_x[xg.vn_edge]                        # (n, 2) LLRs about e_z
+    in_z = c2v_z[zg.vn_edge]                        # (n, 2) LLRs about e_x
+    bel_x = _beliefs_from_llr(in_x, about_x=False)  # (n, 2, 4)
+    bel_z = _beliefs_from_llr(in_z, about_x=True)
+
+    P_app = prior * bel_x.prod(axis=1) * bel_z.prod(axis=1)
+    P_app /= P_app.sum(axis=1, keepdims=True)
+    P_app = np.maximum(P_app, BELIEF_FLOOR)
+    P_app /= P_app.sum(axis=1, keepdims=True)
+
+    symbol = _argmax_pauli(P_app)
+    e_x = ((symbol == _X) | (symbol == _Y)).astype(np.uint8)
+    e_z = ((symbol == _Z) | (symbol == _Y)).astype(np.uint8)
+    app = [_marginal_llr(P_app, about_x=False), _marginal_llr(P_app, about_x=True)]
+
+    # Extrinsic: divide out the incoming belief, marginalize per graph.
+    ext_x = P_app[:, None, :] / np.maximum(bel_x, BELIEF_FLOOR)
+    ext_z = P_app[:, None, :] / np.maximum(bel_z, BELIEF_FLOOR)
+    v2c_x, v2c_z = np.empty_like(c2v_x), np.empty_like(c2v_z)
+    v2c_x[xg.vn_edge] = _marginal_llr(ext_x, about_x=False)
+    v2c_z[zg.vn_edge] = _marginal_llr(ext_z, about_x=True)
+    return app, [v2c_x, v2c_z], [e_z, e_x]
+
+
 def decode_correlated(code: GldpcCode, pauli_prior, s_x, s_z, n_iter: int = 20,
                       sog_params: SograndParams = SograndParams()) -> DecodeResult:
     """Joint X/Z decoding with Pauli-belief fusion at the variable nodes.
@@ -151,61 +208,12 @@ def decode_correlated(code: GldpcCode, pauli_prior, s_x, s_z, n_iter: int = 20,
     LLRs for each graph.  Terminates when both syndrome equations hold.
     """
     prior = np.asarray(pauli_prior, dtype=float)
-    s_x = np.asarray(s_x, dtype=np.uint8) % 2
-    s_z = np.asarray(s_z, dtype=np.uint8) % 2
+    if prior.shape != (code.n, 4):
+        raise ValueError(f"Pauli prior has shape {prior.shape}, expected {(code.n, 4)}")
     xg, zg = code.x_graph, code.z_graph
-    n = code.n
-
+    sides = [_sogrand_side(xg, s_z, sog_params), _sogrand_side(zg, s_x, sog_params)]
     # Channel marginals initialize both graphs' messages.
-    llr_z0 = _marginal_llr(prior, about_x=False)  # about e_z, to the X graph
-    llr_x0 = _marginal_llr(prior, about_x=True)   # about e_x, to the Z graph
-    v2c_x = np.zeros((xg.m, xg.component.n_c))
-    v2c_x[xg.vn_cn, xg.vn_slot] = llr_z0[:, None]
-    v2c_z = np.zeros((zg.m, zg.component.n_c))
-    v2c_z[zg.vn_cn, zg.vn_slot] = llr_x0[:, None]
-
-    e_z = (llr_z0 < 0).astype(np.uint8)
-    e_x = (llr_x0 < 0).astype(np.uint8)
-    app_z, app_x = llr_z0.copy(), llr_x0.copy()
-    trace: list[bool] = []
-    iterations = n_iter
-    converged = False
-    for it in range(1, n_iter + 1):
-        c2v_x = _cn_update(xg, v2c_x, s_z, sog_params)  # messages about e_z
-        c2v_z = _cn_update(zg, v2c_z, s_x, sog_params)  # messages about e_x
-
-        in_x = c2v_x[xg.vn_cn, xg.vn_slot]              # (n, 2) LLRs about e_z
-        in_z = c2v_z[zg.vn_cn, zg.vn_slot]              # (n, 2) LLRs about e_x
-        bel_x = _beliefs_from_llr(in_x, about_x=False)  # (n, 2, 4)
-        bel_z = _beliefs_from_llr(in_z, about_x=True)
-
-        P_app = prior * bel_x.prod(axis=1) * bel_z.prod(axis=1)
-        P_app /= P_app.sum(axis=1, keepdims=True)
-        P_app = np.maximum(P_app, BELIEF_FLOOR)
-        P_app /= P_app.sum(axis=1, keepdims=True)
-
-        symbol = _argmax_pauli(P_app)
-        e_x = ((symbol == _X) | (symbol == _Y)).astype(np.uint8)
-        e_z = ((symbol == _Z) | (symbol == _Y)).astype(np.uint8)
-        app_z = _marginal_llr(P_app, about_x=False)
-        app_x = _marginal_llr(P_app, about_x=True)
-
-        # Extrinsic: divide out the incoming belief, marginalize per graph.
-        ext_x = P_app[:, None, :] / np.maximum(bel_x, BELIEF_FLOOR)
-        ext_z = P_app[:, None, :] / np.maximum(bel_z, BELIEF_FLOOR)
-        v2c_x[xg.vn_cn, xg.vn_slot] = _marginal_llr(ext_x, about_x=False)
-        v2c_z[zg.vn_cn, zg.vn_slot] = _marginal_llr(ext_z, about_x=True)
-
-        ok = (np.array_equal((code.h_x.astype(np.int64) @ e_z) % 2, s_z)
-              and np.array_equal((code.h_z.astype(np.int64) @ e_x) % 2, s_x))
-        trace.append(ok)
-        if ok:
-            converged = True
-            iterations = it
-            break
-
-    z_side = SideResult(e_hat=e_z, converged=converged, iterations_used=iterations,
-                        app=app_z, syndrome_trace=trace)
-    x_side = SideResult(e_hat=e_x, converged=converged, iterations_used=iterations,
-                        app=app_x, syndrome_trace=list(trace))
+    L0 = [_marginal_llr(prior, about_x=False), _marginal_llr(prior, about_x=True)]
+    z_side, x_side = flood(sides, L0, n_iter,
+                           fuse=lambda c2v: _pauli_fuse(prior, xg, zg, c2v))
     return DecodeResult(z_side=z_side, x_side=x_side)

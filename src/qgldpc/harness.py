@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,37 @@ from .minsum import BpConfig, minsum_decode
 from .osd import OsdConfig, osd_postprocess
 from .sogrand import SograndParams
 
-DECODERS = ("bp", "bp-osd", "sogrand", "sogrand-osd", "sogrand-osd-corr")
+
+class Decoder(NamedTuple):
+    # (code, priors, s_x, s_z, n_iter, sog_params, alpha) -> DecodeResult
+    decode: Callable[..., DecodeResult]
+    osd: bool        # post-process the sides that did not converge
+    n_iter: int      # default iteration budget
+
+
+# The entries look the decoders up at call time, so they can be wrapped.
+def _bp(code, priors, s_x, s_z, n_iter, sog, alpha) -> DecodeResult:
+    cfg = BpConfig(alpha=alpha, n_iter=n_iter)
+    z_side = minsum_decode(code.h_x, priors.llr_z, s_z, cfg)
+    x_side = minsum_decode(code.h_z, priors.llr_x, s_x, cfg)
+    return DecodeResult(z_side=z_side, x_side=x_side)
+
+
+def _sogrand(code, priors, s_x, s_z, n_iter, sog, alpha) -> DecodeResult:
+    return decode_independent(code, priors, s_x, s_z, n_iter, sog)
+
+
+def _sogrand_corr(code, priors, s_x, s_z, n_iter, sog, alpha) -> DecodeResult:
+    return decode_correlated(code, priors.pauli_prior, s_x, s_z, n_iter, sog)
+
+
+DECODERS = {
+    "bp": Decoder(_bp, osd=False, n_iter=100),
+    "bp-osd": Decoder(_bp, osd=True, n_iter=100),
+    "sogrand": Decoder(_sogrand, osd=False, n_iter=20),
+    "sogrand-osd": Decoder(_sogrand, osd=True, n_iter=20),
+    "sogrand-osd-corr": Decoder(_sogrand_corr, osd=True, n_iter=20),
+}
 
 CSV_HEADER = ["p", "decoder", "trials", "failures", "bler",
               "ci_low", "ci_high", "mean_iters", "osd_rate", "seed"]
@@ -34,7 +65,7 @@ class ExperimentConfig:
     decoder: str = "sogrand"
     p_grid: tuple[float, ...] = (0.05,)
     trials: int = 1000
-    n_iter: int | None = None      # default: 20 for sogrand variants, 100 for bp
+    n_iter: int | None = None      # default: the decoder's, 20 for sogrand, 100 for bp
     sog_params: SograndParams = SograndParams()
     osd_config: OsdConfig = OsdConfig()
     alpha: float = 0.625
@@ -44,7 +75,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.decoder not in DECODERS:
-            raise ValueError(f"unknown decoder {self.decoder!r}; choose from {DECODERS}")
+            raise ValueError(f"unknown decoder {self.decoder!r}; "
+                             f"choose from {tuple(DECODERS)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         for p in self.p_grid:
@@ -54,7 +86,7 @@ class ExperimentConfig:
     def resolved_n_iter(self) -> int:
         if self.n_iter is not None:
             return self.n_iter
-        return 100 if self.decoder.startswith("bp") else 20
+        return DECODERS[self.decoder].n_iter
 
 
 @dataclass
@@ -99,45 +131,25 @@ def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _decode(code: GldpcCode, decoder: str, priors: ch.ChannelPrior,
-            s_x, s_z, n_iter: int, sog: SograndParams, alpha: float) -> DecodeResult:
-    if decoder.startswith("bp"):
-        cfg = BpConfig(alpha=alpha, n_iter=n_iter)
-        z_side = minsum_decode(code.h_x, priors.llr_z, s_z, cfg)
-        x_side = minsum_decode(code.h_z, priors.llr_x, s_x, cfg)
-        return DecodeResult(z_side=z_side, x_side=x_side)
-    if decoder == "sogrand-osd-corr":
-        return decode_correlated(code, priors.pauli_prior, s_x, s_z, n_iter, sog)
-    return decode_independent(code, priors, s_x, s_z, n_iter, sog)
-
-
 def _maybe_osd(code: GldpcCode, decoder: str, result: DecodeResult,
                s_x, s_z, osd_cfg: OsdConfig, p: float) -> bool:
     """Post-process non-converged sides in place; returns True if OSD ran."""
-    if not decoder.endswith("osd") and not decoder.endswith("corr"):
+    if not DECODERS[decoder].osd:
         return False
     q = 2.0 * p / 3.0
     ran = False
-    if not result.z_side.converged:
-        e = osd_postprocess(code.h_x, s_z, result.z_side.app, osd_cfg, q)
-        result.z_side.e_hat = e
-        result.z_side.converged = True
-        result.z_side.osd_invoked = True
-        ran = True
-    if not result.x_side.converged:
-        e = osd_postprocess(code.h_z, s_x, result.x_side.app, osd_cfg, q)
-        result.x_side.e_hat = e
-        result.x_side.converged = True
-        result.x_side.osd_invoked = True
-        ran = True
+    for side, h, s in ((result.z_side, code.h_x, s_z), (result.x_side, code.h_z, s_x)):
+        if not side.converged:
+            side.e_hat = osd_postprocess(h, s, side.app, osd_cfg, q)
+            side.converged = side.osd_invoked = ran = True
     return ran
 
 
-def _side_success(code: GldpcCode, side: SideResult, e_true, s, h, z_side: bool) -> bool:
-    e_hat = side.e_hat
-    if not np.array_equal((h.astype(np.int64) @ e_hat) % 2, s):
+def _side_success(code: GldpcCode, side: SideResult, e_true, s, z_side: bool) -> bool:
+    graph = code.x_graph if z_side else code.z_graph
+    if not np.array_equal(graph.syndrome(side.e_hat), s):
         return False
-    residual = (e_true ^ e_hat).astype(np.uint8)
+    residual = (e_true ^ side.e_hat).astype(np.uint8)
     if z_side:
         return code.z_residual_is_stabilizer(residual)
     return code.x_residual_is_stabilizer(residual)
@@ -152,14 +164,14 @@ def run_trial(code: GldpcCode, cfg: ExperimentConfig, p: float,
     s_x, s_z = ch.syndromes(code, e)
     priors = ch.make_priors(params, code.n)
 
-    result = _decode(code, cfg.decoder, priors, s_x, s_z,
-                     cfg.resolved_n_iter(), cfg.sog_params, cfg.alpha)
+    result = DECODERS[cfg.decoder].decode(code, priors, s_x, s_z, cfg.resolved_n_iter(),
+                                          cfg.sog_params, cfg.alpha)
     iterations = result.iterations_used
     converged_before_osd = result.converged
     osd_ran = _maybe_osd(code, cfg.decoder, result, s_x, s_z, cfg.osd_config, p)
 
-    ok = (_side_success(code, result.z_side, e.e_z, s_z, code.h_x, z_side=True)
-          and _side_success(code, result.x_side, e.e_x, s_x, code.h_z, z_side=False))
+    ok = (_side_success(code, result.z_side, e.e_z, s_z, z_side=True)
+          and _side_success(code, result.x_side, e.e_x, s_x, z_side=False))
     return TrialRecord(trial_index=trial_index, seed=cfg.master_seed,
                        converged=converged_before_osd,
                        osd_invoked=osd_ran, iterations_used=iterations,
@@ -273,16 +285,13 @@ class ConvergenceRow:
 
 def convergence_study(cfg: ExperimentConfig, iters_grid: list[int],
                       code: GldpcCode | None = None) -> list[ConvergenceRow]:
-    """BLER versus iteration budget, under common random numbers."""
+    """BLER versus iteration budget at the one p of cfg.p_grid, under common randomness."""
+    if len(cfg.p_grid) != 1:
+        raise ValueError(f"a convergence study runs at one p, got {len(cfg.p_grid)}: "
+                         f"{cfg.p_grid}")
     if code is None:
         code = resolve_code(cfg.code)
-    rows = []
-    for n_iter in iters_grid:
-        sub = ExperimentConfig(
-            code=cfg.code, decoder=cfg.decoder, p_grid=cfg.p_grid[:1],
-            trials=cfg.trials, n_iter=n_iter, sog_params=cfg.sog_params,
-            osd_config=cfg.osd_config, alpha=cfg.alpha,
-            master_seed=cfg.master_seed)
-        rows.append(ConvergenceRow(n_iter=n_iter,
-                                   point=run_point(code, sub, cfg.p_grid[0])))
-    return rows
+    # every budget runs all trials, so that the rows stay paired
+    return [ConvergenceRow(n_iter=n_iter, point=run_point(
+                code, replace(cfg, n_iter=n_iter, max_failures=None), cfg.p_grid[0]))
+            for n_iter in iters_grid]

@@ -1,8 +1,9 @@
 """Scaled min-sum belief propagation on a flattened parity-check matrix.
 
-Syndrome-based flooding schedule: check t multiplies its outgoing message
-by (-1)^{s_t}, so decoding targets the error pattern rather than a
-codeword.  Same clamping and hard-decision conventions as the GLDPC
+The min-sum check rule runs in the GLDPC flooding driver, ``gldpc.flood``,
+on the edges of H.  Syndrome-based: check t multiplies its outgoing
+message by (-1)^{s_t}, so decoding targets the error pattern rather than
+a codeword.  Same clamping and hard-decision conventions as the GLDPC
 decoder, for comparability.
 """
 
@@ -12,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LLR_CLAMP, clamp_llr
-from .gldpc import SideResult
+from . import gf2
+from .channel import LLR_CLAMP
+from .gldpc import Side, SideResult, flood
 
 
 @dataclass(frozen=True)
@@ -28,48 +30,43 @@ class BpConfig:
             raise ValueError("n_iter must be >= 1")
 
 
-def minsum_decode(H, L_ch, s, cfg: BpConfig = BpConfig()) -> SideResult:
-    H = np.asarray(H, dtype=np.uint8) % 2
-    L_ch = np.asarray(L_ch, dtype=float)
-    s = np.asarray(s, dtype=np.uint8) % 2
-    m, n = H.shape
-    if L_ch.shape[0] != n or s.shape[0] != m:
-        raise ValueError("dimension mismatch between H, L_ch and s")
+def _minsum_rule(H: np.ndarray, s: np.ndarray, alpha: float):
+    """(edge_var, rule): the edges of H in check-major order, and min-sum on them.
 
-    mask = H == 1
-    row_deg = mask.sum(axis=1)
-    check_sign = np.where(s == 1, -1.0, 1.0)[:, None]
+    Row t of the padded block holds check t's edges by ascending column;
+    padding reads a message of +inf (sign +1, never the minimum)."""
+    rows, edge_var = np.nonzero(H)
+    m, n_edges = H.shape[0], rows.size
+    degree = np.bincount(rows, minlength=m)
+    block = np.full((m, max(1, degree.max(initial=0))), n_edges)
+    first = np.cumsum(degree) - degree
+    block[rows, np.arange(n_edges) - first[rows]] = np.arange(n_edges)
+    is_edge = block < n_edges
+    slots = np.arange(block.shape[1])
+    pinned = (degree <= 1)[:, None]  # min over the empty set: the clamp value
+    check_rows = np.arange(m)
+    scale = alpha * np.where(s == 1, -1.0, 1.0)[:, None]
 
-    v2c = np.where(mask, L_ch[None, :], 0.0)
-    e_hat = (L_ch < 0).astype(np.uint8)
-    app = L_ch.copy()
-    trace: list[bool] = []
-    for it in range(1, cfg.n_iter + 1):
-        # per-row sign product and two smallest magnitudes, excluding self
-        sgn = np.where(v2c < 0, -1.0, 1.0)
-        sgn = np.where(mask, sgn, 1.0)
+    def rule(v2c):
+        msg = np.append(v2c, np.inf)[block]
+        sgn = np.where(msg < 0, -1.0, 1.0)
         row_sign = sgn.prod(axis=1, keepdims=True)
-        mag = np.where(mask, np.abs(v2c), np.inf)
+        # two smallest magnitudes per check, to exclude each edge's own
+        mag = np.abs(msg)
         min1_idx = np.argmin(mag, axis=1)
-        min1 = mag[np.arange(m), min1_idx]
-        mag_wo = mag.copy()
-        mag_wo[np.arange(m), min1_idx] = np.inf
-        min2 = mag_wo.min(axis=1)
+        min1 = mag[check_rows, min1_idx]
+        mag[check_rows, min1_idx] = np.inf
+        min2 = mag.min(axis=1)
+        min_excl = np.where(slots == min1_idx[:, None], min2[:, None], min1[:, None])
+        min_excl = np.minimum(np.where(pinned, LLR_CLAMP, min_excl), LLR_CLAMP)
+        return (scale * row_sign * sgn * min_excl)[is_edge]
 
-        min_excl = np.where(
-            np.arange(n)[None, :] == min1_idx[:, None], min2[:, None], min1[:, None])
-        # degree-1 checks: min over the empty set, pinned to the clamp value
-        min_excl = np.where(row_deg[:, None] <= 1, LLR_CLAMP, min_excl)
-        min_excl = np.minimum(min_excl, LLR_CLAMP)
-        c2v = np.where(mask, cfg.alpha * check_sign * row_sign * sgn * min_excl, 0.0)
+    return edge_var, rule
 
-        app = L_ch + c2v.sum(axis=0)
-        e_hat = (app < 0).astype(np.uint8)
-        v2c = np.where(mask, clamp_llr(app[None, :] - c2v), 0.0)
-        ok = bool(np.array_equal((H.astype(np.int64) @ e_hat) % 2, s))
-        trace.append(ok)
-        if ok:
-            return SideResult(e_hat=e_hat, converged=True, iterations_used=it,
-                              app=app, syndrome_trace=trace)
-    return SideResult(e_hat=e_hat, converged=False, iterations_used=cfg.n_iter,
-                      app=app, syndrome_trace=trace)
+
+def minsum_decode(H, L_ch, s, cfg: BpConfig = BpConfig()) -> SideResult:
+    check = gf2.Syndrome(H)
+    s = np.asarray(s, dtype=np.uint8) % 2
+    edge_var, rule = _minsum_rule(check.H, s, cfg.alpha)
+    side = Side(edge_var=edge_var, check=check, s=s, rule=rule)
+    return flood([side], [L_ch], cfg.n_iter)[0]

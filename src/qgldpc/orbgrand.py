@@ -1,14 +1,14 @@
-"""ORBGRAND pattern scheduling: rank-ordered candidate noise patterns.
+"""ORBGRAND schedule: one cached table of candidate noise patterns.
 
 Positions are ranked by ascending reliability |L_A| (ties by index).
-Patterns are sets of flipped ranks, emitted in increasing logistic
-weight (sum of flipped ranks); equal-weight patterns are emitted in
-ascending lexicographic order of their sorted rank tuples.  This is a
-likelihood order exactly when reliabilities are homogeneous and an
-approximate one otherwise.
-
-Patterns represent deviations from the bitwise hard decision, so the
-empty pattern always comes first and is the a-priori most likely.
+Patterns are sets of flipped ranks, listed in increasing logistic
+weight (sum of flipped ranks), then in ascending lexicographic order of
+their sorted rank tuples: exactly likelihood order when reliabilities
+grow linearly with rank, an approximate one otherwise.  The schedule
+depends only on the length, so ``rank_flip_table`` builds it once and each
+decode maps it to positions through ``RankedInput.perm``.  Patterns are
+deviations from the bitwise hard decision, so the empty pattern, the
+a-priori most likely, comes first.
 """
 
 from __future__ import annotations
@@ -77,55 +77,3 @@ class RankedInput:
         # q = 1 / (1 + exp(|L|)), computed stably
         q = np.exp(-np.logaddexp(0.0, abs_llr[perm]))
         return cls(perm=perm, q=q)
-
-
-@dataclass(frozen=True)
-class PatternQuery:
-    flipped_ranks: tuple[int, ...]  # 1-based ranks
-    logistic_weight: int
-    pattern: np.ndarray             # 0/1 deviation in original position order
-
-
-class PatternGenerator:
-    """Streaming generator of ORBGRAND queries for one soft input."""
-
-    def __init__(self, L_A):
-        L_A = np.asarray(L_A, dtype=float)
-        if not np.all(np.isfinite(L_A)):
-            raise ValueError("soft input must be finite (clamp upstream)")
-        self.n = L_A.shape[0]
-        self.ranked = RankedInput.from_llr(L_A)
-        self._stream = distinct_part_subsets(self.n)
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> PatternQuery:
-        ranks = next(self._stream)  # raises StopIteration when exhausted
-        pattern = np.zeros(self.n, dtype=np.uint8)
-        for r in ranks:
-            pattern[self.ranked.perm[r - 1]] = 1
-        return PatternQuery(flipped_ranks=ranks,
-                            logistic_weight=sum(ranks),
-                            pattern=pattern)
-
-
-def make_generator(L_A) -> PatternGenerator:
-    return PatternGenerator(L_A)
-
-
-def next_pattern(gen: PatternGenerator) -> PatternQuery | None:
-    """Next query, or None when the pattern space is exhausted."""
-    return next(gen, None)
-
-
-def pattern_probability(q, w) -> float:
-    """prod q_i^{w_i} (1-q_i)^{1-w_i}, evaluated in the log domain."""
-    q = np.asarray(q, dtype=float)
-    w = np.asarray(w, dtype=np.uint8)
-    if q.shape != w.shape:
-        raise ValueError("q and w must have equal length")
-    if np.any((q <= 0.0) | (q >= 1.0)):
-        raise ValueError("flip probabilities must lie in (0, 1)")
-    log_p = np.where(w == 1, np.log(q), np.log1p(-q)).sum()
-    return float(np.exp(log_p))

@@ -84,11 +84,13 @@ def osd_postprocess(H, s, soft_llr, cfg: OsdConfig = OsdConfig(),
 
     # Reduced system: pivot values = T s  ^  R_free @ fill  (per pivot row)
     R = elim.reduced_matrix()
-    T_s = np.array([bin(elim.transform[r] & gf2.pack_vector(s)).count("1") & 1
+    s_word = gf2.pack_vector(s)
+    T_s = np.array([bin(elim.transform[r] & s_word).count("1") & 1
                     for r in range(elim.n_rows)], dtype=np.uint8)
     if np.any(T_s[elim.rank:]):
         raise InconsistentSyndromeError("syndrome outside the column space of H")
-    R_free = R[:elim.rank][:, free] if free.size else np.zeros((elim.rank, 0), np.uint8)
+    R_free = gf2.Syndrome(R[:elim.rank][:, free])
+    check = gf2.Syndrome(H)
 
     base_fill = hard[free]
     log_flip = np.log(q) - np.log1p(-q)  # per-bit score delta for a 1
@@ -96,7 +98,7 @@ def osd_postprocess(H, s, soft_llr, cfg: OsdConfig = OsdConfig(),
     def build(fill):
         e = np.zeros(n, dtype=np.uint8)
         e[free] = fill
-        e[pivots] = (T_s[:elim.rank] + R_free @ fill) % 2
+        e[pivots] = T_s[:elim.rank] ^ R_free(fill)
         return e
 
     free_index = {int(pos): i for i, pos in enumerate(free)}
@@ -106,7 +108,7 @@ def osd_postprocess(H, s, soft_llr, cfg: OsdConfig = OsdConfig(),
         for pos in flips:
             fill[free_index[pos]] ^= 1
         e = build(fill)
-        assert np.array_equal((H.astype(np.int64) @ e) % 2, s)
+        assert np.array_equal(check(e), s)
         score = float(log_flip[e == 1].sum())
         key = (-score, int(e.sum()), tuple(e.tolist()))
         if best is None or key < best[0]:

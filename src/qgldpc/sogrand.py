@@ -10,11 +10,11 @@ and convert the list into bitwise APP and extrinsic LLRs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import LLR_CLAMP, clamp_llr
+from .channel import clamp_llr
 from .codes import ComponentCode
 from .orbgrand import RankedInput, rank_flip_table
 
@@ -23,7 +23,6 @@ from .orbgrand import RankedInput, rank_flip_table
 class SograndParams:
     list_max: int = 4
     query_budget: int | None = None  # default 2^(m_c+4), resolved per component
-    confidence_stop: float | None = None  # e.g. 0.999: stop once top mass dominates
 
     def __post_init__(self):
         if self.list_max < 1:
@@ -90,19 +89,17 @@ def sogrand_decode(component: ComponentCode, L_A, s_local,
 
     hard = (L_A < 0).astype(np.uint8)
     ranked = RankedInput.from_llr(L_A)
-    budget = params.resolve_budget(n_c, m_c)
 
-    # All candidate deviations up to the budget, in schedule order, over ranks.
-    flips = rank_flip_table(n_c, budget)          # (budget, n_c)
-    n_queries_avail = flips.shape[0]
+    # All candidate deviations up to the budget, in schedule order, over ranks,
+    # and the same deviations over the component's own positions.
+    flips = rank_flip_table(n_c, params.resolve_budget(n_c, m_c))  # (budget, n_c)
+    deviations = np.empty_like(flips)
+    deviations[:, ranked.perm] = flips
 
     # Residual syndrome once the hard decision is peeled off: the deviation d
     # must satisfy H (hard ^ d) = s, i.e. H d = s ^ H hard.
-    H = component.H
-    s_res = (s_local + H @ hard) % 2
-    H_ranked = H[:, ranked.perm]                  # columns in rank order
-    synd = (flips @ H_ranked.T.astype(np.int64)) % 2
-    consistent = np.all(synd == s_res, axis=1)
+    s_res = s_local ^ component.syndrome(hard)
+    consistent = np.all(component.syndrome(deviations.T) == s_res[:, None], axis=0)
 
     # Log-mass of each queried deviation under the flip probabilities q.
     log_q = np.log(ranked.q)
@@ -110,42 +107,20 @@ def sogrand_decode(component: ComponentCode, L_A, s_local,
     log_masses = flips @ (log_q - log_1mq) + log_1mq.sum()
     masses = np.exp(log_masses)
 
-    hits = np.flatnonzero(consistent)
-    cand = CandidateList(m_c=m_c)
-    queries_used = n_queries_avail
-    if hits.size:
-        cum_mass = np.cumsum(masses)
-        taken = 0
-        stop_at = n_queries_avail - 1
-        top_mass = 0.0
-        for idx in hits:
-            deviation = flips[idx]
-            pattern = hard.copy()
-            pattern[ranked.perm[deviation == 1]] ^= 1
-            assert np.array_equal((H @ pattern) % 2, s_local)
-            cand.patterns.append(pattern)
-            cand.masses.append(float(masses[idx]))
-            top_mass = max(top_mass, float(masses[idx]))
-            taken += 1
-            if taken >= params.list_max:
-                stop_at = int(idx)
-                break
-            if params.confidence_stop is not None:
-                p_g_here = float(cum_mass[idx])
-                p_tot_here = cand.P_L + estimate_missing_mass(min(p_g_here, 1.0), m_c)
-                if p_tot_here > 0 and top_mass >= params.confidence_stop * p_tot_here:
-                    stop_at = int(idx)
-                    break
-        else:
-            stop_at = n_queries_avail - 1
-        queries_used = stop_at + 1
-        cand.P_g = min(float(cum_mass[stop_at]), 1.0)
+    # The list is the first list_max consistent queries; the search stops at
+    # the last of them once the list is full, else it spends the whole budget.
+    listed = np.flatnonzero(consistent)[:params.list_max]
+    cand = CandidateList(m_c=m_c, patterns=list(hard ^ deviations[listed]),
+                         masses=masses[listed].tolist())
+    queries_used = flips.shape[0]
+    if listed.size == params.list_max:
+        queries_used = int(listed[-1]) + 1
+    if listed.size:
+        cand.P_g = min(float(np.cumsum(masses[:queries_used])[-1]), 1.0)
     else:
         cand.P_g = min(float(masses.sum()), 1.0)
 
-    out = extract_soft(cand, L_A)
-    return SoftOutput(L_APP=out.L_APP, L_E=out.L_E, best_pattern=out.best_pattern,
-                      found=out.found, queries_used=queries_used, cand=cand)
+    return replace(extract_soft(cand, L_A), queries_used=queries_used, cand=cand)
 
 
 def extract_soft(cand: CandidateList, L_A) -> SoftOutput:

@@ -16,7 +16,7 @@ from qgldpc.gldpc import decode_independent, decode_side
 from qgldpc.harness import (ExperimentConfig, convergence_study, pseudothreshold,
                             run_sweep, run_trial, uncoded_bler, wilson_interval,
                             CurvePoint)
-from qgldpc.orbgrand import distinct_part_subsets, make_generator, pattern_probability
+from qgldpc.orbgrand import RankedInput, rank_flip_table
 from qgldpc.osd import OsdConfig, osd_postprocess
 from qgldpc.sogrand import SograndParams, estimate_missing_mass, sogrand_decode
 
@@ -81,19 +81,24 @@ def test_criterion_1_sogrand_exact_at_saturation():
 
 def test_criterion_2_orbgrand_enumeration():
     for n in (3, 8, 12):
-        seq = list(distinct_part_subsets(n))
-        assert len(seq) == 1 << n and len(set(seq)) == 1 << n
-        weights = [sum(s) for s in seq]
-        assert all(a <= b for a, b in zip(weights, weights[1:]))
+        table = rank_flip_table(n, 1 << n)
+        assert len({row.tobytes() for row in table}) == table.shape[0] == 1 << n
+        weights = table @ np.arange(1, n + 1)
+        assert np.all(np.diff(weights) >= 0)
     # reliabilities proportional to rank make the logistic-weight schedule
     # coincide exactly with likelihood order
     n = 10
     L = 0.6 * np.arange(1, n + 1)
+    ranked = RankedInput.from_llr(L)
     q = 1.0 / (1.0 + np.exp(L))
-    probs = [pattern_probability(q, pq.pattern) for pq in make_generator(L)]
+    probs = []
+    for flips in rank_flip_table(n, 1 << n):
+        pattern = np.zeros(n, dtype=np.uint8)
+        pattern[ranked.perm] = flips
+        probs.append(math.exp(np.where(pattern == 1, np.log(q), np.log1p(-q)).sum()))
     assert len(probs) == 1 << n
     assert all(a >= b - 1e-15 for a, b in zip(probs, probs[1:]))
-    print("\nACCEPTANCE 2 PASS: generator enumerates all patterns once in "
+    print("\nACCEPTANCE 2 PASS: schedule table enumerates all patterns once in "
           "non-decreasing logistic weight; ramp reliabilities yield exact "
           "likelihood order")
 
@@ -125,10 +130,10 @@ def test_criterion_4_gldpc_soundness_and_weight_one_sweep():
             s_x, s_z = channel.syndromes(code, e)
             res = decode_independent(code, pr, s_x, s_z, sog_params=sog)
             if res.z_side.converged:
-                assert np.array_equal(gf2.mat_vec_mul(code.h_x, res.z_side.e_hat), s_z)
+                assert np.array_equal(code.x_graph.syndrome(res.z_side.e_hat), s_z)
                 checked += 1
             if res.x_side.converged:
-                assert np.array_equal(gf2.mat_vec_mul(code.h_z, res.x_side.e_hat), s_x)
+                assert np.array_equal(code.z_graph.syndrome(res.x_side.e_hat), s_x)
                 checked += 1
         # every single-qubit Z error decodes with a stabilizer residual
         L = np.full(code.n, channel.make_priors(
@@ -136,11 +141,11 @@ def test_criterion_4_gldpc_soundness_and_weight_one_sweep():
         for j in range(code.n):
             e_z = np.zeros(code.n, dtype=np.uint8)
             e_z[j] = 1
-            s = gf2.mat_vec_mul(code.h_x, e_z)
+            s = code.x_graph.syndrome(e_z)
             out = decode_side(code.x_graph, L, s, sog_params=sog)
             assert out.converged
             residual = e_z ^ out.e_hat
-            assert gf2.in_row_space(code.h_z, residual)
+            assert gf2.RowSpace(code.h_z).contains(residual)
     assert checked > 0
     print(f"\nACCEPTANCE 4 PASS: {checked} converged decodes all satisfied the "
           f"syndrome equations; weight-1 Z sweep residuals in row_space(H_Z) "
@@ -155,12 +160,12 @@ def test_criterion_5_osd_matches_brute_force_ml():
         n = int(rng.integers(m + 1, 11))
         H = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
         e_true = rng.integers(0, 2, size=n, dtype=np.uint8)
-        s = gf2.mat_vec_mul(H, e_true)
+        s = gf2.Syndrome(H)(e_true)
         soft = rng.normal(0, 3, size=n)
         q = float(rng.uniform(0.02, 0.45))
         cfg = OsdConfig(order_w=n, strategy="exhaustive_w")
         e = osd_postprocess(H, s, soft, cfg, channel_q=q)
-        assert np.array_equal(gf2.mat_vec_mul(H, e), s)
+        assert np.array_equal(gf2.Syndrome(H)(e), s)
 
         log_flip = math.log(q) - math.log1p(-q)
         pats = all_patterns(n)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qgldpc import channel, gf2
+from qgldpc import channel
 from qgldpc.codes import builtin_code
 from qgldpc.gldpc import (decode_correlated, decode_independent, decode_side,
                           _beliefs_from_llr, _argmax_pauli, _marginal_llr)
@@ -31,10 +31,10 @@ class TestDecodeSide:
         L = np.full(code.n, priors_at(0.05, code.n).llr_z[0])
         for _ in range(30):
             e = (rng.random(code.n) < 0.05).astype(np.uint8)
-            s = gf2.mat_vec_mul(g.flat, e)
+            s = g.syndrome(e)
             out = decode_side(g, L, s, n_iter=20, sog_params=SOG)
             if out.converged:
-                assert np.array_equal(gf2.mat_vec_mul(g.flat, out.e_hat), s)
+                assert np.array_equal(g.syndrome(out.e_hat), s)
 
     def test_weight_one_errors_recovered_up_to_stabilizer(self):
         # single Z errors on the toy code: the residual must be a stabilizer
@@ -44,7 +44,7 @@ class TestDecodeSide:
         for j in range(code.n):
             e = np.zeros(code.n, dtype=np.uint8)
             e[j] = 1
-            s = gf2.mat_vec_mul(g.flat, e)
+            s = g.syndrome(e)
             out = decode_side(g, L, s, n_iter=20, sog_params=SOG)
             assert out.converged
             assert code.z_residual_is_stabilizer(e ^ out.e_hat)
@@ -80,12 +80,31 @@ class TestDecodeSide:
         rng = np.random.default_rng(13)
         L = rng.normal(2.0, 1.0, size=code.n)
         e = (rng.random(code.n) < 0.1).astype(np.uint8)
-        s = gf2.mat_vec_mul(g.flat, e)
+        s = g.syndrome(e)
         a = decode_side(g, L, s, sog_params=SOG)
         b = decode_side(g, L, s, sog_params=SOG)
         assert np.array_equal(a.e_hat, b.e_hat)
         assert np.allclose(a.app, b.app)
         assert a.iterations_used == b.iterations_used
+
+
+class TestInputValidation:
+    # toy-gldpc graphs: n = 15 qubits, 2 checks x m_c = 4 syndrome bits
+    @pytest.mark.parametrize("s_len, L_len", [(11, 15), (7, 15), (8, 14), (8, 16)])
+    def test_decode_side_rejects_wrong_lengths(self, s_len, L_len):
+        g = builtin_code("toy-gldpc").x_graph
+        with pytest.raises(ValueError, match="shape"):
+            decode_side(g, np.full(L_len, 2.0), np.zeros(s_len), n_iter=5,
+                        sog_params=SOG)
+
+    @pytest.mark.parametrize("prior_shape, s_x_len, s_z_len",
+                             [((15, 3), 8, 8), ((16, 4), 8, 8), ((15, 4), 9, 8),
+                              ((15, 4), 8, 7)])
+    def test_decode_correlated_rejects_wrong_shapes(self, prior_shape, s_x_len, s_z_len):
+        code = builtin_code("toy-gldpc")
+        with pytest.raises(ValueError, match="shape"):
+            decode_correlated(code, np.full(prior_shape, 0.25), np.zeros(s_x_len),
+                              np.zeros(s_z_len), n_iter=5, sog_params=SOG)
 
 
 class TestDecodeIndependent:
@@ -196,8 +215,8 @@ class TestDecodeCorrelated:
             res = decode_correlated(code, pr.pauli_prior, s_x, s_z,
                                     sog_params=SOG)
             if res.converged:
-                assert np.array_equal(gf2.mat_vec_mul(code.h_x, res.z_side.e_hat), s_z)
-                assert np.array_equal(gf2.mat_vec_mul(code.h_z, res.x_side.e_hat), s_x)
+                assert np.array_equal(code.x_graph.syndrome(res.z_side.e_hat), s_z)
+                assert np.array_equal(code.z_graph.syndrome(res.x_side.e_hat), s_x)
 
     def test_deterministic(self):
         code = builtin_code("toy-gldpc")

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qgldpc import channel, gf2
+from qgldpc import channel
 from qgldpc.cli import main
 from qgldpc.codes import builtin_code
 from qgldpc.gldpc import SideResult
-from qgldpc.harness import (CSV_HEADER, CurvePoint, ExperimentConfig,
+from qgldpc.harness import (CSV_HEADER, DECODERS, CurvePoint, ExperimentConfig,
                             _side_success, convergence_study, pseudothreshold,
                             read_csv, resolve_code, run_point, run_sweep,
                             run_trial, uncoded_bler, wilson_interval, write_csv)
@@ -31,18 +31,16 @@ class TestSuccessCheck:
         e = channel.sample_error(channel.DepolarizingParams(0.1), code.n,
                                  channel.trial_rng(0, 0.1, 0))
         _, s_z = channel.syndromes(code, e)
-        assert _side_success(code, self._side(e.e_z), e.e_z, s_z, code.h_x,
-                             z_side=True)
+        assert _side_success(code, self._side(e.e_z), e.e_z, s_z, z_side=True)
 
     def test_stabilizer_equivalent_recovery_succeeds(self):
         # differing from the truth by a stabilizer row is still a success
         code = builtin_code("toy-gldpc")
         e_z = np.zeros(code.n, dtype=np.uint8)
         e_z[2] = 1
-        s_z = gf2.mat_vec_mul(code.h_x, e_z)
+        s_z = code.x_graph.syndrome(e_z)
         e_hat = e_z ^ code.h_z[0]
-        assert _side_success(code, self._side(e_hat), e_z, s_z, code.h_x,
-                             z_side=True)
+        assert _side_success(code, self._side(e_hat), e_z, s_z, z_side=True)
 
     def test_logical_operator_residual_fails(self):
         from qgldpc.codes import compute_logicals
@@ -51,15 +49,15 @@ class TestSuccessCheck:
         e_z = np.zeros(code.n, dtype=np.uint8)
         s_z = np.zeros(code.h_x.shape[0], dtype=np.uint8)
         assert not _side_success(code, self._side(np.asarray(logical)), e_z,
-                                 s_z, code.h_x, z_side=True)
+                                 s_z, z_side=True)
 
     def test_wrong_syndrome_fails(self):
         code = builtin_code("toy-gldpc")
         e_z = np.zeros(code.n, dtype=np.uint8)
         e_z[0] = 1
-        s_z = gf2.mat_vec_mul(code.h_x, e_z)
+        s_z = code.x_graph.syndrome(e_z)
         assert not _side_success(code, self._side(np.zeros(code.n)), e_z, s_z,
-                                 code.h_x, z_side=True)
+                                 z_side=True)
 
 
 class TestWilsonInterval:
@@ -229,7 +227,30 @@ class TestPseudothreshold:
         assert pseudothreshold(curve, 3) is None
 
 
+class TestDecoderRegistry:
+    @pytest.mark.parametrize("decoder", list(DECODERS))
+    def test_every_decoder_runs_a_toy_trial(self, decoder):
+        code = builtin_code("toy-gldpc")
+        cfg = ExperimentConfig(code="builtin:toy-gldpc", decoder=decoder,
+                               p_grid=(0.1,), trials=1, master_seed=4)
+        rec = run_trial(code, cfg, 0.1, 0)
+        assert 1 <= rec.iterations_used <= DECODERS[decoder].n_iter
+        assert rec.osd_invoked <= DECODERS[decoder].osd
+
+    def test_cli_choices_are_the_registry(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sim", "--help"])
+        assert "--decoder {" + ",".join(DECODERS) + "}" in capsys.readouterr().out
+
+
 class TestConvergenceStudy:
+    @pytest.mark.parametrize("p_grid", [(0.01, 0.05), (0.01, 0.05, 0.1)])
+    def test_rejects_more_than_one_p(self, p_grid):
+        cfg = ExperimentConfig(code="builtin:steane", decoder="sogrand",
+                               p_grid=p_grid, trials=5)
+        with pytest.raises(ValueError, match="one p"):
+            convergence_study(cfg, [1, 2])
+
     def test_common_randomness_and_monotone_failures(self):
         cfg = ExperimentConfig(code="builtin:toy-gldpc", decoder="sogrand",
                                p_grid=(0.06,), trials=400, master_seed=5)
@@ -267,6 +288,12 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("n_iter,bler")
+
+    def test_convergence_rejects_p_grid(self, capsys):
+        rc = main(["convergence", "--code", "builtin:steane", "--p", "0.01,0.05",
+                   "--trials", "5", "--iters-grid", "1,2"])
+        assert rc != 0
+        assert "one p" in capsys.readouterr().err
 
     def test_validate_builtin(self, capsys):
         rc = main(["validate", "--code", "builtin:toy-gldpc"])

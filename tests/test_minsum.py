@@ -1,9 +1,78 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgldpc import gf2
+from qgldpc.channel import LLR_CLAMP, clamp_llr
 from qgldpc.codes import builtin_code
+from qgldpc.gldpc import SideResult
 from qgldpc.minsum import BpConfig, minsum_decode
+
+
+def dense_minsum(H, L_ch, s, cfg: BpConfig) -> SideResult:
+    """Reference min-sum on dense (m, n) masks: the package's first version."""
+    H = np.asarray(H, dtype=np.uint8) % 2
+    L_ch = np.asarray(L_ch, dtype=float)
+    s = np.asarray(s, dtype=np.uint8) % 2
+    m, n = H.shape
+    mask = H == 1
+    row_deg = mask.sum(axis=1)
+    check_sign = np.where(s == 1, -1.0, 1.0)[:, None]
+
+    v2c = np.where(mask, L_ch[None, :], 0.0)
+    e_hat = (L_ch < 0).astype(np.uint8)
+    app = L_ch.copy()
+    trace: list[bool] = []
+    for it in range(1, cfg.n_iter + 1):
+        # per-row sign product and two smallest magnitudes, excluding self
+        sgn = np.where(v2c < 0, -1.0, 1.0)
+        sgn = np.where(mask, sgn, 1.0)
+        row_sign = sgn.prod(axis=1, keepdims=True)
+        mag = np.where(mask, np.abs(v2c), np.inf)
+        min1_idx = np.argmin(mag, axis=1)
+        min1 = mag[np.arange(m), min1_idx]
+        mag_wo = mag.copy()
+        mag_wo[np.arange(m), min1_idx] = np.inf
+        min2 = mag_wo.min(axis=1)
+        min_excl = np.where(
+            np.arange(n)[None, :] == min1_idx[:, None], min2[:, None], min1[:, None])
+        # degree-1 checks: min over the empty set, pinned to the clamp value
+        min_excl = np.where(row_deg[:, None] <= 1, LLR_CLAMP, min_excl)
+        min_excl = np.minimum(min_excl, LLR_CLAMP)
+        c2v = np.where(mask, cfg.alpha * check_sign * row_sign * sgn * min_excl, 0.0)
+
+        app = L_ch + c2v.sum(axis=0)
+        e_hat = (app < 0).astype(np.uint8)
+        v2c = np.where(mask, clamp_llr(app[None, :] - c2v), 0.0)
+        ok = bool(np.array_equal((H.astype(np.int64) @ e_hat) % 2, s))
+        trace.append(ok)
+        if ok:
+            return SideResult(e_hat=e_hat, converged=True, iterations_used=it,
+                              app=app, syndrome_trace=trace)
+    return SideResult(e_hat=e_hat, converged=False, iterations_used=cfg.n_iter,
+                      app=app, syndrome_trace=trace)
+
+
+@st.composite
+def minsum_inputs(draw):
+    """Random H with all-zero and degree-one rows mixed in, LLRs and syndrome."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    H = (rng.random((m, n)) < draw(st.floats(0.1, 0.7))).astype(np.uint8)
+    for r in range(m):
+        kind = rng.integers(4)
+        if kind == 0:
+            H[r] = 0
+        elif kind == 1:
+            H[r] = 0
+            H[r, rng.integers(n)] = 1
+    L = np.round(rng.normal(1.0, 3.0, n), draw(st.integers(0, 3)))  # rounding makes ties
+    s = rng.integers(0, 2, m, dtype=np.uint8)
+    cfg = BpConfig(alpha=draw(st.sampled_from([0.5, 0.625, 0.8, 1.0])),
+                   n_iter=draw(st.integers(1, 25)))
+    return H, L, s, cfg
 
 HAMMING = np.array([[1, 0, 1, 0, 1, 0, 1],
                     [0, 1, 1, 0, 0, 1, 1],
@@ -52,7 +121,7 @@ class TestMinsumDecode:
         for j in range(5):
             e = np.zeros(5, dtype=np.uint8)
             e[j] = 1
-            s = gf2.mat_vec_mul(H, e)
+            s = gf2.Syndrome(H)(e)
             out = minsum_decode(H, np.full(5, 4.0), s)
             assert out.converged
             assert np.array_equal(out.e_hat, e)
@@ -63,10 +132,10 @@ class TestMinsumDecode:
         H = code.h_x
         for _ in range(50):
             e = (rng.random(code.n) < 0.08).astype(np.uint8)
-            s = gf2.mat_vec_mul(H, e)
+            s = gf2.Syndrome(H)(e)
             out = minsum_decode(H, np.full(code.n, 3.0), s)
             if out.converged:
-                assert np.array_equal(gf2.mat_vec_mul(H, out.e_hat), s)
+                assert np.array_equal(gf2.Syndrome(H)(out.e_hat), s)
 
     def test_degree_one_check_pins_bit(self):
         H = np.array([[1, 0, 0], [1, 1, 1]], dtype=np.uint8)
@@ -87,7 +156,7 @@ class TestMinsumDecode:
         rng = np.random.default_rng(31)
         L = rng.normal(0, 2, size=7)
         e = rng.integers(0, 2, size=7, dtype=np.uint8)
-        s = gf2.mat_vec_mul(HAMMING, e)
+        s = gf2.Syndrome(HAMMING)(e)
         perm = [2, 0, 1]
         a = minsum_decode(HAMMING, L, s)
         b = minsum_decode(HAMMING[perm], L, s[perm])
@@ -99,6 +168,8 @@ class TestMinsumDecode:
             minsum_decode(HAMMING, np.zeros(6), np.zeros(3))
         with pytest.raises(ValueError):
             minsum_decode(HAMMING, np.zeros(7), np.zeros(4))
+        with pytest.raises(ValueError):
+            minsum_decode(HAMMING, np.zeros(7), np.zeros(2))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -107,3 +178,16 @@ class TestMinsumDecode:
             BpConfig(alpha=1.5)
         with pytest.raises(ValueError):
             BpConfig(n_iter=0)
+
+
+class TestAgainstDenseReference:
+    @given(minsum_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_edge_indexed_matches_dense_bit_for_bit(self, inputs):
+        H, L, s, cfg = inputs
+        got, ref = minsum_decode(H, L, s, cfg), dense_minsum(H, L, s, cfg)
+        assert np.array_equal(got.e_hat, ref.e_hat)
+        assert np.array_equal(got.app, ref.app)
+        assert got.converged == ref.converged
+        assert got.iterations_used == ref.iterations_used
+        assert got.syndrome_trace == ref.syndrome_trace

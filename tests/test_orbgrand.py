@@ -4,12 +4,42 @@ import math
 import numpy as np
 import pytest
 
-from qgldpc.orbgrand import (PatternGenerator, distinct_part_subsets, make_generator,
-                             next_pattern, pattern_probability, rank_flip_table)
+from qgldpc.codes import ComponentCode
+from qgldpc.orbgrand import RankedInput, distinct_part_subsets, rank_flip_table
+from qgldpc.sogrand import SograndParams, sogrand_decode
 
 
 def full_sequence(n):
     return list(distinct_part_subsets(n))
+
+
+def schedule(L):
+    """The full query schedule for soft input L, as deviations over positions."""
+    n = len(L)
+    ranked = RankedInput.from_llr(np.asarray(L, dtype=float))
+    flips = rank_flip_table(n, 1 << n)
+    patterns = np.zeros_like(flips)
+    patterns[:, ranked.perm] = flips
+    return patterns
+
+
+def probability(L, pattern):
+    """Likelihood of a deviation under flip probabilities 1/(1+e^|L|)."""
+    q = 1.0 / (1.0 + np.exp(np.abs(L)))
+    return math.exp(np.where(pattern == 1, np.log(q), np.log1p(-q)).sum())
+
+
+def schedule_masses(q):
+    """SOGRAND's mass of every pattern of an unconstrained component.
+
+    With no parity rows every query is consistent, so a full list and
+    budget return the whole schedule with the masses sogrand computes.
+    """
+    n = len(q)
+    L = np.log((1.0 - q) / q)
+    out = sogrand_decode(ComponentCode(np.zeros((0, n), dtype=np.uint8)), L,
+                         np.zeros(0), SograndParams(list_max=1 << n, query_budget=1 << n))
+    return {tuple(p.tolist()): m for p, m in zip(out.cand.patterns, out.cand.masses)}
 
 
 class TestSchedule:
@@ -44,68 +74,54 @@ class TestSchedule:
 
 
 class TestGenerator:
+    """The schedule mapped to positions by the reliability ranking."""
+
     def test_second_query_flips_least_reliable(self):
-        L = np.array([5.0, -0.5, 3.0])
-        gen = make_generator(L)
-        first = next_pattern(gen)
-        assert first.flipped_ranks == () and not first.pattern.any()
-        second = next_pattern(gen)
-        assert second.flipped_ranks == (1,)
-        assert second.pattern.tolist() == [0, 1, 0]  # position of smallest |L|
+        pats = schedule([5.0, -0.5, 3.0])
+        assert not pats[0].any()
+        assert pats[1].tolist() == [0, 1, 0]  # position of smallest |L|
 
     def test_order_depends_on_magnitudes_not_signs(self):
         L = np.array([2.0, -1.0, 0.5, -3.0])
-        a = [q.pattern.tolist() for q in make_generator(L)]
-        b = [q.pattern.tolist() for q in make_generator(np.abs(L))]
-        assert a == b
+        assert np.array_equal(schedule(L), schedule(np.abs(L)))
 
     def test_rank_ties_broken_by_position(self):
-        gen = make_generator(np.array([1.0, 1.0, 1.0]))
-        next_pattern(gen)
-        assert next_pattern(gen).pattern.tolist() == [1, 0, 0]
+        assert schedule([1.0, 1.0, 1.0])[1].tolist() == [1, 0, 0]
 
     def test_exhaustion_returns_none(self):
-        gen = make_generator(np.array([1.0, 2.0]))
+        stream = distinct_part_subsets(2)
         for _ in range(4):
-            assert next_pattern(gen) is not None
-        assert next_pattern(gen) is None
-
-    def test_rejects_non_finite_input(self):
-        with pytest.raises(ValueError):
-            make_generator(np.array([1.0, np.inf]))
+            assert next(stream, None) is not None
+        assert next(stream, None) is None
+        assert rank_flip_table(2, 10).shape == (4, 2)
 
     def test_pattern_sets_permuted_position(self):
         L = np.array([4.0, 0.25, 2.0, 1.0])
-        gen = PatternGenerator(L)
         # ranks: pos1 (0.25), pos3 (1.0), pos2 (2.0), pos0 (4.0)
-        seq = {q.flipped_ranks: q.pattern.tolist() for q in gen}
+        seq = {tuple(np.flatnonzero(f) + 1): p.tolist()
+               for f, p in zip(rank_flip_table(4, 16), schedule(L))}
         assert seq[(1,)] == [0, 1, 0, 0]
         assert seq[(2,)] == [0, 0, 0, 1]
         assert seq[(4,)] == [1, 0, 0, 0]
 
 
 class TestPatternProbability:
+    """The pattern masses sogrand_decode assigns to the schedule."""
+
     def test_single_flip_product(self):
         q = np.array([0.1, 0.2, 0.3])
-        w = np.array([1, 0, 0])
-        assert pattern_probability(q, w) == pytest.approx(0.1 * 0.8 * 0.7)
+        assert schedule_masses(q)[(1, 0, 0)] == pytest.approx(0.1 * 0.8 * 0.7)
 
     def test_no_flip(self):
         q = np.array([0.1, 0.2, 0.3])
-        assert pattern_probability(q, np.zeros(3)) == pytest.approx(0.9 * 0.8 * 0.7)
+        assert schedule_masses(q)[(0, 0, 0)] == pytest.approx(0.9 * 0.8 * 0.7)
 
     def test_total_probability_sums_to_one(self):
         rng = np.random.default_rng(8)
         for n in (4, 9, 12):
-            q = rng.uniform(0.01, 0.49, size=n)
-            total = math.fsum(
-                pattern_probability(q, np.array(bits))
-                for bits in itertools.product((0, 1), repeat=n))
-            assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_invalid_q_rejected(self):
-        with pytest.raises(ValueError):
-            pattern_probability(np.array([0.0, 0.5]), np.array([0, 1]))
+            masses = schedule_masses(rng.uniform(0.01, 0.49, size=n))
+            assert len(masses) == 1 << n
+            assert math.fsum(masses.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestLikelihoodOrder:
@@ -114,16 +130,13 @@ class TestLikelihoodOrder:
         # of the logistic weight, so the schedule is exactly likelihood order
         n = 8
         L = 0.7 * np.arange(1, n + 1)
-        q = 1.0 / (1.0 + np.exp(L))
-        probs = [pattern_probability(q, qry.pattern) for qry in make_generator(L)]
+        probs = [probability(L, p) for p in schedule(L)]
         assert all(a >= b - 1e-15 for a, b in zip(probs, probs[1:]))
 
     def test_empty_pattern_always_most_probable(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             L = rng.uniform(0.2, 6.0, size=7)
-            q = 1.0 / (1.0 + np.exp(L))
-            gen = make_generator(L)
-            first = pattern_probability(q, next_pattern(gen).pattern)
-            rest = [pattern_probability(q, qry.pattern) for qry in gen]
-            assert first >= max(rest)
+            pats = schedule(L)
+            first = probability(L, pats[0])
+            assert first >= max(probability(L, p) for p in pats[1:])

@@ -20,7 +20,7 @@ def brute_force_ml(H, s, q):
     best_score, best_e = -np.inf, None
     for bits in itertools.product((0, 1), repeat=n):
         e = np.array(bits, dtype=np.uint8)
-        if not np.array_equal(gf2.mat_vec_mul(H, e), s):
+        if not np.array_equal(gf2.Syndrome(H)(e), s):
             continue
         score = float(log_flip[e == 1].sum())
         if score > best_score:
@@ -43,7 +43,7 @@ class TestBasics:
         for j in range(7):
             err = np.zeros(7, dtype=np.uint8)
             err[j] = 1
-            s = gf2.mat_vec_mul(HAMMING, err)
+            s = gf2.Syndrome(HAMMING)(err)
             soft = np.full(7, 4.0)
             soft[j] = -1.0  # iterative stage already suspects bit j
             e = osd_postprocess(HAMMING, s, soft, cfg)
@@ -56,10 +56,10 @@ class TestBasics:
             n = int(rng.integers(m + 1, 10))
             H = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
             err = rng.integers(0, 2, size=n, dtype=np.uint8)
-            s = gf2.mat_vec_mul(H, err)
+            s = gf2.Syndrome(H)(err)
             soft = rng.normal(0, 3, size=n)
             e = osd_postprocess(H, s, soft, channel_q=0.05)
-            assert np.array_equal(gf2.mat_vec_mul(H, e), s)
+            assert np.array_equal(gf2.Syndrome(H)(e), s)
 
     def test_inconsistent_syndrome_raises(self):
         H = np.array([[1, 1, 0], [1, 1, 0]], dtype=np.uint8)
@@ -88,7 +88,7 @@ class TestAgainstBruteForceMl:
             n = int(rng.integers(m + 1, 10))
             H = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
             err = rng.integers(0, 2, size=n, dtype=np.uint8)
-            s = gf2.mat_vec_mul(H, err)
+            s = gf2.Syndrome(H)(err)
             soft = rng.normal(0, 3, size=n)
             cfg = OsdConfig(order_w=n, strategy="exhaustive_w")
             e = osd_postprocess(H, s, soft, cfg, channel_q=q)
@@ -103,7 +103,7 @@ class TestAgainstBruteForceMl:
             n = int(rng.integers(m + 1, 10))
             H = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
             err = rng.integers(0, 2, size=n, dtype=np.uint8)
-            s = gf2.mat_vec_mul(H, err)
+            s = gf2.Syndrome(H)(err)
             soft = rng.normal(0, 3, size=n)
             e = osd_postprocess(H, s, soft, OsdConfig(order_w=4), channel_q=q)
             _, ml_score = brute_force_ml(H, s, q)
@@ -151,7 +151,7 @@ class TestReliabilityOrdering:
         soft = np.array([9.0, 8.0, 7.0, 6.0, 5.0, 4.0, -0.5])
         err = np.zeros(7, dtype=np.uint8)
         err[6] = 1
-        s = gf2.mat_vec_mul(HAMMING, err)
+        s = gf2.Syndrome(HAMMING)(err)
         e = osd_postprocess(HAMMING, s, soft,
                             OsdConfig(order_w=0, strategy="exhaustive_w"))
         assert np.array_equal(e, err)
@@ -162,7 +162,7 @@ class TestReliabilityOrdering:
         q = 0.08
         for _ in range(30):
             err = rng.integers(0, 2, size=7, dtype=np.uint8)
-            s = gf2.mat_vec_mul(HAMMING, err)
+            s = gf2.Syndrome(HAMMING)(err)
             soft = rng.normal(0, 1, size=7)
             e0 = osd_postprocess(HAMMING, s, soft,
                                  OsdConfig(order_w=0, strategy="exhaustive_w"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgldpc.codes import ComponentCode
 from qgldpc.sogrand import (CandidateList, SograndParams, estimate_missing_mass,
@@ -80,16 +82,22 @@ class TestSograndDecodeBasics:
         assert np.allclose(out.L_E, 0.0)
         assert np.allclose(out.L_APP, L)
 
-    def test_listed_patterns_satisfy_local_syndrome(self):
-        rng = np.random.default_rng(1)
-        comp = ComponentCode(HAMMING)
-        for _ in range(50):
-            L = rng.normal(0, 3, size=7)
-            e = rng.integers(0, 2, size=7, dtype=np.uint8)
-            s = (HAMMING @ e) % 2
-            out = sogrand_decode(comp, L, s, SograndParams(list_max=8))
-            for pat in out.cand.patterns:
-                assert np.array_equal((HAMMING @ pat) % 2, s)
+    @given(st.integers(0, 5), st.integers(1, 12), st.integers(1, 9),
+           st.one_of(st.none(), st.integers(1, 300)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_listed_patterns_satisfy_local_syndrome(self, m_c, n_c, list_max, budget,
+                                                   seed):
+        # random components, consistent or not, including m_c = 0 and m_c = n_c
+        rng = np.random.default_rng(seed)
+        m_c = min(m_c, n_c)
+        H = rng.integers(0, 2, size=(m_c, n_c), dtype=np.uint8)
+        L = rng.normal(0, 3, size=n_c)
+        s = rng.integers(0, 2, size=m_c, dtype=np.uint8)
+        out = sogrand_decode(ComponentCode(H), L, s,
+                             SograndParams(list_max=list_max, query_budget=budget))
+        assert len(out.cand.patterns) <= list_max
+        for pat in out.cand.patterns:
+            assert np.array_equal((H.astype(int) @ pat) % 2, s)
 
     def test_accounting_identity(self):
         rng = np.random.default_rng(2)
