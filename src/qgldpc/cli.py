@@ -76,12 +76,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    cfg = _config_from_args(args)
-    try:
-        rows: list[ConvergenceRow] = convergence_study(cfg, args.iters_grid)
-    except ValueError as exc:
-        print(f"qgldpc convergence: error: {exc}", file=sys.stderr)
-        return 2
+    rows: list[ConvergenceRow] = convergence_study(_config_from_args(args),
+                                                   args.iters_grid)
     print("n_iter,bler,failures,trials,mean_iters")
     for row in rows:
         pt = row.point
@@ -132,7 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, KeyError, OSError) as exc:
+        # bad input (options, code name, code file): one line, no traceback
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"qgldpc {args.command}: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

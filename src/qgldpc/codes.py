@@ -134,13 +134,13 @@ class GldpcCode:
         if np.any(self.x_graph.syndrome(h_z.T)):
             raise CodeFormatError(
                 f"CSS condition violated: H_X H_Z^T != 0 for code {self.name!r}")
-        k = self.n - gf2.rank(h_x) - gf2.rank(h_z)
-        if k != self.k:
-            raise CodeFormatError(
-                f"declared k={self.k} inconsistent with ranks (computed k={k})")
         # cached stabilizer row spaces for degeneracy checks
         self._hx_space = gf2.RowSpace(h_x)
         self._hz_space = gf2.RowSpace(h_z)
+        k = self.n - self._hx_space.rank - self._hz_space.rank
+        if k != self.k:
+            raise CodeFormatError(
+                f"declared k={self.k} inconsistent with ranks (computed k={k})")
 
     @property
     def h_x(self) -> np.ndarray:
@@ -162,16 +162,19 @@ def compute_logicals(code: GldpcCode) -> LogicalBasis:
     """k independent Z-logicals (ker H_X modulo rowspace H_Z), and mirrored."""
 
     def one_side(h_check, h_stab):
-        span = gf2.RowSpace(h_stab)
-        out = []
-        for v in gf2.null_space(h_check):
-            if span.add(gf2.pack_vector(v)):
-                out.append(v)
-        return out
+        # greedy: keep each kernel vector independent of the stabilizers and
+        # of the vectors kept before it, i.e. the pivot columns past h_stab
+        kernel = gf2.null_space(h_check)
+        m = h_stab.shape[0]
+        pivots = gf2.row_reduce(np.vstack([h_stab, kernel]).T).pivots
+        return [kernel[c - m] for c in pivots if c >= m]
 
     z_logicals = one_side(code.h_x, code.h_z)
     x_logicals = one_side(code.h_z, code.h_x)
-    assert len(z_logicals) == len(x_logicals) == code.k
+    if not len(z_logicals) == len(x_logicals) == code.k:
+        raise CodeFormatError(
+            f"found {len(z_logicals)} Z- and {len(x_logicals)} X-logicals "
+            f"for code {code.name!r}, expected k={code.k}")
     return LogicalBasis(z_logicals=z_logicals, x_logicals=x_logicals)
 
 

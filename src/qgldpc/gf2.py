@@ -1,11 +1,10 @@
 """Exact linear algebra over GF(2).
 
-Vectors and matrices cross the module boundary as numpy arrays with
-entries in {0, 1}.  Every matrix-vector product H v of the package goes
-through one operator, ``Syndrome``, which holds H once as an integer
-matrix.  For elimination and row-space tests, rows are packed into Python
-integers (bit i of a row word is column i), so those kernels reduce to XOR
-and popcount.
+Vectors and matrices are numpy arrays with entries in {0, 1}, inside the
+module as at its boundary.  Every matrix-vector product H v of the package
+goes through one operator, ``Syndrome``, which holds H once as an integer
+matrix.  Elimination works on ``[H | I]`` with whole-row XORs and records
+the row operations; row-space tests and kernels are read from its result.
 """
 
 from __future__ import annotations
@@ -31,33 +30,6 @@ def _as_bitmatrix(H) -> np.ndarray:
     return H
 
 
-def pack_rows(H) -> list[int]:
-    """Pack each row of a 0/1 matrix into an int (bit i = column i)."""
-    H = _as_bitmatrix(H)
-    words = []
-    for row in H:
-        w = 0
-        for i in np.flatnonzero(row):
-            w |= 1 << int(i)
-        words.append(w)
-    return words
-
-
-def pack_vector(v) -> int:
-    v = _as_bits(v)
-    w = 0
-    for i in np.flatnonzero(v):
-        w |= 1 << int(i)
-    return w
-
-
-def unpack(word: int, n: int) -> np.ndarray:
-    out = np.zeros(n, dtype=np.uint8)
-    for i in range(n):
-        out[i] = (word >> i) & 1
-    return out
-
-
 class Syndrome:
     """The GF(2) map v -> H v, with H held once as an integer matrix.
 
@@ -81,21 +53,15 @@ class Syndrome:
 class Elimination:
     """Gauss-Jordan reduction of a matrix under an explicit column visiting order.
 
-    ``transform`` records the row operations: transform[r] applied to the
-    original rows yields reduced[r], so the same words map a syndrome s to
-    the reduced system's right-hand side.
+    ``transform`` records the row operations: transform @ H == reduced
+    (mod 2), so ``transform`` also maps a syndrome s to the reduced
+    system's right-hand side.  Rows past ``rank`` of ``reduced`` are zero.
     """
 
-    n_cols: int
-    n_rows: int
-    reduced: list[int]        # packed rows, pivot rows first
-    transform: list[int]      # packed row-combination words (bit r = original row r)
+    reduced: np.ndarray       # (m, n) uint8, pivot rows first
+    transform: np.ndarray     # (m, m) uint8
     pivots: list[int]         # pivot column indices, in visiting order
     rank: int
-
-    def reduced_matrix(self) -> np.ndarray:
-        return np.array([unpack(w, self.n_cols) for w in self.reduced],
-                        dtype=np.uint8).reshape(self.n_rows, self.n_cols)
 
 
 def row_reduce(H, column_order=None) -> Elimination:
@@ -112,31 +78,22 @@ def row_reduce(H, column_order=None) -> Elimination:
     if sorted(order) != list(range(n)):
         raise ValueError("column_order must be a permutation of range(n_cols)")
 
-    rows = pack_rows(H)
-    trans = [1 << r for r in range(m)]
+    A = np.concatenate([H, np.eye(m, dtype=np.uint8)], axis=1)  # [H | I]
     pivots: list[int] = []
-    pivot_row = 0
     for col in order:
-        bit = 1 << col
-        found = -1
-        for r in range(pivot_row, m):
-            if rows[r] & bit:
-                found = r
-                break
-        if found < 0:
-            continue
-        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
-        trans[pivot_row], trans[found] = trans[found], trans[pivot_row]
-        for r in range(m):
-            if r != pivot_row and rows[r] & bit:
-                rows[r] ^= rows[pivot_row]
-                trans[r] ^= trans[pivot_row]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == m:
+        r = len(pivots)
+        if r == m:
             break
-    return Elimination(n_cols=n, n_rows=m, reduced=rows, transform=trans,
-                       pivots=pivots, rank=len(pivots))
+        p = r + int(A[r:, col].argmax())  # the first row at or below r with a 1, if any
+        if not A[p, col]:
+            continue
+        if p != r:
+            A[[r, p]] = A[[p, r]]
+        rows = np.flatnonzero(A[:, col])
+        A[rows[rows != r]] ^= A[r]
+        pivots.append(col)
+    return Elimination(reduced=A[:, :n], transform=A[:, n:], pivots=pivots,
+                       rank=len(pivots))
 
 
 def rank(H) -> int:
@@ -144,48 +101,28 @@ def rank(H) -> int:
 
 
 class RowSpace:
-    """Reduced row basis supporting fast membership tests."""
+    """Reduced row basis of a matrix, for membership tests."""
 
     def __init__(self, H):
-        H = _as_bitmatrix(H)
-        self.n_cols = H.shape[1]
-        self._basis: list[tuple[int, int]] = []  # (leading column bit, word)
-        for w in pack_rows(H):
-            self.add(w)
-
-    def _reduce_word(self, w: int) -> int:
-        for bit, bw in self._basis:
-            if w & bit:
-                w ^= bw
-        return w
-
-    def add(self, w: int) -> bool:
-        """Add a packed row; returns True if it enlarged the span."""
-        w = self._reduce_word(w)
-        if w == 0:
-            return False
-        self._basis.append((w & -w, w))
-        return True
+        elim = row_reduce(H)
+        self.rank = elim.rank
+        self._basis = elim.reduced[:elim.rank]
+        self._pivots = np.array(elim.pivots, dtype=np.intp)
 
     def contains(self, r) -> bool:
-        r = _as_bits(r, self.n_cols)
-        return self._reduce_word(pack_vector(r)) == 0
+        r = _as_bits(r, self._basis.shape[1])
+        # the basis is reduced, so the only candidate combination is the one
+        # whose coefficients are r's pivot bits
+        combo = np.bitwise_xor.reduce(self._basis[r[self._pivots].astype(bool)], axis=0)
+        return combo.tobytes() == r.tobytes()  # cheaper than np.array_equal here
 
 
-def null_space(H) -> list[np.ndarray]:
-    """Basis of the right kernel of H over GF(2)."""
-    H = _as_bitmatrix(H)
-    m, n = H.shape
+def null_space(H) -> np.ndarray:
+    """Basis of the right kernel of H over GF(2), one vector per row."""
     elim = row_reduce(H)
-    pivot_set = set(elim.pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = np.zeros(n, dtype=np.uint8)
-        v[free] = 1
-        for r in range(elim.rank):
-            if (elim.reduced[r] >> free) & 1:
-                v[elim.pivots[r]] = 1
-        basis.append(v)
+    n = elim.reduced.shape[1]
+    free = np.setdiff1d(np.arange(n), elim.pivots)
+    basis = np.zeros((free.size, n), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, elim.pivots] = elim.reduced[:elim.rank, free].T
     return basis

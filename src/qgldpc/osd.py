@@ -4,8 +4,10 @@ Columns are visited in decreasing reliability |L_APP| so the pivot set is
 the most reliably known independent column set; the remaining (non-pivot)
 bits keep their hard decisions, the pivot bits are re-solved from the
 syndrome, and low-weight flips of the least reliable non-pivot bits are
-swept.  Every candidate satisfies the syndrome by construction; the most
-likely one under the channel prior wins.
+swept.  All candidates are built as one (C, n) matrix: the flip sets as a
+0/1 matrix over the free bits, the pivot bits from one GF(2) product.
+Every candidate satisfies the syndrome by construction; the most likely
+one under the channel prior wins.
 """
 
 from __future__ import annotations
@@ -34,24 +36,21 @@ class OsdConfig:
             raise ValueError(f"unknown OSD strategy {self.strategy!r}")
 
 
-def _flip_sets(n_free: int, free_order: np.ndarray, cfg: OsdConfig):
-    """Candidate flip sets over non-pivot positions, deterministic order.
+def _flip_sets(n_free: int, cfg: OsdConfig) -> np.ndarray:
+    """(C, n_free) 0/1 flip sets, one per row; row 0 flips nothing.
 
-    ``free_order`` lists non-pivot positions from least to most reliable.
+    Column i is the i-th free (non-pivot) bit from least to most reliable.
     """
-    yield ()
+    w = min(cfg.order_w, n_free)
     if cfg.strategy == "exhaustive_w":
-        w = min(cfg.order_w, n_free)
-        sweep = free_order[:w]
-        for size in range(1, w + 1):
-            for combo in itertools.combinations(range(w), size):
-                yield tuple(sweep[list(combo)])
+        subsets = [c for size in range(1, w + 1)
+                   for c in itertools.combinations(range(w), size)]
     else:  # combination_sweep: all single flips, plus pairs among the w least reliable
-        for pos in free_order:
-            yield (int(pos),)
-        w = min(cfg.order_w, n_free)
-        for a, b in itertools.combinations(range(w), 2):
-            yield (int(free_order[a]), int(free_order[b]))
+        subsets = [(i,) for i in range(n_free)] + list(itertools.combinations(range(w), 2))
+    flips = np.zeros((1 + len(subsets), n_free), dtype=np.uint8)
+    for row, subset in enumerate(subsets, start=1):
+        flips[row, list(subset)] = 1
+    return flips
 
 
 def osd_postprocess(H, s, soft_llr, cfg: OsdConfig = OsdConfig(),
@@ -76,45 +75,25 @@ def osd_postprocess(H, s, soft_llr, cfg: OsdConfig = OsdConfig(),
     # visit most reliable columns first; ties by original index
     order = np.lexsort((np.arange(n), -reliability))
     elim = gf2.row_reduce(H, column_order=order)
+    rank = elim.rank
 
-    pivots = np.array(elim.pivots, dtype=np.intp)
-    free = np.array([c for c in order if c not in set(elim.pivots)], dtype=np.intp)
-    # free positions from least to most reliable
-    free_lsr = free[np.argsort(reliability[free], kind="stable")]
-
-    # Reduced system: pivot values = T s  ^  R_free @ fill  (per pivot row)
-    R = elim.reduced_matrix()
-    s_word = gf2.pack_vector(s)
-    T_s = np.array([bin(elim.transform[r] & s_word).count("1") & 1
-                    for r in range(elim.n_rows)], dtype=np.uint8)
-    if np.any(T_s[elim.rank:]):
+    # Reduced system: pivot values = T s  ^  R_free @ free values  (per pivot row)
+    T_s = gf2.Syndrome(elim.transform)(s)
+    if np.any(T_s[rank:]):
         raise InconsistentSyndromeError("syndrome outside the column space of H")
-    R_free = gf2.Syndrome(R[:elim.rank][:, free])
-    check = gf2.Syndrome(H)
+    pivots = np.array(elim.pivots, dtype=np.intp)
+    free = order[~np.isin(order, pivots)]
+    # free positions from least to most reliable
+    free = free[np.argsort(reliability[free], kind="stable")]
 
-    base_fill = hard[free]
+    fills = hard[free] ^ _flip_sets(free.size, cfg)
+    E = np.zeros((fills.shape[0], n), dtype=np.uint8)
+    E[:, free] = fills
+    E[:, pivots] = (T_s[:rank, None] ^ gf2.Syndrome(elim.reduced[:rank, free])(fills.T)).T
+
+    # Score each row as a sum over its ones: a sum over whole rows of E,
+    # zeros included, groups the terms differently, so it can round
+    # differently and change which equal-weight candidate wins.
     log_flip = np.log(q) - np.log1p(-q)  # per-bit score delta for a 1
-
-    def build(fill):
-        e = np.zeros(n, dtype=np.uint8)
-        e[free] = fill
-        e[pivots] = T_s[:elim.rank] ^ R_free(fill)
-        return e
-
-    free_index = {int(pos): i for i, pos in enumerate(free)}
-    best = None
-    for flips in _flip_sets(free.size, free_lsr, cfg):
-        fill = base_fill.copy()
-        for pos in flips:
-            fill[free_index[pos]] ^= 1
-        e = build(fill)
-        assert np.array_equal(check(e), s)
-        score = float(log_flip[e == 1].sum())
-        key = (-score, int(e.sum()), tuple(e.tolist()))
-        if best is None or key < best[0]:
-            best = (key, e)
-
-    base_e = build(base_fill)
-    base_score = float(log_flip[base_e == 1].sum())
-    assert -best[0][0] >= base_score - 1e-12
-    return best[1]
+    keys = [(-float(log_flip[e == 1].sum()), int(e.sum()), e.tobytes()) for e in E]
+    return E[min(range(len(keys)), key=keys.__getitem__)]

@@ -35,6 +35,14 @@ def brute_force_rank(H):
     return best
 
 
+@st.composite
+def bit_matrices(draw, max_rows=6, max_cols=9):
+    m = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_cols))
+    bits = draw(st.lists(st.integers(0, 1), min_size=m * n, max_size=m * n))
+    return np.array(bits, dtype=np.uint8).reshape(m, n)
+
+
 class TestMatVecMul:
     """The syndrome operator, gf2.Syndrome: H v over GF(2)."""
 
@@ -104,6 +112,24 @@ class TestRowReduce:
         elim = gf2.row_reduce(np.zeros((3, 4)))
         assert elim.rank == 0 and elim.pivots == []
 
+    @given(bit_matrices(), st.randoms(use_true_random=False))
+    @settings(max_examples=200)
+    def test_elimination_record(self, H, rnd):
+        m, n = H.shape
+        order = list(range(n))
+        rnd.shuffle(order)
+        elim = gf2.row_reduce(H, column_order=order)
+        assert elim.reduced.dtype == elim.transform.dtype == np.uint8
+        assert elim.reduced.shape == (m, n) and elim.transform.shape == (m, m)
+        product = elim.transform.astype(np.int64) @ H.astype(np.int64) % 2
+        assert np.array_equal(product, elim.reduced)
+        assert elim.rank == len(elim.pivots) == brute_force_rank(H)
+        # pivots are the first independent columns in visiting order
+        assert elim.pivots == [c for c in order if c in elim.pivots]
+        unit = np.eye(m, dtype=np.uint8)[:, :elim.rank]
+        assert np.array_equal(elim.reduced[:, elim.pivots], unit)
+        assert not elim.reduced[elim.rank:].any()
+
     def test_rank_against_brute_force(self):
         rng = np.random.default_rng(11)
         for _ in range(60):
@@ -118,19 +144,18 @@ def solve_coset(elim, s, non_pivot_fill=None):
     Uses the record the way OSD does: transform rows map s to the reduced
     system's right-hand side.  None when the system is inconsistent.
     """
-    s_word = gf2.pack_vector(s)
-    fill_word = 0 if non_pivot_fill is None else gf2.pack_vector(non_pivot_fill)
-    for c in elim.pivots:
-        fill_word &= ~(1 << c)
-    v_word = fill_word
-    for r in range(elim.rank):
-        rhs = (bin(elim.transform[r] & s_word).count("1")
-               + bin(elim.reduced[r] & fill_word).count("1")) & 1
-        v_word |= rhs << elim.pivots[r]
-    if any(bin(elim.transform[r] & s_word).count("1") & 1
-           for r in range(elim.rank, elim.n_rows)):
+    s = np.asarray(s, dtype=np.int64) % 2
+    n = elim.reduced.shape[1]
+    v = np.zeros(n, dtype=np.uint8)
+    if non_pivot_fill is not None:
+        v[:] = non_pivot_fill
+    v[elim.pivots] = 0
+    rhs = elim.transform.astype(np.int64) @ s % 2
+    if rhs[elim.rank:].any():
         return None
-    return gf2.unpack(v_word, elim.n_cols)
+    R = elim.reduced[:elim.rank].astype(np.int64)
+    v[elim.pivots] = (rhs[:elim.rank] + R @ v) % 2
+    return v
 
 
 class TestSolveCoset:
@@ -195,13 +220,20 @@ class TestRowSpace:
         with pytest.raises(ValueError):
             gf2.RowSpace(HAMMING).contains(np.zeros(6))
 
-    def test_matches_rank_comparison(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            H = rng.integers(0, 2, size=(4, 8), dtype=np.uint8)
-            r = rng.integers(0, 2, size=8, dtype=np.uint8)
-            expected = gf2.rank(np.vstack([H, r])) == gf2.rank(H)
-            assert gf2.RowSpace(H).contains(r) == expected
+    @given(bit_matrices(), st.data())
+    @settings(max_examples=300)
+    def test_matches_rank_comparison(self, H, data):
+        n = H.shape[1]
+        r = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                     dtype=np.uint8)
+        if data.draw(st.booleans()):  # a member, built from a subset of the rows
+            subset = data.draw(st.lists(st.booleans(), min_size=H.shape[0],
+                                        max_size=H.shape[0]))
+            r = np.bitwise_xor.reduce(H[np.array(subset, dtype=bool)], axis=0)
+        expected = gf2.rank(np.vstack([H, r])) == gf2.rank(H)
+        space = gf2.RowSpace(H)
+        assert space.contains(r) == expected
+        assert space.rank == gf2.rank(H)
 
 
 class TestNullSpace:
@@ -211,3 +243,13 @@ class TestNullSpace:
         for v in basis:
             assert not gf2.Syndrome(HAMMING)(v).any()
         assert gf2.rank(np.array(basis)) == 4
+
+    @given(bit_matrices())
+    @settings(max_examples=200)
+    def test_kernel_basis(self, H):
+        basis = gf2.null_space(H)
+        k = H.shape[1] - brute_force_rank(H)
+        assert basis.shape == (k, H.shape[1])
+        assert not gf2.Syndrome(H)(basis.T).any()
+        if k:
+            assert brute_force_rank(basis) == k

@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qgldpc
 from qgldpc import channel
 from qgldpc.cli import main
 from qgldpc.codes import builtin_code
@@ -294,6 +298,22 @@ class TestCli:
                    "--trials", "5", "--iters-grid", "1,2"])
         assert rc != 0
         assert "one p" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--code", "builtin:steane", "--p", "0.8", "--trials", "5"],
+        ["--code", "builtin:steane", "--p", "0.05", "--trials", "0"],
+        ["--code", "builtin:nope", "--p", "0.05", "--trials", "5"],
+        ["--code", "no-such-code.json", "--p", "0.05", "--trials", "5"],
+    ])
+    def test_sim_bad_input_is_one_line_error(self, args, tmp_path):
+        src = str(Path(qgldpc.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "qgldpc.cli", "sim", *args],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env={"PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("qgldpc sim: error: ")
 
     def test_validate_builtin(self, capsys):
         rc = main(["validate", "--code", "builtin:toy-gldpc"])

@@ -4,8 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qgldpc import gf2
-from qgldpc.osd import InconsistentSyndromeError, OsdConfig, osd_postprocess
+from qgldpc.codes import _toric
+from qgldpc.minsum import BpConfig, minsum_decode
+from qgldpc.osd import InconsistentSyndromeError, OsdConfig, _flip_sets, osd_postprocess
 
 HAMMING = np.array([[1, 0, 1, 0, 1, 0, 1],
                     [0, 1, 1, 0, 0, 1, 1],
@@ -26,6 +31,56 @@ def brute_force_ml(H, s, q):
         if score > best_score:
             best_score, best_e = score, e
     return best_e, best_score
+
+
+def loop_flip_sets(n_free, free_order, cfg):
+    """Reference candidate generator of `loop_osd`: flip sets as position tuples."""
+    yield ()
+    if cfg.strategy == "exhaustive_w":
+        w = min(cfg.order_w, n_free)
+        sweep = free_order[:w]
+        for size in range(1, w + 1):
+            for combo in itertools.combinations(range(w), size):
+                yield tuple(sweep[list(combo)])
+    else:
+        for pos in free_order:
+            yield (int(pos),)
+        w = min(cfg.order_w, n_free)
+        for a, b in itertools.combinations(range(w), 2):
+            yield (int(free_order[a]), int(free_order[b]))
+
+
+def loop_osd(H, s, soft_llr, cfg, channel_q):
+    """Reference OSD, the package's first version: one candidate per loop pass."""
+    H = np.asarray(H, dtype=np.uint8) % 2
+    s = np.asarray(s, dtype=np.uint8) % 2
+    n = H.shape[1]
+    q = np.broadcast_to(np.asarray(channel_q, dtype=float), (n,))
+    reliability = np.abs(soft_llr)
+    hard = (soft_llr < 0).astype(np.uint8)
+    order = np.lexsort((np.arange(n), -reliability))
+    elim = gf2.row_reduce(H, column_order=order)
+    pivots = np.array(elim.pivots, dtype=np.intp)
+    free = np.array([c for c in order if c not in set(elim.pivots)], dtype=np.intp)
+    free_lsr = free[np.argsort(reliability[free], kind="stable")]
+    T_s = elim.transform.astype(np.int64) @ s % 2
+    R_free = elim.reduced[:elim.rank][:, free].astype(np.int64)
+    log_flip = np.log(q) - np.log1p(-q)
+    free_index = {int(pos): i for i, pos in enumerate(free)}
+    best = None
+    for flips in loop_flip_sets(free.size, free_lsr, cfg):
+        fill = hard[free].copy()
+        for pos in flips:
+            fill[free_index[pos]] ^= 1
+        e = np.zeros(n, dtype=np.uint8)
+        e[free] = fill
+        e[pivots] = (T_s[:elim.rank] + R_free @ fill) % 2
+        assert np.array_equal(gf2.Syndrome(H)(e), s)
+        score = float(log_flip[e == 1].sum())
+        key = (-score, int(e.sum()), tuple(e.tolist()))
+        if best is None or key < best[0]:
+            best = (key, e)
+    return best[1]
 
 
 def score_of(e, q):
@@ -77,6 +132,56 @@ class TestBasics:
             OsdConfig(strategy="bogus")
 
 
+@st.composite
+def osd_inputs(draw):
+    """Random H (rank-deficient, zero columns), consistent s, tied soft LLRs."""
+    # n past 8, where a sum over a masked row and one over a full row
+    # group their terms differently and can round differently
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 14))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    H = (rng.random((m, n)) < draw(st.sampled_from([0.2, 0.5]))).astype(np.uint8)
+    if draw(st.booleans()):
+        H[-1] = H[0]  # a repeated row
+    s = gf2.Syndrome(H)(rng.integers(0, 2, size=n, dtype=np.uint8))
+    # few distinct magnitudes, so reliability ties are common
+    soft = rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0], size=n)
+    if draw(st.booleans()):
+        q = float(draw(st.sampled_from([0.01, 0.1, 0.3])))
+    else:
+        q = rng.uniform(0.01, 0.4, size=n)
+    cfg = OsdConfig(order_w=draw(st.integers(0, n)),
+                    strategy=draw(st.sampled_from(["combination_sweep", "exhaustive_w"])))
+    return H, s, soft, cfg, q
+
+
+class TestAgainstLoopOsd:
+    @given(osd_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_identical_pattern(self, case):
+        H, s, soft, cfg, q = case
+        e = osd_postprocess(H, s, soft, cfg, channel_q=q)
+        expected = loop_osd(H, s, soft, cfg, q)
+        assert e.dtype == np.uint8
+        assert np.array_equal(e, expected)
+
+    @pytest.mark.parametrize("cfg", [OsdConfig(), OsdConfig(5, "exhaustive_w")],
+                             ids=["combination_sweep", "exhaustive_w"])
+    def test_identical_on_failed_toric_decodes(self, cfg):
+        # many equal-weight candidates: the tie-break and rounding decide
+        code = _toric(12)
+        q = 0.04
+        llr = np.full(code.n, math.log((1 - q) / q))
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            err = (rng.random(code.n) < 0.06).astype(np.uint8)
+            s = code.x_graph.syndrome(err)
+            soft = minsum_decode(code.h_x, llr, s, BpConfig(n_iter=8)).app
+            assert np.array_equal(osd_postprocess(code.h_x, s, soft, cfg, channel_q=q),
+                                  loop_osd(code.h_x, s, soft, cfg, q))
+
+
 class TestAgainstBruteForceMl:
     def test_full_order_exhaustive_matches_ml_score(self):
         # sweeping all non-pivot bits visits a full coset traversal, so the
@@ -111,37 +216,14 @@ class TestAgainstBruteForceMl:
 
 
 class TestCandidateBudget:
-    def test_exhaustive_w_candidate_count(self, monkeypatch):
-        from qgldpc import osd as osd_mod
-        counter = {"n": 0}
-        original = osd_mod._flip_sets
+    def test_exhaustive_w_candidate_count(self):
+        flips = _flip_sets(4, OsdConfig(order_w=3, strategy="exhaustive_w"))
+        assert flips.shape[0] == 2 ** 3  # empty set plus all subsets of 3 bits
 
-        def counting(n_free, free_order, cfg):
-            for flips in original(n_free, free_order, cfg):
-                counter["n"] += 1
-                yield flips
-
-        monkeypatch.setattr(osd_mod, "_flip_sets", counting)
-        soft = np.linspace(-2, 2, 7)
-        osd_postprocess(HAMMING, np.zeros(3), soft,
-                        OsdConfig(order_w=3, strategy="exhaustive_w"))
-        assert counter["n"] == 2 ** 3  # empty set plus all subsets of 3 bits
-
-    def test_combination_sweep_candidate_count(self, monkeypatch):
-        from qgldpc import osd as osd_mod
-        counter = {"n": 0}
-        original = osd_mod._flip_sets
-
-        def counting(n_free, free_order, cfg):
-            for flips in original(n_free, free_order, cfg):
-                counter["n"] += 1
-                yield flips
-
-        monkeypatch.setattr(osd_mod, "_flip_sets", counting)
-        soft = np.linspace(-2, 2, 7)
-        osd_postprocess(HAMMING, np.zeros(3), soft, OsdConfig(order_w=3))
+    def test_combination_sweep_candidate_count(self):
         n_free = 7 - 3  # rank of the Hamming matrix is 3
-        assert counter["n"] == 1 + n_free + math.comb(3, 2)
+        flips = _flip_sets(n_free, OsdConfig(order_w=3))
+        assert flips.shape[0] == 1 + n_free + math.comb(3, 2)
 
 
 class TestReliabilityOrdering:
