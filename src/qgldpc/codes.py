@@ -24,7 +24,6 @@ class CodeFormatError(ValueError):
 @dataclass(frozen=True)
 class ComponentCode:
     H: np.ndarray  # (m_c, n_c) parity-check matrix, uint8
-    syndrome: gf2.Syndrome = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=np.uint8) % 2
@@ -34,7 +33,6 @@ class ComponentCode:
             raise CodeFormatError("component matrix has more rows than columns")
         object.__setattr__(self, "H", H)
         H.setflags(write=False)
-        object.__setattr__(self, "syndrome", gf2.Syndrome(H))
 
     @property
     def m_c(self) -> int:
@@ -80,20 +78,6 @@ class TannerGraph:
     @property
     def m(self) -> int:
         return len(self.cns)
-
-    def local_view(self, x, j: int) -> np.ndarray:
-        """Subvector of x at check j, in the check's edge order."""
-        if not 0 <= j < self.m:
-            raise IndexError(f"check index {j} out of range [0, {self.m})")
-        x = np.asarray(x)
-        if x.shape[0] != self.n:
-            raise ValueError(f"vector length {x.shape[0]} != n = {self.n}")
-        return x[self.cns[j]]
-
-    def local_syndrome(self, s, j: int) -> np.ndarray:
-        """Rows of the global syndrome belonging to check j."""
-        m_c = self.component.m_c
-        return np.asarray(s)[j * m_c:(j + 1) * m_c]
 
 
 def flatten(g: TannerGraph) -> np.ndarray:

@@ -3,8 +3,9 @@
 Vectors and matrices are numpy arrays with entries in {0, 1}, inside the
 module as at its boundary.  Every matrix-vector product H v of the package
 goes through one operator, ``Syndrome``, which holds H once as an integer
-matrix.  Elimination works on ``[H | I]`` with whole-row XORs and records
-the row operations; row-space tests and kernels are read from its result.
+matrix (SOGRAND's block kernel alone uses integer syndrome codes of its own).
+Elimination works on ``[H | I]`` with whole-row XORs and records the row
+operations; row-space tests and kernels are read from its result.
 """
 
 from __future__ import annotations

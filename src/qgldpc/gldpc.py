@@ -2,11 +2,11 @@
 
 Messages live on edges, in check-major order.  Each iteration a check rule
 maps every variable-to-check message to an extrinsic check-to-variable
-one (SOGRAND on the whole component code here; scaled min-sum, its single
-parity-check case, in ``minsum``), a variable-node fusion combines them
-with the channel prior (binary per side, or four-valued Pauli beliefs
-across both graphs), and decoding stops as soon as the hard decision
-reproduces the syndrome.
+one (SOGRAND on the whole component code here, all checks of a side in one
+block; scaled min-sum, its single parity-check case, in ``minsum``), a
+variable-node fusion combines them with the channel prior (binary per side,
+or four-valued Pauli beliefs across both graphs), and decoding stops as
+soon as the hard decision reproduces the syndrome.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 from . import gf2
 from .channel import ChannelPrior, PauliErrorPattern, clamp_llr
 from .codes import GldpcCode, TannerGraph
-from .sogrand import SograndParams, sogrand_decode
+# nothing here calls sogrand_decode, but bench/spans.py wraps gldpc.sogrand_decode
+from .sogrand import SograndParams, decode_block, sogrand_decode
 
 BELIEF_FLOOR = 1e-12
 
@@ -104,17 +105,14 @@ def flood(sides: list[Side], L0: list[np.ndarray], n_iter: int,
 
 
 def _sogrand_side(graph: TannerGraph, s, sog_params: SograndParams) -> Side:
-    """SOGRAND at every check node of ``graph``, against the syndrome ``s``."""
+    """SOGRAND at every check node of ``graph`` as one block: row j of the
+    (m, n_c) messages and of the (m, m_c) syndrome is check j's local view."""
     s = np.asarray(s, dtype=np.uint8) % 2
+    comp = graph.component
 
     def rule(v2c):
-        v2c = v2c.reshape(graph.m, graph.component.n_c)
-        c2v = np.empty_like(v2c)
-        for j in range(graph.m):
-            out = sogrand_decode(graph.component, v2c[j],
-                                 graph.local_syndrome(s, j), sog_params)
-            c2v[j] = out.L_E
-        return c2v.reshape(-1)
+        return decode_block(comp, v2c.reshape(graph.m, comp.n_c),
+                            s.reshape(graph.m, comp.m_c), sog_params).L_E.reshape(-1)
 
     return Side(edge_var=graph.edge_var, check=graph.syndrome, s=s, rule=rule)
 

@@ -34,8 +34,8 @@ class Decoder(NamedTuple):
 # The entries look the decoders up at call time, so they can be wrapped.
 def _bp(code, priors, s_x, s_z, n_iter, sog, alpha) -> DecodeResult:
     cfg = BpConfig(alpha=alpha, n_iter=n_iter)
-    z_side = minsum_decode(code.h_x, priors.llr_z, s_z, cfg)
-    x_side = minsum_decode(code.h_z, priors.llr_x, s_x, cfg)
+    z_side = minsum_decode(code.x_graph.syndrome, priors.llr_z, s_z, cfg)
+    x_side = minsum_decode(code.z_graph.syndrome, priors.llr_x, s_x, cfg)
     return DecodeResult(z_side=z_side, x_side=x_side)
 
 

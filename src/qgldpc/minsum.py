@@ -10,6 +10,7 @@ decoder, for comparability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,13 +31,15 @@ class BpConfig:
             raise ValueError("n_iter must be >= 1")
 
 
-def _minsum_rule(H: np.ndarray, s: np.ndarray, alpha: float):
-    """(edge_var, rule): the edges of H in check-major order, and min-sum on them.
+@lru_cache(maxsize=8)
+def _minsum_rule(check: gf2.Syndrome):
+    """(edge_var, rule), cached per operator: the edges of H in check-major
+    order, and min-sum on them, scaled per check by -alpha if s_t = 1, else alpha.
 
     Row t of the padded block holds check t's edges by ascending column;
     padding reads a message of +inf (sign +1, never the minimum)."""
-    rows, edge_var = np.nonzero(H)
-    m, n_edges = H.shape[0], rows.size
+    rows, edge_var = np.nonzero(check.H)
+    m, n_edges = check.H.shape[0], rows.size
     degree = np.bincount(rows, minlength=m)
     block = np.full((m, max(1, degree.max(initial=0))), n_edges)
     first = np.cumsum(degree) - degree
@@ -45,9 +48,8 @@ def _minsum_rule(H: np.ndarray, s: np.ndarray, alpha: float):
     slots = np.arange(block.shape[1])
     pinned = (degree <= 1)[:, None]  # min over the empty set: the clamp value
     check_rows = np.arange(m)
-    scale = alpha * np.where(s == 1, -1.0, 1.0)[:, None]
 
-    def rule(v2c):
+    def rule(v2c, scale):
         msg = np.append(v2c, np.inf)[block]
         sgn = np.where(msg < 0, -1.0, 1.0)
         row_sign = sgn.prod(axis=1, keepdims=True)
@@ -65,8 +67,10 @@ def _minsum_rule(H: np.ndarray, s: np.ndarray, alpha: float):
 
 
 def minsum_decode(H, L_ch, s, cfg: BpConfig = BpConfig()) -> SideResult:
-    check = gf2.Syndrome(H)
+    """``H`` is a bit matrix or a ``gf2.Syndrome``; an operator keeps its edge block."""
+    check = H if isinstance(H, gf2.Syndrome) else gf2.Syndrome(H)
     s = np.asarray(s, dtype=np.uint8) % 2
-    edge_var, rule = _minsum_rule(check.H, s, cfg.alpha)
-    side = Side(edge_var=edge_var, check=check, s=s, rule=rule)
+    edge_var, rule = _minsum_rule(check)
+    scale = cfg.alpha * np.where(s == 1, -1.0, 1.0)[:, None]
+    side = Side(edge_var=edge_var, check=check, s=s, rule=lambda v2c: rule(v2c, scale))
     return flood([side], [L_ch], cfg.n_iter)[0]

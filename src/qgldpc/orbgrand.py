@@ -5,8 +5,9 @@ Patterns are sets of flipped ranks, listed in increasing logistic
 weight (sum of flipped ranks), then in ascending lexicographic order of
 their sorted rank tuples: exactly likelihood order when reliabilities
 grow linearly with rank, an approximate one otherwise.  The schedule
-depends only on the length, so ``rank_flip_table`` builds it once and each
-decode maps it to positions through ``RankedInput.perm``.  Patterns are
+depends only on the length, so ``rank_flip_table`` builds it once and a
+block decode shares it among all its rows, mapping it to each row's
+positions through that row of ``RankedInput.perm``.  Patterns are
 deviations from the bitwise hard decision, so the empty pattern, the
 a-priori most likely, comes first.
 """
@@ -64,16 +65,16 @@ def rank_flip_table(n: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RankedInput:
-    """Reliability ranking of a soft-input vector."""
+    """Reliability ranking of a soft-input vector, or of each row of a block."""
 
-    perm: np.ndarray      # perm[r] = original position of rank r (0-based)
+    perm: np.ndarray      # perm[..., r] = original position of rank r (0-based)
     q: np.ndarray         # deviation flip probability per rank, ascending reliability
 
     @classmethod
     def from_llr(cls, L_A) -> "RankedInput":
-        L_A = np.asarray(L_A, dtype=float)
-        abs_llr = np.abs(L_A)
-        perm = np.lexsort((np.arange(L_A.shape[0]), abs_llr))
+        abs_llr = np.abs(np.asarray(L_A, dtype=float))
+        # a stable sort breaks ties in |L| by position
+        perm = np.argsort(abs_llr, axis=-1, kind="stable")
         # q = 1 / (1 + exp(|L|)), computed stably
-        q = np.exp(-np.logaddexp(0.0, abs_llr[perm]))
+        q = np.exp(-np.logaddexp(0.0, np.sort(abs_llr, axis=-1)))
         return cls(perm=perm, q=q)

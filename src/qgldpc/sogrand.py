@@ -1,16 +1,17 @@
 """Soft-in/soft-out component decoding via list-based guessing (SOGRAND).
 
-For one check node: query candidate deviations from the hard decision in
-ORBGRAND order, keep those whose implied error pattern satisfies the local
-syndrome, track the explored probability mass P_g, estimate the mass of
-syndrome-consistent patterns never queried as P_Lc = (1 - P_g) * 2^-m_c,
-and convert the list into bitwise APP and extrinsic LLRs.
+For each row of a block of local views (all check nodes of a side): query
+candidate deviations from the hard decision in ORBGRAND order, keep those
+whose implied error pattern satisfies the local syndrome, track the explored
+probability mass P_g, estimate the mass of syndrome-consistent patterns never
+queried as P_Lc = (1 - P_g) * 2^-m_c, and convert the list into bitwise APP
+and extrinsic LLRs.  ``sogrand_decode`` decodes a block of one row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,90 +66,134 @@ class SoftOutput:
     cand: CandidateList | None = None
 
 
-def estimate_missing_mass(P_g: float, m_c: int) -> float:
+@dataclass(frozen=True)
+class BlockOutput:
+    """SOGRAND outputs of B rows; each row's list fills its first n_listed slots."""
+
+    L_APP: np.ndarray         # (B, n_c)
+    L_E: np.ndarray           # (B, n_c)
+    best_pattern: np.ndarray  # (B, n_c)
+    queries_used: np.ndarray  # (B,)
+    n_listed: np.ndarray      # (B,) list size; 0 means nothing was found
+    patterns: np.ndarray      # (B, S, n_c) listed error patterns, padding past n_listed
+    masses: np.ndarray        # (B, S) their probability masses, zero past n_listed
+    P_g: np.ndarray           # (B,) explored mass
+
+
+def estimate_missing_mass(P_g, m_c: int):
     """Mass of syndrome-consistent patterns outside the explored prefix.
 
     Consistent patterns are modelled as uniformly spread over the guessing
-    order, one in every 2^m_c queries: (1 - P_g) * 2^-m_c.
+    order, one in every 2^m_c queries: (1 - P_g) * 2^-m_c, elementwise.
     """
-    if not 0.0 <= P_g <= 1.0 + 1e-12:
+    P_g = np.asarray(P_g, dtype=float)
+    if not ((0.0 <= P_g) & (P_g <= 1.0 + 1e-12)).all():
         raise ValueError(f"P_g must lie in [0, 1], got {P_g}")
-    return (1.0 - min(P_g, 1.0)) * 2.0 ** (-m_c)
+    return (1.0 - np.minimum(P_g, 1.0)) * 2.0 ** (-m_c)
+
+
+def decode_block(component: ComponentCode, L_A, s_local,
+                 params: SograndParams = SograndParams()) -> BlockOutput:
+    """List-decode B local views, the rows of L_A (B, n_c), against s_local (B, m_c)."""
+    L_A = clamp_llr(np.asarray(L_A, dtype=float))
+    s_local = np.asarray(s_local, dtype=np.uint8) % 2
+    n_c, m_c = component.n_c, component.m_c
+    if L_A.ndim != 2 or L_A.shape[1] != n_c or s_local.shape != (L_A.shape[0], m_c):
+        raise ValueError(f"soft inputs of shape {L_A.shape} and local syndromes of "
+                         f"shape {s_local.shape} do not fit (B, {n_c}) and (B, {m_c})")
+    B = L_A.shape[0]
+    rows = np.arange(B)
+
+    hard = (L_A < 0).astype(np.uint8)
+    ranked = RankedInput.from_llr(L_A)
+    # All candidate deviations up to the budget, in schedule order, over ranks.
+    flips = rank_flip_table(n_c, params.resolve_budget(n_c, m_c))  # (K, n_c)
+    K, table = flips.shape[0], flips.astype(float)
+
+    # A deviation must satisfy H dev = s ^ H hard.  Syndromes are integer codes:
+    # in a group of checks, check t is digit t (d bits) of a column's code, so
+    # the low bit of each digit of a sum of codes is a parity.  Groups keep the
+    # sums below 2^52, where floating-point products are exact.
+    d = n_c.bit_length() or 1
+    consistent = np.ones((B, K), dtype=bool)
+    for t in range(0, m_c, 52 // d):
+        digit = 1 << d * np.arange(min(52 // d, m_c - t), dtype=np.int64)
+        code, parity = component.H[t:t + digit.size].T @ digit, int(digit.sum())
+        target = (s_local[:, t:t + digit.size] @ digit) ^ (hard @ code & parity)
+        sums = (code[ranked.perm] @ table.T).astype(np.int64)        # (B, K)
+        consistent &= (sums & parity) == target[:, None]
+
+    # Log-mass of each queried deviation under the flip probabilities q.  One
+    # gemv per row: a single gemm over the block rounds differently.
+    log_1mq = np.log1p(-ranked.q)
+    weight = np.log(ranked.q) - log_1mq
+    log_masses = np.empty((B, K))
+    for b in range(B):
+        log_masses[b] = table @ weight[b]
+    masses = np.exp(log_masses + log_1mq.sum(axis=1)[:, None])
+
+    # The list is the first list_max consistent queries; the search stops at
+    # the last of them once the list is full, else it spends the whole budget.
+    n_listed = np.minimum(consistent.sum(axis=1), params.list_max)
+    listed = np.argsort(~consistent, axis=1, kind="stable")[:, :params.list_max]
+    queries_used = np.where(n_listed == params.list_max, listed[:, -1] + 1, K)
+    P_g = np.minimum(np.where(n_listed > 0, np.cumsum(masses, axis=1)[rows, queries_used - 1],
+                              masses.sum(axis=1)), 1.0)
+
+    # Listed deviations mapped from ranks back to positions, as error patterns.
+    deviations = flips[listed[:, :, None], np.argsort(ranked.perm)[:, None, :]]
+    patterns = hard[:, None, :] ^ deviations
+    listed_masses = np.where(np.arange(listed.shape[1]) < n_listed[:, None],
+                             masses[rows[:, None], listed], 0.0)
+    L_APP, L_E, best = _soft(L_A, patterns, listed_masses, n_listed, P_g, m_c)
+    return BlockOutput(L_APP=L_APP, L_E=L_E, best_pattern=best, queries_used=queries_used,
+                       n_listed=n_listed, patterns=patterns, masses=listed_masses, P_g=P_g)
 
 
 def sogrand_decode(component: ComponentCode, L_A, s_local,
                    params: SograndParams = SograndParams()) -> SoftOutput:
     """List-decode one local view under its local syndrome constraint."""
-    L_A = clamp_llr(np.asarray(L_A, dtype=float))
-    n_c, m_c = component.n_c, component.m_c
-    if L_A.shape[0] != n_c:
-        raise ValueError(f"soft input length {L_A.shape[0]} != n_c = {n_c}")
-    s_local = np.asarray(s_local, dtype=np.uint8) % 2
-    if s_local.shape[0] != m_c:
-        raise ValueError(f"local syndrome length {s_local.shape[0]} != m_c = {m_c}")
-
-    hard = (L_A < 0).astype(np.uint8)
-    ranked = RankedInput.from_llr(L_A)
-
-    # All candidate deviations up to the budget, in schedule order, over ranks,
-    # and the same deviations over the component's own positions.
-    flips = rank_flip_table(n_c, params.resolve_budget(n_c, m_c))  # (budget, n_c)
-    deviations = np.empty_like(flips)
-    deviations[:, ranked.perm] = flips
-
-    # Residual syndrome once the hard decision is peeled off: the deviation d
-    # must satisfy H (hard ^ d) = s, i.e. H d = s ^ H hard.
-    s_res = s_local ^ component.syndrome(hard)
-    consistent = np.all(component.syndrome(deviations.T) == s_res[:, None], axis=0)
-
-    # Log-mass of each queried deviation under the flip probabilities q.
-    log_q = np.log(ranked.q)
-    log_1mq = np.log1p(-ranked.q)
-    log_masses = flips @ (log_q - log_1mq) + log_1mq.sum()
-    masses = np.exp(log_masses)
-
-    # The list is the first list_max consistent queries; the search stops at
-    # the last of them once the list is full, else it spends the whole budget.
-    listed = np.flatnonzero(consistent)[:params.list_max]
-    cand = CandidateList(m_c=m_c, patterns=list(hard ^ deviations[listed]),
-                         masses=masses[listed].tolist())
-    queries_used = flips.shape[0]
-    if listed.size == params.list_max:
-        queries_used = int(listed[-1]) + 1
-    if listed.size:
-        cand.P_g = min(float(np.cumsum(masses[:queries_used])[-1]), 1.0)
-    else:
-        cand.P_g = min(float(masses.sum()), 1.0)
-
-    return replace(extract_soft(cand, L_A), queries_used=queries_used, cand=cand)
+    out = decode_block(component, [L_A], [s_local], params)
+    n = int(out.n_listed[0])
+    cand = CandidateList(m_c=component.m_c, patterns=list(out.patterns[0, :n]),
+                         masses=out.masses[0, :n].tolist(), P_g=float(out.P_g[0]))
+    return SoftOutput(L_APP=out.L_APP[0], L_E=out.L_E[0], best_pattern=out.best_pattern[0],
+                      found=n > 0, queries_used=int(out.queries_used[0]), cand=cand)
 
 
 def extract_soft(cand: CandidateList, L_A) -> SoftOutput:
-    """Bitwise APP/extrinsic LLRs from a finalized candidate list.
+    """Bitwise APP/extrinsic LLRs from a finalized candidate list."""
+    L_A = np.asarray(L_A, dtype=float)[None]
+    n = len(cand.patterns)
+    L_APP, L_E, best = _soft(L_A, np.array([cand.patterns]), np.array([cand.masses]),
+                             np.array([n]), np.array([cand.P_g]), cand.m_c)
+    return SoftOutput(L_APP=L_APP[0], L_E=L_E[0], best_pattern=best[0], found=n > 0)
+
+
+def _soft(L_A, patterns, masses, n_listed, P_g, m_c: int):
+    """(L_APP, L_E, best pattern) of each row from its candidate list.
 
     The unexplored mass P_Lc is apportioned to each bit's flip probability
     by the prior q_i, so an empty list passes the prior through unchanged
-    and a saturated search (P_g = 1) reproduces exact coset marginals.
+    (L_E = 0) and a saturated search (P_g = 1) reproduces exact coset
+    marginals.  Slots past a row's ``n_listed`` hold zero masses.
     """
-    L_A = np.asarray(L_A, dtype=float)
-    n_c = L_A.shape[0]
-    if not cand.patterns:
-        return SoftOutput(L_APP=L_A.copy(), L_E=np.zeros(n_c),
-                          best_pattern=(L_A < 0).astype(np.uint8), found=False)
-
-    P_L = cand.P_L
-    P_Lc = cand.P_Lc
+    L_APP, best = L_A.copy(), (L_A < 0).astype(np.uint8)
+    found = n_listed.nonzero()[0]
+    if not found.size:
+        return L_APP, L_APP - L_A, best
+    L, patterns, masses = L_A[found], patterns[found], masses[found]
+    P_L = np.array([math.fsum(row) for row in masses.tolist()])[:, None]
+    P_Lc = estimate_missing_mass(P_g[found], m_c)[:, None]
     P_tot = P_L + P_Lc
-    q_prior = np.exp(-np.logaddexp(0.0, L_A))  # P(bit = 1 | L_A)
+    q_prior = np.exp(-np.logaddexp(0.0, L))  # P(bit = 1 | L_A)
 
-    flip_mass = np.zeros(n_c)
-    for pattern, mass in zip(cand.patterns, cand.masses):
-        flip_mass += mass * pattern
+    # a running sum over the list, in list order: the rounding of the scalar decoder
+    flip_mass = np.cumsum(masses[:, :, None] * patterns, axis=1)[:, -1]
     p1 = (flip_mass + P_Lc * q_prior) / P_tot
 
     with np.errstate(divide="ignore"):
-        L_APP = clamp_llr(np.log(np.maximum(P_tot - flip_mass - P_Lc * q_prior, 0.0))
-                          - np.log(np.maximum(p1 * P_tot, 0.0)))
-    L_E = L_APP - L_A
-    best = cand.patterns[int(np.argmax(cand.masses))]
-    return SoftOutput(L_APP=L_APP, L_E=L_E, best_pattern=best.copy(), found=True)
+        L_APP[found] = clamp_llr(np.log(np.maximum(P_tot - flip_mass - P_Lc * q_prior, 0.0))
+                                 - np.log(np.maximum(p1 * P_tot, 0.0)))
+    best[found] = patterns[np.arange(found.size), masses.argmax(axis=1)]
+    return L_APP, L_APP - L_A, best

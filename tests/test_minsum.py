@@ -7,7 +7,7 @@ from qgldpc import gf2
 from qgldpc.channel import LLR_CLAMP, clamp_llr
 from qgldpc.codes import builtin_code
 from qgldpc.gldpc import SideResult
-from qgldpc.minsum import BpConfig, minsum_decode
+from qgldpc.minsum import BpConfig, _minsum_rule, minsum_decode
 
 
 def dense_minsum(H, L_ch, s, cfg: BpConfig) -> SideResult:
@@ -185,9 +185,25 @@ class TestAgainstDenseReference:
     @settings(max_examples=300, deadline=None)
     def test_edge_indexed_matches_dense_bit_for_bit(self, inputs):
         H, L, s, cfg = inputs
-        got, ref = minsum_decode(H, L, s, cfg), dense_minsum(H, L, s, cfg)
-        assert np.array_equal(got.e_hat, ref.e_hat)
-        assert np.array_equal(got.app, ref.app)
-        assert got.converged == ref.converged
-        assert got.iterations_used == ref.iterations_used
-        assert got.syndrome_trace == ref.syndrome_trace
+        ref = dense_minsum(H, L, s, cfg)
+        op = gf2.Syndrome(H)
+        # a matrix, an operator, and the same operator again (cached edge block)
+        for got in (minsum_decode(H, L, s, cfg), minsum_decode(op, L, s, cfg),
+                    minsum_decode(op, L, s, cfg)):
+            assert np.array_equal(got.e_hat, ref.e_hat)
+            assert np.array_equal(got.app, ref.app)
+            assert got.converged == ref.converged
+            assert got.iterations_used == ref.iterations_used
+            assert got.syndrome_trace == ref.syndrome_trace
+
+    def test_edge_block_built_once_per_operator(self):
+        code = builtin_code("toy-gldpc")
+        op = code.x_graph.syndrome
+        rng = np.random.default_rng(8)
+        minsum_decode(op, np.full(code.n, 3.0), np.zeros(op.H.shape[0]))
+        misses = _minsum_rule.cache_info().misses
+        for _ in range(5):
+            e = (rng.random(code.n) < 0.1).astype(np.uint8)
+            out = minsum_decode(op, np.full(code.n, 2.0), op(e))
+            assert out.e_hat.shape == (code.n,)
+        assert _minsum_rule.cache_info().misses == misses

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgldpc import gf2
+from qgldpc.channel import clamp_llr
 from qgldpc.codes import ComponentCode
-from qgldpc.sogrand import (CandidateList, SograndParams, estimate_missing_mass,
-                            extract_soft, sogrand_decode)
+from qgldpc.orbgrand import rank_flip_table
+from qgldpc.sogrand import (CandidateList, SograndParams, decode_block,
+                            estimate_missing_mass, extract_soft, sogrand_decode)
 
 HAMMING = np.array([[1, 0, 1, 0, 1, 0, 1],
                     [0, 1, 1, 0, 0, 1, 1],
@@ -34,6 +39,74 @@ def brute_force_posteriors(H, L_A, s):
 
 def saturated_params(n_c):
     return SograndParams(list_max=1 << n_c, query_budget=1 << n_c)
+
+
+def loop_sogrand(component, L_A, s_local, params):
+    """Reference SOGRAND on one local view: the package's per-check decoder.
+
+    Returns (L_APP, L_E, best pattern, queries used, listed patterns, their
+    masses, P_g)."""
+    L_A = clamp_llr(np.asarray(L_A, dtype=float))
+    n_c, m_c = component.n_c, component.m_c
+    s_local = np.asarray(s_local, dtype=np.uint8) % 2
+    hard = (L_A < 0).astype(np.uint8)
+    abs_llr = np.abs(L_A)
+    perm = np.lexsort((np.arange(n_c), abs_llr))
+    q = np.exp(-np.logaddexp(0.0, abs_llr[perm]))
+    flips = rank_flip_table(n_c, params.resolve_budget(n_c, m_c))
+    deviations = np.empty_like(flips)
+    deviations[:, perm] = flips
+    syndrome = gf2.Syndrome(component.H)
+    s_res = s_local ^ syndrome(hard)
+    consistent = np.all(syndrome(deviations.T) == s_res[:, None], axis=0)
+    log_q = np.log(q)
+    log_1mq = np.log1p(-q)
+    masses = np.exp(flips @ (log_q - log_1mq) + log_1mq.sum())
+
+    listed = np.flatnonzero(consistent)[:params.list_max]
+    patterns, listed_masses = list(hard ^ deviations[listed]), masses[listed].tolist()
+    queries_used = flips.shape[0]
+    if listed.size == params.list_max:
+        queries_used = int(listed[-1]) + 1
+    if listed.size:
+        P_g = min(float(np.cumsum(masses[:queries_used])[-1]), 1.0)
+    else:
+        P_g = min(float(masses.sum()), 1.0)
+    if not patterns:
+        return L_A.copy(), np.zeros(n_c), hard, queries_used, [], [], P_g
+
+    P_L = math.fsum(listed_masses)
+    P_Lc = (1.0 - min(P_g, 1.0)) * 2.0 ** (-m_c)
+    P_tot = P_L + P_Lc
+    q_prior = np.exp(-np.logaddexp(0.0, L_A))
+    flip_mass = np.zeros(n_c)
+    for pattern, mass in zip(patterns, listed_masses):
+        flip_mass += mass * pattern
+    p1 = (flip_mass + P_Lc * q_prior) / P_tot
+    with np.errstate(divide="ignore"):
+        L_APP = clamp_llr(np.log(np.maximum(P_tot - flip_mass - P_Lc * q_prior, 0.0))
+                          - np.log(np.maximum(p1 * P_tot, 0.0)))
+    best = patterns[int(np.argmax(listed_masses))]
+    return L_APP, L_APP - L_A, best, queries_used, patterns, listed_masses, P_g
+
+
+@st.composite
+def blocks(draw):
+    """A random component, a block of B local views and a SOGRAND setting.
+
+    LLRs are rounded to make ties in |L| and carry +-30 and +-inf entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_c = draw(st.integers(1, 10))
+    m_c = draw(st.integers(0, n_c))
+    H = rng.integers(0, 2, size=(m_c, n_c), dtype=np.uint8)
+    B = draw(st.integers(1, 70))
+    L = np.round(rng.normal(1.0, 4.0, size=(B, n_c)), draw(st.integers(0, 2)))
+    extreme = rng.random((B, n_c)) < draw(st.sampled_from([0.0, 0.1, 0.3]))
+    L[extreme] = rng.choice([30.0, -30.0, np.inf, -np.inf], size=int(extreme.sum()))
+    s = rng.integers(0, 2, size=(B, m_c), dtype=np.uint8)
+    budget = draw(st.one_of(st.none(), st.integers(1, 1 << n_c)))
+    params = SograndParams(list_max=draw(st.integers(1, 8)), query_budget=budget)
+    return ComponentCode(H), L, s, params
 
 
 class TestEstimateMissingMass:
@@ -175,3 +248,68 @@ class TestSaturationExactness:
         cand.masses = [0.9]
         out = extract_soft(cand, np.full(6, 1.0))
         assert (out.L_APP > 5.0).all()
+
+
+class TestBlockAgainstLoop:
+    @given(blocks())
+    @settings(max_examples=200, deadline=None)
+    def test_block_matches_per_check_decoder_bit_for_bit(self, case):
+        comp, L, s, params = case
+        out = decode_block(comp, L, s, params)
+        for b in range(L.shape[0]):
+            L_APP, L_E, best, queries, patterns, masses, P_g = loop_sogrand(
+                comp, L[b], s[b], params)
+            n = len(patterns)
+            assert np.array_equal(out.L_APP[b], L_APP)
+            assert np.array_equal(out.L_E[b], L_E)
+            assert np.array_equal(out.best_pattern[b], best)
+            assert out.queries_used[b] == queries
+            assert out.n_listed[b] == n
+            assert np.array_equal(out.patterns[b, :n], np.reshape(patterns, (n, comp.n_c)))
+            assert out.masses[b, :n].tolist() == masses
+            assert out.P_g[b] == P_g
+
+    @given(blocks())
+    @settings(max_examples=50, deadline=None)
+    def test_one_row_view_is_the_block_row(self, case):
+        comp, L, s, params = case
+        block = decode_block(comp, L, s, params)
+        one = sogrand_decode(comp, L[0], s[0], params)
+        n = int(block.n_listed[0])
+        assert np.array_equal(one.L_APP, block.L_APP[0])
+        assert np.array_equal(one.L_E, block.L_E[0])
+        assert np.array_equal(one.best_pattern, block.best_pattern[0])
+        assert one.found == (n > 0)
+        assert one.queries_used == block.queries_used[0]
+        assert len(one.cand.patterns) == n
+        assert one.cand.masses == block.masses[0, :n].tolist()
+        assert one.cand.P_g == block.P_g[0]
+        soft = extract_soft(one.cand, clamp_llr(L[0]))
+        assert np.array_equal(soft.L_APP, one.L_APP)
+        assert np.array_equal(soft.L_E, one.L_E)
+
+    @pytest.mark.parametrize("n_c, m_c, budget", [(12, 12, 300), (20, 15, 40), (80, 70, 30)])
+    def test_many_checks_match_per_check_decoder(self, n_c, m_c, budget):
+        # syndrome codes wider than one machine word are compared in groups
+        rng = np.random.default_rng(n_c)
+        comp = ComponentCode(rng.integers(0, 2, size=(m_c, n_c), dtype=np.uint8))
+        # hard decisions a few weak bits away from the error patterns
+        e = (rng.random((9, n_c)) < 0.05).astype(np.uint8)
+        L = rng.uniform(3.0, 9.0, size=(9, n_c)) * (1 - 2.0 * e)
+        L[:, :3] *= -0.1 * (1 + np.arange(3))
+        s = gf2.Syndrome(comp.H)(e.T).T
+        params = SograndParams(list_max=3, query_budget=budget)
+        out = decode_block(comp, L, s, params)
+        assert out.n_listed.any()
+        for b in range(L.shape[0]):
+            L_APP, _, _, queries, patterns, masses, P_g = loop_sogrand(comp, L[b], s[b], params)
+            assert np.array_equal(out.L_APP[b], L_APP)
+            assert out.queries_used[b] == queries
+            assert out.masses[b, :len(masses)].tolist() == masses
+
+    @pytest.mark.parametrize("L_shape, s_shape", [
+        ((7,), (1, 3)), ((2, 6), (2, 3)), ((2, 7), (2, 2)), ((2, 7), (3, 3)),
+        ((2, 7), (3,)), ((1, 2, 7), (1, 2, 3))])
+    def test_rejects_misshapen_block(self, L_shape, s_shape):
+        with pytest.raises(ValueError):
+            decode_block(ComponentCode(HAMMING), np.zeros(L_shape), np.zeros(s_shape))
