@@ -4,7 +4,7 @@ from .channel import DepolarizingParams, PauliErrorPattern, make_priors, sample_
 from .codes import (ComponentCode, GldpcCode, TannerGraph, builtin_code,
                     builtin_codes, compute_logicals, load_code, write_code)
 from .gldpc import decode_correlated, decode_independent, decode_side
-from .harness import ExperimentConfig, pseudothreshold, run_sweep, run_trial
+from .harness import ExperimentConfig, pseudothreshold, run_sweep, run_trial, run_trials
 from .minsum import BpConfig, minsum_decode
 from .osd import OsdConfig, osd_postprocess
 from .sogrand import SograndParams, sogrand_decode
@@ -15,5 +15,5 @@ __all__ = [
     "builtin_code", "builtin_codes", "compute_logicals", "decode_correlated",
     "decode_independent", "decode_side", "load_code", "make_priors",
     "minsum_decode", "osd_postprocess", "pseudothreshold", "run_sweep",
-    "run_trial", "sample_error", "sogrand_decode", "syndromes", "write_code",
+    "run_trial", "run_trials", "sample_error", "sogrand_decode", "syndromes", "write_code",
 ]

@@ -13,7 +13,8 @@ LLR_CLAMP = 30.0
 
 
 def clamp_llr(L):
-    return np.clip(L, -LLR_CLAMP, LLR_CLAMP)
+    # np.clip's result, without its wrappers' per-call cost on small arrays
+    return np.minimum(np.maximum(L, -LLR_CLAMP), LLR_CLAMP)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@ BLER curves with Wilson intervals, pseudothreshold and convergence studies.
 
 All randomness is keyed by (master seed, error rate, trial index), so
 curves are bit-reproducible and trials are paired across decoder variants
-and iteration budgets (common random numbers).
+and iteration budgets (common random numbers).  Trials decode in lock-step
+chunks, one decoder call per chunk; the order and grouping of trials never
+change a result.
 """
 
 from __future__ import annotations
@@ -12,39 +14,45 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import channel as ch
 from .codes import GldpcCode, builtin_code, load_code
-from .gldpc import DecodeResult, SideResult, decode_correlated, decode_independent
-from .minsum import BpConfig, minsum_decode
+# nothing here calls the one-trial views imported, but bench/spans.py wraps them
+from .gldpc import (DecodeResult, SideResult, decode_correlated, decode_correlated_trials,
+                    decode_independent, decode_independent_trials)
+from .minsum import BpConfig, minsum_decode, minsum_decode_trials
 from .osd import OsdConfig, osd_postprocess
 from .sogrand import SograndParams
 
+# Trials decode in lock-step chunks.  A SOGRAND kernel call holds a few (rows,
+# queries) arrays, rows = trials x checks of a side: this bound keeps each under
+# 512 KiB, and per-call overhead is paid per chunk and iteration, not per trial.
+CHUNK_CELLS = 1 << 16
+
 
 class Decoder(NamedTuple):
-    # (code, priors, s_x, s_z, n_iter, sog_params, alpha) -> DecodeResult
-    decode: Callable[..., DecodeResult]
+    # (code, priors, (T, m) s_x and s_z, n_iter, sog_params, alpha) -> T DecodeResults
+    decode: Callable[..., list[DecodeResult]]
     osd: bool        # post-process the sides that did not converge
     n_iter: int      # default iteration budget
 
 
-# The entries look the decoders up at call time, so they can be wrapped.
-def _bp(code, priors, s_x, s_z, n_iter, sog, alpha) -> DecodeResult:
+def _bp(code, priors, s_x, s_z, n_iter, sog, alpha) -> list[DecodeResult]:
     cfg = BpConfig(alpha=alpha, n_iter=n_iter)
-    z_side = minsum_decode(code.x_graph.syndrome, priors.llr_z, s_z, cfg)
-    x_side = minsum_decode(code.z_graph.syndrome, priors.llr_x, s_x, cfg)
-    return DecodeResult(z_side=z_side, x_side=x_side)
+    z_sides = minsum_decode_trials(code.x_graph.syndrome, priors.llr_z, s_z, cfg)
+    x_sides = minsum_decode_trials(code.z_graph.syndrome, priors.llr_x, s_x, cfg)
+    return [DecodeResult(z_side=z, x_side=x) for z, x in zip(z_sides, x_sides, strict=True)]
 
 
-def _sogrand(code, priors, s_x, s_z, n_iter, sog, alpha) -> DecodeResult:
-    return decode_independent(code, priors, s_x, s_z, n_iter, sog)
+def _sogrand(code, priors, s_x, s_z, n_iter, sog, alpha) -> list[DecodeResult]:
+    return decode_independent_trials(code, priors, s_x, s_z, n_iter, sog)
 
 
-def _sogrand_corr(code, priors, s_x, s_z, n_iter, sog, alpha) -> DecodeResult:
-    return decode_correlated(code, priors.pauli_prior, s_x, s_z, n_iter, sog)
+def _sogrand_corr(code, priors, s_x, s_z, n_iter, sog, alpha) -> list[DecodeResult]:
+    return decode_correlated_trials(code, priors.pauli_prior, s_x, s_z, n_iter, sog)
 
 
 DECODERS = {
@@ -79,6 +87,8 @@ class ExperimentConfig:
                              f"choose from {tuple(DECODERS)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.max_failures is not None and self.max_failures < 1:
+            raise ValueError("max_failures must be >= 1")
         for p in self.p_grid:
             if not 0.0 < p < 0.75:
                 raise ValueError(f"p grid values must lie in (0, 3/4), got {p}")
@@ -155,36 +165,53 @@ def _side_success(code: GldpcCode, side: SideResult, e_true, s, z_side: bool) ->
     return code.x_residual_is_stabilizer(residual)
 
 
+def chunk_size(code: GldpcCode, sog_params: SograndParams) -> int:
+    """Trials per lock-step chunk: CHUNK_CELLS over one trial's kernel cells."""
+    cells = max(g.m * sog_params.resolve_budget(g.component.n_c, g.component.m_c)
+                for g in (code.x_graph, code.z_graph))
+    return max(1, CHUNK_CELLS // cells)
+
+
+def run_trials(code: GldpcCode, cfg: ExperimentConfig, p: float,
+               start: int, stop: int) -> Iterator[TrialRecord]:
+    """Records of trials start, ..., stop - 1, in index order: sample -> syndrome
+    -> decode a chunk in lock-step -> OSD and degeneracy-aware success check per
+    trial, as records are taken.  A record never depends on its trial's chunk."""
+    params = ch.DepolarizingParams(p)
+    priors = ch.make_priors(params, code.n)
+    decoder = DECODERS[cfg.decoder]
+    size = chunk_size(code, cfg.sog_params)
+    for lo in range(start, stop, size):
+        trials = range(lo, min(lo + size, stop))
+        errors = [ch.sample_error(params, code.n, ch.trial_rng(cfg.master_seed, p, t))
+                  for t in trials]
+        s_x, s_z = map(np.array, zip(*(ch.syndromes(code, e) for e in errors)))
+        results = decoder.decode(code, priors, s_x, s_z, cfg.resolved_n_iter(),
+                                 cfg.sog_params, cfg.alpha)
+        for t, e, sx, sz, result in zip(trials, errors, s_x, s_z, results):
+            iterations, converged_before_osd = result.iterations_used, result.converged
+            osd_ran = _maybe_osd(code, cfg.decoder, result, sx, sz, cfg.osd_config, p)
+            ok = (_side_success(code, result.z_side, e.e_z, sz, z_side=True)
+                  and _side_success(code, result.x_side, e.e_x, sx, z_side=False))
+            yield TrialRecord(trial_index=t, seed=cfg.master_seed,
+                              converged=converged_before_osd, osd_invoked=osd_ran,
+                              iterations_used=iterations, logical_failure=not ok)
+
+
 def run_trial(code: GldpcCode, cfg: ExperimentConfig, p: float,
               trial_index: int) -> TrialRecord:
-    """One sample -> syndrome -> decode -> degeneracy-aware success check."""
-    params = ch.DepolarizingParams(p)
-    rng = ch.trial_rng(cfg.master_seed, p, trial_index)
-    e = ch.sample_error(params, code.n, rng)
-    s_x, s_z = ch.syndromes(code, e)
-    priors = ch.make_priors(params, code.n)
-
-    result = DECODERS[cfg.decoder].decode(code, priors, s_x, s_z, cfg.resolved_n_iter(),
-                                          cfg.sog_params, cfg.alpha)
-    iterations = result.iterations_used
-    converged_before_osd = result.converged
-    osd_ran = _maybe_osd(code, cfg.decoder, result, s_x, s_z, cfg.osd_config, p)
-
-    ok = (_side_success(code, result.z_side, e.e_z, s_z, z_side=True)
-          and _side_success(code, result.x_side, e.e_x, s_x, z_side=False))
-    return TrialRecord(trial_index=trial_index, seed=cfg.master_seed,
-                       converged=converged_before_osd,
-                       osd_invoked=osd_ran, iterations_used=iterations,
-                       logical_failure=not ok)
+    """The record of one trial: a one-trial view of ``run_trials``."""
+    return next(run_trials(code, cfg, p, trial_index, trial_index + 1))
 
 
 def run_point(code: GldpcCode, cfg: ExperimentConfig, p: float) -> CurvePoint:
+    """Aggregate trials 0, 1, ... up to cfg.trials, or up to the trial that
+    brings the failures to cfg.max_failures; later records are discarded."""
     failures = 0
     iters_sum = 0
     osd_count = 0
     trials_run = 0
-    for t in range(cfg.trials):
-        rec = run_trial(code, cfg, p, t)
+    for rec in run_trials(code, cfg, p, 0, cfg.trials):
         trials_run += 1
         failures += rec.logical_failure
         iters_sum += rec.iterations_used

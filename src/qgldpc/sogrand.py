@@ -101,53 +101,64 @@ def decode_block(component: ComponentCode, L_A, s_local,
     if L_A.ndim != 2 or L_A.shape[1] != n_c or s_local.shape != (L_A.shape[0], m_c):
         raise ValueError(f"soft inputs of shape {L_A.shape} and local syndromes of "
                          f"shape {s_local.shape} do not fit (B, {n_c}) and (B, {m_c})")
-    B = L_A.shape[0]
-    rows = np.arange(B)
-
     hard = (L_A < 0).astype(np.uint8)
     ranked = RankedInput.from_llr(L_A)
     # All candidate deviations up to the budget, in schedule order, over ranks.
     flips = rank_flip_table(n_c, params.resolve_budget(n_c, m_c))  # (K, n_c)
     K, table = flips.shape[0], flips.astype(float)
 
-    # A deviation must satisfy H dev = s ^ H hard.  Syndromes are integer codes:
-    # in a group of checks, check t is digit t (d bits) of a column's code, so
-    # the low bit of each digit of a sum of codes is a parity.  Groups keep the
-    # sums below 2^52, where floating-point products are exact.
-    d = n_c.bit_length() or 1
-    consistent = np.ones((B, K), dtype=bool)
-    for t in range(0, m_c, 52 // d):
-        digit = 1 << d * np.arange(min(52 // d, m_c - t), dtype=np.int64)
-        code, parity = component.H[t:t + digit.size].T @ digit, int(digit.sum())
-        target = (s_local[:, t:t + digit.size] @ digit) ^ (hard @ code & parity)
-        sums = (code[ranked.perm] @ table.T).astype(np.int64)        # (B, K)
-        consistent &= (sums & parity) == target[:, None]
-
-    # Log-mass of each queried deviation under the flip probabilities q.  One
-    # gemv per row: a single gemm over the block rounds differently.
-    log_1mq = np.log1p(-ranked.q)
-    weight = np.log(ranked.q) - log_1mq
-    log_masses = np.empty((B, K))
-    for b in range(B):
-        log_masses[b] = table @ weight[b]
-    masses = np.exp(log_masses + log_1mq.sum(axis=1)[:, None])
-
     # The list is the first list_max consistent queries; the search stops at
     # the last of them once the list is full, else it spends the whole budget.
+    consistent = _consistent(component, s_local, hard, ranked.perm, table)
     n_listed = np.minimum(consistent.sum(axis=1), params.list_max)
-    listed = np.argsort(~consistent, axis=1, kind="stable")[:, :params.list_max]
+    listed = np.argsort(~consistent, axis=1, kind="stable")[:, :params.list_max].copy()
     queries_used = np.where(n_listed == params.list_max, listed[:, -1] + 1, K)
-    P_g = np.minimum(np.where(n_listed > 0, np.cumsum(masses, axis=1)[rows, queries_used - 1],
-                              masses.sum(axis=1)), 1.0)
+    listed_masses, P_g = _listed_masses(ranked, table, listed, n_listed, queries_used)
 
     # Listed deviations mapped from ranks back to positions, as error patterns.
     deviations = flips[listed[:, :, None], np.argsort(ranked.perm)[:, None, :]]
     patterns = hard[:, None, :] ^ deviations
-    listed_masses = np.where(np.arange(listed.shape[1]) < n_listed[:, None],
-                             masses[rows[:, None], listed], 0.0)
     L_APP, L_E, best = _soft(L_A, patterns, listed_masses, n_listed, P_g, m_c)
     return BlockOutput(L_APP=L_APP, L_E=L_E, best_pattern=best, queries_used=queries_used,
                        n_listed=n_listed, patterns=patterns, masses=listed_masses, P_g=P_g)
+
+
+def _consistent(component: ComponentCode, s_local, hard, perm, table) -> np.ndarray:
+    """(B, K) mask of the deviations (rows of ``table``, over ranks) that
+    satisfy H dev = s ^ H hard.  Syndromes are integer codes: in a group of
+    checks, check t is digit t (d bits) of a column's code, so the low bit of
+    each digit of a sum of codes is a parity.  Groups keep the sums below 2^52,
+    where float products are exact; adding 2^52 puts a sum's integer value in
+    the low 52 bits of the float's bit pattern, where the parity mask reads it.
+    """
+    d, m_c = component.n_c.bit_length() or 1, component.m_c
+    consistent = np.ones((hard.shape[0], table.shape[0]), dtype=bool)
+    for t in range(0, m_c, 52 // d):
+        digit = 1 << d * np.arange(min(52 // d, m_c - t), dtype=np.int64)
+        code, parity = component.H[t:t + digit.size].T @ digit, int(digit.sum())
+        target = (s_local[:, t:t + digit.size] @ digit) ^ (hard @ code & parity)
+        sums = code[perm] @ table.T                                  # (B, K)
+        sums += 2.0 ** 52
+        bits = sums.view(np.int64)
+        consistent &= np.bitwise_and(bits, parity, out=bits) == target[:, None]
+    return consistent
+
+
+def _listed_masses(ranked: RankedInput, table, listed, n_listed, queries_used):
+    """Masses of the listed deviations, zero past ``n_listed``, and each row's
+    explored mass P_g.  Log-masses come from a stacked matmul, one gemv per row
+    (a gemm over the block rounds differently); exp and cumsum reuse the array."""
+    log_1mq = np.log1p(-ranked.q)
+    weight = np.log(ranked.q) - log_1mq
+    masses = np.matmul(table, weight[:, :, None])[..., 0]
+    masses += log_1mq.sum(axis=1)[:, None]
+    np.exp(masses, out=masses)
+    rows = np.arange(masses.shape[0])
+    listed_masses = np.where(np.arange(listed.shape[1]) < n_listed[:, None],
+                             masses[rows[:, None], listed], 0.0)
+    total = masses.sum(axis=1)
+    explored = np.cumsum(masses, axis=1, out=masses)[rows, queries_used - 1]
+    return listed_masses, np.minimum(np.where(n_listed > 0, explored, total), 1.0)
 
 
 def sogrand_decode(component: ComponentCode, L_A, s_local,

@@ -13,9 +13,9 @@ import pytest
 from qgldpc import channel, gf2
 from qgldpc.codes import ComponentCode, builtin_code
 from qgldpc.gldpc import decode_independent, decode_side
-from qgldpc.harness import (ExperimentConfig, convergence_study, pseudothreshold,
-                            run_sweep, run_trial, uncoded_bler, wilson_interval,
-                            CurvePoint)
+from qgldpc.harness import (DECODERS, ExperimentConfig, convergence_study, pseudothreshold,
+                            run_sweep, run_trial, run_trials, uncoded_bler,
+                            wilson_interval, CurvePoint)
 from qgldpc.orbgrand import RankedInput, rank_flip_table
 from qgldpc.osd import OsdConfig, osd_postprocess
 from qgldpc.sogrand import SograndParams, estimate_missing_mass, sogrand_decode
@@ -51,11 +51,18 @@ def paired_failures(decoder: str) -> np.ndarray:
         cfg = ExperimentConfig(code="builtin:toy-gldpc", decoder=decoder,
                                p_grid=(PAIRED_P,), trials=PAIRED_TRIALS,
                                master_seed=PAIRED_SEED)
-        fails = np.empty(PAIRED_TRIALS, dtype=bool)
-        for t in range(PAIRED_TRIALS):
-            fails[t] = run_trial(code, cfg, PAIRED_P, t).logical_failure
-        _failure_cache[decoder] = fails
+        _failure_cache[decoder] = np.array(
+            [rec.logical_failure for rec in run_trials(code, cfg, PAIRED_P, 0, PAIRED_TRIALS)])
     return _failure_cache[decoder]
+
+
+@pytest.mark.parametrize("decoder", list(DECODERS))
+def test_paired_records_are_the_run_trial_loop(decoder):
+    code = builtin_code("toy-gldpc")
+    cfg = ExperimentConfig(code="builtin:toy-gldpc", decoder=decoder,
+                           p_grid=(PAIRED_P,), trials=PAIRED_TRIALS, master_seed=PAIRED_SEED)
+    assert list(run_trials(code, cfg, PAIRED_P, 0, 200)) == \
+        [run_trial(code, cfg, PAIRED_P, t) for t in range(200)]
 
 
 def test_criterion_1_sogrand_exact_at_saturation():

@@ -135,6 +135,9 @@ class TestTrialsAndPoints:
             ExperimentConfig(code="builtin:steane", p_grid=(0.8,))
         with pytest.raises(ValueError):
             ExperimentConfig(code="builtin:steane", trials=0)
+        for max_failures in (0, -3):
+            with pytest.raises(ValueError, match="max_failures"):
+                ExperimentConfig(code="builtin:steane", max_failures=max_failures)
 
     def test_resolve_code(self, tmp_path):
         from qgldpc.codes import write_code
@@ -304,6 +307,10 @@ class TestCli:
         ["--code", "builtin:steane", "--p", "0.05", "--trials", "0"],
         ["--code", "builtin:nope", "--p", "0.05", "--trials", "5"],
         ["--code", "no-such-code.json", "--p", "0.05", "--trials", "5"],
+        ["--code", "builtin:toy-gldpc", "--p", "0.05", "--trials", "500",
+         "--max-failures", "0"],
+        ["--code", "builtin:toy-gldpc", "--p", "0.05", "--trials", "500",
+         "--max-failures", "-3"],
     ])
     def test_sim_bad_input_is_one_line_error(self, args, tmp_path):
         src = str(Path(qgldpc.__file__).resolve().parents[1])
