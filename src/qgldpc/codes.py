@@ -96,12 +96,6 @@ def flatten(g: TannerGraph) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class LogicalBasis:
-    z_logicals: list[np.ndarray]
-    x_logicals: list[np.ndarray]
-
-
 @dataclass
 class GldpcCode:
     name: str
@@ -118,10 +112,11 @@ class GldpcCode:
         if np.any(self.x_graph.syndrome(h_z.T)):
             raise CodeFormatError(
                 f"CSS condition violated: H_X H_Z^T != 0 for code {self.name!r}")
-        # cached stabilizer row spaces for degeneracy checks
-        self._hx_space = gf2.RowSpace(h_x)
-        self._hz_space = gf2.RowSpace(h_z)
-        k = self.n - self._hx_space.rank - self._hz_space.rank
+        # the stabilizer row spaces: a residual e ^ e_hat is harmless iff it lies
+        # in the row space of the other side's checks (Z residuals in H_Z's)
+        self.hx_space = gf2.RowSpace(h_x)
+        self.hz_space = gf2.RowSpace(h_z)
+        k = self.n - self.hx_space.rank - self.hz_space.rank
         if k != self.k:
             raise CodeFormatError(
                 f"declared k={self.k} inconsistent with ranks (computed k={k})")
@@ -134,33 +129,6 @@ class GldpcCode:
     def h_z(self) -> np.ndarray:
         return self.z_graph.flat
 
-    def z_residual_is_stabilizer(self, r_z) -> bool:
-        """Z-side residual is harmless iff it lies in the row space of H_Z."""
-        return self._hz_space.contains(r_z)
-
-    def x_residual_is_stabilizer(self, r_x) -> bool:
-        return self._hx_space.contains(r_x)
-
-
-def compute_logicals(code: GldpcCode) -> LogicalBasis:
-    """k independent Z-logicals (ker H_X modulo rowspace H_Z), and mirrored."""
-
-    def one_side(h_check, h_stab):
-        # greedy: keep each kernel vector independent of the stabilizers and
-        # of the vectors kept before it, i.e. the pivot columns past h_stab
-        kernel = gf2.null_space(h_check)
-        m = h_stab.shape[0]
-        pivots = gf2.row_reduce(np.vstack([h_stab, kernel]).T).pivots
-        return [kernel[c - m] for c in pivots if c >= m]
-
-    z_logicals = one_side(code.h_x, code.h_z)
-    x_logicals = one_side(code.h_z, code.h_x)
-    if not len(z_logicals) == len(x_logicals) == code.k:
-        raise CodeFormatError(
-            f"found {len(z_logicals)} Z- and {len(x_logicals)} X-logicals "
-            f"for code {code.name!r}, expected k={code.k}")
-    return LogicalBasis(z_logicals=z_logicals, x_logicals=x_logicals)
-
 
 # ---------------------------------------------------------------------------
 # file format
@@ -172,9 +140,11 @@ def _graph_to_obj(g: TannerGraph) -> dict:
 
 
 def _graph_from_obj(obj, n: int, label: str) -> TannerGraph:
+    if label not in obj:
+        raise CodeFormatError(f"missing {label} in code file")
     try:
-        comp = ComponentCode(np.array(obj["component_H"], dtype=np.uint8))
-        cns = [list(map(int, cn)) for cn in obj["cns"]]
+        comp = ComponentCode(np.array(obj[label]["component_H"], dtype=np.uint8))
+        cns = [list(map(int, cn)) for cn in obj[label]["cns"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CodeFormatError(f"malformed {label}: {exc}") from exc
     return TannerGraph(n=n, cns=cns, component=comp)
@@ -200,8 +170,8 @@ def load_code(path) -> GldpcCode:
         name, n, k, d = obj["name"], int(obj["n"]), int(obj["k"]), int(obj["d"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CodeFormatError(f"missing or malformed header field in {path}: {exc}") from exc
-    x_graph = _graph_from_obj(obj["x_graph"], n, "x_graph")
-    z_graph = _graph_from_obj(obj["z_graph"], n, "z_graph")
+    x_graph = _graph_from_obj(obj, n, "x_graph")
+    z_graph = _graph_from_obj(obj, n, "z_graph")
     return GldpcCode(name=name, n=n, k=k, d=d, x_graph=x_graph, z_graph=z_graph)
 
 
@@ -283,7 +253,3 @@ def builtin_code(name: str) -> GldpcCode:
     except KeyError:
         raise KeyError(f"unknown builtin code {name!r}; "
                        f"available: {sorted(_BUILTIN_FACTORIES)}") from None
-
-
-def builtin_codes() -> list[GldpcCode]:
-    return [f() for f in _BUILTIN_FACTORIES.values()]

@@ -5,7 +5,7 @@ module as at its boundary.  Every matrix-vector product H v of the package
 goes through one operator, ``Syndrome``, which holds H once as an integer
 matrix (SOGRAND's block kernel alone uses integer syndrome codes of its own).
 Elimination works on ``[H | I]`` with whole-row XORs and records the row
-operations; row-space tests and kernels are read from its result.
+operations; row-space tests are read from its result.
 """
 
 from __future__ import annotations
@@ -13,15 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def _as_bits(v, length: int | None = None) -> np.ndarray:
-    v = np.asarray(v, dtype=np.uint8) % 2
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D bit vector, got shape {v.shape}")
-    if length is not None and v.shape[0] != length:
-        raise ValueError(f"bit vector has length {v.shape[0]}, expected {length}")
-    return v
 
 
 def _as_bitmatrix(H) -> np.ndarray:
@@ -97,33 +88,21 @@ def row_reduce(H, column_order=None) -> Elimination:
                        rank=len(pivots))
 
 
-def rank(H) -> int:
-    return row_reduce(H).rank
-
-
 class RowSpace:
     """Reduced row basis of a matrix, for membership tests."""
 
     def __init__(self, H):
         elim = row_reduce(H)
         self.rank = elim.rank
-        self._basis = elim.reduced[:elim.rank]
         self._pivots = np.array(elim.pivots, dtype=np.intp)
+        self._combine = Syndrome(elim.reduced[:elim.rank].T)  # coefficients -> vector
 
-    def contains(self, r) -> bool:
-        r = _as_bits(r, self._basis.shape[1])
+    def contains(self, r):
+        """Whether r, a bit vector or each row of a (T, n) block, is in the row space."""
+        n = self._combine.H.shape[0]
+        r = np.asarray(r, dtype=np.uint8) % 2
+        if r.ndim not in (1, 2) or r.shape[-1] != n:
+            raise ValueError(f"expected bit vectors of length {n}, got shape {r.shape}")
         # the basis is reduced, so the only candidate combination is the one
         # whose coefficients are r's pivot bits
-        combo = np.bitwise_xor.reduce(self._basis[r[self._pivots].astype(bool)], axis=0)
-        return combo.tobytes() == r.tobytes()  # cheaper than np.array_equal here
-
-
-def null_space(H) -> np.ndarray:
-    """Basis of the right kernel of H over GF(2), one vector per row."""
-    elim = row_reduce(H)
-    n = elim.reduced.shape[1]
-    free = np.setdiff1d(np.arange(n), elim.pivots)
-    basis = np.zeros((free.size, n), dtype=np.uint8)
-    basis[np.arange(free.size), free] = 1
-    basis[:, elim.pivots] = elim.reduced[:elim.rank, free].T
-    return basis
+        return (self._combine(r[..., self._pivots].T).T == r).all(axis=-1)

@@ -6,20 +6,20 @@ reproduces its syndrome.  Each iteration a check rule maps the messages to
 extrinsic ones (SOGRAND on the component code here, all checks and active
 trials of a side in one block; scaled min-sum in ``minsum``), and a
 variable-node fusion combines them with the channel prior (binary per side,
-or Pauli beliefs across both graphs).  Every step is row-wise, so the order
-and grouping of trials never change a result; the one-trial functions are
-views of the batched ones.
+or Pauli beliefs across both graphs).  A decode returns one ``SideResult``
+per side, whose (T, ...) arrays hold every trial of the chunk.  Every step
+is row-wise, so the order and grouping of trials never change a result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import gf2
-from .channel import ChannelPrior, PauliErrorPattern, clamp_llr
+from .channel import ChannelPrior, clamp_llr
 from .codes import GldpcCode, TannerGraph
 # nothing here calls sogrand_decode, but bench/spans.py wraps gldpc.sogrand_decode
 from .sogrand import SograndParams, decode_block, sogrand_decode
@@ -33,30 +33,39 @@ _TIE_ORDER = np.array([_I, _X, _Z, _Y])
 
 @dataclass
 class SideResult:
-    e_hat: np.ndarray
-    converged: bool
-    iterations_used: int
-    app: np.ndarray                      # final per-bit APP LLRs
-    syndrome_trace: list[bool] = field(default_factory=list)
-    osd_invoked: bool = False
+    """One side's decode of T trials; row t is trial t."""
+
+    e_hat: np.ndarray            # (T, n) uint8 estimates
+    app: np.ndarray              # (T, n) final per-bit APP LLRs
+    converged: np.ndarray        # (T,) bool: the estimate met its syndrome
+    iterations_used: np.ndarray  # (T,)
+
+    def row(self, t: int) -> SideResult:
+        """Trial t alone: 1-D arrays (views into this chunk's), a bool and an int."""
+        return SideResult(e_hat=self.e_hat[t], app=self.app[t],
+                          converged=bool(self.converged[t]),
+                          iterations_used=int(self.iterations_used[t]))
 
 
 @dataclass
 class DecodeResult:
-    z_side: SideResult  # estimate of e_z (decoded on the X graph)
-    x_side: SideResult  # estimate of e_x (decoded on the Z graph)
+    z_side: SideResult  # estimates of e_z (decoded on the X graph)
+    x_side: SideResult  # estimates of e_x (decoded on the Z graph)
+
+    def __post_init__(self):
+        if np.shape(self.z_side.converged) != np.shape(self.x_side.converged):
+            raise ValueError("the two sides hold different numbers of trials")
 
     @property
-    def converged(self) -> bool:
-        return self.z_side.converged and self.x_side.converged
+    def converged(self):
+        return self.z_side.converged & self.x_side.converged
 
     @property
-    def e_hat(self) -> PauliErrorPattern:
-        return PauliErrorPattern(e_x=self.x_side.e_hat, e_z=self.z_side.e_hat)
+    def iterations_used(self):
+        return np.maximum(self.z_side.iterations_used, self.x_side.iterations_used)
 
-    @property
-    def iterations_used(self) -> int:
-        return max(self.z_side.iterations_used, self.x_side.iterations_used)
+    def row(self, t: int) -> DecodeResult:
+        return DecodeResult(z_side=self.z_side.row(t), x_side=self.x_side.row(t))
 
 
 @dataclass(frozen=True)
@@ -71,15 +80,15 @@ class Side:
 
 
 def flood(sides: list[Side], L0: list[np.ndarray], n_iter: int,
-          fuse=None) -> list[list[SideResult]]:
+          fuse=None) -> list[SideResult]:
     """Run the flooding schedule on T trials in lock-step.
 
     ``L0`` holds each side's channel LLRs, shared by every trial: the first
     messages.  ``fuse`` maps the sides' (A, E) c2v messages of the A active
     trials to per-side APP LLRs, v2c messages and hard decisions; None fuses
     each side alone (binary).  A trial leaves once all its sides meet their
-    syndromes.  Returns, for each trial, one ``SideResult`` per side, with
-    the joint convergence flag.
+    syndromes.  Returns one ``SideResult`` per side, each with its own copy
+    of the joint convergence flags.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
@@ -98,7 +107,9 @@ def flood(sides: list[Side], L0: list[np.ndarray], n_iter: int,
            for side, L in zip(sides, L0)]
     active, s_active = np.arange(T), S
     v2c = [np.tile(L[side.edge_var], (T, 1)) for side, L in zip(sides, L0)]
-    results: list = [None] * T
+    out = [SideResult(e_hat=np.empty((T, L.size), dtype=np.uint8), app=np.empty((T, L.size)),
+                      converged=np.zeros(T, dtype=bool), iterations_used=np.zeros(T, dtype=int))
+           for L in L0]
     for it in range(1, n_iter + 1):
         c2v = [side.rule(msg, s) for side, msg, s in zip(sides, v2c, s_active)]
         if fuse is None:
@@ -114,13 +125,12 @@ def flood(sides: list[Side], L0: list[np.ndarray], n_iter: int,
         if it < n_iter and not ok.any():
             continue
         done = ok | (it == n_iter)
-        for i in np.flatnonzero(done):
-            results[active[i]] = [SideResult(e_hat=e[i], converged=bool(ok[i]),
-                                             iterations_used=it, app=a[i],
-                                             syndrome_trace=[False] * (it - 1) + [bool(ok[i])])
-                                  for e, a in zip(e_hat, app)]
+        rows = active[done]
+        for r, e, a in zip(out, e_hat, app):
+            r.e_hat[rows], r.app[rows] = e[done], a[done]
+            r.converged[rows], r.iterations_used[rows] = ok[done], it
         if done.all():
-            return results
+            return out
         active, v2c = active[~done], [msg[~done] for msg in v2c]
         s_active = [s[active] for s in S]
 
@@ -137,28 +147,21 @@ def _sogrand_side(graph: TannerGraph, s, sog_params: SograndParams) -> Side:
     return Side(edge_var=graph.edge_var, check=graph.syndrome, s=s, rule=rule)
 
 
-def decode_side(graph: TannerGraph, L_ch, s, n_iter: int = 20,
-                sog_params: SograndParams = SograndParams()) -> SideResult:
-    """Decode one binary error component on one Tanner graph: a one-trial view."""
-    return flood([_sogrand_side(graph, np.asarray(s)[None], sog_params)], [L_ch], n_iter)[0][0]
-
-
 def decode_independent_trials(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
                               n_iter: int = 20, sog_params: SograndParams = SograndParams()
-                              ) -> list[DecodeResult]:
+                              ) -> DecodeResult:
     """Decode Z errors on the X graph and X errors on the Z graph of T trials apart."""
-    z_sides = flood([_sogrand_side(code.x_graph, s_z, sog_params)], [priors.llr_z], n_iter)
-    x_sides = flood([_sogrand_side(code.z_graph, s_x, sog_params)], [priors.llr_x], n_iter)
-    return [DecodeResult(z_side=z, x_side=x)
-            for (z,), (x,) in zip(z_sides, x_sides, strict=True)]
+    z_side, = flood([_sogrand_side(code.x_graph, s_z, sog_params)], [priors.llr_z], n_iter)
+    x_side, = flood([_sogrand_side(code.z_graph, s_x, sog_params)], [priors.llr_x], n_iter)
+    return DecodeResult(z_side=z_side, x_side=x_side)
 
 
 def decode_independent(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
                        n_iter: int = 20,
                        sog_params: SograndParams = SograndParams()) -> DecodeResult:
-    """One-trial view of ``decode_independent_trials``."""
+    """One-trial view of ``decode_independent_trials``; only tests and bench/ use it."""
     return decode_independent_trials(code, priors, np.asarray(s_x)[None],
-                                     np.asarray(s_z)[None], n_iter, sog_params)[0]
+                                     np.asarray(s_z)[None], n_iter, sog_params).row(0)
 
 
 def _beliefs_from_llr(L: np.ndarray, about_x: bool) -> np.ndarray:
@@ -227,7 +230,7 @@ def _pauli_fuse(prior: np.ndarray, xg: TannerGraph, zg: TannerGraph, c2v):
 
 def decode_correlated_trials(code: GldpcCode, pauli_prior, s_x, s_z, n_iter: int = 20,
                              sog_params: SograndParams = SograndParams()
-                             ) -> list[DecodeResult]:
+                             ) -> DecodeResult:
     """Joint X/Z decoding of T trials, with Pauli-belief fusion at the variables.
 
     Check nodes on both graphs still run binary SOGRAND; variable nodes map
@@ -242,12 +245,12 @@ def decode_correlated_trials(code: GldpcCode, pauli_prior, s_x, s_z, n_iter: int
     sides = [_sogrand_side(xg, s_z, sog_params), _sogrand_side(zg, s_x, sog_params)]
     # Channel marginals initialize both graphs' messages.
     L0 = [_marginal_llr(prior, about_x=False), _marginal_llr(prior, about_x=True)]
-    return [DecodeResult(z_side=z, x_side=x) for z, x in
-            flood(sides, L0, n_iter, fuse=lambda c2v: _pauli_fuse(prior, xg, zg, c2v))]
+    z_side, x_side = flood(sides, L0, n_iter, fuse=lambda c2v: _pauli_fuse(prior, xg, zg, c2v))
+    return DecodeResult(z_side=z_side, x_side=x_side)
 
 
 def decode_correlated(code: GldpcCode, pauli_prior, s_x, s_z, n_iter: int = 20,
                       sog_params: SograndParams = SograndParams()) -> DecodeResult:
-    """One-trial view of ``decode_correlated_trials``."""
+    """One-trial view of ``decode_correlated_trials``; only tests and bench/ use it."""
     return decode_correlated_trials(code, pauli_prior, np.asarray(s_x)[None],
-                                    np.asarray(s_z)[None], n_iter, sog_params)[0]
+                                    np.asarray(s_z)[None], n_iter, sog_params).row(0)

@@ -3,9 +3,10 @@ BLER curves with Wilson intervals, pseudothreshold and convergence studies.
 
 All randomness is keyed by (master seed, error rate, trial index), so
 curves are bit-reproducible and trials are paired across decoder variants
-and iteration budgets (common random numbers).  Trials decode in lock-step
-chunks, one decoder call per chunk; the order and grouping of trials never
-change a result.
+and iteration budgets (common random numbers).  Trials run in chunks: one
+syndrome product, one decoder call and one success check per chunk, on
+(T, n) arrays; only sampling and OSD go trial by trial.  The order and
+grouping of trials never change a result.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import channel as ch
 from .codes import GldpcCode, builtin_code, load_code
 # nothing here calls the one-trial views imported, but bench/spans.py wraps them
-from .gldpc import (DecodeResult, SideResult, decode_correlated, decode_correlated_trials,
+from .gldpc import (DecodeResult, decode_correlated, decode_correlated_trials,
                     decode_independent, decode_independent_trials)
 from .minsum import BpConfig, minsum_decode, minsum_decode_trials
 from .osd import OsdConfig, osd_postprocess
@@ -34,24 +35,24 @@ CHUNK_CELLS = 1 << 16
 
 
 class Decoder(NamedTuple):
-    # (code, priors, (T, m) s_x and s_z, n_iter, sog_params, alpha) -> T DecodeResults
-    decode: Callable[..., list[DecodeResult]]
+    # (code, priors, (T, m) s_x and s_z, n_iter, sog_params, alpha) -> DecodeResult
+    decode: Callable[..., DecodeResult]
     osd: bool        # post-process the sides that did not converge
     n_iter: int      # default iteration budget
 
 
-def _bp(code, priors, s_x, s_z, n_iter, sog, alpha) -> list[DecodeResult]:
+def _bp(code, priors, s_x, s_z, n_iter, sog, alpha) -> DecodeResult:
     cfg = BpConfig(alpha=alpha, n_iter=n_iter)
-    z_sides = minsum_decode_trials(code.x_graph.syndrome, priors.llr_z, s_z, cfg)
-    x_sides = minsum_decode_trials(code.z_graph.syndrome, priors.llr_x, s_x, cfg)
-    return [DecodeResult(z_side=z, x_side=x) for z, x in zip(z_sides, x_sides, strict=True)]
+    return DecodeResult(
+        z_side=minsum_decode_trials(code.x_graph.syndrome, priors.llr_z, s_z, cfg),
+        x_side=minsum_decode_trials(code.z_graph.syndrome, priors.llr_x, s_x, cfg))
 
 
-def _sogrand(code, priors, s_x, s_z, n_iter, sog, alpha) -> list[DecodeResult]:
+def _sogrand(code, priors, s_x, s_z, n_iter, sog, alpha) -> DecodeResult:
     return decode_independent_trials(code, priors, s_x, s_z, n_iter, sog)
 
 
-def _sogrand_corr(code, priors, s_x, s_z, n_iter, sog, alpha) -> list[DecodeResult]:
+def _sogrand_corr(code, priors, s_x, s_z, n_iter, sog, alpha) -> DecodeResult:
     return decode_correlated_trials(code, priors.pauli_prior, s_x, s_z, n_iter, sog)
 
 
@@ -141,28 +142,22 @@ def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _maybe_osd(code: GldpcCode, decoder: str, result: DecodeResult,
-               s_x, s_z, osd_cfg: OsdConfig, p: float) -> bool:
-    """Post-process non-converged sides in place; returns True if OSD ran."""
-    if not DECODERS[decoder].osd:
-        return False
-    q = 2.0 * p / 3.0
-    ran = False
-    for side, h, s in ((result.z_side, code.h_x, s_z), (result.x_side, code.h_z, s_x)):
-        if not side.converged:
-            side.e_hat = osd_postprocess(h, s, side.app, osd_cfg, q)
-            side.converged = side.osd_invoked = ran = True
-    return ran
-
-
-def _side_success(code: GldpcCode, side: SideResult, e_true, s, z_side: bool) -> bool:
-    graph = code.x_graph if z_side else code.z_graph
-    if not np.array_equal(graph.syndrome(side.e_hat), s):
-        return False
-    residual = (e_true ^ side.e_hat).astype(np.uint8)
-    if z_side:
-        return code.z_residual_is_stabilizer(residual)
-    return code.x_residual_is_stabilizer(residual)
+def _tail(code: GldpcCode, result: DecodeResult, e: ch.PauliErrorPattern, s_x, s_z,
+          osd_cfg: OsdConfig | None, q: float) -> np.ndarray:
+    """OSD on each side's trials that did not converge, when ``osd_cfg`` is
+    given (their estimates are replaced in place); then the (T,) mask of the
+    trials whose estimate, on either side, misses its syndrome or differs
+    from the error by more than a stabilizer."""
+    failed = np.zeros(len(s_x), dtype=bool)
+    for side, graph, stabilizers, err, s in (
+            (result.z_side, code.x_graph, code.hz_space, e.e_z, s_z),
+            (result.x_side, code.z_graph, code.hx_space, e.e_x, s_x)):
+        if osd_cfg is not None:
+            for t in np.flatnonzero(~side.converged):
+                side.e_hat[t] = osd_postprocess(graph.flat, s[t], side.app[t], osd_cfg, q)
+        failed |= (graph.syndrome(side.e_hat.T).T != s).any(axis=1)
+        failed |= ~stabilizers.contains(err ^ side.e_hat)
+    return failed
 
 
 def chunk_size(code: GldpcCode, sog_params: SograndParams) -> int:
@@ -174,33 +169,37 @@ def chunk_size(code: GldpcCode, sog_params: SograndParams) -> int:
 
 def run_trials(code: GldpcCode, cfg: ExperimentConfig, p: float,
                start: int, stop: int) -> Iterator[TrialRecord]:
-    """Records of trials start, ..., stop - 1, in index order: sample -> syndrome
-    -> decode a chunk in lock-step -> OSD and degeneracy-aware success check per
-    trial, as records are taken.  A record never depends on its trial's chunk."""
+    """Records of trials start, ..., stop - 1, in index order.  Per chunk: sample
+    each trial from its own key, take the syndromes, decode in lock-step, then
+    OSD and the degeneracy-aware success check (``_tail``).  A record never
+    depends on its trial's chunk.  A chunk is finished before its first record
+    is yielded: a caller that stops inside a chunk (``max_failures``) discards
+    the decodes of its later trials, and no record it took changes."""
     params = ch.DepolarizingParams(p)
     priors = ch.make_priors(params, code.n)
     decoder = DECODERS[cfg.decoder]
+    osd_cfg = cfg.osd_config if decoder.osd else None
     size = chunk_size(code, cfg.sog_params)
     for lo in range(start, stop, size):
         trials = range(lo, min(lo + size, stop))
         errors = [ch.sample_error(params, code.n, ch.trial_rng(cfg.master_seed, p, t))
                   for t in trials]
-        s_x, s_z = map(np.array, zip(*(ch.syndromes(code, e) for e in errors)))
-        results = decoder.decode(code, priors, s_x, s_z, cfg.resolved_n_iter(),
-                                 cfg.sog_params, cfg.alpha)
-        for t, e, sx, sz, result in zip(trials, errors, s_x, s_z, results):
-            iterations, converged_before_osd = result.iterations_used, result.converged
-            osd_ran = _maybe_osd(code, cfg.decoder, result, sx, sz, cfg.osd_config, p)
-            ok = (_side_success(code, result.z_side, e.e_z, sz, z_side=True)
-                  and _side_success(code, result.x_side, e.e_x, sx, z_side=False))
-            yield TrialRecord(trial_index=t, seed=cfg.master_seed,
-                              converged=converged_before_osd, osd_invoked=osd_ran,
-                              iterations_used=iterations, logical_failure=not ok)
+        e = ch.PauliErrorPattern(e_x=np.array([x.e_x for x in errors]),
+                                 e_z=np.array([x.e_z for x in errors]))
+        s_x, s_z = ch.syndromes(code, e)
+        result = decoder.decode(code, priors, s_x, s_z, cfg.resolved_n_iter(),
+                                cfg.sog_params, cfg.alpha)
+        converged, iterations = result.converged.tolist(), result.iterations_used.tolist()
+        failed = _tail(code, result, e, s_x, s_z, osd_cfg, params.p_eff).tolist()
+        for t, conv, it, fail in zip(trials, converged, iterations, failed):
+            yield TrialRecord(trial_index=t, seed=cfg.master_seed, converged=conv,
+                              osd_invoked=decoder.osd and not conv,
+                              iterations_used=it, logical_failure=fail)
 
 
 def run_trial(code: GldpcCode, cfg: ExperimentConfig, p: float,
               trial_index: int) -> TrialRecord:
-    """The record of one trial: a one-trial view of ``run_trials``."""
+    """One-trial view of ``run_trials``; only tests and bench/ use it."""
     return next(run_trials(code, cfg, p, trial_index, trial_index + 1))
 
 

@@ -72,7 +72,7 @@ def _minsum_rule(check: gf2.Syndrome):
     return edge_var, rule
 
 
-def minsum_decode_trials(H, L_ch, s, cfg: BpConfig = BpConfig()) -> list[SideResult]:
+def minsum_decode_trials(H, L_ch, s, cfg: BpConfig = BpConfig()) -> SideResult:
     """Min-sum on T trials with (T, m) syndromes ``s``, check t scaled by -alpha
     if s_t = 1, else alpha.  ``H`` is a bit matrix or a ``gf2.Syndrome``."""
     check = H if isinstance(H, gf2.Syndrome) else gf2.Syndrome(H)
@@ -80,9 +80,9 @@ def minsum_decode_trials(H, L_ch, s, cfg: BpConfig = BpConfig()) -> list[SideRes
     scales = np.array([cfg.alpha, -cfg.alpha])
     side = Side(edge_var=edge_var, check=check, s=s,
                 rule=lambda v2c, s_active: rule(v2c, scales[s_active].reshape(-1, 1)))
-    return [r for r, in flood([side], [L_ch], cfg.n_iter)]
+    return flood([side], [L_ch], cfg.n_iter)[0]
 
 
 def minsum_decode(H, L_ch, s, cfg: BpConfig = BpConfig()) -> SideResult:
-    """One-trial view of ``minsum_decode_trials``."""
-    return minsum_decode_trials(H, L_ch, np.asarray(s)[None], cfg)[0]
+    """One-trial view of ``minsum_decode_trials``; only tests and bench/ use it."""
+    return minsum_decode_trials(H, L_ch, np.asarray(s)[None], cfg).row(0)

@@ -62,8 +62,8 @@ class SoftOutput:
     L_E: np.ndarray
     best_pattern: np.ndarray
     found: bool
-    queries_used: int = 0
-    cand: CandidateList | None = None
+    queries_used: int
+    cand: CandidateList
 
 
 @dataclass(frozen=True)
@@ -170,15 +170,6 @@ def sogrand_decode(component: ComponentCode, L_A, s_local,
                          masses=out.masses[0, :n].tolist(), P_g=float(out.P_g[0]))
     return SoftOutput(L_APP=out.L_APP[0], L_E=out.L_E[0], best_pattern=out.best_pattern[0],
                       found=n > 0, queries_used=int(out.queries_used[0]), cand=cand)
-
-
-def extract_soft(cand: CandidateList, L_A) -> SoftOutput:
-    """Bitwise APP/extrinsic LLRs from a finalized candidate list."""
-    L_A = np.asarray(L_A, dtype=float)[None]
-    n = len(cand.patterns)
-    L_APP, L_E, best = _soft(L_A, np.array([cand.patterns]), np.array([cand.masses]),
-                             np.array([n]), np.array([cand.P_g]), cand.m_c)
-    return SoftOutput(L_APP=L_APP[0], L_E=L_E[0], best_pattern=best[0], found=n > 0)
 
 
 def _soft(L_A, patterns, masses, n_listed, P_g, m_c: int):

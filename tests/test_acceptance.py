@@ -12,7 +12,7 @@ import pytest
 
 from qgldpc import channel, gf2
 from qgldpc.codes import ComponentCode, builtin_code
-from qgldpc.gldpc import decode_independent, decode_side
+from qgldpc.gldpc import decode_independent, decode_independent_trials
 from qgldpc.harness import (DECODERS, ExperimentConfig, convergence_study, pseudothreshold,
                             run_sweep, run_trial, run_trials, uncoded_bler,
                             wilson_interval, CurvePoint)
@@ -142,17 +142,15 @@ def test_criterion_4_gldpc_soundness_and_weight_one_sweep():
             if res.x_side.converged:
                 assert np.array_equal(code.z_graph.syndrome(res.x_side.e_hat), s_x)
                 checked += 1
-        # every single-qubit Z error decodes with a stabilizer residual
-        L = np.full(code.n, channel.make_priors(
-            channel.DepolarizingParams(0.01), code.n).llr_z[0])
-        for j in range(code.n):
-            e_z = np.zeros(code.n, dtype=np.uint8)
-            e_z[j] = 1
-            s = code.x_graph.syndrome(e_z)
-            out = decode_side(code.x_graph, L, s, sog_params=sog)
-            assert out.converged
-            residual = e_z ^ out.e_hat
-            assert gf2.RowSpace(code.h_z).contains(residual)
+        # every single-qubit Z error decodes with a stabilizer residual: one
+        # chunk, trial j with the error on qubit j
+        e_z = np.eye(code.n, dtype=np.uint8)
+        s_x = np.zeros((code.n, code.h_z.shape[0]), dtype=np.uint8)
+        out = decode_independent_trials(
+            code, channel.make_priors(channel.DepolarizingParams(0.01), code.n), s_x,
+            code.x_graph.syndrome(e_z.T).T, sog_params=sog).z_side
+        assert out.converged.all()
+        assert gf2.RowSpace(code.h_z).contains(e_z ^ out.e_hat).all()
     assert checked > 0
     print(f"\nACCEPTANCE 4 PASS: {checked} converged decodes all satisfied the "
           f"syndrome equations; weight-1 Z sweep residuals in row_space(H_Z) "

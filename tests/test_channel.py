@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgldpc import channel, gf2
 from qgldpc.channel import DepolarizingParams, make_priors, sample_error, syndromes, trial_rng
@@ -113,3 +115,24 @@ class TestSyndromes:
         oracle = [sum(int(e.e_x[i]) for i in range(code.n) if row[i]) % 2
                   for row in code.h_z.tolist()]
         assert s_x.tolist() == oracle
+
+    @given(st.sampled_from(["steane", "toric", "toy-gldpc"]), st.integers(0, 30),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_stacked_patterns_row_by_row(self, name, T, seed):
+        code = builtin_code(name)
+        rng = np.random.default_rng(seed)
+        E = channel.PauliErrorPattern(*rng.integers(0, 2, size=(2, T, code.n), dtype=np.uint8))
+        s_x, s_z = syndromes(code, E)
+        assert s_x.shape == (T, code.h_z.shape[0]) and s_z.shape == (T, code.h_x.shape[0])
+        assert s_x.dtype == s_z.dtype == np.uint8
+        for t in range(T):
+            one_x, one_z = syndromes(code, channel.PauliErrorPattern(E.e_x[t], E.e_z[t]))
+            assert np.array_equal(s_x[t], one_x) and np.array_equal(s_z[t], one_z)
+
+    @pytest.mark.parametrize("shape", [(14,), (3, 16), (2, 3, 15)])
+    def test_wrong_shapes_rejected(self, shape):
+        code = builtin_code("toy-gldpc")
+        e = np.zeros(shape, dtype=np.uint8)
+        with pytest.raises(ValueError):
+            syndromes(code, channel.PauliErrorPattern(e, e))

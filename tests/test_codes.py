@@ -5,8 +5,25 @@ import pytest
 
 from qgldpc import gf2
 from qgldpc.codes import (CodeFormatError, ComponentCode, GldpcCode, TannerGraph,
-                          builtin_code, builtin_codes, compute_logicals, flatten,
-                          load_code, write_code)
+                          _graph_to_obj, builtin_code, flatten, load_code, write_code)
+
+FIXTURES = ("steane", "toric", "toy-gldpc")
+
+
+def builtin_codes():
+    return [builtin_code(name) for name in FIXTURES]
+
+
+def kernel(H):
+    """Every vector of ker H, by brute force over all 2^n patterns."""
+    n = H.shape[1]
+    pats = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+    return pats[~gf2.Syndrome(H)(pats.T).any(axis=0)]
+
+
+def kernels_and_stabilizers(code):
+    """(ker H_X, row space of H_Z) for Z-logicals, and mirrored for X-logicals."""
+    return ((kernel(code.h_x), code.hz_space), (kernel(code.h_z), code.hx_space))
 
 
 def local_views(g, x):
@@ -173,16 +190,27 @@ class TestFileFormat:
         path.write_text('{"name": "x", "n": 4, "d": 2}')
         with pytest.raises(CodeFormatError, match="header"):
             load_code(path)
+        # a file without a graph fails validation too
+        graph = _graph_to_obj(builtin_code("steane").x_graph)
+        for present, missing in (("z_graph", "x_graph"), ("x_graph", "z_graph")):
+            path.write_text(json.dumps({"name": "t", "n": 7, "k": 1, "d": 3, present: graph}))
+            with pytest.raises(CodeFormatError, match=f"missing {missing}"):
+                load_code(path)
 
 
 class TestLogicals:
+    """Logical operators by brute force: the vectors of one side's kernel
+    outside the other side's stabilizer space (``hz_space``, ``hx_space``),
+    which the harness's success check tests residuals against."""
+
     def test_steane_single_logical_pair(self):
         code = builtin_code("steane")
-        basis = compute_logicals(code)
-        assert len(basis.z_logicals) == 1 and len(basis.x_logicals) == 1
-        # all-ones is a valid representative modulo the stabilizers
-        stacked = np.vstack([code.h_z, basis.z_logicals[0]])
-        assert gf2.RowSpace(stacked).contains(np.ones(7, dtype=np.uint8))
+        ones = np.ones(7, dtype=np.uint8)
+        for ker, stabilizers in kernels_and_stabilizers(code):
+            logicals = ker[~stabilizers.contains(ker)]
+            # all-ones is a representative: every logical is all-ones times a stabilizer
+            assert len(logicals) and not stabilizers.contains(ones)
+            assert stabilizers.contains(logicals ^ ones).all()
 
     def test_zero_k_code_empty_basis(self):
         # [[4,0]] code: both sides the full extended-Hamming-style rowspace
@@ -191,17 +219,12 @@ class TestLogicals:
         g1 = TannerGraph(4, [[0, 1, 2, 3], [0, 1, 2, 3]], comp)
         code = GldpcCode(name="k0", n=4, k=0, d=1, x_graph=g1,
                          z_graph=TannerGraph(4, [[0, 1, 2, 3], [0, 1, 2, 3]], comp))
-        basis = compute_logicals(code)
-        assert basis.z_logicals == [] and basis.x_logicals == []
+        for ker, stabilizers in kernels_and_stabilizers(code):
+            assert stabilizers.contains(ker).all()
 
     def test_logicals_satisfy_postconditions(self):
-        for name in ("steane", "toric", "toy-gldpc"):
-            code = builtin_code(name)
-            basis = compute_logicals(code)
-            assert len(basis.z_logicals) == code.k
-            for l in basis.z_logicals:
-                assert not code.x_graph.syndrome(l).any()
-                assert not gf2.RowSpace(code.h_z).contains(l)
-            for l in basis.x_logicals:
-                assert not code.z_graph.syndrome(l).any()
-                assert not gf2.RowSpace(code.h_x).contains(l)
+        # each kernel holds its 2^rank stabilizers and 2^k cosets of them
+        for code in builtin_codes():
+            for ker, stabilizers in kernels_and_stabilizers(code):
+                assert len(ker) == 2 ** (code.k + stabilizers.rank)
+                assert stabilizers.contains(ker).sum() == 2 ** stabilizers.rank

@@ -230,26 +230,33 @@ class TestRowSpace:
             subset = data.draw(st.lists(st.booleans(), min_size=H.shape[0],
                                         max_size=H.shape[0]))
             r = np.bitwise_xor.reduce(H[np.array(subset, dtype=bool)], axis=0)
-        expected = gf2.rank(np.vstack([H, r])) == gf2.rank(H)
         space = gf2.RowSpace(H)
-        assert space.contains(r) == expected
-        assert space.rank == gf2.rank(H)
+        assert space.contains(r) == rank_test(H, r)
+        assert space.rank == gf2.row_reduce(H).rank
+
+    @given(bit_matrices(), st.data())
+    @settings(max_examples=300)
+    def test_block_is_row_by_row(self, H, data):
+        # members and non-members mixed in one (T, n) block
+        m, n = H.shape
+        T = data.draw(st.integers(0, 12))
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=T * (m + n),
+                                  max_size=T * (m + n)))
+        bits = np.array(bits, dtype=np.uint8).reshape(T, m + n)
+        members = gf2.Syndrome(H.T)(bits[:, :m].T).T  # combinations of rows
+        R = np.where(bits[:, :1] == 1, members, bits[:, m:]).astype(np.uint8)
+        space = gf2.RowSpace(H)
+        got = space.contains(R)
+        assert got.shape == (T,) and got.dtype == bool
+        assert got.tolist() == [bool(space.contains(r)) for r in R]
+        assert got.tolist() == [rank_test(H, r) for r in R]
+
+    @pytest.mark.parametrize("shape", [(2, 3, 7), (1, 1, 1, 7), (), (6,), (8,), (4, 6), (4, 8)])
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(ValueError):
+            gf2.RowSpace(HAMMING).contains(np.zeros(shape))
 
 
-class TestNullSpace:
-    def test_hamming_kernel(self):
-        basis = gf2.null_space(HAMMING)
-        assert len(basis) == 4
-        for v in basis:
-            assert not gf2.Syndrome(HAMMING)(v).any()
-        assert gf2.rank(np.array(basis)) == 4
-
-    @given(bit_matrices())
-    @settings(max_examples=200)
-    def test_kernel_basis(self, H):
-        basis = gf2.null_space(H)
-        k = H.shape[1] - brute_force_rank(H)
-        assert basis.shape == (k, H.shape[1])
-        assert not gf2.Syndrome(H)(basis.T).any()
-        if k:
-            assert brute_force_rank(basis) == k
+def rank_test(H, r) -> bool:
+    """r lies in the row space of H iff appending it keeps the rank."""
+    return gf2.row_reduce(np.vstack([H, r])).rank == gf2.row_reduce(H).rank

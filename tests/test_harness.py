@@ -10,9 +10,10 @@ import qgldpc
 from qgldpc import channel
 from qgldpc.cli import main
 from qgldpc.codes import builtin_code
-from qgldpc.gldpc import SideResult
+from qgldpc.gf2 import row_reduce
+from qgldpc.gldpc import DecodeResult, SideResult
 from qgldpc.harness import (CSV_HEADER, DECODERS, CurvePoint, ExperimentConfig,
-                            _side_success, convergence_study, pseudothreshold,
+                            _tail, convergence_study, pseudothreshold,
                             read_csv, resolve_code, run_point, run_sweep,
                             run_trial, uncoded_bler, wilson_interval, write_csv)
 
@@ -25,17 +26,41 @@ def make_point(p, bler, trials=10000):
                       mean_iterations=1.0, osd_rate=0.0, seed=0)
 
 
+def z_logical(code):
+    """A Z-logical: the first vector of ker H_X outside the row space of H_Z,
+    by brute force over all 2^n patterns and a rank test."""
+    pats = ((np.arange(1 << code.n)[:, None] >> np.arange(code.n)) & 1).astype(np.uint8)
+    rank_z = row_reduce(code.h_z).rank
+    for v in pats[~code.x_graph.syndrome(pats.T).any(axis=0)]:
+        if row_reduce(np.vstack([code.h_z, v])).rank > rank_z:
+            return v
+    raise AssertionError(f"{code.name} has no Z-logical")
+
+
 class TestSuccessCheck:
-    def _side(self, e_hat):
-        return SideResult(e_hat=e_hat.astype(np.uint8), converged=True,
-                          iterations_used=1, app=np.zeros(e_hat.shape[0]))
+    """The harness's batched tail, on chunks whose X side is exact."""
+
+    def _failed(self, code, e_z, e_hat_z, s_z):
+        """``_tail`` without OSD on a chunk with Z-side rows (e_z, e_hat_z, s_z)."""
+        e_z, e_hat_z, s_z = (np.atleast_2d(a).astype(np.uint8) for a in (e_z, e_hat_z, s_z))
+        T = len(e_z)
+
+        def side(e_hat):
+            return SideResult(e_hat=e_hat, app=np.zeros(e_hat.shape),
+                              converged=np.ones(T, bool), iterations_used=np.ones(T, int))
+
+        zero = np.zeros((T, code.n), dtype=np.uint8)
+        result = DecodeResult(z_side=side(e_hat_z), x_side=side(zero))
+        e = channel.PauliErrorPattern(e_x=zero, e_z=e_z)
+        s_x = np.zeros((T, code.h_z.shape[0]), dtype=np.uint8)
+        return _tail(code, result, e, s_x, s_z, None, 0.1)
 
     def test_exact_recovery_succeeds(self):
         code = builtin_code("toy-gldpc")
         e = channel.sample_error(channel.DepolarizingParams(0.1), code.n,
                                  channel.trial_rng(0, 0.1, 0))
         _, s_z = channel.syndromes(code, e)
-        assert _side_success(code, self._side(e.e_z), e.e_z, s_z, z_side=True)
+        assert not self._failed(code, e.e_z, e.e_z, s_z)[0]
 
     def test_stabilizer_equivalent_recovery_succeeds(self):
         # differing from the truth by a stabilizer row is still a success
@@ -44,24 +69,40 @@ class TestSuccessCheck:
         e_z[2] = 1
         s_z = code.x_graph.syndrome(e_z)
         e_hat = e_z ^ code.h_z[0]
-        assert _side_success(code, self._side(e_hat), e_z, s_z, z_side=True)
+        assert not self._failed(code, e_z, e_hat, s_z)[0]
 
     def test_logical_operator_residual_fails(self):
-        from qgldpc.codes import compute_logicals
         code = builtin_code("toy-gldpc")
-        logical = compute_logicals(code).z_logicals[0]
+        logical = z_logical(code)
         e_z = np.zeros(code.n, dtype=np.uint8)
         s_z = np.zeros(code.h_x.shape[0], dtype=np.uint8)
-        assert not _side_success(code, self._side(np.asarray(logical)), e_z,
-                                 s_z, z_side=True)
+        assert self._failed(code, e_z, logical, s_z)[0]
 
     def test_wrong_syndrome_fails(self):
         code = builtin_code("toy-gldpc")
         e_z = np.zeros(code.n, dtype=np.uint8)
         e_z[0] = 1
         s_z = code.x_graph.syndrome(e_z)
-        assert not _side_success(code, self._side(np.zeros(code.n)), e_z, s_z,
-                                 z_side=True)
+        assert self._failed(code, e_z, np.zeros(code.n), s_z)[0]
+
+    def test_chunk_checks_each_row(self):
+        # the four cases above as the rows of one chunk
+        code = builtin_code("toy-gldpc")
+        unit = np.eye(code.n, dtype=np.uint8)
+        e_z = np.array([unit[3], unit[2], 0 * unit[0], unit[0]])
+        e_hat = np.array([unit[3], unit[2] ^ code.h_z[0], z_logical(code), 0 * unit[0]])
+        s_z = code.x_graph.syndrome(e_z.T).T
+        assert self._failed(code, e_z, e_hat, s_z).tolist() == [False, False, True, True]
+
+    def test_x_side_failure_fails_the_trial(self):
+        code = builtin_code("toy-gldpc")
+        zero = np.zeros((1, code.n), dtype=np.uint8)
+        sides = [SideResult(e_hat=e_hat, app=np.zeros(e_hat.shape), converged=np.ones(1, bool),
+                            iterations_used=np.ones(1, int)) for e_hat in (zero, zero.copy())]
+        result = DecodeResult(z_side=sides[0], x_side=sides[1])
+        e = channel.PauliErrorPattern(e_x=np.eye(code.n, dtype=np.uint8)[:1], e_z=zero)
+        s_x, s_z = channel.syndromes(code, e)
+        assert _tail(code, result, e, s_x, s_z, None, 0.1).tolist() == [True]
 
 
 class TestWilsonInterval:
@@ -329,7 +370,13 @@ class TestCli:
 
     def test_validate_bad_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text("{")
-        rc = main(["validate", "--code", str(bad)])
-        assert rc == 1
-        assert "INVALID" in capsys.readouterr().out
+        header = '{"name": "t", "n": 4, "k": 0, "d": 1'
+        graph = '{"component_H": [[1, 1, 1, 1], [1, 1, 0, 0]], "cns": [[0, 1, 2, 3], [0, 1, 2, 3]]}'
+        for text, reason in (("{", "parse"), (header + "}", "missing x_graph"),
+                             (header + ', "z_graph": ' + graph + "}", "missing x_graph"),
+                             (header + ', "x_graph": ' + graph + "}", "missing z_graph")):
+            bad.write_text(text)
+            rc = main(["validate", "--code", str(bad)])
+            assert rc == 1
+            out = capsys.readouterr().out
+            assert out.startswith("INVALID: ") and reason in out

@@ -23,7 +23,6 @@ def dense_minsum(H, L_ch, s, cfg: BpConfig) -> SideResult:
     v2c = np.where(mask, L_ch[None, :], 0.0)
     e_hat = (L_ch < 0).astype(np.uint8)
     app = L_ch.copy()
-    trace: list[bool] = []
     for it in range(1, cfg.n_iter + 1):
         # per-row sign product and two smallest magnitudes, excluding self
         sgn = np.where(v2c < 0, -1.0, 1.0)
@@ -45,13 +44,9 @@ def dense_minsum(H, L_ch, s, cfg: BpConfig) -> SideResult:
         app = L_ch + c2v.sum(axis=0)
         e_hat = (app < 0).astype(np.uint8)
         v2c = np.where(mask, clamp_llr(app[None, :] - c2v), 0.0)
-        ok = bool(np.array_equal((H.astype(np.int64) @ e_hat) % 2, s))
-        trace.append(ok)
-        if ok:
-            return SideResult(e_hat=e_hat, converged=True, iterations_used=it,
-                              app=app, syndrome_trace=trace)
-    return SideResult(e_hat=e_hat, converged=False, iterations_used=cfg.n_iter,
-                      app=app, syndrome_trace=trace)
+        if np.array_equal((H.astype(np.int64) @ e_hat) % 2, s):
+            return SideResult(e_hat=e_hat, app=app, converged=True, iterations_used=it)
+    return SideResult(e_hat=e_hat, app=app, converged=False, iterations_used=cfg.n_iter)
 
 
 @st.composite
@@ -150,7 +145,6 @@ class TestMinsumDecode:
                             BpConfig(n_iter=5))
         assert not out.converged
         assert out.iterations_used == 5
-        assert len(out.syndrome_trace) == 5
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(31)
@@ -194,7 +188,6 @@ class TestAgainstDenseReference:
             assert np.array_equal(got.app, ref.app)
             assert got.converged == ref.converged
             assert got.iterations_used == ref.iterations_used
-            assert got.syndrome_trace == ref.syndrome_trace
 
     def test_edge_block_built_once_per_operator(self):
         code = builtin_code("toy-gldpc")

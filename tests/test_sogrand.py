@@ -9,8 +9,8 @@ from qgldpc import gf2
 from qgldpc.channel import clamp_llr
 from qgldpc.codes import ComponentCode
 from qgldpc.orbgrand import rank_flip_table
-from qgldpc.sogrand import (CandidateList, SograndParams, decode_block,
-                            estimate_missing_mass, extract_soft, sogrand_decode)
+from qgldpc.sogrand import (CandidateList, SograndParams, _soft, decode_block,
+                            estimate_missing_mass, sogrand_decode)
 
 HAMMING = np.array([[1, 0, 1, 0, 1, 0, 1],
                     [0, 1, 1, 0, 0, 1, 1],
@@ -35,6 +35,16 @@ def brute_force_posteriors(H, L_A, s):
     p1 = (mass[:, None] * pats).sum(axis=0) / total
     map_pattern = pats[np.argmax(mass)]
     return p1, map_pattern
+
+
+def soft_from_list(cand, L_A):
+    """(L_APP, L_E, best pattern) of one row from a finalized candidate list."""
+    n = len(cand.patterns)
+    patterns = np.reshape(cand.patterns, (1, n, len(L_A)))
+    L_APP, L_E, best = _soft(np.asarray(L_A, dtype=float)[None], patterns,
+                             np.array([cand.masses]).reshape(1, n), np.array([n]),
+                             np.array([cand.P_g]), cand.m_c)
+    return L_APP[0], L_E[0], best[0]
 
 
 def saturated_params(n_c):
@@ -202,9 +212,9 @@ class TestSograndDecodeBasics:
         masses = [0.01, 0.2, 0.05, 0.11]
         cand.patterns, cand.masses = pats, list(masses)
         L_A = rng.normal(0, 1, 5)
-        best = extract_soft(cand, L_A).best_pattern
+        best = soft_from_list(cand, L_A)[2]
         cand.masses = [17.3 * m for m in masses]
-        assert np.array_equal(extract_soft(cand, L_A).best_pattern, best)
+        assert np.array_equal(soft_from_list(cand, L_A)[2], best)
 
     def test_dimension_checks(self):
         comp = ComponentCode(HAMMING)
@@ -246,8 +256,8 @@ class TestSaturationExactness:
         cand = CandidateList(m_c=3, P_g=0.999999)
         cand.patterns = [np.zeros(6, dtype=np.uint8)]
         cand.masses = [0.9]
-        out = extract_soft(cand, np.full(6, 1.0))
-        assert (out.L_APP > 5.0).all()
+        L_APP, _, _ = soft_from_list(cand, np.full(6, 1.0))
+        assert (L_APP > 5.0).all()
 
 
 class TestBlockAgainstLoop:
@@ -284,9 +294,9 @@ class TestBlockAgainstLoop:
         assert len(one.cand.patterns) == n
         assert one.cand.masses == block.masses[0, :n].tolist()
         assert one.cand.P_g == block.P_g[0]
-        soft = extract_soft(one.cand, clamp_llr(L[0]))
-        assert np.array_equal(soft.L_APP, one.L_APP)
-        assert np.array_equal(soft.L_E, one.L_E)
+        L_APP, L_E, _ = soft_from_list(one.cand, clamp_llr(L[0]))
+        assert np.array_equal(L_APP, one.L_APP)
+        assert np.array_equal(L_E, one.L_E)
 
     @pytest.mark.parametrize("n_c, m_c, budget", [(12, 12, 300), (20, 15, 40), (80, 70, 30)])
     def test_many_checks_match_per_check_decoder(self, n_c, m_c, budget):

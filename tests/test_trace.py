@@ -4,13 +4,16 @@ The tracer wraps module-level names that the package looks up at call
 time; a refactor that binds them early would hide a layer from it.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
 
 import spans  # noqa: E402
 from qgldpc import channel, gldpc, harness  # noqa: E402
@@ -90,14 +93,30 @@ def test_one_block_decode_per_side_and_iteration(monkeypatch, correlated):
 
     if correlated:
         out = gldpc.decode_correlated_trials(code, priors.pauli_prior, s_x, s_z)
-        iters = [r.iterations_used for r in out]
+        iters = out.iterations_used.tolist()
         expected = [(g.m * running(iters, it), g.component.n_c)
                     for it in range(1, max(iters) + 1) for g in (xg, zg)]
     else:
         out = gldpc.decode_independent_trials(code, priors, s_x, s_z)
         expected = [(g.m * running(iters, it), g.component.n_c)
-                    for g, iters in ((xg, [r.z_side.iterations_used for r in out]),
-                                     (zg, [r.x_side.iterations_used for r in out]))
+                    for g, iters in ((xg, out.z_side.iterations_used.tolist()),
+                                     (zg, out.x_side.iterations_used.tolist()))
                     for it in range(1, max(iters) + 1)]
     assert calls == expected
     assert calls[0][0] > calls[-1][0]  # trials left as they converged
+
+
+def test_bench_micro_benches_run():
+    # bench/run.py's micro-benches call the one-trial views (sogrand_decode,
+    # minsum_decode) and read their fields; run.py pins the BLAS threads when
+    # imported, so it runs in a fresh interpreter
+    script = (f"import json, sys; sys.path.insert(0, {str(BENCH)!r}); import run; "
+              "run.load_package(); "
+              "print(json.dumps({k: v for k, (v, _) in run.micro_benches(0).items()}))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, cwd=BENCH.parent)
+    assert proc.returncode == 0, proc.stderr
+    values = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert sorted(values) == ["osd.micro_ms.toric8", "sogrand.micro_us.ham15",
+                              "sogrand.micro_us.ham7", "sogrand.micro_us.spc4"]
+    assert all(v > 0 for v in values.values())
