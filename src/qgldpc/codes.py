@@ -248,8 +248,12 @@ _BUILTIN_FACTORIES = {
 
 
 def builtin_code(name: str) -> GldpcCode:
+    """A built-in fixture, or ``toric-L`` for the toric code on an L x L torus, L >= 2."""
+    length = name.removeprefix("toric-")
+    if name.startswith("toric-") and length.isdecimal() and int(length) >= 2:
+        return _toric(int(length))
     try:
         return _BUILTIN_FACTORIES[name]()
     except KeyError:
-        raise KeyError(f"unknown builtin code {name!r}; "
-                       f"available: {sorted(_BUILTIN_FACTORIES)}") from None
+        raise KeyError(f"unknown builtin code {name!r}; available: "
+                       f"{sorted(_BUILTIN_FACTORIES)} and toric-L for L >= 2") from None

@@ -2,8 +2,9 @@
 
 Vectors and matrices are numpy arrays with entries in {0, 1}, inside the
 module as at its boundary.  Every matrix-vector product H v of the package
-goes through one operator, ``Syndrome``, which holds H once as an integer
-matrix (SOGRAND's block kernel alone uses integer syndrome codes of its own).
+goes through one operator, ``Syndrome``, which holds H once as a float64
+matrix for BLAS: its counts are integers below 2^53, exact in any summation
+order (SOGRAND's block kernel alone uses integer syndrome codes of its own).
 Elimination works on ``[H | I]`` with whole-row XORs and records the row
 operations; row-space tests are read from its result.
 """
@@ -23,14 +24,14 @@ def _as_bitmatrix(H) -> np.ndarray:
 
 
 class Syndrome:
-    """The GF(2) map v -> H v, with H held once as an integer matrix.
+    """The GF(2) map v -> H v, with H held once as a float64 matrix.
 
     ``v`` is a bit vector of length n_cols, or an (n_cols, k) matrix whose
     columns are bit vectors; the result is a uint8 array.
     """
 
     def __init__(self, H):
-        self.H = _as_bitmatrix(H).astype(np.int64)
+        self.H = _as_bitmatrix(H).astype(np.float64)
         self.H.setflags(write=False)
 
     def __call__(self, v) -> np.ndarray:
@@ -38,7 +39,8 @@ class Syndrome:
         if v.ndim not in (1, 2) or v.shape[0] != self.H.shape[1]:
             raise ValueError(f"operand of shape {v.shape} does not fit a "
                              f"{self.H.shape[0]}x{self.H.shape[1]} matrix")
-        return (self.H @ v % 2).astype(np.uint8)
+        # counts are exact integers; int64 -> uint8 wraps mod 256, keeping parity
+        return (self.H @ v).astype(np.int64).astype(np.uint8) & 1
 
 
 @dataclass(frozen=True)

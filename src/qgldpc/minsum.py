@@ -47,7 +47,6 @@ def _minsum_rule(check: gf2.Syndrome):
     block[rows, np.arange(n_edges) - first[rows]] = np.arange(n_edges)
     block[degree == 1, 1] = n_edges + 1
     edge_slots = np.flatnonzero(block < n_edges)  # in the flattened (m, d) block
-    slots = np.arange(block.shape[1])
     pads = np.array([np.inf, LLR_CLAMP])
 
     def rule(v2c, scale):  # (A, E) messages -> (A, E); one check per row of msg
@@ -57,15 +56,12 @@ def _minsum_rule(check: gf2.Syndrome):
         msg = padded.take(block, axis=1).reshape(-1, block.shape[1])
         sgn = np.where(msg < 0, -1.0, 1.0)
         row_sign = sgn.prod(axis=1, keepdims=True)
-        # two smallest magnitudes per check, to exclude each edge's own
+        # two smallest magnitudes per check, to exclude each edge's own; an
+        # edge tied with the minimum gets min2, which then equals min1
         mag = np.abs(msg)
-        rows = np.arange(len(mag))
-        min1_idx = mag.argmin(axis=1)
-        min1 = mag[rows, min1_idx]
-        mag[rows, min1_idx] = np.inf
-        min2 = mag.min(axis=1)
-        min_excl = np.minimum(np.where(slots == min1_idx[:, None], min2[:, None],
-                                       min1[:, None]), LLR_CLAMP)
+        smallest = np.partition(mag, 1, axis=1)
+        min1, min2 = smallest[:, :1], smallest[:, 1:2]
+        min_excl = np.minimum(np.where(mag == min1, min2, min1), LLR_CLAMP)
         out = scale * row_sign * sgn * min_excl
         return out.reshape(len(v2c), -1).take(edge_slots, axis=1)
 

@@ -4,16 +4,18 @@ Columns are visited in decreasing reliability |L_APP| so the pivot set is
 the most reliably known independent column set; the remaining (non-pivot)
 bits keep their hard decisions, the pivot bits are re-solved from the
 syndrome, and low-weight flips of the least reliable non-pivot bits are
-swept.  All candidates are built as one (C, n) matrix: the flip sets as a
-0/1 matrix over the free bits, the pivot bits from one GF(2) product.
-Every candidate satisfies the syndrome by construction; the most likely
-one under the channel prior wins.
+swept.  All candidates are built as one (C, n) matrix.  The pivot bits are
+linear in the free bits, so one GF(2) product gives them for the unflipped
+hard decisions, and each candidate adds the XOR of the few reduced columns
+its flip set selects, read by a gather.  Every candidate satisfies the
+syndrome by construction; the most likely one under the channel prior wins.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,10 +38,11 @@ class OsdConfig:
             raise ValueError(f"unknown OSD strategy {self.strategy!r}")
 
 
+@lru_cache(maxsize=32)
 def _flip_sets(n_free: int, cfg: OsdConfig) -> np.ndarray:
-    """(C, n_free) 0/1 flip sets, one per row; row 0 flips nothing.
-
-    Column i is the i-th free (non-pivot) bit from least to most reliable.
+    """(C, width) read-only flip sets, one per row, as positions among the
+    free bits padded with the sentinel n_free (flips nothing); row 0 flips
+    nothing.  Position i is the i-th free bit from least to most reliable.
     """
     w = min(cfg.order_w, n_free)
     if cfg.strategy == "exhaustive_w":
@@ -47,9 +50,10 @@ def _flip_sets(n_free: int, cfg: OsdConfig) -> np.ndarray:
                    for c in itertools.combinations(range(w), size)]
     else:  # combination_sweep: all single flips, plus pairs among the w least reliable
         subsets = [(i,) for i in range(n_free)] + list(itertools.combinations(range(w), 2))
-    flips = np.zeros((1 + len(subsets), n_free), dtype=np.uint8)
+    flips = np.full((1 + len(subsets), max(map(len, subsets), default=0)), n_free)
     for row, subset in enumerate(subsets, start=1):
-        flips[row, list(subset)] = 1
+        flips[row, :len(subset)] = subset
+    flips.setflags(write=False)
     return flips
 
 
@@ -85,15 +89,32 @@ def osd_postprocess(H, s, soft_llr, cfg: OsdConfig = OsdConfig(),
     free = order[~np.isin(order, pivots)]
     # free positions from least to most reliable
     free = free[np.argsort(reliability[free], kind="stable")]
+    R_free = elim.reduced[:rank, free]
 
-    fills = hard[free] ^ _flip_sets(free.size, cfg)
-    E = np.zeros((fills.shape[0], n), dtype=np.uint8)
-    E[:, free] = fills
-    E[:, pivots] = (T_s[:rank, None] ^ gf2.Syndrome(elim.reduced[:rank, free])(fills.T)).T
+    flips = _flip_sets(free.size, cfg)
+    E = np.zeros((len(flips), n + 1), dtype=np.uint8)  # column n takes the pads
+    E[:, free] = hard[free]
+    E[np.arange(len(flips))[:, None], np.append(free, n)[flips]] ^= 1
+    # the unflipped solution, plus the XOR of the R_free columns each flip set selects
+    R_cols = np.vstack([R_free.T, np.zeros(rank, dtype=np.uint8)])  # the pad selects 0
+    E[:, pivots] = (T_s[:rank] ^ gf2.Syndrome(R_free)(hard[free])
+                    ^ np.bitwise_xor.reduce(R_cols[flips], axis=1))
+    E = E[:, :n]
 
     # Score each row as a sum over its ones: a sum over whole rows of E,
     # zeros included, groups the terms differently, so it can round
-    # differently and change which equal-weight candidate wins.
+    # differently and change which equal-weight candidate wins.  When every
+    # bit scores the same, that sum depends only on the row's weight.
     log_flip = np.log(q) - np.log1p(-q)  # per-bit score delta for a 1
-    keys = [(-float(log_flip[e == 1].sum()), int(e.sum()), e.tobytes()) for e in E]
-    return E[min(range(len(keys)), key=keys.__getitem__)]
+    weight = E.sum(axis=1)
+    if n and (log_flip == log_flip[0]).all():
+        table = np.zeros(n + 1)
+        for k in np.flatnonzero(np.bincount(weight)):
+            table[k] = np.full(k, log_flip[0]).sum()
+        score = table[weight]
+    else:
+        score = np.array([log_flip[e == 1].sum() for e in E])
+    # most likely, then lightest, then the smallest row as bytes
+    tied = np.flatnonzero(score == score.max())
+    tied = tied[weight[tied] == weight[tied].min()]
+    return E[min(tied, key=lambda c: E[c].tobytes())]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +125,28 @@ class TestBuiltins:
     def test_unknown_builtin(self):
         with pytest.raises(KeyError):
             builtin_code("nope")
+
+    @pytest.mark.parametrize("name", ["toric-1", "toric-0", "toric-x", "toric-", "toric-+3"])
+    def test_bad_toric_length(self, name):
+        with pytest.raises(KeyError, match="toric-L"):
+            builtin_code(name)
+
+    def test_builtin_toric_is_l2(self):
+        code = builtin_code("toric")
+        assert (code.n, code.d) == (8, 2)
+
+    @pytest.mark.parametrize("L", [8, 12])
+    def test_toric_l_matches_shipped_code_file(self, L):
+        shipped = load_code(Path(__file__).resolve().parents[1] / "bench" / "codes"
+                            / f"toric{L}.json")
+        code = builtin_code(f"toric-{L}")
+        assert (code.n, code.k, code.d) == (shipped.n, shipped.k, shipped.d)
+        for a, b in ((code.x_graph, shipped.x_graph), (code.z_graph, shipped.z_graph)):
+            assert a.cns == b.cns
+            assert np.array_equal(a.component.H, b.component.H)
+            assert np.array_equal(a.flat, b.flat)
+        assert np.array_equal(code.h_x, shipped.h_x)
+        assert np.array_equal(code.h_z, shipped.h_z)
 
 
 class TestValidation:

@@ -83,6 +83,49 @@ class TestMatVecMul:
         assert np.array_equal(lhs, rhs)
 
 
+def parity_oracle(H, v):
+    """H v over GF(2) in plain Python: one parity per (row, column of v)."""
+    cols = [v] if v.ndim == 1 else list(v.T)
+    out = [[sum(int(h) & int(x) for h, x in zip(row, col)) % 2 for col in cols]
+           for row in H.tolist()]
+    return np.array(out, dtype=np.uint8).reshape((len(out),) + v.shape[1:])
+
+
+@st.composite
+def syndrome_operands(draw):
+    """H with all-ones rows mixed in (up to width 600: the largest counts),
+    and an (n,) or (n, k) operand as uint8, bool or float 0/1."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    m = draw(st.integers(1, 6))
+    n = draw(st.sampled_from([1, 2, 7, 64, 255, 256, 257, 600]))
+    H = (rng.random((m, n)) < draw(st.sampled_from([0.1, 0.5, 0.9]))).astype(np.uint8)
+    H[rng.random(m) < 0.5] = 1
+    shape = (n,) if draw(st.booleans()) else (n, draw(st.integers(1, 4)))
+    v = (rng.random(shape) < draw(st.sampled_from([0.5, 1.0]))).astype(np.uint8)
+    return H, v.astype(draw(st.sampled_from([np.uint8, np.bool_, np.float64])))
+
+
+class TestSyndromeAgainstParityOracle:
+    @given(syndrome_operands())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_plain_python_parities(self, case):
+        H, v = case
+        out = gf2.Syndrome(H)(v)
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, parity_oracle(H, v))
+
+    def test_all_ones_counts_past_uint8(self):
+        for n in (255, 256, 257, 511, 512, 599, 600):
+            out = gf2.Syndrome(np.ones((1, n)))(np.ones(n, dtype=np.uint8))
+            assert out.dtype == np.uint8 and out.tolist() == [n % 2]
+
+    def test_matrix_is_read_only(self):
+        op = gf2.Syndrome(HAMMING)
+        with pytest.raises(ValueError):
+            op.H[0, 0] = 0
+
+
 class TestRowReduce:
     def test_identity(self):
         elim = gf2.row_reduce(np.eye(5))

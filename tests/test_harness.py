@@ -352,6 +352,9 @@ class TestCli:
          "--max-failures", "0"],
         ["--code", "builtin:toy-gldpc", "--p", "0.05", "--trials", "500",
          "--max-failures", "-3"],
+        ["--code", "builtin:toric-1", "--p", "0.05", "--trials", "5"],
+        ["--code", "builtin:toric-x", "--p", "0.05", "--trials", "5"],
+        ["--code", "builtin:toric-", "--p", "0.05", "--trials", "5"],
     ])
     def test_sim_bad_input_is_one_line_error(self, args, tmp_path):
         src = str(Path(qgldpc.__file__).resolve().parents[1])
@@ -362,6 +365,12 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("qgldpc sim: error: ")
+
+    def test_sim_builtin_toric_l(self, capsys):
+        rc = main(["sim", "--code", "builtin:toric-12", "--decoder", "bp-osd",
+                   "--p", "0.05", "--trials", "2", "--seed", "1"])
+        assert rc == 0
+        assert "bler=" in capsys.readouterr().out
 
     def test_validate_builtin(self, capsys):
         rc = main(["validate", "--code", "builtin:toy-gldpc"])

@@ -69,6 +69,20 @@ def minsum_inputs(draw):
                    n_iter=draw(st.integers(1, 25)))
     return H, L, s, cfg
 
+
+@st.composite
+def tied_minsum_inputs(draw):
+    """Tie-heavy inputs: LLRs on a 0.5 grid with +0.0 and -0.0, and a degree-1 check."""
+    H, _, s, cfg = draw(minsum_inputs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row = rng.integers(len(H))
+    H[row] = 0
+    H[row, rng.integers(H.shape[1])] = 1  # a degree-1 check
+    L = rng.choice([-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5], size=H.shape[1])
+    cfg = BpConfig(alpha=draw(st.sampled_from([0.5, 1.0])), n_iter=cfg.n_iter)
+    return H, L, s, cfg
+
+
 HAMMING = np.array([[1, 0, 1, 0, 1, 0, 1],
                     [0, 1, 1, 0, 0, 1, 1],
                     [0, 0, 0, 1, 1, 1, 1]], dtype=np.uint8)
@@ -188,6 +202,16 @@ class TestAgainstDenseReference:
             assert np.array_equal(got.app, ref.app)
             assert got.converged == ref.converged
             assert got.iterations_used == ref.iterations_used
+
+    @given(tied_minsum_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_ties_and_signed_zeros_match_dense(self, inputs):
+        H, L, s, cfg = inputs
+        ref = dense_minsum(H, L, s, cfg)
+        got = minsum_decode(H, L, s, cfg)
+        assert np.array_equal(got.app.view(np.uint64), ref.app.view(np.uint64))  # sign of 0 too
+        assert np.array_equal(got.e_hat, ref.e_hat)
+        assert (got.converged, got.iterations_used) == (ref.converged, ref.iterations_used)
 
     def test_edge_block_built_once_per_operator(self):
         code = builtin_code("toy-gldpc")

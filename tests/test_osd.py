@@ -166,20 +166,35 @@ class TestAgainstLoopOsd:
         assert e.dtype == np.uint8
         assert np.array_equal(e, expected)
 
-    @pytest.mark.parametrize("cfg", [OsdConfig(), OsdConfig(5, "exhaustive_w")],
-                             ids=["combination_sweep", "exhaustive_w"])
-    def test_identical_on_failed_toric_decodes(self, cfg):
+    @pytest.mark.parametrize("cfg, L, q, p_err", [
+        (OsdConfig(), 12, 0.04, 0.06), (OsdConfig(5, "exhaustive_w"), 12, 0.04, 0.06),
+        # toric-8 at the harness's per-side prior q = 2p/3, p = 0.05
+        (OsdConfig(), 8, 2 * 0.05 / 3, 0.05), (OsdConfig(5, "exhaustive_w"), 8, 2 * 0.05 / 3, 0.05),
+    ], ids=["combination_sweep", "exhaustive_w",
+            "combination_sweep-toric8", "exhaustive_w-toric8"])
+    def test_identical_on_failed_toric_decodes(self, cfg, L, q, p_err):
         # many equal-weight candidates: the tie-break and rounding decide
-        code = _toric(12)
-        q = 0.04
+        code = _toric(L)
         llr = np.full(code.n, math.log((1 - q) / q))
         rng = np.random.default_rng(8)
         for _ in range(60):
-            err = (rng.random(code.n) < 0.06).astype(np.uint8)
+            err = (rng.random(code.n) < p_err).astype(np.uint8)
             s = code.x_graph.syndrome(err)
             soft = minsum_decode(code.h_x, llr, s, BpConfig(n_iter=8)).app
             assert np.array_equal(osd_postprocess(code.h_x, s, soft, cfg, channel_q=q),
                                   loop_osd(code.h_x, s, soft, cfg, q))
+
+    @given(osd_inputs(), st.sampled_from(["float", "0-d", "constant array"]))
+    @settings(max_examples=150, deadline=None)
+    def test_scalar_q_in_any_form(self, case, form):
+        # every bit scores the same, so candidates are scored by their weight;
+        # the per-row loop of loop_osd must agree whatever form q takes
+        H, s, soft, cfg, _ = case
+        q = 0.1
+        channel_q = {"float": q, "0-d": np.array(q),
+                     "constant array": np.full(H.shape[1], q)}[form]
+        assert np.array_equal(osd_postprocess(H, s, soft, cfg, channel_q=channel_q),
+                              loop_osd(H, s, soft, cfg, q))
 
 
 class TestAgainstBruteForceMl:
@@ -224,6 +239,14 @@ class TestCandidateBudget:
         n_free = 7 - 3  # rank of the Hamming matrix is 3
         flips = _flip_sets(n_free, OsdConfig(order_w=3))
         assert flips.shape[0] == 1 + n_free + math.comb(3, 2)
+
+
+    def test_flip_index_cached_and_read_only(self):
+        cfg = OsdConfig(order_w=3)
+        flips = _flip_sets(6, cfg)
+        assert _flip_sets(6, cfg) is flips
+        with pytest.raises(ValueError):
+            flips[0, 0] = 1
 
 
 class TestReliabilityOrdering:
