@@ -84,6 +84,4 @@ def make_priors(params: DepolarizingParams, n: int) -> ChannelPrior:
 def syndromes(code: GldpcCode, e: PauliErrorPattern) -> tuple[np.ndarray, np.ndarray]:
     """s_x = H_Z e_x and s_z = H_X e_z (error-free measurement), of one (n,)
     pattern or row by row of a (T, n) block."""
-    if e.e_x.shape[-1] != code.n:
-        raise ValueError("error pattern length does not match code")
-    return code.z_graph.syndrome(e.e_x.T).T, code.x_graph.syndrome(e.e_z.T).T
+    return code.z_graph.syndrome(e.e_x), code.x_graph.syndrome(e.e_z)

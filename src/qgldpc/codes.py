@@ -109,7 +109,7 @@ class GldpcCode:
         if self.x_graph.n != self.n or self.z_graph.n != self.n:
             raise CodeFormatError("graph lengths disagree with declared n")
         h_x, h_z = self.h_x, self.h_z
-        if np.any(self.x_graph.syndrome(h_z.T)):
+        if np.any(self.x_graph.syndrome(h_z)):
             raise CodeFormatError(
                 f"CSS condition violated: H_X H_Z^T != 0 for code {self.name!r}")
         # the stabilizer row spaces: a residual e ^ e_hat is harmless iff it lies

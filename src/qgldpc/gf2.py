@@ -1,12 +1,12 @@
 """Exact linear algebra over GF(2).
 
 Vectors and matrices are numpy arrays with entries in {0, 1}, inside the
-module as at its boundary.  Every matrix-vector product H v of the package
-goes through one operator, ``Syndrome``, which holds H once as a float64
-matrix for BLAS: its counts are integers below 2^53, exact in any summation
-order (SOGRAND's block kernel alone uses integer syndrome codes of its own).
-Elimination works on ``[H | I]`` with whole-row XORs and records the row
-operations; row-space tests are read from its result.
+module as at its boundary.  Every product H v goes through one operator,
+``Syndrome``, on rows as callers hold them: (n,) or (T, n).  It holds H
+once as a float64 matrix for BLAS, whose counts are integers below 2^53,
+exact in any summation order (SOGRAND's block kernel alone uses integer
+syndrome codes of its own).  Elimination XORs whole rows of a copy of its
+input; row-space tests and OSD's solve of ``[H | s]`` read its result.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ def _as_bitmatrix(H) -> np.ndarray:
 class Syndrome:
     """The GF(2) map v -> H v, with H held once as a float64 matrix.
 
-    ``v`` is a bit vector of length n_cols, or an (n_cols, k) matrix whose
-    columns are bit vectors; the result is a uint8 array.
+    ``v`` is a bit vector of length n_cols, or a (T, n_cols) block whose rows
+    are bit vectors; the result, (m,) or (T, m), is a uint8 array.
     """
 
     def __init__(self, H):
@@ -36,43 +36,44 @@ class Syndrome:
 
     def __call__(self, v) -> np.ndarray:
         v = np.asarray(v)
-        if v.ndim not in (1, 2) or v.shape[0] != self.H.shape[1]:
+        if v.ndim not in (1, 2) or v.shape[-1] != self.H.shape[1]:
             raise ValueError(f"operand of shape {v.shape} does not fit a "
                              f"{self.H.shape[0]}x{self.H.shape[1]} matrix")
         # counts are exact integers; int64 -> uint8 wraps mod 256, keeping parity
-        return (self.H @ v).astype(np.int64).astype(np.uint8) & 1
+        return (v @ self.H.T).astype(np.int64).astype(np.uint8) & 1
 
 
 @dataclass(frozen=True)
 class Elimination:
     """Gauss-Jordan reduction of a matrix under an explicit column visiting order.
 
-    ``transform`` records the row operations: transform @ H == reduced
-    (mod 2), so ``transform`` also maps a syndrome s to the reduced
-    system's right-hand side.  Rows past ``rank`` of ``reduced`` are zero.
+    Rows past ``rank`` of ``reduced`` are zero.  Of ``[H | s]``, s visited
+    last: s is a pivot iff H e = s has no solution, else ``reduced[:rank, n]``
+    holds the pivot bits of the solution that is zero off the pivots.
     """
 
     reduced: np.ndarray       # (m, n) uint8, pivot rows first
-    transform: np.ndarray     # (m, m) uint8
-    pivots: list[int]         # pivot column indices, in visiting order
-    rank: int
+    pivots: np.ndarray        # (rank,) intp pivot column indices, in visiting order
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
 
 def row_reduce(H, column_order=None) -> Elimination:
     """Gauss-Jordan elimination visiting columns in ``column_order``.
 
-    Returns the reduced matrix, the pivot columns (the first ``rank``
-    independent columns in visiting order) and the GF(2) rank.
+    Returns the reduced matrix and the pivot columns: the first ``rank``
+    independent columns in visiting order.  The input is not modified.
     """
-    H = _as_bitmatrix(H)
-    m, n = H.shape
+    A = _as_bitmatrix(H)  # a fresh copy, reduced in place
+    m, n = A.shape
     if column_order is None:
         column_order = range(n)
     order = [int(c) for c in column_order]
     if sorted(order) != list(range(n)):
         raise ValueError("column_order must be a permutation of range(n_cols)")
 
-    A = np.concatenate([H, np.eye(m, dtype=np.uint8)], axis=1)  # [H | I]
     pivots: list[int] = []
     for col in order:
         r = len(pivots)
@@ -86,8 +87,7 @@ def row_reduce(H, column_order=None) -> Elimination:
         rows = np.flatnonzero(A[:, col])
         A[rows[rows != r]] ^= A[r]
         pivots.append(col)
-    return Elimination(reduced=A[:, :n], transform=A[:, n:], pivots=pivots,
-                       rank=len(pivots))
+    return Elimination(reduced=A, pivots=np.array(pivots, dtype=np.intp))
 
 
 class RowSpace:
@@ -96,7 +96,7 @@ class RowSpace:
     def __init__(self, H):
         elim = row_reduce(H)
         self.rank = elim.rank
-        self._pivots = np.array(elim.pivots, dtype=np.intp)
+        self._pivots = elim.pivots
         self._combine = Syndrome(elim.reduced[:elim.rank].T)  # coefficients -> vector
 
     def contains(self, r):
@@ -107,4 +107,4 @@ class RowSpace:
             raise ValueError(f"expected bit vectors of length {n}, got shape {r.shape}")
         # the basis is reduced, so the only candidate combination is the one
         # whose coefficients are r's pivot bits
-        return (self._combine(r[..., self._pivots].T).T == r).all(axis=-1)
+        return (self._combine(r[..., self._pivots]) == r).all(axis=-1)

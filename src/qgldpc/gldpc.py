@@ -120,7 +120,7 @@ def flood(sides: list[Side], L0: list[np.ndarray], n_iter: int,
             e_hat = [(a < 0).astype(np.uint8) for a in app]  # L_APP >= 0 -> 0
         else:
             app, v2c, e_hat = fuse(c2v)
-        ok = np.logical_and.reduce([(side.check(e.T) == s.T).all(axis=0)
+        ok = np.logical_and.reduce([(side.check(e) == s).all(axis=1)
                                     for side, e, s in zip(sides, e_hat, s_active)])
         if it < n_iter and not ok.any():
             continue

@@ -12,9 +12,11 @@ grouping of trials never change a result.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+import os
+from dataclasses import asdict, astuple, dataclass, replace
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -64,8 +66,10 @@ DECODERS = {
     "sogrand-osd-corr": Decoder(_sogrand_corr, osd=True, n_iter=20),
 }
 
+# one column per CurvePoint field, in field order, and the type of each
 CSV_HEADER = ["p", "decoder", "trials", "failures", "bler",
               "ci_low", "ci_high", "mean_iters", "osd_rate", "seed"]
+CSV_TYPES = (float, str, int, int, float, float, float, float, float, int)
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ def _tail(code: GldpcCode, result: DecodeResult, e: ch.PauliErrorPattern, s_x, s
         if osd_cfg is not None:
             for t in np.flatnonzero(~side.converged):
                 side.e_hat[t] = osd_postprocess(graph.flat, s[t], side.app[t], osd_cfg, q)
-        failed |= (graph.syndrome(side.e_hat.T).T != s).any(axis=1)
+        failed |= (graph.syndrome(side.e_hat) != s).any(axis=1)
         failed |= ~stabilizers.contains(err ^ side.e_hat)
     return failed
 
@@ -228,41 +232,51 @@ def run_point(code: GldpcCode, cfg: ExperimentConfig, p: float) -> CurvePoint:
 def run_sweep(cfg: ExperimentConfig, code: GldpcCode | None = None) -> list[CurvePoint]:
     if code is None:
         code = resolve_code(cfg.code)
-    points = [run_point(code, cfg, p) for p in cfg.p_grid]
-    if cfg.out_path:
-        write_csv(points, cfg.out_path)
+    points: list[CurvePoint] = []
+    if cfg.out_path:  # an unwritable path fails before any point runs
         write_metadata(cfg, cfg.out_path + ".meta.json")
+    for p in cfg.p_grid:
+        points.append(run_point(code, cfg, p))
+        if cfg.out_path:  # a crash loses only the point in progress
+            write_csv(points, cfg.out_path)
     return points
 
 
-def write_csv(points: list[CurvePoint], path: str) -> None:
+def _write_atomically(path: str, text: str) -> None:
+    """Write ``path`` through a temp file beside it and ``os.replace``, so
+    that a crash leaves the old file or the new one, never a part."""
+    tmp = path + ".tmp"
     try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for pt in points:
-                writer.writerow([
-                    f"{pt.p:.12g}", pt.decoder_id, pt.trials, pt.failures,
-                    f"{pt.bler:.12g}", f"{pt.wilson_ci_low:.12g}",
-                    f"{pt.wilson_ci_high:.12g}", f"{pt.mean_iterations:.12g}",
-                    f"{pt.osd_rate:.12g}", pt.seed,
-                ])
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
+
+
+def write_csv(points: list[CurvePoint], path: str) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in astuple(pt)]
+                     for pt in points)
+    _write_atomically(path, buf.getvalue())
 
 
 def read_csv(path: str) -> list[CurvePoint]:
     points = []
     try:
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                points.append(CurvePoint(
-                    p=float(row["p"]), decoder_id=row["decoder"],
-                    trials=int(row["trials"]), failures=int(row["failures"]),
-                    bler=float(row["bler"]), wilson_ci_low=float(row["ci_low"]),
-                    wilson_ci_high=float(row["ci_high"]),
-                    mean_iterations=float(row["mean_iters"]),
-                    osd_rate=float(row["osd_rate"]), seed=int(row["seed"])))
+            reader = csv.DictReader(fh)
+            missing = [c for c in CSV_HEADER if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"{path}: missing columns {', '.join(missing)}")
+            for row in reader:
+                try:
+                    points.append(CurvePoint(*(kind(row[c])
+                                               for c, kind in zip(CSV_HEADER, CSV_TYPES))))
+                except (TypeError, ValueError) as exc:  # a short row reads None
+                    raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     except OSError as exc:
         raise OSError(f"cannot read results from {path}: {exc}") from exc
     return points
@@ -271,9 +285,7 @@ def read_csv(path: str) -> list[CurvePoint]:
 def write_metadata(cfg: ExperimentConfig, path: str) -> None:
     obj = asdict(cfg)
     obj["n_iter_resolved"] = cfg.resolved_n_iter()
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, default=str)
-        fh.write("\n")
+    _write_atomically(path, json.dumps(obj, indent=1, default=str) + "\n")
 
 
 def uncoded_bler(p: float, k: int) -> float:
@@ -315,6 +327,8 @@ def convergence_study(cfg: ExperimentConfig, iters_grid: list[int],
     if len(cfg.p_grid) != 1:
         raise ValueError(f"a convergence study runs at one p, got {len(cfg.p_grid)}: "
                          f"{cfg.p_grid}")
+    if not iters_grid:
+        raise ValueError("the iteration grid is empty")
     if code is None:
         code = resolve_code(cfg.code)
     # every budget runs all trials, so that the rows stay paired

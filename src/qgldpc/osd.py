@@ -4,11 +4,13 @@ Columns are visited in decreasing reliability |L_APP| so the pivot set is
 the most reliably known independent column set; the remaining (non-pivot)
 bits keep their hard decisions, the pivot bits are re-solved from the
 syndrome, and low-weight flips of the least reliable non-pivot bits are
-swept.  All candidates are built as one (C, n) matrix.  The pivot bits are
-linear in the free bits, so one GF(2) product gives them for the unflipped
-hard decisions, and each candidate adds the XOR of the few reduced columns
-its flip set selects, read by a gather.  Every candidate satisfies the
-syndrome by construction; the most likely one under the channel prior wins.
+swept.  One elimination of ``[H | s]``, s visited last, gives the pivots and
+the reduced syndrome.  All candidates are built as one (C, n) matrix.  The
+pivot bits are linear in the free bits, so one GF(2) product gives them for
+the unflipped hard decisions, and each candidate adds the XOR of the few
+reduced columns its flip set selects, read by a gather.  Every candidate
+satisfies the syndrome; under one flip probability q for every bit the
+lightest is the most likely (the heaviest if q > 1/2).
 """
 
 from __future__ import annotations
@@ -58,34 +60,30 @@ def _flip_sets(n_free: int, cfg: OsdConfig) -> np.ndarray:
 
 
 def osd_postprocess(H, s, soft_llr, cfg: OsdConfig = OsdConfig(),
-                    channel_q: float | np.ndarray = 0.1) -> np.ndarray:
+                    channel_q: float = 0.1) -> np.ndarray:
     """Most likely syndrome-consistent pattern found by the reliability sweep.
 
     ``soft_llr`` is the final APP vector of the failed decode; ``channel_q``
-    the per-bit prior flip probability used to score candidates.
+    the prior flip probability of every bit, used to score candidates.
     """
-    H = np.asarray(H, dtype=np.uint8) % 2
-    s = np.asarray(s, dtype=np.uint8) % 2
+    H, s = np.asarray(H), np.asarray(s)
     soft_llr = np.asarray(soft_llr, dtype=float)
     m, n = H.shape
-    if soft_llr.shape[0] != n or s.shape[0] != m:
+    if soft_llr.shape != (n,) or s.shape != (m,):
         raise ValueError("dimension mismatch between H, s and soft_llr")
-    q = np.broadcast_to(np.asarray(channel_q, dtype=float), (n,))
-    if np.any((q <= 0.0) | (q >= 1.0)):
-        raise ValueError("channel_q must lie in (0, 1)")
+    if np.ndim(channel_q) or not 0.0 < channel_q < 1.0:  # NaN fails too
+        raise ValueError(f"channel_q must be one probability in (0, 1), got {channel_q!r}")
 
     reliability = np.abs(soft_llr)
     hard = (soft_llr < 0).astype(np.uint8)
-    # visit most reliable columns first; ties by original index
+    # visit most reliable columns first, ties by original index; the syndrome last
     order = np.lexsort((np.arange(n), -reliability))
-    elim = gf2.row_reduce(H, column_order=order)
-    rank = elim.rank
-
-    # Reduced system: pivot values = T s  ^  R_free @ free values  (per pivot row)
-    T_s = gf2.Syndrome(elim.transform)(s)
-    if np.any(T_s[rank:]):
+    elim = gf2.row_reduce(np.column_stack([H, s]), column_order=np.append(order, n))
+    if n in elim.pivots:  # s is a pivot iff it adds to the rank of H
         raise InconsistentSyndromeError("syndrome outside the column space of H")
-    pivots = np.array(elim.pivots, dtype=np.intp)
+    pivots, rank = elim.pivots, elim.rank
+
+    # per pivot row: pivot bit = reduced syndrome ^ R_free @ free bits
     free = order[~np.isin(order, pivots)]
     # free positions from least to most reliable
     free = free[np.argsort(reliability[free], kind="stable")]
@@ -97,24 +95,13 @@ def osd_postprocess(H, s, soft_llr, cfg: OsdConfig = OsdConfig(),
     E[np.arange(len(flips))[:, None], np.append(free, n)[flips]] ^= 1
     # the unflipped solution, plus the XOR of the R_free columns each flip set selects
     R_cols = np.vstack([R_free.T, np.zeros(rank, dtype=np.uint8)])  # the pad selects 0
-    E[:, pivots] = (T_s[:rank] ^ gf2.Syndrome(R_free)(hard[free])
+    E[:, pivots] = (elim.reduced[:rank, n] ^ gf2.Syndrome(R_free)(hard[free])
                     ^ np.bitwise_xor.reduce(R_cols[flips], axis=1))
     E = E[:, :n]
 
-    # Score each row as a sum over its ones: a sum over whole rows of E,
-    # zeros included, groups the terms differently, so it can round
-    # differently and change which equal-weight candidate wins.  When every
-    # bit scores the same, that sum depends only on the row's weight.
-    log_flip = np.log(q) - np.log1p(-q)  # per-bit score delta for a 1
+    # A candidate of weight k scores k log(q / (1 - q)): the lightest wins, or
+    # the heaviest when q > 1/2; ties go to the smallest row as bytes
     weight = E.sum(axis=1)
-    if n and (log_flip == log_flip[0]).all():
-        table = np.zeros(n + 1)
-        for k in np.flatnonzero(np.bincount(weight)):
-            table[k] = np.full(k, log_flip[0]).sum()
-        score = table[weight]
-    else:
-        score = np.array([log_flip[e == 1].sum() for e in E])
-    # most likely, then lightest, then the smallest row as bytes
-    tied = np.flatnonzero(score == score.max())
-    tied = tied[weight[tied] == weight[tied].min()]
+    heavier_wins = np.log(channel_q) > np.log1p(-channel_q)
+    tied = np.flatnonzero(weight == (weight.max() if heavier_wins else weight.min()))
     return E[min(tied, key=lambda c: E[c].tobytes())]

@@ -148,7 +148,7 @@ def test_criterion_4_gldpc_soundness_and_weight_one_sweep():
         s_x = np.zeros((code.n, code.h_z.shape[0]), dtype=np.uint8)
         out = decode_independent_trials(
             code, channel.make_priors(channel.DepolarizingParams(0.01), code.n), s_x,
-            code.x_graph.syndrome(e_z.T).T, sog_params=sog).z_side
+            code.x_graph.syndrome(e_z), sog_params=sog).z_side
         assert out.converged.all()
         assert gf2.RowSpace(code.h_z).contains(e_z ^ out.e_hat).all()
     assert checked > 0

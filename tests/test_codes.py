@@ -19,7 +19,7 @@ def kernel(H):
     """Every vector of ker H, by brute force over all 2^n patterns."""
     n = H.shape[1]
     pats = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
-    return pats[~gf2.Syndrome(H)(pats.T).any(axis=0)]
+    return pats[~gf2.Syndrome(H)(pats).any(axis=1)]
 
 
 def kernels_and_stabilizers(code):

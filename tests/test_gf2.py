@@ -62,13 +62,13 @@ class TestMatVecMul:
         with pytest.raises(ValueError):
             gf2.Syndrome(HAMMING)(np.zeros(6))
 
-    def test_matrix_operand_is_columnwise(self):
+    def test_block_operand_is_rowwise(self):
         rng = np.random.default_rng(12)
-        V = rng.integers(0, 2, size=(7, 5), dtype=np.uint8)
+        V = rng.integers(0, 2, size=(5, 7), dtype=np.uint8)
         out = gf2.Syndrome(HAMMING)(V)
-        assert out.dtype == np.uint8
+        assert out.dtype == np.uint8 and out.shape == (5, 3)
         for k in range(5):
-            assert np.array_equal(out[:, k], gf2.Syndrome(HAMMING)(V[:, k]))
+            assert np.array_equal(out[k], gf2.Syndrome(HAMMING)(V[k]))
 
     @given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1),
            st.integers(1, 200))
@@ -84,24 +84,26 @@ class TestMatVecMul:
 
 
 def parity_oracle(H, v):
-    """H v over GF(2) in plain Python: one parity per (row, column of v)."""
-    cols = [v] if v.ndim == 1 else list(v.T)
-    out = [[sum(int(h) & int(x) for h, x in zip(row, col)) % 2 for col in cols]
-           for row in H.tolist()]
-    return np.array(out, dtype=np.uint8).reshape((len(out),) + v.shape[1:])
+    """H v over GF(2) in plain Python: one parity per (row of v, row of H)."""
+    vs = [v] if v.ndim == 1 else list(v)
+    out = [[sum(int(h) & int(x) for h, x in zip(row, vec)) % 2 for row in H.tolist()]
+           for vec in vs]
+    return np.array(out, dtype=np.uint8).reshape(v.shape[:-1] + (len(H),))
 
 
 @st.composite
 def syndrome_operands(draw):
     """H with all-ones rows mixed in (up to width 600: the largest counts),
-    and an (n,) or (n, k) operand as uint8, bool or float 0/1."""
+    and an (n,), (T, n) or square (n, n) operand as uint8, bool or float 0/1."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     m = draw(st.integers(1, 6))
     n = draw(st.sampled_from([1, 2, 7, 64, 255, 256, 257, 600]))
     H = (rng.random((m, n)) < draw(st.sampled_from([0.1, 0.5, 0.9]))).astype(np.uint8)
     H[rng.random(m) < 0.5] = 1
-    shape = (n,) if draw(st.booleans()) else (n, draw(st.integers(1, 4)))
+    shape = draw(st.sampled_from([(n,), (draw(st.integers(1, 4)), n), (n, n)]))
+    if n > 64:  # keep the plain-Python oracle fast
+        shape = shape[-1:]
     v = (rng.random(shape) < draw(st.sampled_from([0.5, 1.0]))).astype(np.uint8)
     return H, v.astype(draw(st.sampled_from([np.uint8, np.bool_, np.float64])))
 
@@ -114,6 +116,16 @@ class TestSyndromeAgainstParityOracle:
         out = gf2.Syndrome(H)(v)
         assert out.dtype == np.uint8
         assert np.array_equal(out, parity_oracle(H, v))
+
+    def test_square_block_is_rows(self):
+        # a square block fits rows and columns alike, so only the values tell
+        # a row-wise product from a column-wise one
+        rng = np.random.default_rng(5)
+        H = rng.integers(0, 2, size=(6, 6), dtype=np.uint8)
+        V = rng.integers(0, 2, size=(6, 6), dtype=np.uint8)
+        out = gf2.Syndrome(H)(V)
+        assert np.array_equal(out, parity_oracle(H, V))
+        assert not np.array_equal(out, parity_oracle(H, V.T).T)
 
     def test_all_ones_counts_past_uint8(self):
         for n in (255, 256, 257, 511, 512, 599, 600):
@@ -130,7 +142,7 @@ class TestRowReduce:
     def test_identity(self):
         elim = gf2.row_reduce(np.eye(5))
         assert elim.rank == 5
-        assert elim.pivots == [0, 1, 2, 3, 4]
+        assert elim.pivots.tolist() == [0, 1, 2, 3, 4]
 
     def test_duplicate_row_does_not_change_rank(self):
         H2 = np.vstack([HAMMING, HAMMING[1]])
@@ -139,13 +151,13 @@ class TestRowReduce:
     def test_hamming_pivots(self):
         elim = gf2.row_reduce(HAMMING)
         assert elim.rank == 3
-        assert elim.pivots == [0, 1, 3]
+        assert elim.pivots.tolist() == [0, 1, 3]
 
     def test_column_order_changes_pivots(self):
         order = [6, 5, 4, 3, 2, 1, 0]
         elim = gf2.row_reduce(HAMMING, column_order=order)
         assert elim.rank == 3
-        assert elim.pivots == [6, 5, 4]
+        assert elim.pivots.tolist() == [6, 5, 4]
 
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
@@ -153,7 +165,7 @@ class TestRowReduce:
 
     def test_zero_matrix(self):
         elim = gf2.row_reduce(np.zeros((3, 4)))
-        assert elim.rank == 0 and elim.pivots == []
+        assert elim.rank == 0 and elim.pivots.tolist() == []
 
     @given(bit_matrices(), st.randoms(use_true_random=False))
     @settings(max_examples=200)
@@ -162,16 +174,26 @@ class TestRowReduce:
         order = list(range(n))
         rnd.shuffle(order)
         elim = gf2.row_reduce(H, column_order=order)
-        assert elim.reduced.dtype == elim.transform.dtype == np.uint8
-        assert elim.reduced.shape == (m, n) and elim.transform.shape == (m, m)
-        product = elim.transform.astype(np.int64) @ H.astype(np.int64) % 2
-        assert np.array_equal(product, elim.reduced)
+        assert elim.reduced.dtype == np.uint8 and elim.pivots.dtype == np.intp
+        assert elim.reduced.shape == (m, n)
+        # the reduced rows lie in H's row space: orthogonal to all of ker H
+        pats = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+        kernel = pats[~gf2.Syndrome(H)(pats).any(axis=1)]
+        assert not gf2.Syndrome(elim.reduced)(kernel).any()
         assert elim.rank == len(elim.pivots) == brute_force_rank(H)
         # pivots are the first independent columns in visiting order
-        assert elim.pivots == [c for c in order if c in elim.pivots]
+        pivots = elim.pivots.tolist()
+        assert pivots == [c for c in order if c in pivots]
         unit = np.eye(m, dtype=np.uint8)[:, :elim.rank]
         assert np.array_equal(elim.reduced[:, elim.pivots], unit)
         assert not elim.reduced[elim.rank:].any()
+
+    def test_input_unchanged(self):
+        H = np.vstack([HAMMING, HAMMING[0]])
+        before = H.copy()
+        elim = gf2.row_reduce(H, column_order=[6, 5, 4, 3, 2, 1, 0])
+        assert np.array_equal(H, before)
+        assert not np.shares_memory(elim.reduced, H)
 
     def test_rank_against_brute_force(self):
         rng = np.random.default_rng(11)
@@ -181,59 +203,54 @@ class TestRowReduce:
             assert gf2.row_reduce(H).rank == brute_force_rank(H)
 
 
-def solve_coset(elim, s, non_pivot_fill=None):
-    """Solve H v = s from a row_reduce record, non-pivots fixed to the fill.
+def solve_coset(H, s, non_pivot_fill=None):
+    """Solve H v = s, non-pivots fixed to the fill, and return (v, pivots).
 
-    Uses the record the way OSD does: transform rows map s to the reduced
-    system's right-hand side.  None when the system is inconsistent.
+    Uses elimination the way OSD does: ``[H | s]`` with the syndrome column
+    visited last, whose reduced entries are the right-hand side.  v is None
+    when the system is inconsistent.
     """
-    s = np.asarray(s, dtype=np.int64) % 2
-    n = elim.reduced.shape[1]
+    n = H.shape[1]
+    elim = gf2.row_reduce(np.column_stack([H, s]))
+    if n in elim.pivots:
+        return None, elim.pivots
     v = np.zeros(n, dtype=np.uint8)
     if non_pivot_fill is not None:
         v[:] = non_pivot_fill
     v[elim.pivots] = 0
-    rhs = elim.transform.astype(np.int64) @ s % 2
-    if rhs[elim.rank:].any():
-        return None
-    R = elim.reduced[:elim.rank].astype(np.int64)
-    v[elim.pivots] = (rhs[:elim.rank] + R @ v) % 2
-    return v
+    R = elim.reduced[:elim.rank, :n].astype(np.int64)
+    v[elim.pivots] = (elim.reduced[:elim.rank, n] + R @ v) % 2
+    return v, elim.pivots
 
 
 class TestSolveCoset:
-    """row_reduce's record (reduced rows, transform, pivots) solves H v = s."""
+    """Reducing [H | s], the syndrome column last, solves H v = s."""
 
     def test_zero_syndrome(self):
-        elim = gf2.row_reduce(HAMMING)
-        v = solve_coset(elim, np.zeros(3))
+        v, _ = solve_coset(HAMMING, np.zeros(3))
         assert not v.any()
 
     def test_hamming_back_substitution(self):
-        elim = gf2.row_reduce(HAMMING)
         s = np.array([1, 1, 1], dtype=np.uint8)
-        v = solve_coset(elim, s)
+        v, _ = solve_coset(HAMMING, s)
         assert np.array_equal(gf2.Syndrome(HAMMING)(v), s)
 
     def test_column_as_syndrome(self):
-        elim = gf2.row_reduce(HAMMING)
         for j in range(7):
-            v = solve_coset(elim, HAMMING[:, j])
+            v, _ = solve_coset(HAMMING, HAMMING[:, j])
             assert np.array_equal(gf2.Syndrome(HAMMING)(v), HAMMING[:, j])
 
     def test_non_pivot_fill_respected(self):
-        elim = gf2.row_reduce(HAMMING)
         fill = np.array([0, 0, 1, 0, 1, 1, 0], dtype=np.uint8)
         s = np.array([0, 1, 1], dtype=np.uint8)
-        v = solve_coset(elim, s, non_pivot_fill=fill)
+        v, pivots = solve_coset(HAMMING, s, non_pivot_fill=fill)
         assert np.array_equal(gf2.Syndrome(HAMMING)(v), s)
-        non_pivots = [c for c in range(7) if c not in elim.pivots]
+        non_pivots = [c for c in range(7) if c not in pivots]
         assert np.array_equal(v[non_pivots], fill[non_pivots])
 
     def test_inconsistent_system_returns_none(self):
         H = np.array([[1, 0], [1, 0]], dtype=np.uint8)
-        elim = gf2.row_reduce(H)
-        assert solve_coset(elim, np.array([1, 0])) is None
+        assert solve_coset(H, np.array([1, 0]))[0] is None
 
     def test_random_consistent_systems(self):
         rng = np.random.default_rng(3)
@@ -242,8 +259,27 @@ class TestSolveCoset:
             H = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
             e = rng.integers(0, 2, size=n, dtype=np.uint8)
             s = gf2.Syndrome(H)(e)
-            v = solve_coset(gf2.row_reduce(H), s)
+            v, _ = solve_coset(H, s)
             assert v is not None
+            assert np.array_equal(gf2.Syndrome(H)(v), s)
+
+    @given(bit_matrices(max_rows=5, max_cols=8), st.data())
+    @settings(max_examples=300)
+    def test_syndrome_column_is_pivot_iff_unsolvable(self, H, data):
+        m, n = H.shape
+        if data.draw(st.booleans()):
+            H[-1] = H[0]  # a repeated row
+        s = np.array(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)),
+                     dtype=np.uint8)
+        order = data.draw(st.permutations(range(n)))
+        elim = gf2.row_reduce(np.column_stack([H, s]), column_order=[*order, n])
+        pats = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+        solvable = (gf2.Syndrome(H)(pats) == s).all(axis=1).any()
+        assert (n in elim.pivots) == (not solvable)
+        if solvable:
+            # the solution that is zero off the pivots has the reduced column as pivot bits
+            v = np.zeros(n, dtype=np.uint8)
+            v[elim.pivots] = elim.reduced[:elim.rank, n]
             assert np.array_equal(gf2.Syndrome(H)(v), s)
 
 
@@ -286,7 +322,7 @@ class TestRowSpace:
         bits = data.draw(st.lists(st.integers(0, 1), min_size=T * (m + n),
                                   max_size=T * (m + n)))
         bits = np.array(bits, dtype=np.uint8).reshape(T, m + n)
-        members = gf2.Syndrome(H.T)(bits[:, :m].T).T  # combinations of rows
+        members = gf2.Syndrome(H.T)(bits[:, :m])  # combinations of rows
         R = np.where(bits[:, :1] == 1, members, bits[:, m:]).astype(np.uint8)
         space = gf2.RowSpace(H)
         got = space.contains(R)

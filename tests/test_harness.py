@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qgldpc
-from qgldpc import channel
+from qgldpc import channel, harness
 from qgldpc.cli import main
 from qgldpc.codes import builtin_code
 from qgldpc.gf2 import row_reduce
@@ -31,7 +31,7 @@ def z_logical(code):
     by brute force over all 2^n patterns and a rank test."""
     pats = ((np.arange(1 << code.n)[:, None] >> np.arange(code.n)) & 1).astype(np.uint8)
     rank_z = row_reduce(code.h_z).rank
-    for v in pats[~code.x_graph.syndrome(pats.T).any(axis=0)]:
+    for v in pats[~code.x_graph.syndrome(pats).any(axis=1)]:
         if row_reduce(np.vstack([code.h_z, v])).rank > rank_z:
             return v
     raise AssertionError(f"{code.name} has no Z-logical")
@@ -91,7 +91,7 @@ class TestSuccessCheck:
         unit = np.eye(code.n, dtype=np.uint8)
         e_z = np.array([unit[3], unit[2], 0 * unit[0], unit[0]])
         e_hat = np.array([unit[3], unit[2] ^ code.h_z[0], z_logical(code), 0 * unit[0]])
-        s_z = code.x_graph.syndrome(e_z.T).T
+        s_z = code.x_graph.syndrome(e_z)
         assert self._failed(code, e_z, e_hat, s_z).tolist() == [False, False, True, True]
 
     def test_x_side_failure_fails_the_trial(self):
@@ -223,6 +223,47 @@ class TestCsvAndDeterminism:
         assert meta["decoder"] == "sogrand"
         assert meta["n_iter_resolved"] == 20
 
+    @pytest.mark.parametrize("text, message", [
+        ("p,decoder,trials\n0.01,sogrand,10\n", "missing columns failures, bler"),
+        (",".join(CSV_HEADER) + "\n0.01,sogrand,10,1,0.1,0.0,0.4,2.0,0.0,0\n"
+         "0.02,sogrand,ten,1,0.1,0.0,0.4,2.0,0.0,0\n", "line 3: invalid literal"),
+    ], ids=["missing-column", "malformed-number"])
+    def test_unreadable_csv_names_file_and_cause(self, tmp_path, capsys, text, message):
+        path = tmp_path / "curve.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as info:
+            read_csv(str(path))
+        assert str(path) in str(info.value)
+        assert main(["threshold", "--in", str(path), "--k", "3"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_unwritable_out_fails_before_any_point(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_point", lambda *args: calls.append(args))
+        path = str(tmp_path / "no-such-dir" / "curve.csv")
+        with pytest.raises(OSError, match="cannot write"):
+            run_sweep(ExperimentConfig(code="builtin:steane", p_grid=(0.01, 0.02),
+                                       trials=5, out_path=path))
+        assert calls == []
+
+    def test_crash_keeps_finished_points(self, tmp_path, monkeypatch):
+        def crash_on_second_p(code, cfg, p):
+            if p == cfg.p_grid[1]:
+                raise RuntimeError("crash")
+            return run_point(code, cfg, p)
+
+        monkeypatch.setattr(harness, "run_point", crash_on_second_p)
+        path = str(tmp_path / "curve.csv")
+        cfg = ExperimentConfig(code="builtin:steane", decoder="sogrand",
+                               p_grid=(0.01, 0.02, 0.03), trials=20, out_path=path)
+        with pytest.raises(RuntimeError, match="crash"):
+            run_sweep(cfg)
+        (back,) = read_csv(path)
+        first = run_point(resolve_code(cfg.code), cfg, 0.01)
+        assert (back.p, back.trials, back.failures) == (first.p, first.trials, first.failures)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv",
+                                                              "curve.csv.meta.json"]
+
 
 class TestPseudothreshold:
     def test_uncoded_reference_value(self):
@@ -298,6 +339,16 @@ class TestConvergenceStudy:
                                p_grid=p_grid, trials=5)
         with pytest.raises(ValueError, match="one p"):
             convergence_study(cfg, [1, 2])
+
+    def test_rejects_empty_iteration_grid(self, capsys):
+        cfg = ExperimentConfig(code="builtin:steane", decoder="sogrand", trials=5)
+        with pytest.raises(ValueError, match="empty"):
+            convergence_study(cfg, [])
+        rc = main(["convergence", "--code", "builtin:steane", "--p", "0.01",
+                   "--trials", "5", "--iters-grid", "5:1"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["qgldpc convergence: error: the iteration grid is empty"]
 
     def test_common_randomness_and_monotone_failures(self):
         cfg = ExperimentConfig(code="builtin:toy-gldpc", decoder="sogrand",

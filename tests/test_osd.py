@@ -51,19 +51,22 @@ def loop_flip_sets(n_free, free_order, cfg):
 
 
 def loop_osd(H, s, soft_llr, cfg, channel_q):
-    """Reference OSD, the package's first version: one candidate per loop pass."""
+    """Reference OSD, the package's first version: one candidate per loop pass,
+    each scored by the sum of its bits' log-odds, not by its weight."""
     H = np.asarray(H, dtype=np.uint8) % 2
     s = np.asarray(s, dtype=np.uint8) % 2
     n = H.shape[1]
-    q = np.broadcast_to(np.asarray(channel_q, dtype=float), (n,))
+    q = np.full(n, channel_q, dtype=float)
     reliability = np.abs(soft_llr)
     hard = (soft_llr < 0).astype(np.uint8)
     order = np.lexsort((np.arange(n), -reliability))
-    elim = gf2.row_reduce(H, column_order=order)
-    pivots = np.array(elim.pivots, dtype=np.intp)
-    free = np.array([c for c in order if c not in set(elim.pivots)], dtype=np.intp)
+    # the syndrome column, visited last, carries the reduced right-hand side
+    elim = gf2.row_reduce(np.column_stack([H, s]), column_order=[*order, n])
+    pivots = elim.pivots
+    assert n not in pivots
+    free = np.array([c for c in order if c not in set(pivots.tolist())], dtype=np.intp)
     free_lsr = free[np.argsort(reliability[free], kind="stable")]
-    T_s = elim.transform.astype(np.int64) @ s % 2
+    T_s = elim.reduced[:elim.rank, n].astype(np.int64)
     R_free = elim.reduced[:elim.rank][:, free].astype(np.int64)
     log_flip = np.log(q) - np.log1p(-q)
     free_index = {int(pos): i for i, pos in enumerate(free)}
@@ -74,7 +77,7 @@ def loop_osd(H, s, soft_llr, cfg, channel_q):
             fill[free_index[pos]] ^= 1
         e = np.zeros(n, dtype=np.uint8)
         e[free] = fill
-        e[pivots] = (T_s[:elim.rank] + R_free @ fill) % 2
+        e[pivots] = (T_s + R_free @ fill) % 2
         assert np.array_equal(gf2.Syndrome(H)(e), s)
         score = float(log_flip[e == 1].sum())
         key = (-score, int(e.sum()), tuple(e.tolist()))
@@ -84,7 +87,7 @@ def loop_osd(H, s, soft_llr, cfg, channel_q):
 
 
 def score_of(e, q):
-    q = np.broadcast_to(np.asarray(q, float), e.shape)
+    q = np.full(e.shape, q, dtype=float)
     return float((np.log(q) - np.log1p(-q))[e == 1].sum())
 
 
@@ -121,6 +124,12 @@ class TestBasics:
         with pytest.raises(InconsistentSyndromeError):
             osd_postprocess(H, np.array([1, 0]), np.ones(3))
 
+    @pytest.mark.parametrize("channel_q", [np.nan, np.inf, np.full(7, 0.1)],
+                             ids=["nan", "inf", "per-bit"])
+    def test_channel_q_is_one_probability(self, channel_q):
+        with pytest.raises(ValueError, match="channel_q"):
+            osd_postprocess(HAMMING, np.zeros(3), np.ones(7), channel_q=channel_q)
+
     def test_dimension_and_q_validation(self):
         with pytest.raises(ValueError):
             osd_postprocess(HAMMING, np.zeros(3), np.zeros(6))
@@ -147,10 +156,8 @@ def osd_inputs(draw):
     s = gf2.Syndrome(H)(rng.integers(0, 2, size=n, dtype=np.uint8))
     # few distinct magnitudes, so reliability ties are common
     soft = rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0], size=n)
-    if draw(st.booleans()):
-        q = float(draw(st.sampled_from([0.01, 0.1, 0.3])))
-    else:
-        q = rng.uniform(0.01, 0.4, size=n)
+    # past 1/2 the heaviest candidate is the most likely; at 1/2 all tie
+    q = float(draw(st.sampled_from([0.01, 0.1, 0.3, 0.5, 0.7])))
     cfg = OsdConfig(order_w=draw(st.integers(0, n)),
                     strategy=draw(st.sampled_from(["combination_sweep", "exhaustive_w"])))
     return H, s, soft, cfg, q
@@ -184,15 +191,14 @@ class TestAgainstLoopOsd:
             assert np.array_equal(osd_postprocess(code.h_x, s, soft, cfg, channel_q=q),
                                   loop_osd(code.h_x, s, soft, cfg, q))
 
-    @given(osd_inputs(), st.sampled_from(["float", "0-d", "constant array"]))
+    @given(osd_inputs(), st.sampled_from(["float", "0-d", "numpy scalar"]))
     @settings(max_examples=150, deadline=None)
     def test_scalar_q_in_any_form(self, case, form):
         # every bit scores the same, so candidates are scored by their weight;
         # the per-row loop of loop_osd must agree whatever form q takes
         H, s, soft, cfg, _ = case
         q = 0.1
-        channel_q = {"float": q, "0-d": np.array(q),
-                     "constant array": np.full(H.shape[1], q)}[form]
+        channel_q = {"float": q, "0-d": np.array(q), "numpy scalar": np.float64(q)}[form]
         assert np.array_equal(osd_postprocess(H, s, soft, cfg, channel_q=channel_q),
                               loop_osd(H, s, soft, cfg, q))
 

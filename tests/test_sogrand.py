@@ -68,7 +68,7 @@ def loop_sogrand(component, L_A, s_local, params):
     deviations[:, perm] = flips
     syndrome = gf2.Syndrome(component.H)
     s_res = s_local ^ syndrome(hard)
-    consistent = np.all(syndrome(deviations.T) == s_res[:, None], axis=0)
+    consistent = np.all(syndrome(deviations) == s_res, axis=1)
     log_q = np.log(q)
     log_1mq = np.log1p(-q)
     masses = np.exp(flips @ (log_q - log_1mq) + log_1mq.sum())
@@ -307,7 +307,7 @@ class TestBlockAgainstLoop:
         e = (rng.random((9, n_c)) < 0.05).astype(np.uint8)
         L = rng.uniform(3.0, 9.0, size=(9, n_c)) * (1 - 2.0 * e)
         L[:, :3] *= -0.1 * (1 + np.arange(3))
-        s = gf2.Syndrome(comp.H)(e.T).T
+        s = gf2.Syndrome(comp.H)(e)
         params = SograndParams(list_max=3, query_budget=budget)
         out = decode_block(comp, L, s, params)
         assert out.n_listed.any()
