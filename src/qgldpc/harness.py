@@ -11,13 +11,14 @@ grouping of trials never change a result.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
 from dataclasses import asdict, astuple, dataclass, replace
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -65,11 +66,6 @@ DECODERS = {
     "sogrand-osd": Decoder(_sogrand, osd=True, n_iter=20),
     "sogrand-osd-corr": Decoder(_sogrand_corr, osd=True, n_iter=20),
 }
-
-# one column per CurvePoint field, in field order, and the type of each
-CSV_HEADER = ["p", "decoder", "trials", "failures", "bler",
-              "ci_low", "ci_high", "mean_iters", "osd_rate", "seed"]
-CSV_TYPES = (float, str, int, int, float, float, float, float, float, int)
 
 
 @dataclass(frozen=True)
@@ -126,6 +122,12 @@ class CurvePoint:
     mean_iterations: float
     osd_rate: float
     seed: int
+
+
+# one CSV column per CurvePoint field, in field order, written and parsed by its type
+CSV_HEADER = ["p", "decoder", "trials", "failures", "bler",
+              "ci_low", "ci_high", "mean_iters", "osd_rate", "seed"]
+_CSV_TYPES = tuple(get_type_hints(CurvePoint).values())
 
 
 def resolve_code(source: str) -> GldpcCode:
@@ -210,10 +212,7 @@ def run_trial(code: GldpcCode, cfg: ExperimentConfig, p: float,
 def run_point(code: GldpcCode, cfg: ExperimentConfig, p: float) -> CurvePoint:
     """Aggregate trials 0, 1, ... up to cfg.trials, or up to the trial that
     brings the failures to cfg.max_failures; later records are discarded."""
-    failures = 0
-    iters_sum = 0
-    osd_count = 0
-    trials_run = 0
+    failures = iters_sum = osd_count = trials_run = 0
     for rec in run_trials(code, cfg, p, 0, cfg.trials):
         trials_run += 1
         failures += rec.logical_failure
@@ -234,6 +233,7 @@ def run_sweep(cfg: ExperimentConfig, code: GldpcCode | None = None) -> list[Curv
         code = resolve_code(cfg.code)
     points: list[CurvePoint] = []
     if cfg.out_path:  # an unwritable path fails before any point runs
+        write_csv(points, cfg.out_path)
         write_metadata(cfg, cfg.out_path + ".meta.json")
     for p in cfg.p_grid:
         points.append(run_point(code, cfg, p))
@@ -251,6 +251,8 @@ def _write_atomically(path: str, text: str) -> None:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 
 
@@ -258,8 +260,8 @@ def write_csv(points: list[CurvePoint], path: str) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(CSV_HEADER)
-    writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in astuple(pt)]
-                     for pt in points)
+    writer.writerows([f"{v:.12g}" if kind is float else v
+                      for v, kind in zip(astuple(pt), _CSV_TYPES)] for pt in points)
     _write_atomically(path, buf.getvalue())
 
 
@@ -274,7 +276,7 @@ def read_csv(path: str) -> list[CurvePoint]:
             for row in reader:
                 try:
                     points.append(CurvePoint(*(kind(row[c])
-                                               for c, kind in zip(CSV_HEADER, CSV_TYPES))))
+                                               for c, kind in zip(CSV_HEADER, _CSV_TYPES))))
                 except (TypeError, ValueError) as exc:  # a short row reads None
                     raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     except OSError as exc:
@@ -308,8 +310,7 @@ def pseudothreshold(curve: list[CurvePoint], k: int) -> float | None:
         if f0 == 0.0:
             return math.exp(x0)
         if f0 * f1 < 0.0:
-            x = x0 - f0 * (x1 - x0) / (f1 - f0)
-            return math.exp(x)
+            return math.exp(x0 - f0 * (x1 - x0) / (f1 - f0))
     if logs[-1][1] == 0.0:
         return math.exp(logs[-1][0])
     return None
@@ -325,8 +326,7 @@ def convergence_study(cfg: ExperimentConfig, iters_grid: list[int],
                       code: GldpcCode | None = None) -> list[ConvergenceRow]:
     """BLER versus iteration budget at the one p of cfg.p_grid, under common randomness."""
     if len(cfg.p_grid) != 1:
-        raise ValueError(f"a convergence study runs at one p, got {len(cfg.p_grid)}: "
-                         f"{cfg.p_grid}")
+        raise ValueError(f"a convergence study runs at one p, got {cfg.p_grid}")
     if not iters_grid:
         raise ValueError("the iteration grid is empty")
     if code is None:

@@ -94,16 +94,16 @@ def parity_oracle(H, v):
 @st.composite
 def syndrome_operands(draw):
     """H with all-ones rows mixed in (up to width 600: the largest counts),
-    and an (n,), (T, n) or square (n, n) operand as uint8, bool or float 0/1."""
+    and an (n,) or (T, n) operand, or a square (n, n) one up to width 64
+    (keeps the plain-Python oracle fast), as uint8, bool or float 0/1."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     m = draw(st.integers(1, 6))
     n = draw(st.sampled_from([1, 2, 7, 64, 255, 256, 257, 600]))
     H = (rng.random((m, n)) < draw(st.sampled_from([0.1, 0.5, 0.9]))).astype(np.uint8)
     H[rng.random(m) < 0.5] = 1
-    shape = draw(st.sampled_from([(n,), (draw(st.integers(1, 4)), n), (n, n)]))
-    if n > 64:  # keep the plain-Python oracle fast
-        shape = shape[-1:]
+    shapes = [(n,), (draw(st.integers(1, 4)), n)] + [(n, n)] * (n <= 64)
+    shape = draw(st.sampled_from(shapes))
     v = (rng.random(shape) < draw(st.sampled_from([0.5, 1.0]))).astype(np.uint8)
     return H, v.astype(draw(st.sampled_from([np.uint8, np.bool_, np.float64])))
 

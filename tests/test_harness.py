@@ -237,14 +237,18 @@ class TestCsvAndDeterminism:
         assert main(["threshold", "--in", str(path), "--k", "3"]) == 2
         assert message in capsys.readouterr().err
 
-    def test_unwritable_out_fails_before_any_point(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("name", ["no-such-dir/curve.csv", "a-directory"],
+                             ids=["missing-parent", "directory"])
+    def test_unwritable_out_fails_before_any_point(self, tmp_path, monkeypatch, name):
         calls = []
         monkeypatch.setattr(harness, "run_point", lambda *args: calls.append(args))
-        path = str(tmp_path / "no-such-dir" / "curve.csv")
+        (tmp_path / "a-directory").mkdir()
         with pytest.raises(OSError, match="cannot write"):
             run_sweep(ExperimentConfig(code="builtin:steane", p_grid=(0.01, 0.02),
-                                       trials=5, out_path=path))
+                                       trials=5, out_path=str(tmp_path / name)))
         assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["a-directory"]
+        assert list((tmp_path / "a-directory").iterdir()) == []
 
     def test_crash_keeps_finished_points(self, tmp_path, monkeypatch):
         def crash_on_second_p(code, cfg, p):
