@@ -17,6 +17,12 @@ def clamp_llr(L):
     return np.minimum(np.maximum(L, -LLR_CLAMP), LLR_CLAMP)
 
 
+def check_decoding_p(p: float) -> None:
+    """The decoders take 0 < p <= 3/4, where the channel LLR is finite and >= 0."""
+    if not 0.0 < p <= 0.75:
+        raise ValueError(f"p must lie in (0, 3/4] to decode, got {p}")
+
+
 @dataclass(frozen=True)
 class DepolarizingParams:
     p: float  # total physical error rate; each of X/Y/Z occurs w.p. p/3
@@ -73,8 +79,7 @@ def sample_error(params: DepolarizingParams, n: int,
 def make_priors(params: DepolarizingParams, n: int) -> ChannelPrior:
     """Channel LLRs log((1-p~)/p~) with p~ = 2p/3, and per-qubit Pauli priors."""
     p = params.p
-    if p <= 0.0:
-        raise ValueError("p = 0 gives an infinite channel LLR; use p > 0")
+    check_decoding_p(p)
     p_eff = params.p_eff
     llr = clamp_llr(np.full(n, np.log((1.0 - p_eff) / p_eff)))
     pauli = np.tile([1.0 - p, p / 3.0, p / 3.0, p / 3.0], (n, 1))

@@ -91,8 +91,10 @@ class ExperimentConfig:
         if self.max_failures is not None and self.max_failures < 1:
             raise ValueError("max_failures must be >= 1")
         for p in self.p_grid:
-            if not 0.0 < p < 0.75:
-                raise ValueError(f"p grid values must lie in (0, 3/4), got {p}")
+            ch.check_decoding_p(p)
+        BpConfig(alpha=self.alpha, n_iter=self.resolved_n_iter())  # checks both
+        if self.master_seed < 0:
+            raise ValueError(f"the seed must be >= 0, got {self.master_seed}")
 
     def resolved_n_iter(self) -> int:
         if self.n_iter is not None:
@@ -301,6 +303,8 @@ def pseudothreshold(curve: list[CurvePoint], k: int) -> float | None:
     Returns None when the curve never brackets a crossing (points with
     bler = 0 cannot enter the interpolation and are skipped).
     """
+    if k < 1:
+        raise ValueError(f"k (logical qubits) must be >= 1, got {k}")
     pts = sorted((c for c in curve if c.bler > 0.0), key=lambda c: c.p)
     if len(pts) < 2:
         return None
@@ -329,9 +333,10 @@ def convergence_study(cfg: ExperimentConfig, iters_grid: list[int],
         raise ValueError(f"a convergence study runs at one p, got {cfg.p_grid}")
     if not iters_grid:
         raise ValueError("the iteration grid is empty")
+    # every budget runs all trials, so that the rows stay paired; each
+    # budget's config is checked before the first point runs
+    configs = [replace(cfg, n_iter=n_iter, max_failures=None) for n_iter in iters_grid]
     if code is None:
         code = resolve_code(cfg.code)
-    # every budget runs all trials, so that the rows stay paired
-    return [ConvergenceRow(n_iter=n_iter, point=run_point(
-                code, replace(cfg, n_iter=n_iter, max_failures=None), cfg.p_grid[0]))
-            for n_iter in iters_grid]
+    return [ConvergenceRow(n_iter=c.n_iter, point=run_point(code, c, cfg.p_grid[0]))
+            for c in configs]

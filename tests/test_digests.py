@@ -1,0 +1,116 @@
+"""Decoder results stay bit-identical, case by case.
+
+Each record case holds one SHA-256 of the ``run_trials`` records of a fixed
+(code, decoder, p, trials) at seed 7: the records' fields as one little-endian
+int64 array, a row per trial.  Each chunk case hashes the first toy-gldpc
+chunk of ``run_trials`` as the decoder and OSD leave it (both sides' estimates,
+APP LLRs, convergence and iterations, and the failure mask), so that float
+drift shows even when no record flips.  A failure names the case that changed.
+
+A change that alters decoder results on purpose re-records these digests
+(``python tests/test_digests.py`` prints the table) and says so.  The float
+bytes assume the numpy and BLAS builds of the recording: on another build a
+chunk case may differ by rounding while every record case still holds.
+"""
+
+import hashlib
+from dataclasses import astuple
+
+import numpy as np
+import pytest
+
+from qgldpc import channel
+from qgldpc.harness import (DECODERS, ExperimentConfig, _tail, chunk_size, resolve_code,
+                            run_trials)
+
+SEED = 7
+CHUNK_P = 0.12
+
+# (code, decoder, p, trials) -> SHA-256 of the records
+RECORDS = {
+    ("builtin:toy-gldpc", "bp", 0.05, 400):
+        "6fae0bb2704717b78a5c9fae8816e4322e4e1a1b974a40ba8ec2aeda3e791b79",
+    ("builtin:toy-gldpc", "bp-osd", 0.05, 400):
+        "a807833175efed64f797ca7bd46311e1a636236bad57ed1826e518c9a0e7fd4d",
+    ("builtin:toy-gldpc", "sogrand", 0.05, 400):
+        "8b0a1c176b7aeb9707e550cd3c6999d5e52e45bf8eddc64875864d8ad4338435",
+    ("builtin:toy-gldpc", "sogrand-osd", 0.05, 400):
+        "8bcb4170fb89519189a3b29fd660ee7df9ce52adb8c136765208a08cfe1a82a6",
+    ("builtin:toy-gldpc", "sogrand-osd-corr", 0.05, 400):
+        "7f5cc3c047f5494a4fc1e1037253174c347134427890250125b2ee9c286349ab",
+    ("builtin:toy-gldpc", "bp", 0.12, 400):
+        "c78148916270246e79398e7ed438d4f61de48a581ed8f5502baddb1eeedfb40d",
+    ("builtin:toy-gldpc", "bp-osd", 0.12, 400):
+        "0cd07919817153332d174c23dd72373546011ee5866ad87127a05ebd920bcbd8",
+    ("builtin:toy-gldpc", "sogrand", 0.12, 400):
+        "2eb6d9f0263507837f499d53509e9edba2da9d18c996ba2023f6c4a6704365db",
+    ("builtin:toy-gldpc", "sogrand-osd", 0.12, 400):
+        "0d59453520923607fbbb4d9ffc16d4ac8a860457d161a7d8633d43a6a7f1f6d1",
+    ("builtin:toy-gldpc", "sogrand-osd-corr", 0.12, 400):
+        "1fbcb2fa9231c2fc1715d46322e0ed923c675d80c05c412b50f5129a799b5c2e",
+    ("builtin:steane", "sogrand-osd-corr", 0.05, 400):
+        "ea555c4b425231f1294a8627888c7874524473eb2ab1c35656a79685a4030295",
+    ("builtin:toric-8", "sogrand-osd", 0.05, 100):
+        "73210ee0194ee32d268ed0dff79acb3340b36a5301f4e8ccff92e19fe2a60b7b",
+    ("builtin:toric-8", "bp-osd", 0.05, 100):
+        "438fba5d53dbb27a8978f7ff020013fcdc483d3937f8c0e9f8efde571658ecc3",
+    ("builtin:toric-12", "bp-osd", 0.05, 60):
+        "d224978c448a8dba82343182fec9cc29a94554b0f67f317158e8d982abf8a975",
+}
+
+# decoder -> SHA-256 of the first toy-gldpc chunk at CHUNK_P
+CHUNKS = {
+    "bp": "9ce22766c17c60d6e66f7950d1f2c442466de7430ef8995963161524df7679a4",
+    "bp-osd": "07bacd6cc014dc6119cfc3e9516b64e76fabca284e81abc5af23ead78d408a63",
+    "sogrand": "6eab2ae0fe6d11bc1263c1c82ca99f377f6540ce1db7d4e7d65d68f1459c5b20",
+    "sogrand-osd": "d93831c0ed99b14e5e003501c27bf08e1e1f3b5372080f5ef7e00ed2c3bb80e4",
+    "sogrand-osd-corr": "d05d706f9b37ddbe2f9169bf2520c00b6147cfc4e563626c112057ba147d2114",
+}
+
+
+def records_digest(source, decoder, p, trials):
+    cfg = ExperimentConfig(code=source, decoder=decoder, p_grid=(p,), trials=trials,
+                           master_seed=SEED)
+    records = run_trials(resolve_code(source), cfg, p, 0, trials)
+    rows = np.array([astuple(rec) for rec in records], dtype="<i8")
+    return hashlib.sha256(rows.tobytes()).hexdigest()
+
+
+def chunk_digest(decoder):
+    code = resolve_code("builtin:toy-gldpc")
+    cfg = ExperimentConfig(code="builtin:toy-gldpc", decoder=decoder, master_seed=SEED)
+    params = channel.DepolarizingParams(CHUNK_P)
+    errors = [channel.sample_error(params, code.n, channel.trial_rng(SEED, CHUNK_P, t))
+              for t in range(chunk_size(code, cfg.sog_params))]
+    e = channel.PauliErrorPattern(e_x=np.array([x.e_x for x in errors]),
+                                  e_z=np.array([x.e_z for x in errors]))
+    s_x, s_z = channel.syndromes(code, e)
+    result = DECODERS[decoder].decode(code, channel.make_priors(params, code.n), s_x, s_z,
+                                      cfg.resolved_n_iter(), cfg.sog_params, cfg.alpha)
+    osd_cfg = cfg.osd_config if DECODERS[decoder].osd else None
+    failed = _tail(code, result, e, s_x, s_z, osd_cfg, params.p_eff)
+    digest = hashlib.sha256(np.ascontiguousarray(failed, dtype="u1").tobytes())
+    for side in (result.z_side, result.x_side):
+        digest.update(np.ascontiguousarray(side.e_hat, dtype="u1").tobytes())
+        digest.update(np.ascontiguousarray(side.app, dtype="<f8").tobytes())
+        digest.update(np.ascontiguousarray(side.converged, dtype="u1").tobytes())
+        digest.update(np.ascontiguousarray(side.iterations_used, dtype="<i8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(RECORDS), ids=lambda c: "{}-{}-p{}-{}".format(
+    c[0].split(":")[-1], *c[1:]))
+def test_records_digest(case):
+    assert records_digest(*case) == RECORDS[case]
+
+
+@pytest.mark.parametrize("decoder", list(CHUNKS))
+def test_chunk_digest(decoder):
+    assert chunk_digest(decoder) == CHUNKS[decoder]
+
+
+if __name__ == "__main__":
+    for case in RECORDS:
+        print(f"    {case!r}: {records_digest(*case)!r},")
+    for decoder in CHUNKS:
+        print(f"    {decoder!r}: {chunk_digest(decoder)!r},")

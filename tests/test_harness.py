@@ -179,6 +179,15 @@ class TestTrialsAndPoints:
         for max_failures in (0, -3):
             with pytest.raises(ValueError, match="max_failures"):
                 ExperimentConfig(code="builtin:steane", max_failures=max_failures)
+        for bad, message in ((dict(n_iter=0), "n_iter"), (dict(alpha=0.0), "alpha"),
+                             (dict(alpha=1.5), "alpha"), (dict(master_seed=-1), "seed")):
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig(code="builtin:steane", **bad)
+        # the decoding range (0, 3/4], at both ends
+        ExperimentConfig(code="builtin:steane", p_grid=(1e-9, 0.75))
+        for p in (0.0, np.nextafter(0.75, 1.0)):
+            with pytest.raises(ValueError, match="3/4"):
+                ExperimentConfig(code="builtin:steane", p_grid=(p,))
 
     def test_resolve_code(self, tmp_path):
         from qgldpc.codes import write_code
@@ -319,16 +328,28 @@ class TestPseudothreshold:
         curve = [make_point(0.001, 0.0), make_point(0.01, 0.0)]
         assert pseudothreshold(curve, 3) is None
 
+    def test_k_below_one_rejected(self, tmp_path, capsys):
+        curve = [make_point(0.005, 0.001), make_point(0.01, 0.01)]
+        with pytest.raises(ValueError, match="k"):
+            pseudothreshold(curve, 0)
+        path = str(tmp_path / "curve.csv")
+        write_csv(curve, path)
+        assert main(["threshold", "--in", path, "--k", "0"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "qgldpc threshold: error: k (logical qubits) must be >= 1, got 0"]
+
 
 class TestDecoderRegistry:
     @pytest.mark.parametrize("decoder", list(DECODERS))
     def test_every_decoder_runs_a_toy_trial(self, decoder):
         code = builtin_code("toy-gldpc")
         cfg = ExperimentConfig(code="builtin:toy-gldpc", decoder=decoder,
-                               p_grid=(0.1,), trials=1, master_seed=4)
-        rec = run_trial(code, cfg, 0.1, 0)
-        assert 1 <= rec.iterations_used <= DECODERS[decoder].n_iter
-        assert rec.osd_invoked <= DECODERS[decoder].osd
+                               p_grid=(0.1, 0.75), trials=1, master_seed=4)
+        # at p = 3/4 the channel LLR is 0, and OSD with q = 1/2 picks the lightest candidate
+        for p in cfg.p_grid:
+            rec = run_trial(code, cfg, p, 0)
+            assert 1 <= rec.iterations_used <= DECODERS[decoder].n_iter
+            assert rec.osd_invoked <= DECODERS[decoder].osd
 
     def test_cli_choices_are_the_registry(self, capsys):
         with pytest.raises(SystemExit):
@@ -353,6 +374,15 @@ class TestConvergenceStudy:
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
         assert err.splitlines() == ["qgldpc convergence: error: the iteration grid is empty"]
+
+    def test_bad_budget_runs_no_point(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(harness, "run_point", lambda *args: calls.append(args))
+        rc = main(["convergence", "--code", "builtin:steane", "--p", "0.01",
+                   "--trials", "5", "--iters-grid", "3,0"])
+        assert rc == 2 and calls == []
+        assert capsys.readouterr().err.splitlines() == [
+            "qgldpc convergence: error: n_iter must be >= 1"]
 
     def test_common_randomness_and_monotone_failures(self):
         cfg = ExperimentConfig(code="builtin:toy-gldpc", decoder="sogrand",
@@ -410,6 +440,12 @@ class TestCli:
         ["--code", "builtin:toric-1", "--p", "0.05", "--trials", "5"],
         ["--code", "builtin:toric-x", "--p", "0.05", "--trials", "5"],
         ["--code", "builtin:toric-", "--p", "0.05", "--trials", "5"],
+        ["--code", "builtin:toy-gldpc", "--p", "0.05", "--trials", "5", "--iters", "0",
+         "--out", "f.csv"],
+        ["--code", "builtin:toy-gldpc", "--p", "0.05", "--trials", "5", "--decoder", "bp",
+         "--alpha", "0", "--out", "f.csv"],
+        ["--code", "builtin:toy-gldpc", "--p", "0.05", "--trials", "5", "--seed", "-1",
+         "--out", "f.csv"],
     ])
     def test_sim_bad_input_is_one_line_error(self, args, tmp_path):
         src = str(Path(qgldpc.__file__).resolve().parents[1])
@@ -420,6 +456,7 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("qgldpc sim: error: ")
+        assert list(tmp_path.iterdir()) == []  # a bad config writes no file
 
     def test_sim_builtin_toric_l(self, capsys):
         rc = main(["sim", "--code", "builtin:toric-12", "--decoder", "bp-osd",

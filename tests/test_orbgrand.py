@@ -39,7 +39,8 @@ def schedule_masses(q):
     L = np.log((1.0 - q) / q)
     out = sogrand_decode(ComponentCode(np.zeros((0, n), dtype=np.uint8)), L,
                          np.zeros(0), SograndParams(list_max=1 << n, query_budget=1 << n))
-    return {tuple(p.tolist()): m for p, m in zip(out.cand.patterns, out.cand.masses)}
+    k = out.n_listed
+    return {tuple(p.tolist()): m for p, m in zip(out.patterns[:k], out.masses[:k])}
 
 
 class TestSchedule:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from qgldpc import gf2
 from qgldpc.channel import clamp_llr
 from qgldpc.codes import ComponentCode
 from qgldpc.orbgrand import rank_flip_table
-from qgldpc.sogrand import (CandidateList, SograndParams, _soft, decode_block,
+from qgldpc.sogrand import (BlockOutput, SograndParams, _soft, decode_block,
                             estimate_missing_mass, sogrand_decode)
 
 HAMMING = np.array([[1, 0, 1, 0, 1, 0, 1],
@@ -37,13 +38,14 @@ def brute_force_posteriors(H, L_A, s):
     return p1, map_pattern
 
 
-def soft_from_list(cand, L_A):
-    """(L_APP, L_E, best pattern) of one row from a finalized candidate list."""
-    n = len(cand.patterns)
-    patterns = np.reshape(cand.patterns, (1, n, len(L_A)))
-    L_APP, L_E, best = _soft(np.asarray(L_A, dtype=float)[None], patterns,
-                             np.array([cand.masses]).reshape(1, n), np.array([n]),
-                             np.array([cand.P_g]), cand.m_c)
+def soft_from_list(patterns, masses, P_g, m_c, L_A):
+    """(L_APP, L_E, best pattern) of one row from a finalized candidate list,
+    held as the kernel holds it: a zero-mass slot follows the list."""
+    n = len(patterns)
+    slots = np.zeros((1, n + 1, len(L_A)), dtype=np.uint8)
+    slots[0, :n] = np.reshape(patterns, (n, len(L_A)))
+    L_APP, L_E, best = _soft(np.asarray(L_A, dtype=float)[None], slots,
+                             np.append(masses, 0.0)[None], np.array([n]), np.array([P_g]), m_c)
     return L_APP[0], L_E[0], best[0]
 
 
@@ -139,7 +141,7 @@ class TestSograndDecodeBasics:
         comp = ComponentCode(np.zeros((0, 5), dtype=np.uint8))
         L = np.array([3.0, -2.0, 1.0, -0.5, 4.0])
         out = sogrand_decode(comp, L, np.zeros(0), SograndParams(list_max=1))
-        assert out.found
+        assert out.n_listed > 0
         assert out.best_pattern.tolist() == [0, 1, 0, 1, 0]
 
     def test_hamming_weight_one_strong_priors(self):
@@ -152,7 +154,7 @@ class TestSograndDecodeBasics:
             e[j] = 1
             s = (HAMMING @ e) % 2
             out = sogrand_decode(comp, L, s, SograndParams(list_max=16))
-            assert out.found
+            assert out.n_listed > 0
             assert np.array_equal(out.best_pattern, e)
 
     def test_empty_list_neutral_extrinsic(self):
@@ -161,7 +163,7 @@ class TestSograndDecodeBasics:
         L = np.full(7, 2.0)
         s = np.array([1, 0, 0], dtype=np.uint8)
         out = sogrand_decode(comp, L, s, SograndParams(list_max=4, query_budget=1))
-        assert not out.found
+        assert out.n_listed == 0
         assert np.allclose(out.L_E, 0.0)
         assert np.allclose(out.L_APP, L)
 
@@ -178,8 +180,8 @@ class TestSograndDecodeBasics:
         s = rng.integers(0, 2, size=m_c, dtype=np.uint8)
         out = sogrand_decode(ComponentCode(H), L, s,
                              SograndParams(list_max=list_max, query_budget=budget))
-        assert len(out.cand.patterns) <= list_max
-        for pat in out.cand.patterns:
+        assert out.n_listed <= list_max
+        for pat in out.patterns[:out.n_listed]:
             assert np.array_equal((H.astype(int) @ pat) % 2, s)
 
     def test_accounting_identity(self):
@@ -189,32 +191,36 @@ class TestSograndDecodeBasics:
             L = rng.normal(0, 2, size=7)
             s = rng.integers(0, 2, size=3, dtype=np.uint8)
             out = sogrand_decode(comp, L, s)
-            c = out.cand
-            assert 0.0 <= c.P_L <= c.P_g + 1e-12
-            assert c.P_g <= 1.0
-            assert c.P_tot == pytest.approx(c.P_L + c.P_Lc)
-            assert c.P_Lc == pytest.approx((1 - c.P_g) * 2.0 ** -comp.m_c)
+            P_L = math.fsum(out.masses[:out.n_listed])
+            P_Lc = estimate_missing_mass(out.P_g, comp.m_c)
+            P_tot = P_L + P_Lc
+            assert 0.0 <= P_L <= out.P_g + 1e-12
+            assert out.P_g <= 1.0
+            assert P_tot == pytest.approx(P_L + P_Lc)
+            assert P_Lc == pytest.approx((1 - out.P_g) * 2.0 ** -comp.m_c)
 
     def test_pl_monotone_in_list(self):
-        cand = CandidateList(m_c=2)
-        cand.P_g = 0.5
-        prev = cand.P_L
-        for mass in (0.1, 0.05, 0.2):
-            cand.patterns.append(np.zeros(4, dtype=np.uint8))
-            cand.masses.append(mass)
-            assert cand.P_L >= prev
-            prev = cand.P_L
+        # a longer list extends the shorter one, so its fsum never drops
+        rng = np.random.default_rng(6)
+        comp = ComponentCode(HAMMING)
+        for _ in range(20):
+            L = rng.normal(0, 2, size=7)
+            s = rng.integers(0, 2, size=3, dtype=np.uint8)
+            prev = 0.0
+            for list_max in range(1, 9):
+                out = sogrand_decode(comp, L, s, SograndParams(list_max=list_max))
+                P_L = math.fsum(out.masses[:out.n_listed])
+                assert P_L >= prev
+                prev = P_L
 
     def test_argmax_stable_under_mass_rescaling(self):
         rng = np.random.default_rng(3)
-        cand = CandidateList(m_c=2, P_g=0.7)
         pats = [rng.integers(0, 2, 5, dtype=np.uint8) for _ in range(4)]
         masses = [0.01, 0.2, 0.05, 0.11]
-        cand.patterns, cand.masses = pats, list(masses)
         L_A = rng.normal(0, 1, 5)
-        best = soft_from_list(cand, L_A)[2]
-        cand.masses = [17.3 * m for m in masses]
-        assert np.array_equal(soft_from_list(cand, L_A)[2], best)
+        best = soft_from_list(pats, masses, 0.7, 2, L_A)[2]
+        rescaled = [17.3 * m for m in masses]
+        assert np.array_equal(soft_from_list(pats, rescaled, 0.7, 2, L_A)[2], best)
 
     def test_dimension_checks(self):
         comp = ComponentCode(HAMMING)
@@ -253,10 +259,8 @@ class TestSaturationExactness:
             assert lm(out.best_pattern) == pytest.approx(lm(map_exact), abs=1e-9)
 
     def test_single_overwhelming_entry(self):
-        cand = CandidateList(m_c=3, P_g=0.999999)
-        cand.patterns = [np.zeros(6, dtype=np.uint8)]
-        cand.masses = [0.9]
-        L_APP, _, _ = soft_from_list(cand, np.full(6, 1.0))
+        L_APP, _, _ = soft_from_list([np.zeros(6, dtype=np.uint8)], [0.9], 0.999999, 3,
+                                     np.full(6, 1.0))
         assert (L_APP > 5.0).all()
 
 
@@ -285,16 +289,11 @@ class TestBlockAgainstLoop:
         comp, L, s, params = case
         block = decode_block(comp, L, s, params)
         one = sogrand_decode(comp, L[0], s[0], params)
-        n = int(block.n_listed[0])
-        assert np.array_equal(one.L_APP, block.L_APP[0])
-        assert np.array_equal(one.L_E, block.L_E[0])
-        assert np.array_equal(one.best_pattern, block.best_pattern[0])
-        assert one.found == (n > 0)
-        assert one.queries_used == block.queries_used[0]
-        assert len(one.cand.patterns) == n
-        assert one.cand.masses == block.masses[0, :n].tolist()
-        assert one.cand.P_g == block.P_g[0]
-        L_APP, L_E, _ = soft_from_list(one.cand, clamp_llr(L[0]))
+        for f in fields(BlockOutput):
+            assert np.array_equal(getattr(one, f.name), getattr(block, f.name)[0]), f.name
+        n = one.n_listed
+        L_APP, L_E, _ = soft_from_list(one.patterns[:n], one.masses[:n], one.P_g, comp.m_c,
+                                       clamp_llr(L[0]))
         assert np.array_equal(L_APP, one.L_APP)
         assert np.array_equal(L_E, one.L_E)
 
