@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .codes import CodeFormatError
 from .harness import (DECODERS, ConvergenceRow, ExperimentConfig, convergence_study,
                       pseudothreshold, read_csv, resolve_code, run_sweep)
 from .osd import OsdConfig
 from .sogrand import SograndParams
+
+_OSD_STRATEGIES = {"cs": "combination_sweep", "exhaustive": "exhaustive_w"}
 
 
 def _parse_p_grid(text: str) -> tuple[float, ...]:
@@ -24,30 +27,34 @@ def _parse_iters_grid(text: str) -> list[int]:
 
 
 def _add_sim_args(sub):
+    cfg = {f.name: f.default for f in fields(ExperimentConfig)}
+    sog, osd = cfg["sog_params"], cfg["osd_config"]
+    iters = ", ".join(f"{name} {dec.n_iter}" for name, dec in DECODERS.items())
     sub.add_argument("--code", required=True, help="code file path or builtin:NAME")
-    sub.add_argument("--decoder", default="sogrand", choices=tuple(DECODERS))
+    sub.add_argument("--decoder", default=cfg["decoder"], choices=tuple(DECODERS))
     sub.add_argument("--p", required=True, type=_parse_p_grid,
                      help="comma-separated physical error rates")
-    sub.add_argument("--trials", type=int, default=1000)
-    sub.add_argument("--iters", type=int, default=None,
-                     help="max decoding iterations (default 20, or 100 for bp)")
-    sub.add_argument("--list-size", type=int, default=4)
-    sub.add_argument("--query-budget", type=int, default=None)
-    sub.add_argument("--osd-order", type=int, default=9)
-    sub.add_argument("--osd-strategy", choices=("cs", "exhaustive"), default="cs")
-    sub.add_argument("--alpha", type=float, default=0.625)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--max-failures", type=int, default=None)
+    sub.add_argument("--trials", type=int, default=cfg["trials"])
+    sub.add_argument("--iters", type=int, default=cfg["n_iter"],
+                     help=f"max decoding iterations (default per decoder: {iters})")
+    sub.add_argument("--list-size", type=int, default=sog.list_max)
+    sub.add_argument("--query-budget", type=int, default=sog.query_budget)
+    sub.add_argument("--osd-order", type=int, default=osd.order_w)
+    sub.add_argument("--osd-strategy", choices=tuple(_OSD_STRATEGIES),
+                     default={v: k for k, v in _OSD_STRATEGIES.items()}[osd.strategy])
+    sub.add_argument("--alpha", type=float, default=cfg["alpha"])
+    sub.add_argument("--seed", type=int, default=cfg["master_seed"])
+    sub.add_argument("--max-failures", type=int, default=cfg["max_failures"])
 
 
 def _config_from_args(args, out_path=None) -> ExperimentConfig:
-    strategy = "combination_sweep" if args.osd_strategy == "cs" else "exhaustive_w"
     return ExperimentConfig(
         code=args.code, decoder=args.decoder, p_grid=tuple(args.p),
         trials=args.trials, n_iter=args.iters,
         sog_params=SograndParams(list_max=args.list_size,
                                  query_budget=args.query_budget),
-        osd_config=OsdConfig(order_w=args.osd_order, strategy=strategy),
+        osd_config=OsdConfig(order_w=args.osd_order,
+                             strategy=_OSD_STRATEGIES[args.osd_strategy]),
         alpha=args.alpha, master_seed=args.seed, out_path=out_path,
         max_failures=args.max_failures)
 
@@ -92,9 +99,11 @@ def cmd_validate(args) -> int:
     except CodeFormatError as exc:
         print(f"INVALID: {exc}")
         return 1
+    x, z = (f"{g.component.m_c}x{g.component.n_c}" for g in (code.x_graph, code.z_graph))
+    same = code.x_graph.component.H.tolist() == code.z_graph.component.H.tolist()
     print(f"OK: {code.name} [[{code.n},{code.k},{code.d}]] "
           f"x_checks={code.x_graph.m} z_checks={code.z_graph.m} "
-          f"component={code.x_graph.component.m_c}x{code.x_graph.component.n_c}")
+          + (f"component={x}" if same else f"x_component={x} z_component={z}"))
     return 0
 
 

@@ -26,13 +26,15 @@ class ComponentCode:
     H: np.ndarray  # (m_c, n_c) parity-check matrix, uint8
 
     def __post_init__(self):
-        H = np.asarray(self.H, dtype=np.uint8) % 2
+        H = np.asarray(self.H)
         if H.ndim != 2:
             raise CodeFormatError("component matrix must be 2-D")
         if H.shape[0] > H.shape[1]:
             raise CodeFormatError("component matrix has more rows than columns")
-        object.__setattr__(self, "H", H)
-        H.setflags(write=False)
+        if not np.isin(H, (0, 1)).all():
+            raise CodeFormatError("component entries must be 0 or 1")
+        object.__setattr__(self, "H", H.astype(np.uint8))
+        self.H.setflags(write=False)
 
     @property
     def m_c(self) -> int:
@@ -87,13 +89,11 @@ def flatten(g: TannerGraph) -> np.ndarray:
     check's incident variable nodes.  Repeated incidences XOR-accumulate.
     """
     m_c, n_c = g.component.m_c, g.component.n_c
-    out = np.zeros((g.m * m_c, g.n), dtype=np.uint8)
-    for j, cn in enumerate(g.cns):
-        for t in range(m_c):
-            row = out[j * m_c + t]
-            for slot in np.flatnonzero(g.component.H[t]):
-                row[cn[slot]] ^= 1
-    return out
+    out = np.zeros((g.m, m_c, g.n), dtype=np.uint8)
+    # (check j, row t, slot) adds H[t, slot] at the slot's variable node
+    np.add.at(out, (np.arange(g.m)[:, None, None], np.arange(m_c)[:, None],
+                    g.edge_var.reshape(g.m, 1, n_c)), g.component.H)
+    return (out % 2).reshape(g.m * m_c, g.n)
 
 
 @dataclass
@@ -139,12 +139,20 @@ def _graph_to_obj(g: TannerGraph) -> dict:
             "cns": [list(map(int, cn)) for cn in g.cns]}
 
 
+def _json_int(value, name: str) -> int:
+    if type(value) is not int:  # no bool, float or string is coerced
+        raise CodeFormatError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _graph_from_obj(obj, n: int, label: str) -> TannerGraph:
     if label not in obj:
         raise CodeFormatError(f"missing {label} in code file")
     try:
-        comp = ComponentCode(np.array(obj[label]["component_H"], dtype=np.uint8))
-        cns = [list(map(int, cn)) for cn in obj[label]["cns"]]
+        comp = ComponentCode([[_json_int(v, "component_H entry") for v in row]
+                              for row in obj[label]["component_H"]])
+        cns = [[_json_int(vn, f"check {j} VN index") for vn in cn]
+               for j, cn in enumerate(obj[label]["cns"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise CodeFormatError(f"malformed {label}: {exc}") from exc
     return TannerGraph(n=n, cns=cns, component=comp)
@@ -164,15 +172,14 @@ def load_code(path) -> GldpcCode:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise CodeFormatError(f"cannot parse code file {path}: {exc}") from exc
     try:
-        name, n, k, d = obj["name"], int(obj["n"]), int(obj["k"]), int(obj["d"])
+        name, n, k, d = obj["name"], *(_json_int(obj[key], key) for key in ("n", "k", "d"))
     except (KeyError, TypeError, ValueError) as exc:
         raise CodeFormatError(f"missing or malformed header field in {path}: {exc}") from exc
-    x_graph = _graph_from_obj(obj, n, "x_graph")
-    z_graph = _graph_from_obj(obj, n, "z_graph")
-    return GldpcCode(name=name, n=n, k=k, d=d, x_graph=x_graph, z_graph=z_graph)
+    return GldpcCode(name=name, n=n, k=k, d=d, x_graph=_graph_from_obj(obj, n, "x_graph"),
+                     z_graph=_graph_from_obj(obj, n, "z_graph"))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,9 @@ BELIEF_FLOOR = 1e-12
 # Pauli belief columns, and argmax tie preference I < X < Z < Y.
 _I, _X, _Y, _Z = 0, 1, 2, 3
 _TIE_ORDER = np.array([_I, _X, _Z, _Y])
+# (bit, other) of each graph: the Pauli that flips the component its messages are
+# about (e_z on the X graph, e_x on the Z graph) and the one that leaves it.
+_PAIRS = ((_Z, _X), (_X, _Z))
 
 
 @dataclass
@@ -164,31 +167,22 @@ def decode_independent(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
                                      np.asarray(s_z)[None], n_iter, sog_params).row(0)
 
 
-def _beliefs_from_llr(L: np.ndarray, about_x: bool) -> np.ndarray:
-    """Map a binary LLR message into four-valued Pauli beliefs.
-
-    A message about the X-error component (from an H_Z-graph check) says
-    nothing about Z errors: P(X) = P(Y) = q/2, P(I) = P(Z) = (1-q)/2, with
-    q = 1/(1+exp(L)).  Mirrored for messages about the Z component.
-    """
+def _beliefs_from_llr(L: np.ndarray, pair) -> np.ndarray:
+    """Map a binary LLR message about one error component into Pauli beliefs that
+    say nothing about the other: with q = 1/(1+exp(L)) and ``(bit, other) = pair``,
+    P(bit) = P(Y) = q/2 and P(I) = P(other) = (1-q)/2."""
+    bit, other = pair
     q = np.exp(-np.logaddexp(0.0, L))
     out = np.empty(L.shape + (4,))
-    if about_x:
-        out[..., _X] = out[..., _Y] = 0.5 * q
-        out[..., _I] = out[..., _Z] = 0.5 * (1.0 - q)
-    else:
-        out[..., _Z] = out[..., _Y] = 0.5 * q
-        out[..., _I] = out[..., _X] = 0.5 * (1.0 - q)
+    out[..., bit] = out[..., _Y] = 0.5 * q
+    out[..., _I] = out[..., other] = 0.5 * (1.0 - q)
     return out
 
 
-def _marginal_llr(P: np.ndarray, about_x: bool) -> np.ndarray:
-    if about_x:
-        num = P[..., _I] + P[..., _Z]
-        den = P[..., _X] + P[..., _Y]
-    else:
-        num = P[..., _I] + P[..., _X]
-        den = P[..., _Z] + P[..., _Y]
+def _marginal_llr(P: np.ndarray, pair) -> np.ndarray:
+    bit, other = pair
+    num = P[..., _I] + P[..., other]
+    den = P[..., bit] + P[..., _Y]
     return clamp_llr(np.log(np.maximum(num, BELIEF_FLOOR))
                      - np.log(np.maximum(den, BELIEF_FLOOR)))
 
@@ -198,34 +192,26 @@ def _argmax_pauli(P_app: np.ndarray) -> np.ndarray:
     return _TIE_ORDER[np.argmax(P_app[..., _TIE_ORDER], axis=-1)]
 
 
-def _pauli_fuse(prior: np.ndarray, xg: TannerGraph, zg: TannerGraph, c2v):
-    """Pauli-belief fusion of (X graph, Z graph) messages, about (e_z, e_x),
-    of A trials: the messages are (A, E), the beliefs (A, n, [2,] 4).
+def _pauli_fuse(prior: np.ndarray, graphs, c2v):
+    """Pauli-belief fusion of the (X graph, Z graph) messages of A trials:
+    the messages are (A, E), the beliefs (A, n, [2,] 4).
 
     The hard decision is the most likely Pauli, not the marginals' signs."""
-    c2v_x, c2v_z = c2v
-    in_x = c2v_x[:, xg.vn_edge]                     # (A, n, 2) LLRs about e_z
-    in_z = c2v_z[:, zg.vn_edge]                     # (A, n, 2) LLRs about e_x
-    bel_x = _beliefs_from_llr(in_x, about_x=False)  # (A, n, 2, 4)
-    bel_z = _beliefs_from_llr(in_z, about_x=True)
-
-    P_app = prior * bel_x.prod(axis=-2) * bel_z.prod(axis=-2)
+    bel = [_beliefs_from_llr(c[:, g.vn_edge], pair) for g, pair, c in zip(graphs, _PAIRS, c2v)]
+    P_app = prior * bel[0].prod(axis=-2) * bel[1].prod(axis=-2)
     P_app /= P_app.sum(axis=-1, keepdims=True)
     P_app = np.maximum(P_app, BELIEF_FLOOR)
     P_app /= P_app.sum(axis=-1, keepdims=True)
-
     symbol = _argmax_pauli(P_app)
-    e_x = ((symbol == _X) | (symbol == _Y)).astype(np.uint8)
-    e_z = ((symbol == _Z) | (symbol == _Y)).astype(np.uint8)
-    app = [_marginal_llr(P_app, about_x=False), _marginal_llr(P_app, about_x=True)]
 
+    e_hat = [((symbol == bit) | (symbol == _Y)).astype(np.uint8) for bit, _ in _PAIRS]
+    app = [_marginal_llr(P_app, pair) for pair in _PAIRS]
     # Extrinsic: divide out the incoming belief, marginalize per graph.
-    ext_x = P_app[..., None, :] / np.maximum(bel_x, BELIEF_FLOOR)
-    ext_z = P_app[..., None, :] / np.maximum(bel_z, BELIEF_FLOOR)
-    v2c_x, v2c_z = np.empty_like(c2v_x), np.empty_like(c2v_z)
-    v2c_x[:, xg.vn_edge] = _marginal_llr(ext_x, about_x=False)
-    v2c_z[:, zg.vn_edge] = _marginal_llr(ext_z, about_x=True)
-    return app, [v2c_x, v2c_z], [e_z, e_x]
+    v2c = [np.empty_like(c) for c in c2v]
+    for g, pair, msg, b in zip(graphs, _PAIRS, v2c, bel):
+        ext = P_app[..., None, :] / np.maximum(b, BELIEF_FLOOR)
+        msg[:, g.vn_edge] = _marginal_llr(ext, pair)
+    return app, v2c, e_hat
 
 
 def decode_correlated_trials(code: GldpcCode, pauli_prior, s_x, s_z, n_iter: int = 20,
@@ -241,11 +227,10 @@ def decode_correlated_trials(code: GldpcCode, pauli_prior, s_x, s_z, n_iter: int
     prior = np.asarray(pauli_prior, dtype=float)
     if prior.shape != (code.n, 4):
         raise ValueError(f"Pauli prior has shape {prior.shape}, expected {(code.n, 4)}")
-    xg, zg = code.x_graph, code.z_graph
-    sides = [_sogrand_side(xg, s_z, sog_params), _sogrand_side(zg, s_x, sog_params)]
-    # Channel marginals initialize both graphs' messages.
-    L0 = [_marginal_llr(prior, about_x=False), _marginal_llr(prior, about_x=True)]
-    z_side, x_side = flood(sides, L0, n_iter, fuse=lambda c2v: _pauli_fuse(prior, xg, zg, c2v))
+    graphs = (code.x_graph, code.z_graph)
+    sides = [_sogrand_side(g, s, sog_params) for g, s in zip(graphs, (s_z, s_x))]
+    L0 = [_marginal_llr(prior, pair) for pair in _PAIRS]  # channel marginals: first messages
+    z_side, x_side = flood(sides, L0, n_iter, fuse=lambda c2v: _pauli_fuse(prior, graphs, c2v))
     return DecodeResult(z_side=z_side, x_side=x_side)
 
 

@@ -119,9 +119,9 @@ def _consistent(component: ComponentCode, s_local, hard, perm, table) -> np.ndar
 
 
 def _listed_masses(ranked: RankedInput, table, listed, n_listed, queries_used):
-    """Masses of the listed deviations, zero past ``n_listed``, and each row's
-    explored mass P_g.  Log-masses come from a stacked matmul, one gemv per row
-    (a gemm over the block rounds differently); exp and cumsum reuse the array."""
+    """Listed masses (zero past ``n_listed``) and P_g, the running sum of each row's
+    used query masses (all K for an empty list).  Log-masses: a stacked matmul, one
+    gemv per row (a gemm rounds differently); exp and cumsum reuse the array."""
     log_1mq = np.log1p(-ranked.q)
     weight = np.log(ranked.q) - log_1mq
     masses = np.matmul(table, weight[:, :, None])[..., 0]
@@ -130,9 +130,8 @@ def _listed_masses(ranked: RankedInput, table, listed, n_listed, queries_used):
     rows = np.arange(masses.shape[0])
     listed_masses = np.where(np.arange(listed.shape[1]) < n_listed[:, None],
                              masses[rows[:, None], listed], 0.0)
-    total = masses.sum(axis=1)
     explored = np.cumsum(masses, axis=1, out=masses)[rows, queries_used - 1]
-    return listed_masses, np.minimum(np.where(n_listed > 0, explored, total), 1.0)
+    return listed_masses, np.minimum(explored, 1.0)
 
 
 def sogrand_decode(component: ComponentCode, L_A, s_local,

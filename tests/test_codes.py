@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qgldpc import gf2
+from qgldpc.cli import main
 from qgldpc.codes import (CodeFormatError, ComponentCode, GldpcCode, TannerGraph,
                           _graph_to_obj, builtin_code, flatten, load_code, write_code)
 
@@ -47,7 +48,29 @@ def random_degree_two_graph(rng, m_c_max=3):
     return TannerGraph(n=n, cns=cns, component=ComponentCode(H))
 
 
+def flatten_loop(g):
+    """Reference for ``flatten``: XOR each check's component rows into place, entry by entry."""
+    m_c = g.component.m_c
+    out = np.zeros((g.m * m_c, g.n), dtype=np.uint8)
+    for j, cn in enumerate(g.cns):
+        for t in range(m_c):
+            for slot in np.flatnonzero(g.component.H[t]):
+                out[j * m_c + t, cn[slot]] ^= 1
+    return out
+
+
 class TestFlattenAndLocalView:
+    def test_flatten_matches_the_loop(self):
+        # random graphs can repeat a variable node within one check, where the
+        # two incidences cancel
+        rng = np.random.default_rng(3)
+        graphs = [random_degree_two_graph(rng) for _ in range(300)]
+        graphs += [g for code in builtin_codes() + [builtin_code("toric-5")]
+                   for g in (code.x_graph, code.z_graph)]
+        for g in graphs:
+            flat = flatten(g)
+            assert flat.dtype == np.uint8 and np.array_equal(flat, flatten_loop(g))
+
     def test_single_cn_identity_order(self):
         H = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
         g = TannerGraph(n=3, cns=[[0, 1, 2], [0, 1, 2]], component=ComponentCode(H))
@@ -188,6 +211,14 @@ class TestFileFormat:
         with pytest.raises(CodeFormatError, match="parse"):
             load_code(path)
 
+    def test_non_utf8_file_is_a_parse_failure(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b'\xff\xfe{"n": 1}')
+        with pytest.raises(CodeFormatError, match="parse"):
+            load_code(path)
+        assert main(["validate", "--code", str(path)]) == 1
+        assert capsys.readouterr().out.startswith("INVALID: cannot parse")
+
     def test_css_violation_in_file(self, tmp_path):
         code = builtin_code("toric")
         path = tmp_path / "toric.json"
@@ -219,6 +250,66 @@ class TestFileFormat:
             path.write_text(json.dumps({"name": "t", "n": 7, "k": 1, "d": 3, present: graph}))
             with pytest.raises(CodeFormatError, match=f"missing {missing}"):
                 load_code(path)
+
+
+# (path into a toric-2 code file, bad value, what the error names); each
+# value was once coerced (1.5 -> 1, "8" -> 8, 0.7 -> 0) or crashed the loader
+BAD_FIELDS = [
+    (("x_graph", "component_H", 0, 0), -1, "component entries must be 0 or 1"),
+    (("x_graph", "component_H", 0, 0), 3, "component entries must be 0 or 1"),
+    (("x_graph", "component_H", 0, 1), 1.5, "component_H entry"),
+    (("z_graph", "component_H", 0, 2), True, "component_H entry"),
+    (("z_graph", "component_H", 0, 3), "1", "component_H entry"),
+    (("n",), "8", "n must be an integer"),
+    (("k",), 2.7, "k must be an integer"),
+    (("d",), 2.0, "d must be an integer"),
+    (("k",), True, "k must be an integer"),
+    (("z_graph", "cns", 0, 0), 0.7, "check 0 VN index"),
+    (("z_graph", "cns", 1, 2), 5.4, "check 1 VN index"),
+    (("x_graph", "cns", 2, 1), "3", "check 2 VN index"),
+    (("x_graph", "cns", 3, 0), False, "check 3 VN index"),
+]
+
+
+def bad_code_file(tmp_path, keys, value):
+    path = tmp_path / "bad.json"
+    write_code(builtin_code("toric"), path)
+    obj = json.loads(path.read_text())
+    node = obj
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("keys, value, names", BAD_FIELDS)
+class TestStrictFields:
+    """A code file holds JSON integers and 0/1 entries; nothing is coerced."""
+
+    def test_load_code_names_the_field(self, tmp_path, keys, value, names):
+        with pytest.raises(CodeFormatError, match=names):
+            load_code(bad_code_file(tmp_path, keys, value))
+
+    def test_validate_prints_one_invalid_line(self, tmp_path, capsys, keys, value, names):
+        assert main(["validate", "--code", bad_code_file(tmp_path, keys, value)]) == 1
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 1 and out.startswith("INVALID: ") and names in out
+        assert err == ""
+
+    def test_sim_prints_one_error_line(self, tmp_path, capsys, keys, value, names):
+        rc = main(["sim", "--code", bad_code_file(tmp_path, keys, value), "--p", "0.05",
+                   "--trials", "2"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("qgldpc sim: error: ")
+        assert names in err
+
+
+@pytest.mark.parametrize("H", [[[1, 2, 1]], [[1, -1, 0]], [[0.5, 1.0, 0.0]]])
+def test_component_entries_outside_0_1_rejected(H):
+    with pytest.raises(CodeFormatError, match="0 or 1"):
+        ComponentCode(np.array(H))
 
 
 class TestLogicals:

@@ -5,7 +5,12 @@ Each record case holds one SHA-256 of the ``run_trials`` records of a fixed
 int64 array, a row per trial.  Each chunk case hashes the first toy-gldpc
 chunk of ``run_trials`` as the decoder and OSD leave it (both sides' estimates,
 APP LLRs, convergence and iterations, and the failure mask), so that float
-drift shows even when no record flips.  A failure names the case that changed.
+drift shows even when no record flips.  Each block case hashes one SOGRAND
+``decode_block`` call on a seeded block of rows (N(2, 2) LLRs, random
+syndromes) twice: every ``BlockOutput`` field but ``P_g`` (what decoding
+reads), and ``P_g`` alone, so that a change to the explored-mass sum shows
+apart from a change to decodes.  Tight budgets leave some lists empty, where
+``P_g`` sums all K query masses.  A failure names the case that changed.
 
 A change that alters decoder results on purpose re-records these digests
 (``python tests/test_digests.py`` prints the table) and says so.  The float
@@ -14,7 +19,7 @@ chunk case may differ by rounding while every record case still holds.
 """
 
 import hashlib
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ import pytest
 from qgldpc import channel
 from qgldpc.harness import (DECODERS, ExperimentConfig, _tail, chunk_size, resolve_code,
                             run_trials)
+from qgldpc.sogrand import BlockOutput, SograndParams, decode_block
 
 SEED = 7
 CHUNK_P = 0.12
@@ -67,6 +73,29 @@ CHUNKS = {
     "sogrand-osd-corr": "d05d706f9b37ddbe2f9169bf2520c00b6147cfc4e563626c112057ba147d2114",
 }
 
+BLOCK_ROWS = 200
+
+# (code whose X-graph component is decoded, query budget) -> SHA-256 of
+# (every BlockOutput field but P_g, P_g alone); components SPC-4, Hamming-7
+# and Hamming-15, at the default budget and at one that leaves lists empty
+BLOCKS = {
+    ("toric", None):
+        ("cfff8ddc34ca6b2a4141e812f894f78d5adbc0ed14be9f61d0b03088f9eebaa0",
+         "0a37d31fc5378f8bcbc0a7ae82a5a939f54628928644154caa1652f90064521a"),
+    ("steane", None):
+        ("c4ab605b01078469faea0255b40c13d6c1b15cc8fae6be9492acc22603c921ac",
+         "d786e3648d2696d10c8503d3b8cbb17770d330a2eb28d6ab0e97272462ed6fef"),
+    ("toy-gldpc", None):
+        ("7a904e8cef99e8e5cb329196b2ef50e55106fa0ec6a1568d8c016de90c892302",
+         "a0d26c1f344d03786532dc795eb0d6b0f6297afbe89968e3de6c718e13d7be01"),
+    ("steane", 8):
+        ("f814b6969da3a893ff8d6f332f75c1f5e63d4201b85a1f07403ac93547c597dc",
+         "06e2836a42b4db0d53e6f243ca011f3238eb2178b2e241e29c150b89014685ff"),
+    ("toy-gldpc", 16):
+        ("c132d0ac69fbf92940d10d3ab9b72f34d431a167f1ba8a9b6df93acec33e000c",
+         "13fe74970fea360b791552763f93a2536b0b01339803db4cf2e23d68c68414c7"),
+}
+
 
 def records_digest(source, decoder, p, trials):
     cfg = ExperimentConfig(code=source, decoder=decoder, p_grid=(p,), trials=trials,
@@ -98,6 +127,21 @@ def chunk_digest(decoder):
     return digest.hexdigest()
 
 
+def block_digests(code, budget):
+    comp = resolve_code(f"builtin:{code}").x_graph.component
+    rng = np.random.default_rng(SEED)
+    L = rng.normal(2.0, 2.0, size=(BLOCK_ROWS, comp.n_c))
+    s = rng.integers(0, 2, size=(BLOCK_ROWS, comp.m_c), dtype=np.uint8)
+    out = decode_block(comp, L, s, SograndParams(query_budget=budget))
+    decoded, explored = hashlib.sha256(), hashlib.sha256()
+    for f in fields(BlockOutput):
+        value = getattr(out, f.name)
+        dtype = "<f8" if value.dtype.kind == "f" else "<i8"
+        (explored if f.name == "P_g" else decoded).update(
+            np.ascontiguousarray(value, dtype=dtype).tobytes())
+    return decoded.hexdigest(), explored.hexdigest()
+
+
 @pytest.mark.parametrize("case", list(RECORDS), ids=lambda c: "{}-{}-p{}-{}".format(
     c[0].split(":")[-1], *c[1:]))
 def test_records_digest(case):
@@ -109,8 +153,17 @@ def test_chunk_digest(decoder):
     assert chunk_digest(decoder) == CHUNKS[decoder]
 
 
+@pytest.mark.parametrize("case", list(BLOCKS), ids="{0[0]}-budget{0[1]}".format)
+def test_block_digests(case):
+    decoded, explored = block_digests(*case)
+    assert decoded == BLOCKS[case][0], "a BlockOutput field other than P_g changed"
+    assert explored == BLOCKS[case][1], "P_g changed"
+
+
 if __name__ == "__main__":
     for case in RECORDS:
         print(f"    {case!r}: {records_digest(*case)!r},")
     for decoder in CHUNKS:
         print(f"    {decoder!r}: {chunk_digest(decoder)!r},")
+    for case in BLOCKS:
+        print(f"    {case!r}:\n        {block_digests(*case)!r},")

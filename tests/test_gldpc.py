@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgldpc import channel
+from qgldpc.channel import clamp_llr
 from qgldpc.codes import builtin_code
-from qgldpc.gldpc import (DecodeResult, SideResult, _sogrand_side, decode_correlated,
-                          decode_correlated_trials, decode_independent,
-                          decode_independent_trials, flood, _beliefs_from_llr,
-                          _argmax_pauli, _marginal_llr)
+from qgldpc.gldpc import (BELIEF_FLOOR, _PAIRS, DecodeResult, SideResult, _argmax_pauli,
+                          _beliefs_from_llr, _marginal_llr, _pauli_fuse, _sogrand_side,
+                          decode_correlated_trials, decode_independent_trials, flood)
 from qgldpc.sogrand import SograndParams
 
 SOG = SograndParams(list_max=8)
@@ -110,16 +112,17 @@ class TestInputValidation:
     def test_decode_correlated_rejects_wrong_shapes(self, prior_shape, s_x_len, s_z_len):
         code = builtin_code("toy-gldpc")
         with pytest.raises(ValueError, match="shape"):
-            decode_correlated(code, np.full(prior_shape, 0.25), np.zeros(s_x_len),
-                              np.zeros(s_z_len), n_iter=5, sog_params=SOG)
+            decode_correlated_trials(code, np.full(prior_shape, 0.25), np.zeros(s_x_len)[None],
+                                     np.zeros(s_z_len)[None], n_iter=5, sog_params=SOG)
 
 
 class TestDecodeIndependent:
     def test_zero_error(self):
         code = builtin_code("toy-gldpc")
         pr = priors_at(0.03, code.n)
-        res = decode_independent(code, pr, np.zeros(code.h_z.shape[0]),
-                                 np.zeros(code.h_x.shape[0]), sog_params=SOG)
+        res = decode_independent_trials(code, pr, np.zeros(code.h_z.shape[0])[None],
+                                        np.zeros(code.h_x.shape[0])[None],
+                                        sog_params=SOG).row(0)
         assert res.converged
         assert not res.x_side.e_hat.any() and not res.z_side.e_hat.any()
         assert res.iterations_used == 1
@@ -137,7 +140,8 @@ class TestDecodeIndependent:
                     e_z[j] = 1
                 e = channel.PauliErrorPattern(e_x, e_z)
                 s_x, s_z = channel.syndromes(code, e)
-                res = decode_independent(code, pr, s_x, s_z, sog_params=SOG)
+                res = decode_independent_trials(code, pr, s_x[None], s_z[None],
+                                                sog_params=SOG).row(0)
                 assert res.converged
                 assert code.hz_space.contains(e_z ^ res.z_side.e_hat)
                 assert code.hx_space.contains(e_x ^ res.x_side.e_hat)
@@ -149,34 +153,37 @@ class TestDecodeIndependent:
         e_z[0] = 1
         e = channel.PauliErrorPattern(np.zeros(code.n, np.uint8), e_z)
         s_x, s_z = channel.syndromes(code, e)
-        res = decode_independent(code, pr, s_x, s_z, sog_params=SOG)
+        res = decode_independent_trials(code, pr, s_x[None], s_z[None],
+                                        sog_params=SOG).row(0)
         # the X side saw a zero syndrome and must answer zero immediately
         assert not res.x_side.e_hat.any()
         assert res.x_side.iterations_used == 1
 
 
 class TestPauliBeliefs:
+    ABOUT_X = _PAIRS[1]  # the Z graph's (bit, other): X flips e_x, Z leaves it
+
     def test_neutral_llr_gives_uniform_beliefs(self):
-        bel = _beliefs_from_llr(np.array([0.0]), about_x=True)
+        bel = _beliefs_from_llr(np.array([0.0]), self.ABOUT_X)
         assert np.allclose(bel, 0.25)
 
     def test_strong_positive_llr_concentrates_on_no_flip(self):
-        bel = _beliefs_from_llr(np.array([20.0]), about_x=True)[0]
+        bel = _beliefs_from_llr(np.array([20.0]), self.ABOUT_X)[0]
         assert bel[0] + bel[3] == pytest.approx(1.0, abs=1e-6)  # I and Z
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(17)
         L = rng.normal(0, 5, size=40)
-        for about_x in (True, False):
-            bel = _beliefs_from_llr(L, about_x)
+        for pair in _PAIRS:
+            bel = _beliefs_from_llr(L, pair)
             assert np.allclose(bel.sum(axis=-1), 1.0)
 
     def test_marginal_inverts_belief_map(self):
         rng = np.random.default_rng(19)
         L = np.clip(rng.normal(0, 4, size=25), -20, 20)
-        for about_x in (True, False):
-            bel = _beliefs_from_llr(L, about_x)
-            assert np.allclose(_marginal_llr(bel, about_x), L, atol=1e-9)
+        for pair in _PAIRS:
+            bel = _beliefs_from_llr(L, pair)
+            assert np.allclose(_marginal_llr(bel, pair), L, atol=1e-9)
 
     def test_argmax_tie_order(self):
         P = np.array([[0.25, 0.25, 0.25, 0.25],   # full tie: I
@@ -186,12 +193,94 @@ class TestPauliBeliefs:
         assert _argmax_pauli(P).tolist() == [0, 1, 3, 3]
 
 
+# The fusion written with mirrored X/Z branches (columns I, X, Y, Z): the
+# oracle for the per-graph formulas, which must reproduce it byte for byte.
+def mirrored_beliefs_from_llr(L, about_x):
+    q = np.exp(-np.logaddexp(0.0, L))
+    out = np.empty(L.shape + (4,))
+    if about_x:
+        out[..., 1] = out[..., 2] = 0.5 * q
+        out[..., 0] = out[..., 3] = 0.5 * (1.0 - q)
+    else:
+        out[..., 3] = out[..., 2] = 0.5 * q
+        out[..., 0] = out[..., 1] = 0.5 * (1.0 - q)
+    return out
+
+
+def mirrored_marginal_llr(P, about_x):
+    if about_x:
+        num = P[..., 0] + P[..., 3]
+        den = P[..., 1] + P[..., 2]
+    else:
+        num = P[..., 0] + P[..., 1]
+        den = P[..., 3] + P[..., 2]
+    return clamp_llr(np.log(np.maximum(num, BELIEF_FLOOR))
+                     - np.log(np.maximum(den, BELIEF_FLOOR)))
+
+
+def mirrored_pauli_fuse(prior, xg, zg, c2v):
+    c2v_x, c2v_z = c2v
+    bel_x = mirrored_beliefs_from_llr(c2v_x[:, xg.vn_edge], about_x=False)
+    bel_z = mirrored_beliefs_from_llr(c2v_z[:, zg.vn_edge], about_x=True)
+    P_app = prior * bel_x.prod(axis=-2) * bel_z.prod(axis=-2)
+    P_app /= P_app.sum(axis=-1, keepdims=True)
+    P_app = np.maximum(P_app, BELIEF_FLOOR)
+    P_app /= P_app.sum(axis=-1, keepdims=True)
+    symbol = _argmax_pauli(P_app)
+    e_x = ((symbol == 1) | (symbol == 2)).astype(np.uint8)
+    e_z = ((symbol == 3) | (symbol == 2)).astype(np.uint8)
+    app = [mirrored_marginal_llr(P_app, about_x=False), mirrored_marginal_llr(P_app, about_x=True)]
+    ext_x = P_app[..., None, :] / np.maximum(bel_x, BELIEF_FLOOR)
+    ext_z = P_app[..., None, :] / np.maximum(bel_z, BELIEF_FLOOR)
+    v2c_x, v2c_z = np.empty_like(c2v_x), np.empty_like(c2v_z)
+    v2c_x[:, xg.vn_edge] = mirrored_marginal_llr(ext_x, about_x=False)
+    v2c_z[:, zg.vn_edge] = mirrored_marginal_llr(ext_z, about_x=True)
+    return app, [v2c_x, v2c_z], [e_z, e_x]
+
+
+FUSE_CODES = {name: builtin_code(name) for name in ("toy-gldpc", "steane", "toric-3", "toric-4")}
+
+
+@st.composite
+def fuse_inputs(draw):
+    """A code, a Pauli prior and c2v messages of 1-40 trials: rounded to make
+    ties, and carrying 0.0, -0.0 and +-30 entries."""
+    code = FUSE_CODES[draw(st.sampled_from(sorted(FUSE_CODES)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        prior = channel.make_priors(channel.DepolarizingParams(draw(st.floats(1e-4, 0.75))),
+                                    code.n).pauli_prior
+    else:
+        prior = rng.dirichlet(np.ones(4), size=code.n)
+    c2v, share = [], draw(st.sampled_from([0.0, 0.2, 0.7]))
+    for g in (code.x_graph, code.z_graph):
+        msg = np.round(rng.normal(0.0, 8.0, size=(A, g.edge_var.size)), draw(st.integers(0, 1)))
+        special = rng.random(msg.shape) < share
+        msg[special] = rng.choice([0.0, -0.0, 30.0, -30.0], size=int(special.sum()))
+        c2v.append(clamp_llr(msg))
+    return code, prior, c2v
+
+
+@given(fuse_inputs())
+@settings(max_examples=150, deadline=None)
+def test_fuse_matches_mirrored_oracle_byte_for_byte(case):
+    code, prior, c2v = case
+    got = _pauli_fuse(prior, (code.x_graph, code.z_graph), c2v)
+    want = mirrored_pauli_fuse(prior, code.x_graph, code.z_graph, c2v)
+    for name, g, w in zip(("app", "v2c", "e_hat"), got, want):
+        for side, a, b in zip(("z_side", "x_side"), g, w):
+            assert a.dtype == b.dtype and a.shape == b.shape, (name, side)
+            assert a.tobytes() == b.tobytes(), (name, side)
+
+
 class TestDecodeCorrelated:
     def test_zero_error(self):
         code = builtin_code("toy-gldpc")
         pr = priors_at(0.03, code.n)
-        res = decode_correlated(code, pr.pauli_prior, np.zeros(code.h_z.shape[0]),
-                                np.zeros(code.h_x.shape[0]), sog_params=SOG)
+        res = decode_correlated_trials(code, pr.pauli_prior, np.zeros(code.h_z.shape[0])[None],
+                                       np.zeros(code.h_x.shape[0])[None],
+                                       sog_params=SOG).row(0)
         assert res.converged
         assert not res.x_side.e_hat.any() and not res.z_side.e_hat.any()
 
@@ -205,8 +294,8 @@ class TestDecodeCorrelated:
                 e_x[j], e_z[j] = ex_bit, ez_bit
                 e = channel.PauliErrorPattern(e_x, e_z)
                 s_x, s_z = channel.syndromes(code, e)
-                res = decode_correlated(code, pr.pauli_prior, s_x, s_z,
-                                        sog_params=SOG)
+                res = decode_correlated_trials(code, pr.pauli_prior, s_x[None], s_z[None],
+                                               sog_params=SOG).row(0)
                 assert res.converged
                 assert code.hz_space.contains(e_z ^ res.z_side.e_hat)
                 assert code.hx_space.contains(e_x ^ res.x_side.e_hat)
@@ -219,8 +308,8 @@ class TestDecodeCorrelated:
             e = channel.sample_error(channel.DepolarizingParams(0.06), code.n,
                                      rng)
             s_x, s_z = channel.syndromes(code, e)
-            res = decode_correlated(code, pr.pauli_prior, s_x, s_z,
-                                    sog_params=SOG)
+            res = decode_correlated_trials(code, pr.pauli_prior, s_x[None], s_z[None],
+                                           sog_params=SOG).row(0)
             if res.converged:
                 assert np.array_equal(code.x_graph.syndrome(res.z_side.e_hat), s_z)
                 assert np.array_equal(code.z_graph.syndrome(res.x_side.e_hat), s_x)
@@ -231,8 +320,10 @@ class TestDecodeCorrelated:
         e = channel.sample_error(channel.DepolarizingParams(0.08), code.n,
                                  channel.trial_rng(0, 0.08, 3))
         s_x, s_z = channel.syndromes(code, e)
-        a = decode_correlated(code, pr.pauli_prior, s_x, s_z, sog_params=SOG)
-        b = decode_correlated(code, pr.pauli_prior, s_x, s_z, sog_params=SOG)
+        a = decode_correlated_trials(code, pr.pauli_prior, s_x[None], s_z[None],
+                                     sog_params=SOG).row(0)
+        b = decode_correlated_trials(code, pr.pauli_prior, s_x[None], s_z[None],
+                                     sog_params=SOG).row(0)
         assert np.array_equal(a.z_side.e_hat, b.z_side.e_hat)
         assert np.array_equal(a.x_side.e_hat, b.x_side.e_hat)
 

@@ -8,8 +8,8 @@ import pytest
 
 import qgldpc
 from qgldpc import channel, harness
-from qgldpc.cli import main
-from qgldpc.codes import builtin_code
+from qgldpc.cli import _config_from_args, build_parser, main
+from qgldpc.codes import ComponentCode, GldpcCode, TannerGraph, builtin_code, write_code
 from qgldpc.gf2 import row_reduce
 from qgldpc.gldpc import DecodeResult, SideResult
 from qgldpc.harness import (CSV_HEADER, DECODERS, CurvePoint, ExperimentConfig,
@@ -468,6 +468,29 @@ class TestCli:
         rc = main(["validate", "--code", "builtin:toy-gldpc"])
         assert rc == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_validate_reports_both_components_when_they_differ(self, capsys, tmp_path):
+        # Hamming-7 on the X graph, its first two rows on the Z graph: k = 7 - 3 - 2
+        hamming = builtin_code("steane").x_graph.component.H
+        cns = [list(range(7)), list(range(7))]
+        code = GldpcCode(name="ham-7-2", n=7, k=2, d=2,
+                         x_graph=TannerGraph(7, cns, ComponentCode(hamming)),
+                         z_graph=TannerGraph(7, cns, ComponentCode(hamming[:2])))
+        write_code(code, tmp_path / "ham.json")
+        assert main(["validate", "--code", str(tmp_path / "ham.json")]) == 0
+        assert capsys.readouterr().out == ("OK: ham-7-2 [[7,2,2]] x_checks=2 z_checks=2 "
+                                           "x_component=3x7 z_component=2x7\n")
+        assert main(["validate", "--code", "builtin:steane"]) == 0
+        assert capsys.readouterr().out == ("OK: steane [[7,1,3]] x_checks=2 z_checks=2 "
+                                           "component=3x7\n")
+
+    @pytest.mark.parametrize("command", ["sim", "convergence"])
+    def test_defaults_are_the_configs(self, command):
+        argv = [command, "--code", "builtin:steane", "--p", "0.05"]
+        if command == "convergence":
+            argv += ["--iters-grid", "1,2"]
+        cfg = _config_from_args(build_parser().parse_args(argv))
+        assert cfg == ExperimentConfig(code="builtin:steane", p_grid=(0.05,))
 
     def test_validate_bad_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

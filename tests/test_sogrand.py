@@ -80,10 +80,7 @@ def loop_sogrand(component, L_A, s_local, params):
     queries_used = flips.shape[0]
     if listed.size == params.list_max:
         queries_used = int(listed[-1]) + 1
-    if listed.size:
-        P_g = min(float(np.cumsum(masses[:queries_used])[-1]), 1.0)
-    else:
-        P_g = min(float(masses.sum()), 1.0)
+    P_g = min(float(np.cumsum(masses[:queries_used])[-1]), 1.0)
     if not patterns:
         return L_A.copy(), np.zeros(n_c), hard, queries_used, [], [], P_g
 
