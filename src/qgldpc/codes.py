@@ -176,6 +176,8 @@ def load_code(path) -> GldpcCode:
         raise CodeFormatError(f"cannot parse code file {path}: {exc}") from exc
     try:
         name, n, k, d = obj["name"], *(_json_int(obj[key], key) for key in ("n", "k", "d"))
+        if type(name) is not str:
+            raise CodeFormatError(f"name must be a string, got {name!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CodeFormatError(f"missing or malformed header field in {path}: {exc}") from exc
     return GldpcCode(name=name, n=n, k=k, d=d, x_graph=_graph_from_obj(obj, n, "x_graph"),
@@ -186,15 +188,16 @@ def load_code(path) -> GldpcCode:
 # built-in fixtures
 # ---------------------------------------------------------------------------
 
-_HAMMING_7 = np.array([[1, 0, 1, 0, 1, 0, 1],
-                       [0, 1, 1, 0, 0, 1, 1],
-                       [0, 0, 0, 1, 1, 1, 1]], dtype=np.uint8)
+def _hamming(r: int) -> np.ndarray:
+    """Hamming parity checks: column c - 1 is c in binary, c = 1..2^r - 1."""
+    return np.array([[(c >> b) & 1 for c in range(1, 1 << r)] for b in range(r)],
+                    dtype=np.uint8)
 
 
 def _steane() -> GldpcCode:
     # One Hamming constraint per side; the check node is duplicated so every
     # VN has degree two, preserving the code while exercising the schedule.
-    comp = ComponentCode(_HAMMING_7)
+    comp = ComponentCode(_hamming(3))
     cns = [list(range(7)), list(range(7))]
     return GldpcCode(name="steane", n=7, k=1, d=3,
                      x_graph=TannerGraph(7, [list(c) for c in cns], comp),
@@ -221,11 +224,6 @@ def _toric(length: int = 2) -> GldpcCode:
                      z_graph=TannerGraph(n, z_cns, spc))
 
 
-def _hamming15() -> np.ndarray:
-    return np.array([[(c >> b) & 1 for c in range(1, 16)] for b in range(4)],
-                    dtype=np.uint8)
-
-
 def _gf16_times_alpha(c: int) -> int:
     c <<= 1
     if c & 16:
@@ -238,7 +236,7 @@ def _toy_gldpc() -> GldpcCode:
     # qubits through a GF(16) multiplication permutation, an automorphism
     # of the Hamming code, so both stacked constraints define the same
     # classical code and the CSS condition holds.
-    comp = ComponentCode(_hamming15())
+    comp = ComponentCode(_hamming(4))
     ident = list(range(15))
     alpha = [_gf16_times_alpha(i + 1) - 1 for i in range(15)]
     alpha2 = [_gf16_times_alpha(_gf16_times_alpha(i + 1)) - 1 for i in range(15)]

@@ -4,7 +4,8 @@ Positions are ranked by ascending reliability |L_A| (ties by index).
 Patterns are sets of flipped ranks, listed in increasing logistic
 weight (sum of flipped ranks), then in ascending lexicographic order of
 their sorted rank tuples: exactly likelihood order when reliabilities
-grow linearly with rank, an approximate one otherwise.  The schedule
+grow linearly with rank, an approximate one otherwise.  The order comes
+from a best-first walk over a heap keyed by (sum, tuple).  The schedule
 depends only on the length, so ``rank_flip_table`` builds it once and a
 block decode shares it among all its rows, mapping it to each row's
 positions through that row of ``RankedInput.perm``.  Patterns are
@@ -14,6 +15,8 @@ a-priori most likely, comes first.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,41 +26,31 @@ import numpy as np
 def distinct_part_subsets(n: int):
     """Yield all subsets of {1..n} as ascending tuples.
 
-    Order: total sum ascending, then lexicographic on the tuples.
-    Implemented as enumeration of integer partitions into distinct parts,
-    by successively larger targets.
+    Order: total sum ascending, then lexicographic on the tuples.  A best-first
+    walk over a heap keyed by (sum, tuple): a subset s leads to s + (s[-1]+1,)
+    and to s with its last element raised by one.  Every nonempty subset but
+    (1,) has exactly one such parent, of smaller sum, so each is yielded once.
     """
-    max_weight = n * (n + 1) // 2
-
-    def parts(total: int, lo: int):
-        for a in range(lo, n + 1):
-            if a > total:
-                break
-            rem = total - a
-            if rem == 0:
-                yield (a,)
-                continue
-            # parts above a can contribute at most sum(a+1..n)
-            if rem > (n * (n + 1) - a * (a + 1)) // 2:
-                continue
-            for rest in parts(rem, a + 1):
-                yield (a, *rest)
-
     yield ()
-    for weight in range(1, max_weight + 1):
-        yield from parts(weight, 1)
+    heap = [(1, (1,))] if n else []
+    while heap:
+        total, s = heapq.heappop(heap)
+        yield s
+        if s[-1] < n:
+            heapq.heappush(heap, (total + s[-1] + 1, s + (s[-1] + 1,)))
+            heapq.heappush(heap, (total + 1, s[:-1] + (s[-1] + 1,)))
 
 
 @lru_cache(maxsize=32)
 def rank_flip_table(n: int, count: int) -> np.ndarray:
-    """First ``count`` patterns as a (count, n) 0/1 array over ranks 1..n.
+    """First ``count`` patterns (all 2^n if fewer) as a 0/1 array over ranks 1..n.
 
     The schedule depends only on n, so blocks are cached and shared by all
     component decodes of the same length.
     """
-    count = min(count, 1 << n)
-    table = np.zeros((count, n), dtype=np.uint8)
-    for row, ranks in zip(range(count), distinct_part_subsets(n)):
+    subsets = list(itertools.islice(distinct_part_subsets(n), count))
+    table = np.zeros((len(subsets), n), dtype=np.uint8)
+    for row, ranks in enumerate(subsets):
         for r in ranks:
             table[row, r - 1] = 1
     return table

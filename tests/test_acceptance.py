@@ -18,7 +18,7 @@ from qgldpc.harness import (DECODERS, ExperimentConfig, convergence_study, pseud
                             wilson_interval, CurvePoint)
 from qgldpc.orbgrand import RankedInput, rank_flip_table
 from qgldpc.osd import OsdConfig, osd_postprocess
-from qgldpc.sogrand import SograndParams, estimate_missing_mass, sogrand_decode
+from qgldpc.sogrand import SograndParams, decode_block, estimate_missing_mass
 
 PAIRED_TRIALS = 10_000
 PAIRED_P = 0.05
@@ -77,7 +77,7 @@ def test_criterion_1_sogrand_exact_at_saturation():
         s = (H @ e) % 2
         p1_exact, map_exact = exact_posteriors(H, L, s)
         params = SograndParams(list_max=1 << n_c, query_budget=1 << n_c)
-        out = sogrand_decode(ComponentCode(H), L, s, params)
+        out = decode_block(ComponentCode(H), L[None], s[None], params).row(0)
         p1_hat = 1.0 / (1.0 + np.exp(out.L_APP))
         assert np.allclose(p1_hat, p1_exact, atol=1e-9)
         assert np.array_equal(out.best_pattern, map_exact)
@@ -118,7 +118,7 @@ def test_criterion_3_missing_mass_accounting():
     for _ in range(300):
         L = rng.normal(0, 2, size=9)
         s = rng.integers(0, 2, size=3, dtype=np.uint8)
-        out = sogrand_decode(comp, L, s)
+        out = decode_block(comp, L[None], s[None]).row(0)
         P_L = math.fsum(out.masses[:out.n_listed])
         P_Lc = estimate_missing_mass(out.P_g, comp.m_c)
         P_tot = P_L + P_Lc

@@ -268,6 +268,9 @@ BAD_FIELDS = [
     (("z_graph", "cns", 1, 2), 5.4, "check 1 VN index"),
     (("x_graph", "cns", 2, 1), "3", "check 2 VN index"),
     (("x_graph", "cns", 3, 0), False, "check 3 VN index"),
+    (("name",), 5, "name must be a string"),
+    (("name",), None, "name must be a string"),
+    (("name",), ["x"], "name must be a string"),
 ]
 
 

@@ -10,7 +10,9 @@ drift shows even when no record flips.  Each block case hashes one SOGRAND
 syndromes) twice: every ``BlockOutput`` field but ``P_g`` (what decoding
 reads), and ``P_g`` alone, so that a change to the explored-mass sum shows
 apart from a change to decodes.  Tight budgets leave some lists empty, where
-``P_g`` sums all K query masses.  A failure names the case that changed.
+``P_g`` sums all K query masses.  Each schedule case hashes the bytes of one
+``rank_flip_table``, the ORBGRAND order that every SOGRAND call reads.  A
+failure names the case that changed.
 
 A change that alters decoder results on purpose re-records these digests
 (``python tests/test_digests.py`` prints the table) and says so.  The float
@@ -27,6 +29,7 @@ import pytest
 from qgldpc import channel
 from qgldpc.harness import (DECODERS, ExperimentConfig, _tail, chunk_size, resolve_code,
                             run_trials)
+from qgldpc.orbgrand import rank_flip_table
 from qgldpc.sogrand import BlockOutput, SograndParams, decode_block
 
 SEED = 7
@@ -97,6 +100,22 @@ BLOCKS = {
 }
 
 
+# (length n, count K) -> SHA-256 of rank_flip_table(n, K): the components of
+# toric, steane and toy-gldpc at their default budgets, and 36-bit components
+# at budgets 4,096 and 8,192
+SCHEDULES = {
+    (4, 16): "fe1a674691973b3124d272766f5eef6ce230a6d75aee5a90b8fb0b54cffc3c14",
+    (7, 128): "902eb29421b59579e5150036cd2676297c358b9f2cb45e76a4a400a513fa7eb6",
+    (15, 256): "4d10d198f84e52f3051a11351cee7db1e746c68a0a693530683e29d36725e2ec",
+    (36, 4096): "6de289a689c2ae77d8985ea92b5b838d4d1617f083481504e66019094ffced3b",
+    (36, 8192): "10f84b346d6e059d0725fbeec4c6bc542ba3cdc1ba55409b568deb2e2675b3ad",
+}
+
+
+def schedule_digest(n, count):
+    return hashlib.sha256(rank_flip_table(n, count).tobytes()).hexdigest()
+
+
 def records_digest(source, decoder, p, trials):
     cfg = ExperimentConfig(code=source, decoder=decoder, p_grid=(p,), trials=trials,
                            master_seed=SEED)
@@ -160,7 +179,14 @@ def test_block_digests(case):
     assert explored == BLOCKS[case][1], "P_g changed"
 
 
+@pytest.mark.parametrize("case", list(SCHEDULES), ids="n{0[0]}-K{0[1]}".format)
+def test_schedule_digest(case):
+    assert schedule_digest(*case) == SCHEDULES[case]
+
+
 if __name__ == "__main__":
+    for case in SCHEDULES:
+        print(f"    {case!r}: {schedule_digest(*case)!r},")
     for case in RECORDS:
         print(f"    {case!r}: {records_digest(*case)!r},")
     for decoder in CHUNKS:

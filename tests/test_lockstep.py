@@ -13,13 +13,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgldpc import channel, gf2
-from qgldpc.codes import builtin_code
+from qgldpc.codes import ComponentCode, GldpcCode, TannerGraph, builtin_code
 from qgldpc.harness import (DECODERS, CurvePoint, ExperimentConfig, TrialRecord, chunk_size,
                             run_point, run_trial, run_trials, wilson_interval)
 from qgldpc.osd import osd_postprocess
 from qgldpc.sogrand import SograndParams
 
+
+def _ham_7_2():
+    """Hamming-7 on the X graph and its first two rows on the Z graph: a code
+    whose two graphs have different components (flat H_X 6x7, H_Z 4x7)."""
+    hamming = builtin_code("steane").x_graph.component.H
+    cns = [list(range(7)), list(range(7))]
+    return GldpcCode(name="ham-7-2", n=7, k=2, d=2,
+                     x_graph=TannerGraph(7, cns, ComponentCode(hamming)),
+                     z_graph=TannerGraph(7, cns, ComponentCode(hamming[:2])))
+
+
 CODES = {name: builtin_code(name) for name in ("toy-gldpc", "steane")}
+CODES["ham-7-2"] = _ham_7_2()
 
 
 def side_facts(side):

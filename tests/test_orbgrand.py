@@ -6,11 +6,33 @@ import pytest
 
 from qgldpc.codes import ComponentCode
 from qgldpc.orbgrand import RankedInput, distinct_part_subsets, rank_flip_table
-from qgldpc.sogrand import SograndParams, sogrand_decode
+from qgldpc.sogrand import SograndParams, decode_block
 
 
 def full_sequence(n):
     return list(distinct_part_subsets(n))
+
+
+def partition_subsets(n):
+    """Reference schedule: integer partitions into distinct parts from
+    {1..n}, target by target, each target's parts in lexicographic order."""
+    def parts(total, lo):
+        for a in range(lo, n + 1):
+            if a > total:
+                break
+            rem = total - a
+            if rem == 0:
+                yield (a,)
+                continue
+            # parts above a can contribute at most sum(a+1..n)
+            if rem > (n * (n + 1) - a * (a + 1)) // 2:
+                continue
+            for rest in parts(rem, a + 1):
+                yield (a, *rest)
+
+    yield ()
+    for weight in range(1, n * (n + 1) // 2 + 1):
+        yield from parts(weight, 1)
 
 
 def schedule(L):
@@ -37,8 +59,9 @@ def schedule_masses(q):
     """
     n = len(q)
     L = np.log((1.0 - q) / q)
-    out = sogrand_decode(ComponentCode(np.zeros((0, n), dtype=np.uint8)), L,
-                         np.zeros(0), SograndParams(list_max=1 << n, query_budget=1 << n))
+    out = decode_block(ComponentCode(np.zeros((0, n), dtype=np.uint8)), L[None],
+                       np.zeros((1, 0)),
+                       SograndParams(list_max=1 << n, query_budget=1 << n)).row(0)
     k = out.n_listed
     return {tuple(p.tolist()): m for p, m in zip(out.patterns[:k], out.masses[:k])}
 
@@ -67,6 +90,16 @@ class TestSchedule:
         for n in (4, 8, 12):
             weights = [sum(s) for s in full_sequence(n)]
             assert all(a <= b for a, b in zip(weights, weights[1:]))
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_walk_is_the_partition_enumeration(self, n):
+        assert full_sequence(n) == list(partition_subsets(n))
+
+    @pytest.mark.parametrize("n", [20, 36, 64])
+    def test_walk_prefix_is_the_partition_enumeration(self, n):
+        prefix = 1 << 14
+        assert list(itertools.islice(distinct_part_subsets(n), prefix)) == \
+            list(itertools.islice(partition_subsets(n), prefix))
 
     def test_flip_table_matches_stream(self):
         table = rank_flip_table(6, 40)
@@ -107,7 +140,7 @@ class TestGenerator:
 
 
 class TestPatternProbability:
-    """The pattern masses sogrand_decode assigns to the schedule."""
+    """The pattern masses SOGRAND assigns to the schedule."""
 
     def test_single_flip_product(self):
         q = np.array([0.1, 0.2, 0.3])

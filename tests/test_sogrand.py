@@ -137,7 +137,7 @@ class TestSograndDecodeBasics:
     def test_trivial_component_hard_decision(self):
         comp = ComponentCode(np.zeros((0, 5), dtype=np.uint8))
         L = np.array([3.0, -2.0, 1.0, -0.5, 4.0])
-        out = sogrand_decode(comp, L, np.zeros(0), SograndParams(list_max=1))
+        out = decode_block(comp, L[None], np.zeros((1, 0)), SograndParams(list_max=1)).row(0)
         assert out.n_listed > 0
         assert out.best_pattern.tolist() == [0, 1, 0, 1, 0]
 
@@ -150,7 +150,7 @@ class TestSograndDecodeBasics:
             e = np.zeros(7, dtype=np.uint8)
             e[j] = 1
             s = (HAMMING @ e) % 2
-            out = sogrand_decode(comp, L, s, SograndParams(list_max=16))
+            out = decode_block(comp, L[None], s[None], SograndParams(list_max=16)).row(0)
             assert out.n_listed > 0
             assert np.array_equal(out.best_pattern, e)
 
@@ -159,7 +159,8 @@ class TestSograndDecodeBasics:
         comp = ComponentCode(HAMMING)
         L = np.full(7, 2.0)
         s = np.array([1, 0, 0], dtype=np.uint8)
-        out = sogrand_decode(comp, L, s, SograndParams(list_max=4, query_budget=1))
+        out = decode_block(comp, L[None], s[None],
+                           SograndParams(list_max=4, query_budget=1)).row(0)
         assert out.n_listed == 0
         assert np.allclose(out.L_E, 0.0)
         assert np.allclose(out.L_APP, L)
@@ -175,8 +176,8 @@ class TestSograndDecodeBasics:
         H = rng.integers(0, 2, size=(m_c, n_c), dtype=np.uint8)
         L = rng.normal(0, 3, size=n_c)
         s = rng.integers(0, 2, size=m_c, dtype=np.uint8)
-        out = sogrand_decode(ComponentCode(H), L, s,
-                             SograndParams(list_max=list_max, query_budget=budget))
+        out = decode_block(ComponentCode(H), L[None], s[None],
+                           SograndParams(list_max=list_max, query_budget=budget)).row(0)
         assert out.n_listed <= list_max
         for pat in out.patterns[:out.n_listed]:
             assert np.array_equal((H.astype(int) @ pat) % 2, s)
@@ -187,7 +188,7 @@ class TestSograndDecodeBasics:
         for _ in range(50):
             L = rng.normal(0, 2, size=7)
             s = rng.integers(0, 2, size=3, dtype=np.uint8)
-            out = sogrand_decode(comp, L, s)
+            out = decode_block(comp, L[None], s[None]).row(0)
             P_L = math.fsum(out.masses[:out.n_listed])
             P_Lc = estimate_missing_mass(out.P_g, comp.m_c)
             P_tot = P_L + P_Lc
@@ -205,7 +206,7 @@ class TestSograndDecodeBasics:
             s = rng.integers(0, 2, size=3, dtype=np.uint8)
             prev = 0.0
             for list_max in range(1, 9):
-                out = sogrand_decode(comp, L, s, SograndParams(list_max=list_max))
+                out = decode_block(comp, L[None], s[None], SograndParams(list_max=list_max)).row(0)
                 P_L = math.fsum(out.masses[:out.n_listed])
                 assert P_L >= prev
                 prev = P_L
@@ -222,9 +223,9 @@ class TestSograndDecodeBasics:
     def test_dimension_checks(self):
         comp = ComponentCode(HAMMING)
         with pytest.raises(ValueError):
-            sogrand_decode(comp, np.zeros(6), np.zeros(3))
+            decode_block(comp, np.zeros(6)[None], np.zeros(3)[None])
         with pytest.raises(ValueError):
-            sogrand_decode(comp, np.zeros(7), np.zeros(2))
+            decode_block(comp, np.zeros(7)[None], np.zeros(2)[None])
 
     def test_extrinsic_is_app_minus_input(self):
         rng = np.random.default_rng(4)
@@ -232,7 +233,7 @@ class TestSograndDecodeBasics:
         for _ in range(20):
             L = np.clip(rng.normal(0, 3, size=7), -20, 20)
             e = rng.integers(0, 2, size=7, dtype=np.uint8)
-            out = sogrand_decode(comp, L, (HAMMING @ e) % 2)
+            out = decode_block(comp, L[None], ((HAMMING @ e) % 2)[None]).row(0)
             assert np.allclose(out.L_E, out.L_APP - L)
 
 
@@ -247,7 +248,7 @@ class TestSaturationExactness:
             e = rng.integers(0, 2, size=n_c, dtype=np.uint8)
             s = (H @ e) % 2
             p1_exact, map_exact = brute_force_posteriors(H, L, s)
-            out = sogrand_decode(ComponentCode(H), L, s, saturated_params(n_c))
+            out = decode_block(ComponentCode(H), L[None], s[None], saturated_params(n_c)).row(0)
             p1_hat = 1.0 / (1.0 + np.exp(out.L_APP))
             assert np.allclose(p1_hat, p1_exact, atol=1e-9)
             # the reported best pattern has the same exact mass as the MAP one
