@@ -5,8 +5,9 @@ module as at its boundary.  Every product H v goes through one operator,
 ``Syndrome``, on rows as callers hold them: (n,) or (T, n).  It holds H
 once as a float64 matrix for BLAS, whose counts are integers below 2^53,
 exact in any summation order (SOGRAND's block kernel alone uses integer
-syndrome codes of its own).  Elimination XORs whole rows of a copy of its
-input; row-space tests and OSD's solve of ``[H | s]`` read its result.
+syndrome codes of its own).  Elimination reduces packed-int columns against
+an XOR basis to the one reduced form of a visiting order, which row-space
+tests and OSD's solve of ``[H | s]`` read.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 
 def _as_bitmatrix(H) -> np.ndarray:
-    H = np.asarray(H, dtype=np.uint8) % 2
+    H = np.asarray(H, dtype=np.uint8) & 1
     if H.ndim != 2:
         raise ValueError(f"expected a 2-D bit matrix, got shape {H.shape}")
     return H
@@ -61,33 +62,39 @@ class Elimination:
 
 
 def row_reduce(H, column_order=None) -> Elimination:
-    """Gauss-Jordan elimination visiting columns in ``column_order``.
+    """Gauss-Jordan elimination visiting columns in ``column_order`` (1-D, integer).
 
     Returns the reduced matrix and the pivot columns: the first ``rank``
-    independent columns in visiting order.  The input is not modified.
+    independent columns in visiting order.  The input is not modified.  Rows
+    ``[:rank]`` are unique: row i is the one vector of H's row space that is 1
+    at pivot i and 0 at the other pivots, so column c holds the coefficients
+    of H's column c on the pivot columns.  That is what the loop computes: a
+    word holds a column packed into an int (bit i = row i) above bit m, and
+    the mask of pivot columns summed into it below.  Each word is reduced
+    against the pivots' words, keyed by bit length; a nonzero residue makes
+    its column the next pivot, a zero one leaves the coefficients.
     """
-    A = _as_bitmatrix(H)  # a fresh copy, reduced in place
+    A = _as_bitmatrix(H)
     m, n = A.shape
-    if column_order is None:
-        column_order = range(n)
-    order = [int(c) for c in column_order]
-    if sorted(order) != list(range(n)):
+    order = np.arange(n) if column_order is None else np.asarray(column_order)
+    if (order.ndim != 1 or (order.size and order.dtype.kind not in "iu")
+            or sorted(order.tolist()) != list(range(n))):
         raise ValueError("column_order must be a permutation of range(n_cols)")
 
-    pivots: list[int] = []
-    for col in order:
-        r = len(pivots)
-        if r == m:
-            break
-        p = r + int(A[r:, col].argmax())  # the first row at or below r with a 1, if any
-        if not A[p, col]:
-            continue
-        if p != r:
-            A[[r, p]] = A[[p, r]]
-        rows = np.flatnonzero(A[:, col])
-        A[rows[rows != r]] ^= A[r]
-        pivots.append(col)
-    return Elimination(reduced=A, pivots=np.array(pivots, dtype=np.intp))
+    width = (m + 7) // 8
+    packed = np.packbits(np.ascontiguousarray(A.T), axis=1, bitorder="little").tobytes()
+    basis, coeffs, pivots = {}, [0] * n, []  # basis: bit length -> word
+    for col in order.tolist():
+        word = int.from_bytes(packed[col * width:(col + 1) * width], "little") << m
+        while (top := word.bit_length()) > m and top in basis:
+            word ^= basis[top]
+        if top > m:  # residue = column + masked pivots, so the pivot joins the mask
+            basis[top], word = word | 1 << len(pivots), 1 << len(pivots)
+            pivots.append(col)
+        coeffs[col] = word
+    coeffs = np.frombuffer(b"".join(c.to_bytes(width, "little") for c in coeffs), np.uint8)
+    reduced = np.unpackbits(coeffs.reshape(n, width), axis=1, count=m, bitorder="little")
+    return Elimination(reduced.T, np.array(pivots, dtype=np.intp))
 
 
 class RowSpace:
@@ -102,7 +109,7 @@ class RowSpace:
     def contains(self, r):
         """Whether r, a bit vector or each row of a (T, n) block, is in the row space."""
         n = self._combine.H.shape[0]
-        r = np.asarray(r, dtype=np.uint8) % 2
+        r = np.asarray(r, dtype=np.uint8) & 1
         if r.ndim not in (1, 2) or r.shape[-1] != n:
             raise ValueError(f"expected bit vectors of length {n}, got shape {r.shape}")
         # the basis is reduced, so the only candidate combination is the one

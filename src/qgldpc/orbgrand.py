@@ -45,14 +45,15 @@ def distinct_part_subsets(n: int):
 def rank_flip_table(n: int, count: int) -> np.ndarray:
     """First ``count`` patterns (all 2^n if fewer) as a 0/1 array over ranks 1..n.
 
-    The schedule depends only on n, so blocks are cached and shared by all
-    component decodes of the same length.
+    The schedule depends only on n, so blocks are cached, read-only, and shared
+    by all component decodes of the same length.
     """
     subsets = list(itertools.islice(distinct_part_subsets(n), count))
     table = np.zeros((len(subsets), n), dtype=np.uint8)
     for row, ranks in enumerate(subsets):
         for r in ranks:
             table[row, r - 1] = 1
+    table.setflags(write=False)  # shared by every caller through the cache
     return table
 
 

@@ -6,10 +6,9 @@ bits keep their hard decisions, the pivot bits are re-solved from the
 syndrome, and low-weight flips of the least reliable non-pivot bits are
 swept.  One elimination of ``[H | s]``, s visited last, gives the pivots and
 the reduced syndrome.  All candidates are built as one (C, n) matrix.  The
-pivot bits are linear in the free bits, so one GF(2) product gives them for
-the unflipped hard decisions, and each candidate adds the XOR of the few
-reduced columns its flip set selects, read by a gather.  Every candidate
-satisfies the syndrome; under one flip probability q for every bit the
+pivot bits are linear in the free bits: the reduced columns that the free
+hard decisions select, then those each flip set selects, are XORed in.  Every
+candidate satisfies the syndrome; under one flip probability q per bit the
 lightest is the most likely (the heaviest if q > 1/2).
 """
 
@@ -84,7 +83,9 @@ def osd_postprocess(H, s, soft_llr, cfg: OsdConfig = OsdConfig(),
     pivots, rank = elim.pivots, elim.rank
 
     # per pivot row: pivot bit = reduced syndrome ^ R_free @ free bits
-    free = order[~np.isin(order, pivots)]
+    is_pivot = np.zeros(n, dtype=bool)
+    is_pivot[pivots] = True
+    free = order[~is_pivot[order]]
     # free positions from least to most reliable
     free = free[np.argsort(reliability[free], kind="stable")]
     R_free = elim.reduced[:rank, free]
@@ -95,7 +96,8 @@ def osd_postprocess(H, s, soft_llr, cfg: OsdConfig = OsdConfig(),
     E[np.arange(len(flips))[:, None], np.append(free, n)[flips]] ^= 1
     # the unflipped solution, plus the XOR of the R_free columns each flip set selects
     R_cols = np.vstack([R_free.T, np.zeros(rank, dtype=np.uint8)])  # the pad selects 0
-    E[:, pivots] = (elim.reduced[:rank, n] ^ gf2.Syndrome(R_free)(hard[free])
+    unflipped = np.bitwise_xor.reduce(R_cols[:-1][hard[free] == 1], axis=0)
+    E[:, pivots] = (elim.reduced[:rank, n] ^ unflipped
                     ^ np.bitwise_xor.reduce(R_cols[flips], axis=1))
     E = E[:, :n]
 

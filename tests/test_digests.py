@@ -11,8 +11,12 @@ syndromes) twice: every ``BlockOutput`` field but ``P_g`` (what decoding
 reads), and ``P_g`` alone, so that a change to the explored-mass sum shows
 apart from a change to decodes.  Tight budgets leave some lists empty, where
 ``P_g`` sums all K query masses.  Each schedule case hashes the bytes of one
-``rank_flip_table``, the ORBGRAND order that every SOGRAND call reads.  A
-failure names the case that changed.
+``rank_flip_table``, the ORBGRAND order that every SOGRAND call reads.  Each
+elimination case hashes the reduced matrices and pivots of ``row_reduce``
+calls: OSD's ``[H | s]`` on both sides of seeded toric draws, columns in
+reliability order (ties by index) and s last, or a builtin's two stabilizer
+matrices in column order, as ``RowSpace`` reduces them.  A failure names the
+case that changed.
 
 A change that alters decoder results on purpose re-records these digests
 (``python tests/test_digests.py`` prints the table) and says so.  The float
@@ -27,6 +31,7 @@ import numpy as np
 import pytest
 
 from qgldpc import channel
+from qgldpc.gf2 import Syndrome, row_reduce
 from qgldpc.harness import (DECODERS, ExperimentConfig, _tail, chunk_size, resolve_code,
                             run_trials)
 from qgldpc.orbgrand import rank_flip_table
@@ -112,6 +117,53 @@ SCHEDULES = {
 }
 
 
+ELIM_DRAWS = 10
+
+# (kind, builtin code) -> SHA-256 of (reduced, pivots) of each elimination: for
+# "osd", [H | s] of ELIM_DRAWS seeded draws per side; for "rowspace", H_X and H_Z.
+# Recorded with the row-XOR elimination that the packed-column basis replaced.
+ELIMINATIONS = {
+    ("osd", "toric-8"):
+        "0dafc3fcdf9ffb372f6432e771320f593ecec3f8ec5021edd6a5e688cc27ded8",
+    ("osd", "toric-12"):
+        "4b951392e837f14bf2f97c7f739d30defadb069b04912147167adf34ec10e854",
+    ("rowspace", "steane"):
+        "a723110b7a15c0099275002b563df49bd4032447f1346abb4a97123014502266",
+    ("rowspace", "toric"):
+        "ff076f78c7a3f59a750e8c0c88596adf618e3643eb0ca87cd3550f5444998016",
+    ("rowspace", "toy-gldpc"):
+        "78b22ce8629a08ed6a97b3ed00eb3c5fd1e9766944cd821a895b8f1711acdc20",
+    ("rowspace", "toric-8"):
+        "47e9cad974ccebbdf2a2669c69e9698563ed0f37ca01164bcaa32a2cc95b654a",
+    ("rowspace", "toric-12"):
+        "a8f24163240e93448006f5f1f8b697ccc1fd4a7d5efb28a529159a3f0b96f72a",
+}
+
+
+def elimination_digest(kind, code):
+    code = resolve_code(f"builtin:{code}")
+    digest = hashlib.sha256()
+
+    def add(elim):
+        digest.update(np.ascontiguousarray(elim.reduced, dtype="u1").tobytes())
+        digest.update(np.ascontiguousarray(elim.pivots, dtype="<i8").tobytes())
+
+    if kind == "rowspace":
+        for H in (code.h_x, code.h_z):
+            add(row_reduce(H))
+        return digest.hexdigest()
+    rng = np.random.default_rng(SEED)
+    for _ in range(ELIM_DRAWS):
+        for H in (code.h_x, code.h_z):
+            n = H.shape[1]
+            e = (rng.random(n) < 0.05).astype(np.uint8)
+            # LLRs on a 0.1 grid, so that reliability ties occur
+            llr = np.round(rng.normal(2.5, 2.0, n), 1) * (1 - 2.0 * e)
+            order = np.lexsort((np.arange(n), -np.abs(llr)))
+            add(row_reduce(np.column_stack([H, Syndrome(H)(e)]), np.append(order, n)))
+    return digest.hexdigest()
+
+
 def schedule_digest(n, count):
     return hashlib.sha256(rank_flip_table(n, count).tobytes()).hexdigest()
 
@@ -179,12 +231,19 @@ def test_block_digests(case):
     assert explored == BLOCKS[case][1], "P_g changed"
 
 
+@pytest.mark.parametrize("case", list(ELIMINATIONS), ids="{0[0]}-{0[1]}".format)
+def test_elimination_digest(case):
+    assert elimination_digest(*case) == ELIMINATIONS[case]
+
+
 @pytest.mark.parametrize("case", list(SCHEDULES), ids="n{0[0]}-K{0[1]}".format)
 def test_schedule_digest(case):
     assert schedule_digest(*case) == SCHEDULES[case]
 
 
 if __name__ == "__main__":
+    for case in ELIMINATIONS:
+        print(f"    {case!r}: {elimination_digest(*case)!r},")
     for case in SCHEDULES:
         print(f"    {case!r}: {schedule_digest(*case)!r},")
     for case in RECORDS:

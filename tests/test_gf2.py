@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgldpc import gf2
@@ -163,6 +163,34 @@ class TestRowReduce:
         with pytest.raises(ValueError):
             gf2.row_reduce(HAMMING, column_order=[0, 0, 1, 2, 3, 4, 5])
 
+    @pytest.mark.parametrize("order", [
+        [0.5, 1.9, 2.2],          # would truncate to a permutation
+        [0.0, 1.0, 2.0],          # integral, but not integers
+        np.array([0, 1, 2], dtype=float),
+        [True, False, True],
+        [[0, 1, 2]],              # 2-D
+        np.arange(3)[:, None],
+        2,                        # 0-D
+        "012",
+        [0, 1], [0, 1, 2, 3], [0, 1, 3], [-1, 0, 1],
+    ], ids=["fractions", "integral-floats", "float-array", "bools", "nested-list",
+            "column-array", "scalar", "string", "short", "long", "gap", "negative"])
+    def test_strict_column_order(self, order):
+        with pytest.raises(ValueError, match="column_order"):
+            gf2.row_reduce(np.eye(3), column_order=order)
+
+    @pytest.mark.parametrize("order", [[2, 0, 1], (2, 0, 1), range(2, -1, -1),
+                                       np.array([2, 0, 1], dtype=np.uint8),
+                                       np.array([2, 0, 1], dtype=np.int32)], ids=repr)
+    def test_integer_orders_accepted(self, order):
+        elim = gf2.row_reduce(np.eye(3), column_order=order)
+        assert elim.pivots.tolist() == list(order)
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_empty_order_for_no_columns(self, m):
+        elim = gf2.row_reduce(np.zeros((m, 0)), column_order=[])
+        assert elim.rank == 0 and elim.reduced.shape == (m, 0)
+
     def test_zero_matrix(self):
         elim = gf2.row_reduce(np.zeros((3, 4)))
         assert elim.rank == 0 and elim.pivots.tolist() == []
@@ -201,6 +229,70 @@ class TestRowReduce:
             m, n = rng.integers(1, 7), rng.integers(1, 9)
             H = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
             assert gf2.row_reduce(H).rank == brute_force_rank(H)
+
+
+def row_xor_oracle(H, column_order=None):
+    """Gauss-Jordan by whole-row XORs on a numpy copy: the elimination that
+    row_reduce's packed-column basis replaced, as it stood."""
+    A = np.asarray(H, dtype=np.uint8) % 2
+    m, n = A.shape
+    pivots = []
+    for col in range(n) if column_order is None else [int(c) for c in column_order]:
+        r = len(pivots)
+        if r == m:
+            break
+        p = r + int(A[r:, col].argmax())  # the first row at or below r with a 1, if any
+        if not A[p, col]:
+            continue
+        if p != r:
+            A[[r, p]] = A[[p, r]]
+        rows = np.flatnonzero(A[:, col])
+        A[rows[rows != r]] ^= A[r]
+        pivots.append(col)
+    return A, np.array(pivots, dtype=np.intp)
+
+
+@st.composite
+def elimination_inputs(draw):
+    """(H, column order or None): H of up to 10 rows and 12 columns, any of
+    them 0, plain, with repeated rows, behind an identity block visited first
+    (full row rank before the last column), or as [H | s] with s visited last."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(0, 10)), draw(st.integers(0, 12))
+    H = (rng.random((m, n)) < draw(st.sampled_from([0.1, 0.3, 0.5, 0.9]))).astype(np.uint8)
+    kind = draw(st.sampled_from(["natural", "shuffled", "repeated rows",
+                                 "full rank first", "syndrome last"]))
+    if kind == "natural":
+        return H, None
+    order = rng.permutation(n)
+    if kind == "repeated rows" and m:
+        H = H[rng.integers(0, m, size=m + draw(st.integers(0, 3)))]
+    elif kind == "full rank first":
+        H = np.hstack([np.eye(m, dtype=np.uint8)[:, rng.permutation(m)], H])
+        order = np.concatenate([rng.permutation(m), m + order])
+    elif kind == "syndrome last":
+        e = rng.integers(0, 2, size=n, dtype=np.uint8)
+        s = gf2.Syndrome(H)(e) if draw(st.booleans()) else rng.integers(0, 2, m, np.uint8)
+        H = np.column_stack([H, s]).astype(np.uint8)
+        order = np.append(order, n)
+    return H, order.tolist() if draw(st.booleans()) else order
+
+
+class TestRowReduceAgainstRowXorOracle:
+    @given(elimination_inputs())
+    @example((np.zeros((0, 5), dtype=np.uint8), None))
+    @example((np.zeros((4, 0), dtype=np.uint8), None))
+    @example((np.zeros((0, 0), dtype=np.uint8), []))
+    @example((np.ones((6, 2), dtype=np.uint8), [1, 0]))
+    @example((np.eye(3, 5, dtype=np.uint8), [4, 3, 2, 1, 0]))
+    @settings(max_examples=600, deadline=None)
+    def test_same_reduced_matrix_and_pivots(self, case):
+        H, order = case
+        reduced, pivots = row_xor_oracle(H, order)
+        elim = gf2.row_reduce(H, column_order=order)
+        assert elim.reduced.dtype == np.uint8 and elim.pivots.dtype == np.intp
+        assert np.array_equal(elim.reduced, reduced)
+        assert np.array_equal(elim.pivots, pivots)
 
 
 def solve_coset(H, s, non_pivot_fill=None):

@@ -106,6 +106,14 @@ class TestSchedule:
         for row, ranks in zip(table, distinct_part_subsets(6)):
             assert set(np.flatnonzero(row) + 1) == set(ranks)
 
+    def test_flip_table_is_read_only(self):
+        # the cache hands every caller the same array
+        table = rank_flip_table(4, 16)
+        before = table.copy()
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        assert np.array_equal(rank_flip_table(4, 16), before)
+
 
 class TestGenerator:
     """The schedule mapped to positions by the reliability ranking."""
