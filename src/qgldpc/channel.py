@@ -17,6 +17,14 @@ def clamp_llr(L):
     return np.minimum(np.maximum(L, -LLR_CLAMP), LLR_CLAMP)
 
 
+def check_count(name: str, value, low: int) -> None:
+    """A count of a config: a Python or numpy integer, not a bool, >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+
+
 def check_decoding_p(p: float) -> None:
     """The decoders take 0 < p <= 3/4, where the channel LLR is finite and >= 0."""
     if not 0.0 < p <= 0.75:

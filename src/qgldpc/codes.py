@@ -67,6 +67,9 @@ class TannerGraph:
                 if not 0 <= vn < self.n:
                     raise CodeFormatError(f"check {j} references VN {vn} out of range")
         self.edge_var = np.array(self.cns, dtype=np.intp).reshape(-1)
+        if self.edge_var.size != 2 * self.n:  # checked before n degree counters exist
+            raise CodeFormatError("variable nodes must have degree exactly 2; "
+                                  f"{self.edge_var.size} edges for {self.n} of them")
         bad = np.flatnonzero(np.bincount(self.edge_var, minlength=self.n) != 2)
         if bad.size:
             raise CodeFormatError("variable nodes must have degree exactly 2; "

@@ -2,13 +2,13 @@
 
 Messages live on edges, in check-major order, behind a trial axis: a chunk
 of trials decodes in lock-step, each trial leaving once its hard decision
-reproduces its syndrome.  Each iteration a check rule maps the messages to
-extrinsic ones (SOGRAND on the component code here, all checks and active
-trials of a side in one block; scaled min-sum in ``minsum``), and a
-variable-node fusion combines them with the channel prior (binary per side,
-or Pauli beliefs across both graphs).  A decode returns one ``SideResult``
-per side, whose (T, ...) arrays hold every trial of the chunk.  Every step
-is row-wise, so the order and grouping of trials never change a result.
+reproduces its syndrome.  Each iteration a check rule (a ``Side``: SOGRAND on
+the component code from ``sogrand_side``, all checks and active trials of a
+side in one block, or min-sum from ``minsum.minsum_side``) maps the messages
+to extrinsic ones, and a variable-node fusion combines them with the channel
+prior (binary per side, or Pauli beliefs across both graphs).  A decode
+returns one ``SideResult`` per side, whose (T, ...) arrays hold every trial
+of the chunk.  Each step is row-wise: trial order and grouping change nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import gf2
-from .channel import ChannelPrior, clamp_llr
+from .channel import ChannelPrior, check_count, clamp_llr
 from .codes import GldpcCode, TannerGraph
 # nothing here calls sogrand_decode, but bench/spans.py wraps gldpc.sogrand_decode
 from .sogrand import SograndParams, decode_block, sogrand_decode
@@ -93,9 +93,10 @@ def flood(sides: list[Side], L0: list[np.ndarray], n_iter: int,
     syndromes.  Returns one ``SideResult`` per side, each with its own copy
     of the joint convergence flags.
     """
-    if n_iter < 1:
-        raise ValueError("n_iter must be >= 1")
+    check_count("n_iter", n_iter, 1)
     L0 = [np.asarray(L, dtype=float) for L in L0]
+    if any(np.isnan(L).any() for L in L0):
+        raise ValueError("channel LLRs must not be NaN")
     S = [np.asarray(side.s, dtype=np.uint8) % 2 for side in sides]
     T = S[0].shape[0]
     for side, s, L in zip(sides, S, L0):
@@ -138,7 +139,7 @@ def flood(sides: list[Side], L0: list[np.ndarray], n_iter: int,
         s_active = [s[active] for s in S]
 
 
-def _sogrand_side(graph: TannerGraph, s, sog_params: SograndParams) -> Side:
+def sogrand_side(graph: TannerGraph, s, sog_params: SograndParams) -> Side:
     """SOGRAND at every check node of ``graph`` and active trial as one block:
     row a*m + j is check j's local view in the a-th active trial."""
     comp = graph.component
@@ -151,20 +152,19 @@ def _sogrand_side(graph: TannerGraph, s, sog_params: SograndParams) -> Side:
 
 
 def decode_independent_trials(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
-                              n_iter: int = 20, sog_params: SograndParams = SograndParams()
-                              ) -> DecodeResult:
-    """Decode Z errors on the X graph and X errors on the Z graph of T trials apart."""
-    z_side, = flood([_sogrand_side(code.x_graph, s_z, sog_params)], [priors.llr_z], n_iter)
-    x_side, = flood([_sogrand_side(code.z_graph, s_x, sog_params)], [priors.llr_x], n_iter)
+                              n_iter: int, side: Callable[..., Side]) -> DecodeResult:
+    """Decode e_z on the X graph and e_x on the Z graph apart, by the rules ``side(graph, s)``."""
+    z_side, = flood([side(code.x_graph, s_z)], [priors.llr_z], n_iter)
+    x_side, = flood([side(code.z_graph, s_x)], [priors.llr_x], n_iter)
     return DecodeResult(z_side=z_side, x_side=x_side)
 
 
 def decode_independent(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
                        n_iter: int = 20,
                        sog_params: SograndParams = SograndParams()) -> DecodeResult:
-    """One-trial view of ``decode_independent_trials``; only tests and bench/ use it."""
-    return decode_independent_trials(code, priors, np.asarray(s_x)[None],
-                                     np.asarray(s_z)[None], n_iter, sog_params).row(0)
+    """One-trial SOGRAND view of ``decode_independent_trials``; only tests and bench/ use it."""
+    return decode_independent_trials(code, priors, np.asarray(s_x)[None], np.asarray(s_z)[None],
+                                     n_iter, lambda g, s: sogrand_side(g, s, sog_params)).row(0)
 
 
 def _beliefs_from_llr(L: np.ndarray, pair) -> np.ndarray:
@@ -214,28 +214,27 @@ def _pauli_fuse(prior: np.ndarray, graphs, c2v):
     return app, v2c, e_hat
 
 
-def decode_correlated_trials(code: GldpcCode, pauli_prior, s_x, s_z, n_iter: int = 20,
-                             sog_params: SograndParams = SograndParams()
-                             ) -> DecodeResult:
+def decode_correlated_trials(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
+                             n_iter: int, side: Callable[..., Side]) -> DecodeResult:
     """Joint X/Z decoding of T trials, with Pauli-belief fusion at the variables.
 
-    Check nodes on both graphs still run binary SOGRAND; variable nodes map
+    Check nodes on both graphs still run a binary rule; variable nodes map
     the four incoming binary LLRs into Pauli beliefs, fuse them with the
-    channel prior, and marginalize the extrinsic beliefs back into binary
-    LLRs for each graph.  A trial stops when both syndrome equations hold.
+    channel's Pauli prior, and marginalize the extrinsic beliefs back into
+    binary LLRs for each graph.  A trial stops when both syndrome equations hold.
     """
-    prior = np.asarray(pauli_prior, dtype=float)
+    prior = np.asarray(priors.pauli_prior, dtype=float)
     if prior.shape != (code.n, 4):
         raise ValueError(f"Pauli prior has shape {prior.shape}, expected {(code.n, 4)}")
     graphs = (code.x_graph, code.z_graph)
-    sides = [_sogrand_side(g, s, sog_params) for g, s in zip(graphs, (s_z, s_x))]
+    sides = [side(g, s) for g, s in zip(graphs, (s_z, s_x))]
     L0 = [_marginal_llr(prior, pair) for pair in _PAIRS]  # channel marginals: first messages
     z_side, x_side = flood(sides, L0, n_iter, fuse=lambda c2v: _pauli_fuse(prior, graphs, c2v))
     return DecodeResult(z_side=z_side, x_side=x_side)
 
 
-def decode_correlated(code: GldpcCode, pauli_prior, s_x, s_z, n_iter: int = 20,
+def decode_correlated(code: GldpcCode, priors: ChannelPrior, s_x, s_z, n_iter: int = 20,
                       sog_params: SograndParams = SograndParams()) -> DecodeResult:
-    """One-trial view of ``decode_correlated_trials``; only tests and bench/ use it."""
-    return decode_correlated_trials(code, pauli_prior, np.asarray(s_x)[None],
-                                    np.asarray(s_z)[None], n_iter, sog_params).row(0)
+    """One-trial SOGRAND view of ``decode_correlated_trials``; only tests and bench/ use it."""
+    return decode_correlated_trials(code, priors, np.asarray(s_x)[None], np.asarray(s_z)[None],
+                                    n_iter, lambda g, s: sogrand_side(g, s, sog_params)).row(0)

@@ -25,9 +25,9 @@ import numpy as np
 from . import channel as ch
 from .codes import GldpcCode, builtin_code, load_code
 # nothing here calls the one-trial views imported, but bench/spans.py wraps them
-from .gldpc import (DecodeResult, decode_correlated, decode_correlated_trials,
-                    decode_independent, decode_independent_trials)
-from .minsum import BpConfig, minsum_decode, minsum_decode_trials
+from .gldpc import (DecodeResult, Side, decode_correlated, decode_correlated_trials,
+                    decode_independent, decode_independent_trials, sogrand_side)
+from .minsum import BpConfig, minsum_decode, minsum_side
 from .osd import OsdConfig, osd_postprocess
 from .sogrand import SograndParams
 
@@ -38,33 +38,26 @@ CHUNK_CELLS = 1 << 16
 
 
 class Decoder(NamedTuple):
-    # (code, priors, (T, m) s_x and s_z, n_iter, sog_params, alpha) -> DecodeResult
-    decode: Callable[..., DecodeResult]
-    osd: bool        # post-process the sides that did not converge
-    n_iter: int      # default iteration budget
+    decode: Callable[..., DecodeResult]  # (code, priors, s_x, s_z, n_iter, side)
+    side: Callable[..., Side]  # (graph, s, cfg) -> the check rule of one graph
+    osd: bool                  # post-process the sides that did not converge
+    n_iter: int                # default iteration budget
 
 
-def _bp(code, priors, s_x, s_z, n_iter, sog, alpha) -> DecodeResult:
-    cfg = BpConfig(alpha=alpha, n_iter=n_iter)
-    return DecodeResult(
-        z_side=minsum_decode_trials(code.x_graph.syndrome, priors.llr_z, s_z, cfg),
-        x_side=minsum_decode_trials(code.z_graph.syndrome, priors.llr_x, s_x, cfg))
+def _minsum(graph, s, cfg) -> Side:
+    return minsum_side(graph.syndrome, s, cfg.alpha)
 
 
-def _sogrand(code, priors, s_x, s_z, n_iter, sog, alpha) -> DecodeResult:
-    return decode_independent_trials(code, priors, s_x, s_z, n_iter, sog)
-
-
-def _sogrand_corr(code, priors, s_x, s_z, n_iter, sog, alpha) -> DecodeResult:
-    return decode_correlated_trials(code, priors.pauli_prior, s_x, s_z, n_iter, sog)
+def _sogrand(graph, s, cfg) -> Side:
+    return sogrand_side(graph, s, cfg.sog_params)
 
 
 DECODERS = {
-    "bp": Decoder(_bp, osd=False, n_iter=100),
-    "bp-osd": Decoder(_bp, osd=True, n_iter=100),
-    "sogrand": Decoder(_sogrand, osd=False, n_iter=20),
-    "sogrand-osd": Decoder(_sogrand, osd=True, n_iter=20),
-    "sogrand-osd-corr": Decoder(_sogrand_corr, osd=True, n_iter=20),
+    "bp": Decoder(decode_independent_trials, _minsum, osd=False, n_iter=100),
+    "bp-osd": Decoder(decode_independent_trials, _minsum, osd=True, n_iter=100),
+    "sogrand": Decoder(decode_independent_trials, _sogrand, osd=False, n_iter=20),
+    "sogrand-osd": Decoder(decode_independent_trials, _sogrand, osd=True, n_iter=20),
+    "sogrand-osd-corr": Decoder(decode_correlated_trials, _sogrand, osd=True, n_iter=20),
 }
 
 
@@ -86,15 +79,15 @@ class ExperimentConfig:
         if self.decoder not in DECODERS:
             raise ValueError(f"unknown decoder {self.decoder!r}; "
                              f"choose from {tuple(DECODERS)}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.max_failures is not None and self.max_failures < 1:
-            raise ValueError("max_failures must be >= 1")
+        ch.check_count("trials", self.trials, 1)
+        if self.max_failures is not None:
+            ch.check_count("max_failures", self.max_failures, 1)
+        if not self.p_grid:
+            raise ValueError("p_grid is empty")
         for p in self.p_grid:
             ch.check_decoding_p(p)
         BpConfig(alpha=self.alpha, n_iter=self.resolved_n_iter())  # checks both
-        if self.master_seed < 0:
-            raise ValueError(f"the seed must be >= 0, got {self.master_seed}")
+        ch.check_count("master_seed", self.master_seed, 0)
 
     def resolved_n_iter(self) -> int:
         if self.n_iter is not None:
@@ -140,8 +133,9 @@ def resolve_code(source: str) -> GldpcCode:
 
 def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054):
     """95% Wilson score interval; stays informative at zero failures."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
+    if trials <= 0 or not 0 <= failures <= trials:
+        raise ValueError("need trials > 0 and 0 <= failures <= trials, "
+                         f"got failures={failures}, trials={trials}")
     phat = failures / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -196,7 +190,7 @@ def run_trials(code: GldpcCode, cfg: ExperimentConfig, p: float,
                                  e_z=np.array([x.e_z for x in errors]))
         s_x, s_z = ch.syndromes(code, e)
         result = decoder.decode(code, priors, s_x, s_z, cfg.resolved_n_iter(),
-                                cfg.sog_params, cfg.alpha)
+                                lambda graph, s: decoder.side(graph, s, cfg))
         converged, iterations = result.converged.tolist(), result.iterations_used.tolist()
         failed = _tail(code, result, e, s_x, s_z, osd_cfg, params.p_eff).tolist()
         for t, conv, it, fail in zip(trials, converged, iterations, failed):

@@ -1,7 +1,8 @@
 """Scaled min-sum belief propagation on a flattened parity-check matrix.
 
-The min-sum check rule runs in the GLDPC flooding driver, ``gldpc.flood``,
-on the edges of H, for all active trials of a chunk at once.
+Min-sum is a check rule, as SOGRAND is: ``minsum_side`` builds a
+``gldpc.Side`` on the edges of H, and the GLDPC flooding driver,
+``gldpc.flood``, runs it for all active trials of a chunk at once.
 Syndrome-based: check t multiplies its outgoing message by (-1)^{s_t}, so
 decoding targets the error pattern rather than a codeword.  Same clamping
 and hard-decision conventions as the GLDPC decoder, for comparability.
@@ -15,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf2
-from .channel import LLR_CLAMP
+from .channel import LLR_CLAMP, check_count
 from .gldpc import Side, SideResult, flood
 
 
@@ -27,8 +28,7 @@ class BpConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.n_iter < 1:
-            raise ValueError("n_iter must be >= 1")
+        check_count("n_iter", self.n_iter, 1)
 
 
 @lru_cache(maxsize=8)
@@ -66,17 +66,17 @@ def _minsum_rule(check: gf2.Syndrome):
     return edge_var, rule
 
 
-def minsum_decode_trials(H, L_ch, s, cfg: BpConfig = BpConfig()) -> SideResult:
-    """Min-sum on T trials with (T, m) syndromes ``s``, check t scaled by -alpha
-    if s_t = 1, else alpha.  ``H`` is a bit matrix or a ``gf2.Syndrome``."""
-    check = H if isinstance(H, gf2.Syndrome) else gf2.Syndrome(H)
+def minsum_side(check: gf2.Syndrome, s, alpha: float) -> Side:
+    """Min-sum on the edges of ``check.H`` for (T, m) syndromes ``s``: check t
+    scaled by -alpha if s_t = 1, else alpha."""
     edge_var, rule = _minsum_rule(check)
-    scales = np.array([cfg.alpha, -cfg.alpha])
-    side = Side(edge_var=edge_var, check=check, s=s,
+    scales = np.array([alpha, -alpha])
+    return Side(edge_var=edge_var, check=check, s=s,
                 rule=lambda v2c, s_active: rule(v2c, scales[s_active].reshape(-1, 1)))
-    return flood([side], [L_ch], cfg.n_iter)[0]
 
 
 def minsum_decode(H, L_ch, s, cfg: BpConfig = BpConfig()) -> SideResult:
-    """One-trial view of ``minsum_decode_trials``; only tests and bench/ use it."""
-    return minsum_decode_trials(H, L_ch, np.asarray(s)[None], cfg).row(0)
+    """One trial of min-sum on a bit matrix or ``gf2.Syndrome`` H; only tests and bench/ use it."""
+    check = H if isinstance(H, gf2.Syndrome) else gf2.Syndrome(H)
+    side, = flood([minsum_side(check, np.asarray(s)[None], cfg.alpha)], [L_ch], cfg.n_iter)
+    return side.row(0)

@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf2
+from .channel import check_count
 
 
 class InconsistentSyndromeError(RuntimeError):
@@ -33,8 +34,7 @@ class OsdConfig:
     strategy: str = "combination_sweep"  # or "exhaustive_w"
 
     def __post_init__(self):
-        if self.order_w < 0:
-            raise ValueError("order_w must be >= 0")
+        check_count("order_w", self.order_w, 0)
         if self.strategy not in ("combination_sweep", "exhaustive_w"):
             raise ValueError(f"unknown OSD strategy {self.strategy!r}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import clamp_llr
+from .channel import check_count, clamp_llr
 from .codes import ComponentCode
 from .orbgrand import RankedInput, rank_flip_table
 
@@ -26,10 +26,9 @@ class SograndParams:
     query_budget: int | None = None  # default 2^(m_c+4), resolved per component
 
     def __post_init__(self):
-        if self.list_max < 1:
-            raise ValueError("list_max must be >= 1")
-        if self.query_budget is not None and self.query_budget < 1:
-            raise ValueError("query_budget must be >= 1")
+        check_count("list_max", self.list_max, 1)
+        if self.query_budget is not None:
+            check_count("query_budget", self.query_budget, 1)
 
     def resolve_budget(self, n_c: int, m_c: int) -> int:
         budget = self.query_budget if self.query_budget is not None else 1 << (m_c + 4)
@@ -70,6 +69,8 @@ def decode_block(component: ComponentCode, L_A, s_local,
                  params: SograndParams = SograndParams()) -> BlockOutput:
     """List-decode B local views, the rows of L_A (B, n_c), against s_local (B, m_c)."""
     L_A = clamp_llr(np.asarray(L_A, dtype=float))
+    if np.isnan(L_A).any():
+        raise ValueError("soft inputs must not be NaN")
     s_local = np.asarray(s_local, dtype=np.uint8) % 2
     n_c, m_c = component.n_c, component.m_c
     if L_A.ndim != 2 or L_A.shape[1] != n_c or s_local.shape != (L_A.shape[0], m_c):

@@ -6,13 +6,14 @@ set of paired trials (common random numbers) through module-scoped caches.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qgldpc import channel, gf2
 from qgldpc.codes import ComponentCode, builtin_code
-from qgldpc.gldpc import decode_independent, decode_independent_trials
+from qgldpc.gldpc import decode_independent, decode_independent_trials, sogrand_side
 from qgldpc.harness import (DECODERS, ExperimentConfig, convergence_study, pseudothreshold,
                             run_sweep, run_trial, run_trials, uncoded_bler,
                             wilson_interval, CurvePoint)
@@ -151,7 +152,7 @@ def test_criterion_4_gldpc_soundness_and_weight_one_sweep():
         s_x = np.zeros((code.n, code.h_z.shape[0]), dtype=np.uint8)
         out = decode_independent_trials(
             code, channel.make_priors(channel.DepolarizingParams(0.01), code.n), s_x,
-            code.x_graph.syndrome(e_z), sog_params=sog).z_side
+            code.x_graph.syndrome(e_z), 20, lambda g, s: sogrand_side(g, s, sog)).z_side
         assert out.converged.all()
         assert gf2.RowSpace(code.h_z).contains(e_z ^ out.e_hat).all()
     assert checked > 0
@@ -232,7 +233,7 @@ def test_criterion_8_convergence_monotone_and_deterministic(tmp_path):
         run_sweep(ExperimentConfig(code="builtin:toy-gldpc", decoder="sogrand-osd",
                                    p_grid=(0.02, 0.05), trials=400,
                                    master_seed=9, out_path=path))
-    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
     print("\nACCEPTANCE 8 PASS: BLER non-increasing in the iteration budget "
           "for bp and sogrand under common random numbers; repeated sweeps "
           "produce bit-identical CSV")

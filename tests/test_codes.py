@@ -271,6 +271,8 @@ BAD_FIELDS = [
     (("name",), 5, "name must be a string"),
     (("name",), None, "name must be a string"),
     (("name",), ["x"], "name must be a string"),
+    # a huge n is an edge count mismatch, found before n degree counters exist
+    (("n",), 10**30, "degree exactly 2"),
 ]
 
 

@@ -186,7 +186,8 @@ def chunk_digest(decoder):
                                   e_z=np.array([x.e_z for x in errors]))
     s_x, s_z = channel.syndromes(code, e)
     result = DECODERS[decoder].decode(code, channel.make_priors(params, code.n), s_x, s_z,
-                                      cfg.resolved_n_iter(), cfg.sog_params, cfg.alpha)
+                                      cfg.resolved_n_iter(),
+                                      lambda g, s: DECODERS[decoder].side(g, s, cfg))
     osd_cfg = cfg.osd_config if DECODERS[decoder].osd else None
     failed = _tail(code, result, e, s_x, s_z, osd_cfg, params.p_eff)
     digest = hashlib.sha256(np.ascontiguousarray(failed, dtype="u1").tobytes())

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from qgldpc import channel
 from qgldpc.channel import clamp_llr
 from qgldpc.codes import builtin_code
 from qgldpc.gldpc import (BELIEF_FLOOR, _PAIRS, DecodeResult, SideResult, _argmax_pauli,
-                          _beliefs_from_llr, _marginal_llr, _pauli_fuse, _sogrand_side,
-                          decode_correlated_trials, decode_independent_trials, flood)
+                          _beliefs_from_llr, _marginal_llr, _pauli_fuse, decode_correlated_trials,
+                          decode_independent_trials, flood, sogrand_side)
 from qgldpc.sogrand import SograndParams
 
 SOG = SograndParams(list_max=8)
@@ -16,8 +18,13 @@ SOG = SograndParams(list_max=8)
 
 def decode_side(graph, L_ch, s, n_iter=20, sog_params=SograndParams()):
     """SOGRAND flooding on one Tanner graph alone, for one trial."""
-    side, = flood([_sogrand_side(graph, np.asarray(s)[None], sog_params)], [L_ch], n_iter)
+    side, = flood([sogrand_side(graph, np.asarray(s)[None], sog_params)], [L_ch], n_iter)
     return side.row(0)
+
+
+def sog(params=SograndParams()):
+    """The SOGRAND check rule of one graph, ``side(graph, s)``."""
+    return lambda graph, s: sogrand_side(graph, s, params)
 
 
 def priors_at(p, n):
@@ -112,8 +119,9 @@ class TestInputValidation:
     def test_decode_correlated_rejects_wrong_shapes(self, prior_shape, s_x_len, s_z_len):
         code = builtin_code("toy-gldpc")
         with pytest.raises(ValueError, match="shape"):
-            decode_correlated_trials(code, np.full(prior_shape, 0.25), np.zeros(s_x_len)[None],
-                                     np.zeros(s_z_len)[None], n_iter=5, sog_params=SOG)
+            priors = replace(priors_at(0.05, code.n), pauli_prior=np.full(prior_shape, 0.25))
+            decode_correlated_trials(code, priors, np.zeros(s_x_len)[None],
+                                     np.zeros(s_z_len)[None], 5, sog(SOG))
 
 
 class TestDecodeIndependent:
@@ -122,7 +130,7 @@ class TestDecodeIndependent:
         pr = priors_at(0.03, code.n)
         res = decode_independent_trials(code, pr, np.zeros(code.h_z.shape[0])[None],
                                         np.zeros(code.h_x.shape[0])[None],
-                                        sog_params=SOG).row(0)
+                                        20, sog(SOG)).row(0)
         assert res.converged
         assert not res.x_side.e_hat.any() and not res.z_side.e_hat.any()
         assert res.iterations_used == 1
@@ -141,7 +149,7 @@ class TestDecodeIndependent:
                 e = channel.PauliErrorPattern(e_x, e_z)
                 s_x, s_z = channel.syndromes(code, e)
                 res = decode_independent_trials(code, pr, s_x[None], s_z[None],
-                                                sog_params=SOG).row(0)
+                                                20, sog(SOG)).row(0)
                 assert res.converged
                 assert code.hz_space.contains(e_z ^ res.z_side.e_hat)
                 assert code.hx_space.contains(e_x ^ res.x_side.e_hat)
@@ -154,7 +162,7 @@ class TestDecodeIndependent:
         e = channel.PauliErrorPattern(np.zeros(code.n, np.uint8), e_z)
         s_x, s_z = channel.syndromes(code, e)
         res = decode_independent_trials(code, pr, s_x[None], s_z[None],
-                                        sog_params=SOG).row(0)
+                                        20, sog(SOG)).row(0)
         # the X side saw a zero syndrome and must answer zero immediately
         assert not res.x_side.e_hat.any()
         assert res.x_side.iterations_used == 1
@@ -278,9 +286,9 @@ class TestDecodeCorrelated:
     def test_zero_error(self):
         code = builtin_code("toy-gldpc")
         pr = priors_at(0.03, code.n)
-        res = decode_correlated_trials(code, pr.pauli_prior, np.zeros(code.h_z.shape[0])[None],
+        res = decode_correlated_trials(code, pr, np.zeros(code.h_z.shape[0])[None],
                                        np.zeros(code.h_x.shape[0])[None],
-                                       sog_params=SOG).row(0)
+                                       20, sog(SOG)).row(0)
         assert res.converged
         assert not res.x_side.e_hat.any() and not res.z_side.e_hat.any()
 
@@ -294,8 +302,8 @@ class TestDecodeCorrelated:
                 e_x[j], e_z[j] = ex_bit, ez_bit
                 e = channel.PauliErrorPattern(e_x, e_z)
                 s_x, s_z = channel.syndromes(code, e)
-                res = decode_correlated_trials(code, pr.pauli_prior, s_x[None], s_z[None],
-                                               sog_params=SOG).row(0)
+                res = decode_correlated_trials(code, pr, s_x[None], s_z[None],
+                                               20, sog(SOG)).row(0)
                 assert res.converged
                 assert code.hz_space.contains(e_z ^ res.z_side.e_hat)
                 assert code.hx_space.contains(e_x ^ res.x_side.e_hat)
@@ -308,8 +316,8 @@ class TestDecodeCorrelated:
             e = channel.sample_error(channel.DepolarizingParams(0.06), code.n,
                                      rng)
             s_x, s_z = channel.syndromes(code, e)
-            res = decode_correlated_trials(code, pr.pauli_prior, s_x[None], s_z[None],
-                                           sog_params=SOG).row(0)
+            res = decode_correlated_trials(code, pr, s_x[None], s_z[None],
+                                           20, sog(SOG)).row(0)
             if res.converged:
                 assert np.array_equal(code.x_graph.syndrome(res.z_side.e_hat), s_z)
                 assert np.array_equal(code.z_graph.syndrome(res.x_side.e_hat), s_x)
@@ -320,10 +328,10 @@ class TestDecodeCorrelated:
         e = channel.sample_error(channel.DepolarizingParams(0.08), code.n,
                                  channel.trial_rng(0, 0.08, 3))
         s_x, s_z = channel.syndromes(code, e)
-        a = decode_correlated_trials(code, pr.pauli_prior, s_x[None], s_z[None],
-                                     sog_params=SOG).row(0)
-        b = decode_correlated_trials(code, pr.pauli_prior, s_x[None], s_z[None],
-                                     sog_params=SOG).row(0)
+        a = decode_correlated_trials(code, pr, s_x[None], s_z[None],
+                                     20, sog(SOG)).row(0)
+        b = decode_correlated_trials(code, pr, s_x[None], s_z[None],
+                                     20, sog(SOG)).row(0)
         assert np.array_equal(a.z_side.e_hat, b.z_side.e_hat)
         assert np.array_equal(a.x_side.e_hat, b.x_side.e_hat)
 
@@ -344,9 +352,9 @@ class TestArrayResults:
     def test_shapes_and_joint_fields(self, correlated):
         code, pr, (s_x, s_z) = self.chunk()
         if correlated:
-            res = decode_correlated_trials(code, pr.pauli_prior, s_x, s_z, n_iter=4)
+            res = decode_correlated_trials(code, pr, s_x, s_z, 4, sog())
         else:
-            res = decode_independent_trials(code, pr, s_x, s_z, n_iter=4)
+            res = decode_independent_trials(code, pr, s_x, s_z, 4, sog())
         for side in (res.z_side, res.x_side):
             assert side.e_hat.shape == side.app.shape == (25, code.n)
             assert side.e_hat.dtype == np.uint8 and side.app.dtype == np.float64
@@ -360,7 +368,7 @@ class TestArrayResults:
         # one joint flag per trial, but each side owns its array: OSD and the
         # success check read and write them per side
         code, pr, (s_x, s_z) = self.chunk()
-        res = decode_correlated_trials(code, pr.pauli_prior, s_x, s_z, n_iter=4)
+        res = decode_correlated_trials(code, pr, s_x, s_z, 4, sog())
         assert np.array_equal(res.z_side.converged, res.x_side.converged)
         for a, b in ((res.z_side.converged, res.x_side.converged),
                      (res.z_side.iterations_used, res.x_side.iterations_used)):
@@ -368,7 +376,7 @@ class TestArrayResults:
 
     def test_row_is_one_trial(self):
         code, pr, (s_x, s_z) = self.chunk()
-        res = decode_independent_trials(code, pr, s_x, s_z, n_iter=4)
+        res = decode_independent_trials(code, pr, s_x, s_z, 4, sog())
         for t in (0, 7, 24):
             one = res.row(t)
             for side, chunk in ((one.z_side, res.z_side), (one.x_side, res.x_side)):

@@ -125,6 +125,11 @@ class TestWilsonInterval:
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
 
+    @pytest.mark.parametrize("failures, trials", [(5, 3), (-1, 3)])
+    def test_failures_outside_trials(self, failures, trials):
+        with pytest.raises(ValueError, match=f"failures={failures}, trials={trials}"):
+            wilson_interval(failures, trials)
+
 
 class TestTrialsAndPoints:
     def test_trial_reproducible(self):
@@ -180,9 +185,16 @@ class TestTrialsAndPoints:
             with pytest.raises(ValueError, match="max_failures"):
                 ExperimentConfig(code="builtin:steane", max_failures=max_failures)
         for bad, message in ((dict(n_iter=0), "n_iter"), (dict(alpha=0.0), "alpha"),
-                             (dict(alpha=1.5), "alpha"), (dict(master_seed=-1), "seed")):
+                             (dict(alpha=1.5), "alpha"), (dict(master_seed=-1), "seed"),
+                             # counts are integers: a float or bool once built, then failed late
+                             (dict(trials=2.5), "trials"), (dict(trials=True), "trials"),
+                             (dict(n_iter=2.5), "n_iter"), (dict(max_failures=1.5), "max_failures"),
+                             (dict(master_seed=1.5), "master_seed"), (dict(p_grid=()), "p_grid")):
             with pytest.raises(ValueError, match=message):
                 ExperimentConfig(code="builtin:steane", **bad)
+        # numpy integers are counts too
+        ExperimentConfig(code="builtin:steane", trials=np.int64(5), n_iter=np.int32(3),
+                         master_seed=np.uint32(7), max_failures=np.int64(2))
         # the decoding range (0, 3/4], at both ends
         ExperimentConfig(code="builtin:steane", p_grid=(1e-9, 0.75))
         for p in (0.0, np.nextafter(0.75, 1.0)):
@@ -221,14 +233,14 @@ class TestCsvAndDeterminism:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         run_sweep(ExperimentConfig(out_path=p1, **cfg_kwargs))
         run_sweep(ExperimentConfig(out_path=p2, **cfg_kwargs))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_metadata_written(self, tmp_path):
         path = str(tmp_path / "c.csv")
         run_sweep(ExperimentConfig(code="builtin:steane", decoder="sogrand",
                                    p_grid=(0.02,), trials=20, out_path=path))
         import json
-        meta = json.load(open(path + ".meta.json"))
+        meta = json.loads(Path(path + ".meta.json").read_text())
         assert meta["decoder"] == "sogrand"
         assert meta["n_iter_resolved"] == 20
 

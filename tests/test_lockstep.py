@@ -17,7 +17,6 @@ from qgldpc.codes import ComponentCode, GldpcCode, TannerGraph, builtin_code
 from qgldpc.harness import (DECODERS, CurvePoint, ExperimentConfig, TrialRecord, chunk_size,
                             run_point, run_trial, run_trials, wilson_interval)
 from qgldpc.osd import osd_postprocess
-from qgldpc.sogrand import SograndParams
 
 
 def _ham_7_2():
@@ -69,6 +68,12 @@ def side_success(code, side, e_true, s, z_side):
             == gf2.row_reduce(stabilizers).rank)
 
 
+def decode_chunk(cfg, code, priors, s_x, s_z, n_iter):
+    """One registry decode of a chunk, with the check rule ``cfg`` picks."""
+    decoder = DECODERS[cfg.decoder]
+    return decoder.decode(code, priors, s_x, s_z, n_iter, lambda g, s: decoder.side(g, s, cfg))
+
+
 def serial_records(code, cfg, p, trials):
     """Records of trials 0..trials-1: one decode of the chunk, then OSD and
     the success check trial by trial on ``result.row(t)``."""
@@ -76,8 +81,8 @@ def serial_records(code, cfg, p, trials):
     errors = [channel.sample_error(params, code.n, channel.trial_rng(cfg.master_seed, p, t))
               for t in range(trials)]
     s_x, s_z = map(np.array, zip(*(channel.syndromes(code, e) for e in errors)))
-    chunk = DECODERS[cfg.decoder].decode(code, channel.make_priors(params, code.n), s_x, s_z,
-                                         cfg.resolved_n_iter(), cfg.sog_params, cfg.alpha)
+    chunk = decode_chunk(cfg, code, channel.make_priors(params, code.n), s_x, s_z,
+                         cfg.resolved_n_iter())
     records = []
     for t, e in enumerate(errors):
         result = chunk.row(t)
@@ -114,9 +119,10 @@ def chunks(draw):
 @settings(max_examples=40, deadline=None)
 def test_chunk_decodes_as_each_trial_alone_in_any_order(case):
     code, decoder, priors, s_x, s_z, n_iter = case
+    cfg = ExperimentConfig(code=code.name, decoder=decoder)
 
     def decode(sx, sz):
-        out = DECODERS[decoder].decode(code, priors, sx, sz, n_iter, SograndParams(), 0.625)
+        out = decode_chunk(cfg, code, priors, sx, sz, n_iter)
         return [result_facts(out.row(t)) for t in range(len(sx))]
 
     chunk = decode(s_x, s_z)
@@ -196,4 +202,5 @@ def test_unequal_trial_counts_of_the_two_sides_are_rejected(decoder):
     s_x = np.zeros((3, code.h_z.shape[0]), dtype=np.uint8)
     s_z = np.zeros((2, code.h_x.shape[0]), dtype=np.uint8)
     with pytest.raises(ValueError):
-        DECODERS[decoder].decode(code, priors, s_x, s_z, 5, SograndParams(), 0.625)
+        decode_chunk(ExperimentConfig(code=code.name, decoder=decoder), code, priors,
+                     s_x, s_z, 5)

@@ -186,6 +186,20 @@ class TestMinsumDecode:
             BpConfig(alpha=1.5)
         with pytest.raises(ValueError):
             BpConfig(n_iter=0)
+        for n_iter in (2.5, True, "3"):
+            with pytest.raises(ValueError, match="n_iter"):
+                BpConfig(n_iter=n_iter)
+        assert BpConfig(n_iter=np.int64(3)).n_iter == 3
+
+    def test_nan_prior_rejected(self):
+        # a NaN prior once "converged" after one iteration with a NaN in app
+        code = builtin_code("toric")
+        L = np.full(code.n, 3.0)
+        L[0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            minsum_decode(code.h_x, L, np.zeros(code.h_x.shape[0]))
+        L[0] = np.inf  # clamped, not rejected
+        assert minsum_decode(code.h_x, L, np.zeros(code.h_x.shape[0])).converged
 
 
 class TestAgainstDenseReference:

@@ -137,6 +137,9 @@ class TestBasics:
             osd_postprocess(HAMMING, np.zeros(3), np.zeros(7), channel_q=1.0)
         with pytest.raises(ValueError):
             OsdConfig(order_w=-1)
+        for order_w in (2.5, True):
+            with pytest.raises(ValueError, match="order_w"):
+                OsdConfig(order_w=order_w)
         with pytest.raises(ValueError):
             OsdConfig(strategy="bogus")
 

@@ -220,6 +220,24 @@ class TestSograndDecodeBasics:
         rescaled = [17.3 * m for m in masses]
         assert np.array_equal(soft_from_list(pats, rescaled, 0.7, 2, L_A)[2], best)
 
+    def test_config_validation(self):
+        SograndParams(list_max=np.int64(2), query_budget=np.int32(8))  # numpy ints are counts
+        for bad, name in ((dict(list_max=0), "list_max"), (dict(list_max=2.5), "list_max"),
+                          (dict(list_max=True), "list_max"), (dict(query_budget=0), "query_budget"),
+                          (dict(query_budget=2.5), "query_budget")):
+            with pytest.raises(ValueError, match=name):
+                SograndParams(**bad)
+
+    def test_nan_input_rejected(self):
+        comp = ComponentCode(HAMMING)
+        L = np.full((2, 7), 1.0)
+        L[1, 3] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            decode_block(comp, L, np.zeros((2, 3)))
+        # +-inf is clamped, not rejected
+        L[1, 3] = -np.inf
+        assert decode_block(comp, L, np.zeros((2, 3))).L_APP.shape == (2, 7)
+
     def test_dimension_checks(self):
         comp = ComponentCode(HAMMING)
         with pytest.raises(ValueError):

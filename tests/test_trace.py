@@ -18,6 +18,7 @@ sys.path.insert(0, str(BENCH))
 import spans  # noqa: E402
 from qgldpc import channel, gldpc, harness  # noqa: E402
 from qgldpc.codes import builtin_code  # noqa: E402
+from qgldpc.sogrand import SograndParams  # noqa: E402
 
 DECODE_LAYERS = ("channel", "gf2", "harness", "osd")
 # decoder -> (p, master seed) of a toy-gldpc trial 0 that needs OSD, the
@@ -78,6 +79,9 @@ def test_one_block_decode_per_side_and_iteration(monkeypatch, correlated):
     priors = channel.make_priors(params, code.n)
     calls, decode_block = [], gldpc.decode_block
 
+    def sogrand(graph, s):
+        return gldpc.sogrand_side(graph, s, SograndParams())
+
     def counting(component, L_A, s_local, sog_params):
         calls.append(L_A.shape)
         return decode_block(component, L_A, s_local, sog_params)
@@ -92,12 +96,12 @@ def test_one_block_decode_per_side_and_iteration(monkeypatch, correlated):
         return sum(i >= it for i in iterations)
 
     if correlated:
-        out = gldpc.decode_correlated_trials(code, priors.pauli_prior, s_x, s_z)
+        out = gldpc.decode_correlated_trials(code, priors, s_x, s_z, 20, sogrand)
         iters = out.iterations_used.tolist()
         expected = [(g.m * running(iters, it), g.component.n_c)
                     for it in range(1, max(iters) + 1) for g in (xg, zg)]
     else:
-        out = gldpc.decode_independent_trials(code, priors, s_x, s_z)
+        out = gldpc.decode_independent_trials(code, priors, s_x, s_z, 20, sogrand)
         expected = [(g.m * running(iters, it), g.component.n_c)
                     for g, iters in ((xg, out.z_side.iterations_used.tolist()),
                                      (zg, out.x_side.iterations_used.tolist()))
