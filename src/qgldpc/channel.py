@@ -25,6 +25,14 @@ def check_count(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be >= {low}")
 
 
+def as_bits(name: str, v) -> np.ndarray:
+    """``v`` as a uint8 array, if every entry is 0 or 1 (any integer, float or bool dtype)."""
+    v = np.asarray(v)
+    if not ((v == 0) | (v == 1)).all():
+        raise ValueError(f"{name} of shape {v.shape} must hold only 0s and 1s")
+    return v.astype(np.uint8)
+
+
 def check_decoding_p(p: float) -> None:
     """The decoders take 0 < p <= 3/4, where the channel LLR is finite and >= 0."""
     if not 0.0 < p <= 0.75:

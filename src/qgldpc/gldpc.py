@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import gf2
-from .channel import ChannelPrior, check_count, clamp_llr
+from .channel import ChannelPrior, as_bits, check_count, clamp_llr
 from .codes import GldpcCode, TannerGraph
 # nothing here calls sogrand_decode, but bench/spans.py wraps gldpc.sogrand_decode
 from .sogrand import SograndParams, decode_block, sogrand_decode
@@ -97,7 +97,7 @@ def flood(sides: list[Side], L0: list[np.ndarray], n_iter: int,
     L0 = [np.asarray(L, dtype=float) for L in L0]
     if any(np.isnan(L).any() for L in L0):
         raise ValueError("channel LLRs must not be NaN")
-    S = [np.asarray(side.s, dtype=np.uint8) % 2 for side in sides]
+    S = [as_bits("syndromes", side.s) for side in sides]
     T = S[0].shape[0]
     for side, s, L in zip(sides, S, L0):
         m, n = side.check.H.shape

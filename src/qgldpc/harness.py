@@ -283,7 +283,9 @@ def read_csv(path: str) -> list[CurvePoint]:
 def write_metadata(cfg: ExperimentConfig, path: str) -> None:
     obj = asdict(cfg)
     obj["n_iter_resolved"] = cfg.resolved_n_iter()
-    _write_atomically(path, json.dumps(obj, indent=1, default=str) + "\n")
+    # numpy scalars, which the configs accept, stay JSON numbers
+    _write_atomically(path, json.dumps(obj, indent=1, default=lambda v: v.item()
+                                       if isinstance(v, np.generic) else str(v)) + "\n")
 
 
 def uncoded_bler(p: float, k: int) -> float:

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf2
-from .channel import check_count
+from .channel import as_bits, check_count
 
 
 class InconsistentSyndromeError(RuntimeError):
@@ -65,7 +65,7 @@ def osd_postprocess(H, s, soft_llr, cfg: OsdConfig = OsdConfig(),
     ``soft_llr`` is the final APP vector of the failed decode; ``channel_q``
     the prior flip probability of every bit, used to score candidates.
     """
-    H, s = np.asarray(H), np.asarray(s)
+    H, s = np.asarray(H), as_bits("syndrome", s)
     soft_llr = np.asarray(soft_llr, dtype=float)
     m, n = H.shape
     if soft_llr.shape != (n,) or s.shape != (m,):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import check_count, clamp_llr
+from .channel import as_bits, check_count, clamp_llr
 from .codes import ComponentCode
 from .orbgrand import RankedInput, rank_flip_table
 
@@ -71,7 +71,7 @@ def decode_block(component: ComponentCode, L_A, s_local,
     L_A = clamp_llr(np.asarray(L_A, dtype=float))
     if np.isnan(L_A).any():
         raise ValueError("soft inputs must not be NaN")
-    s_local = np.asarray(s_local, dtype=np.uint8) % 2
+    s_local = as_bits("local syndromes", s_local)
     n_c, m_c = component.n_c, component.m_c
     if L_A.ndim != 2 or L_A.shape[1] != n_c or s_local.shape != (L_A.shape[0], m_c):
         raise ValueError(f"soft inputs of shape {L_A.shape} and local syndromes of "
@@ -142,27 +142,25 @@ def sogrand_decode(component: ComponentCode, L_A, s_local,
 
 
 def _soft(L_A, patterns, masses, n_listed, P_g, m_c: int):
-    """(L_APP, L_E, best pattern) of each row from its candidate list.
+    """(L_APP, L_E, best pattern) of each row from its candidate list, by one formula.
 
     The unexplored mass P_Lc is apportioned to each bit's flip probability
-    by the prior q_i, so an empty list passes the prior through unchanged
-    (L_E = 0) and a saturated search (P_g = 1) reproduces exact coset
-    marginals.  Slots past a row's ``n_listed`` hold zero masses.
+    by the prior q_i, so a saturated search (P_g = 1) reproduces exact coset
+    marginals.  Slots past a row's ``n_listed`` hold zero masses.  An empty
+    list keeps the prior exactly (L_E = 0); its best pattern is slot 0, the
+    schedule's first and empty deviation: the hard decision.
     """
-    L_APP, best = L_A.copy(), (L_A < 0).astype(np.uint8)
-    found = n_listed.nonzero()[0]
-    L, patterns, masses = L_A[found], patterns[found], masses[found]
     P_L = np.array([math.fsum(row) for row in masses.tolist()])[:, None]
-    P_Lc = estimate_missing_mass(P_g[found], m_c)[:, None]
+    P_Lc = estimate_missing_mass(P_g, m_c)[:, None]
     P_tot = P_L + P_Lc
-    q_prior = np.exp(-np.logaddexp(0.0, L))  # P(bit = 1 | L_A)
+    q_prior = np.exp(-np.logaddexp(0.0, L_A))  # P(bit = 1 | L_A)
 
     # a running sum over the list, in list order: the rounding of the scalar decoder
     flip_mass = np.cumsum(masses[:, :, None] * patterns, axis=1)[:, -1]
-    p1 = (flip_mass + P_Lc * q_prior) / P_tot
-
-    with np.errstate(divide="ignore"):
-        L_APP[found] = clamp_llr(np.log(np.maximum(P_tot - flip_mass - P_Lc * q_prior, 0.0))
-                                 - np.log(np.maximum(p1 * P_tot, 0.0)))
-    best[found] = patterns[np.arange(found.size), masses.argmax(axis=1)]
+    with np.errstate(divide="ignore", invalid="ignore"):  # an empty list may have P_tot = 0
+        p1 = (flip_mass + P_Lc * q_prior) / P_tot
+        L_APP = clamp_llr(np.log(np.maximum(P_tot - flip_mass - P_Lc * q_prior, 0.0))
+                          - np.log(np.maximum(p1 * P_tot, 0.0)))
+    L_APP = np.where(n_listed[:, None] > 0, L_APP, L_A)
+    best = patterns[np.arange(len(patterns)), masses.argmax(axis=1)]
     return L_APP, L_APP - L_A, best

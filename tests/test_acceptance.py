@@ -13,9 +13,9 @@ import pytest
 
 from qgldpc import channel, gf2
 from qgldpc.codes import ComponentCode, builtin_code
-from qgldpc.gldpc import decode_independent, decode_independent_trials, sogrand_side
+from qgldpc.gldpc import decode_independent_trials, sogrand_side
 from qgldpc.harness import (DECODERS, ExperimentConfig, convergence_study, pseudothreshold,
-                            run_sweep, run_trial, run_trials, uncoded_bler,
+                            run_sweep, run_trials, uncoded_bler,
                             wilson_interval, CurvePoint)
 from qgldpc.orbgrand import RankedInput, rank_flip_table
 from qgldpc.osd import OsdConfig, osd_postprocess
@@ -63,7 +63,7 @@ def test_paired_records_are_the_run_trial_loop(decoder):
     cfg = ExperimentConfig(code="builtin:toy-gldpc", decoder=decoder,
                            p_grid=(PAIRED_P,), trials=PAIRED_TRIALS, master_seed=PAIRED_SEED)
     assert list(run_trials(code, cfg, PAIRED_P, 0, 200)) == \
-        [run_trial(code, cfg, PAIRED_P, t) for t in range(200)]
+        [rec for t in range(200) for rec in run_trials(code, cfg, PAIRED_P, t, t + 1)]
 
 
 def test_criterion_1_sogrand_exact_at_saturation():
@@ -139,7 +139,8 @@ def test_criterion_4_gldpc_soundness_and_weight_one_sweep():
         for _ in range(100):
             e = channel.sample_error(channel.DepolarizingParams(0.05), code.n, rng)
             s_x, s_z = channel.syndromes(code, e)
-            res = decode_independent(code, pr, s_x, s_z, sog_params=sog)
+            res = decode_independent_trials(code, pr, s_x[None], s_z[None], 20,
+                                            lambda g, s: sogrand_side(g, s, sog)).row(0)
             if res.z_side.converged:
                 assert np.array_equal(code.x_graph.syndrome(res.z_side.e_hat), s_z)
                 checked += 1

@@ -9,7 +9,8 @@ from qgldpc import channel
 from qgldpc.channel import clamp_llr
 from qgldpc.codes import builtin_code
 from qgldpc.gldpc import (BELIEF_FLOOR, _PAIRS, DecodeResult, SideResult, _argmax_pauli,
-                          _beliefs_from_llr, _marginal_llr, _pauli_fuse, decode_correlated_trials,
+                          _beliefs_from_llr, _marginal_llr, _pauli_fuse, decode_correlated,
+                          decode_correlated_trials, decode_independent,
                           decode_independent_trials, flood, sogrand_side)
 from qgldpc.sogrand import SograndParams
 
@@ -387,6 +388,20 @@ class TestArrayResults:
                 assert side.iterations_used == chunk.iterations_used[t]
             assert one.converged == res.converged[t]
             assert one.iterations_used == res.iterations_used[t]
+
+    @pytest.mark.parametrize("view, chunk_decode", [
+        (decode_independent, decode_independent_trials),
+        (decode_correlated, decode_correlated_trials)], ids=["independent", "correlated"])
+    def test_one_trial_view_is_the_chunk_row(self, view, chunk_decode):
+        code, pr, (s_x, s_z) = self.chunk()
+        res = chunk_decode(code, pr, s_x, s_z, 4, sog(SOG))
+        for t in (0, 7, 24):
+            one, row = view(code, pr, s_x[t], s_z[t], 4, SOG), res.row(t)
+            for side, expected in ((one.z_side, row.z_side), (one.x_side, row.x_side)):
+                assert np.array_equal(side.e_hat, expected.e_hat)
+                assert np.array_equal(side.app, expected.app)
+                assert side.converged == expected.converged
+                assert side.iterations_used == expected.iterations_used
 
     def test_sides_of_unequal_trial_counts_rejected(self):
         def side(T):

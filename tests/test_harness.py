@@ -15,7 +15,8 @@ from qgldpc.gldpc import DecodeResult, SideResult
 from qgldpc.harness import (CSV_HEADER, DECODERS, CurvePoint, ExperimentConfig,
                             _tail, convergence_study, pseudothreshold,
                             read_csv, resolve_code, run_point, run_sweep,
-                            run_trial, uncoded_bler, wilson_interval, write_csv)
+                            run_trial, run_trials, uncoded_bler, wilson_interval,
+                            write_csv)
 
 
 def make_point(p, bler, trials=10000):
@@ -136,9 +137,16 @@ class TestTrialsAndPoints:
         code = builtin_code("toy-gldpc")
         cfg = ExperimentConfig(code="builtin:toy-gldpc", decoder="sogrand",
                                p_grid=(0.05,), trials=1, master_seed=9)
-        a = run_trial(code, cfg, 0.05, 4)
-        b = run_trial(code, cfg, 0.05, 4)
+        a, = run_trials(code, cfg, 0.05, 4, 5)
+        b, = run_trials(code, cfg, 0.05, 4, 5)
         assert a == b
+
+    def test_one_trial_view_is_the_chunk_record(self):
+        code = builtin_code("toy-gldpc")
+        cfg = ExperimentConfig(code="builtin:toy-gldpc", decoder="sogrand-osd",
+                               p_grid=(0.1,), trials=8, master_seed=9)
+        assert [run_trial(code, cfg, 0.1, t) for t in range(8)] == \
+            list(run_trials(code, cfg, 0.1, 0, 8))
 
     def test_point_counts_consistent(self):
         code = builtin_code("toy-gldpc")
@@ -171,7 +179,7 @@ class TestTrialsAndPoints:
         cfg = ExperimentConfig(code="builtin:toy-gldpc", decoder="sogrand-osd",
                                p_grid=(0.15,), trials=100, master_seed=3)
         for t in range(50):
-            rec = run_trial(code, cfg, 0.15, t)
+            rec, = run_trials(code, cfg, 0.15, t, t + 1)
             assert rec.iterations_used <= 20
 
     def test_config_validation(self):
@@ -243,6 +251,14 @@ class TestCsvAndDeterminism:
         meta = json.loads(Path(path + ".meta.json").read_text())
         assert meta["decoder"] == "sogrand"
         assert meta["n_iter_resolved"] == 20
+        # numpy scalars, which the configs accept, are written as JSON numbers
+        run_sweep(ExperimentConfig(code="builtin:steane", p_grid=(np.float32(0.05),),
+                                   trials=np.int64(5), master_seed=np.int32(3),
+                                   n_iter=np.int16(4), out_path=path))
+        meta = json.loads(Path(path + ".meta.json").read_text())
+        assert [meta[key] for key in ("trials", "master_seed", "n_iter", "n_iter_resolved")] \
+            == [5, 3, 4, 4]
+        assert meta["p_grid"] == [float(np.float32(0.05))]
 
     @pytest.mark.parametrize("text, message", [
         ("p,decoder,trials\n0.01,sogrand,10\n", "missing columns failures, bler"),
@@ -359,7 +375,7 @@ class TestDecoderRegistry:
                                p_grid=(0.1, 0.75), trials=1, master_seed=4)
         # at p = 3/4 the channel LLR is 0, and OSD with q = 1/2 picks the lightest candidate
         for p in cfg.p_grid:
-            rec = run_trial(code, cfg, p, 0)
+            rec, = run_trials(code, cfg, p, 0, 1)
             assert 1 <= rec.iterations_used <= DECODERS[decoder].n_iter
             assert rec.osd_invoked <= DECODERS[decoder].osd
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from qgldpc import channel, gf2
 from qgldpc.codes import ComponentCode, GldpcCode, TannerGraph, builtin_code
 from qgldpc.harness import (DECODERS, CurvePoint, ExperimentConfig, TrialRecord, chunk_size,
-                            run_point, run_trial, run_trials, wilson_interval)
+                            run_point, run_trials, wilson_interval)
 from qgldpc.osd import osd_postprocess
 
 
@@ -166,7 +166,7 @@ def test_point_is_the_serial_loop_over_run_trial(name, decoder, trials, p, seed,
                            trials=trials, master_seed=seed, max_failures=max_failures)
     records = []
     for t in range(trials):
-        records.append(run_trial(code, cfg, p, t))
+        records.extend(run_trials(code, cfg, p, t, t + 1))
         if max_failures is not None and \
                 sum(r.logical_failure for r in records) >= max_failures:
             break

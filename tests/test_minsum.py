@@ -202,6 +202,14 @@ class TestMinsumDecode:
         assert minsum_decode(code.h_x, L, np.zeros(code.h_x.shape[0])).converged
 
 
+    @pytest.mark.parametrize("value", [2, 0.6, -1])
+    def test_syndrome_must_be_bits(self, value):
+        # a syndrome of 2s once decoded as zeros and reported convergence
+        H = builtin_code("toy-gldpc").h_x
+        with pytest.raises(ValueError, match=rf"shape \(1, {H.shape[0]}\) must hold only"):
+            minsum_decode(H, np.full(H.shape[1], 2.0), np.full(H.shape[0], value))
+
+
 class TestAgainstDenseReference:
     @given(minsum_inputs())
     @settings(max_examples=300, deadline=None)

@@ -130,6 +130,11 @@ class TestBasics:
         with pytest.raises(ValueError, match="channel_q"):
             osd_postprocess(HAMMING, np.zeros(3), np.ones(7), channel_q=channel_q)
 
+    @pytest.mark.parametrize("value", [2, 0.6, -1])
+    def test_syndrome_must_be_bits(self, value):
+        with pytest.raises(ValueError, match=r"shape \(3,\) must hold only 0s and 1s"):
+            osd_postprocess(HAMMING, np.full(3, value), np.ones(7))
+
     def test_dimension_and_q_validation(self):
         with pytest.raises(ValueError):
             osd_postprocess(HAMMING, np.zeros(3), np.zeros(6))

@@ -155,15 +155,37 @@ class TestSograndDecodeBasics:
             assert np.array_equal(out.best_pattern, e)
 
     def test_empty_list_neutral_extrinsic(self):
-        # budget 1 queries only the hard decision; pick a syndrome it misses
+        # budget 1 queries only the hard decision; each row's syndrome misses it
+        L = np.array([np.full(7, 2.0), [-2.0, 2.0, 2.0, -0.5, 2.0, 2.0, 2.0]])
+        hard = (L < 0).astype(np.uint8)
+        s = np.array([[1, 0, 0], [1, 1, 0]], dtype=np.uint8)
+        assert ((hard @ HAMMING.T) % 2 != s).any(axis=1).all()
+        out = decode_block(ComponentCode(HAMMING), L, s,
+                           SograndParams(list_max=4, query_budget=1))
+        # a zero check never meets syndrome 1: the search covers the space, P_g = 1
+        full = decode_block(ComponentCode(np.zeros((1, 7), dtype=np.uint8)), L, [[1], [1]],
+                            SograndParams(query_budget=1 << 7))
+        assert full.P_g.tolist() == [1.0, 1.0]
+        for out in (out, full):
+            assert out.n_listed.tolist() == [0, 0]
+            assert (out.L_E == 0.0).all()
+            assert np.array_equal(out.L_APP, L)
+            assert np.array_equal(out.best_pattern, hard)
+
+    @pytest.mark.parametrize("s", [[[2, 0, 0, 0]], [[0.7, 0, 0, 0]], [[3, 0, 0, 0]],
+                                   [[-1, 0, 0, 0]], [[np.nan, 0, 0, 0]]])
+    def test_syndromes_must_be_bits(self, s):
+        with pytest.raises(ValueError, match=r"shape \(1, 4\) must hold only 0s and 1s"):
+            decode_block(ComponentCode(np.eye(4, dtype=np.uint8)), np.ones((1, 4)), s)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, bool])
+    def test_bit_syndromes_decode_alike_in_any_dtype(self, dtype):
         comp = ComponentCode(HAMMING)
-        L = np.full(7, 2.0)
-        s = np.array([1, 0, 0], dtype=np.uint8)
-        out = decode_block(comp, L[None], s[None],
-                           SograndParams(list_max=4, query_budget=1)).row(0)
-        assert out.n_listed == 0
-        assert np.allclose(out.L_E, 0.0)
-        assert np.allclose(out.L_APP, L)
+        L = np.random.default_rng(5).normal(0, 2, size=(8, 7))
+        s = np.random.default_rng(6).integers(0, 2, size=(8, 3), dtype=np.uint8)
+        ref, out = decode_block(comp, L, s), decode_block(comp, L, s.astype(dtype))
+        for f in fields(BlockOutput):
+            assert np.array_equal(getattr(out, f.name), getattr(ref, f.name))
 
     @given(st.integers(0, 5), st.integers(1, 12), st.integers(1, 9),
            st.one_of(st.none(), st.integers(1, 300)), st.integers(0, 2**32 - 1))
