@@ -1,4 +1,4 @@
-"""Depolarizing channel: error sampling, syndromes and decoder priors."""
+"""Depolarizing channel: sampling, syndromes, priors, and ``as_llr``, the one LLR check."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import GldpcCode
+from .gf2 import as_bits
 
 #: hard bound on every LLR exchanged anywhere in the decoder stack
 LLR_CLAMP = 30.0
@@ -25,12 +26,13 @@ def check_count(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be >= {low}")
 
 
-def as_bits(name: str, v) -> np.ndarray:
-    """``v`` as a uint8 array, if every entry is 0 or 1 (any integer, float or bool dtype)."""
-    v = np.asarray(v)
-    if not ((v == 0) | (v == 1)).all():
-        raise ValueError(f"{name} of shape {v.shape} must hold only 0s and 1s")
-    return v.astype(np.uint8)
+def as_llr(name: str, L) -> np.ndarray:
+    """``L`` as a float64 array, if no entry is NaN.  +-inf stay and nothing is
+    clamped: APP LLRs beyond LLR_CLAMP keep OSD's reliability order untied."""
+    L = np.asarray(L, dtype=np.float64)
+    if np.isnan(L).any():
+        raise ValueError(f"{name} of shape {L.shape} must not hold NaN")
+    return L
 
 
 def check_decoding_p(p: float) -> None:
@@ -105,4 +107,5 @@ def make_priors(params: DepolarizingParams, n: int) -> ChannelPrior:
 def syndromes(code: GldpcCode, e: PauliErrorPattern) -> tuple[np.ndarray, np.ndarray]:
     """s_x = H_Z e_x and s_z = H_X e_z (error-free measurement), of one (n,)
     pattern or row by row of a (T, n) block."""
-    return code.z_graph.syndrome(e.e_x), code.x_graph.syndrome(e.e_z)
+    return (code.z_graph.syndrome(as_bits("e_x", e.e_x)),
+            code.x_graph.syndrome(as_bits("e_z", e.e_z)))

@@ -2,9 +2,9 @@
 
 A quantum code is given here by two classical Tanner graphs: ``x_graph``
 defines H_X (checking Z errors) and ``z_graph`` defines H_Z (checking X
-errors).  Every variable node has degree exactly two in each graph; the
-per-check edge orderings are semantic, since they define the local views
-handed to the component decoder.
+errors).  Every variable node has degree exactly two in each graph and in
+each side of a Pauli fusion (``vn_edges``); the per-check edge orderings are
+semantic: they define the local views handed to the component decoder.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ class ComponentCode:
             raise CodeFormatError("component matrix must be 2-D")
         if H.shape[0] > H.shape[1]:
             raise CodeFormatError("component matrix has more rows than columns")
-        if not np.isin(H, (0, 1)).all():
-            raise CodeFormatError("component entries must be 0 or 1")
-        object.__setattr__(self, "H", H.astype(np.uint8))
+        try:
+            object.__setattr__(self, "H", gf2.as_bits("component matrix", H))
+        except ValueError as exc:
+            raise CodeFormatError(f"component entries must be 0 or 1: {exc}") from None
         self.H.setflags(write=False)
 
     @property
@@ -55,7 +56,6 @@ class TannerGraph:
     flat: np.ndarray = field(init=False, repr=False)
     syndrome: gf2.Syndrome = field(init=False, repr=False)  # e -> flat e
     edge_var: np.ndarray = field(init=False, repr=False)  # (m*n_c,) VN of each edge
-    vn_edge: np.ndarray = field(init=False, repr=False)   # (n, 2) edges of each VN
 
     def __post_init__(self):
         n_c = self.component.n_c
@@ -63,19 +63,14 @@ class TannerGraph:
             if len(cn) != n_c:
                 raise CodeFormatError(
                     f"check {j} has {len(cn)} edges, component length is {n_c}")
-            for vn in cn:
-                if not 0 <= vn < self.n:
-                    raise CodeFormatError(f"check {j} references VN {vn} out of range")
-        self.edge_var = np.array(self.cns, dtype=np.intp).reshape(-1)
-        if self.edge_var.size != 2 * self.n:  # checked before n degree counters exist
-            raise CodeFormatError("variable nodes must have degree exactly 2; "
-                                  f"{self.edge_var.size} edges for {self.n} of them")
-        bad = np.flatnonzero(np.bincount(self.edge_var, minlength=self.n) != 2)
+        vns = np.asarray(self.cns).reshape(-1)  # no float is truncated, no bool read as 0/1
+        idx = vns if vns.dtype.kind in "iu" else np.full(vns.size, -1)
+        bad = np.flatnonzero((idx < 0) | (idx >= self.n))
         if bad.size:
-            raise CodeFormatError("variable nodes must have degree exactly 2; "
-                                  f"violated at {bad[:8].tolist()}")
-        # a stable sort keeps each VN's two edges in check-major order
-        self.vn_edge = np.argsort(self.edge_var, kind="stable").reshape(self.n, 2)
+            raise CodeFormatError(f"check {bad[0] // n_c} references VN {vns[bad[0]]}, "
+                                  f"not an integer in [0, {self.n})")
+        self.edge_var = vns.astype(np.intp)
+        vn_edges(self.edge_var, self.n)
         self.flat = flatten(self)
         self.flat.setflags(write=False)
         self.syndrome = gf2.Syndrome(self.flat)
@@ -83,6 +78,15 @@ class TannerGraph:
     @property
     def m(self) -> int:
         return len(self.cns)
+
+
+def vn_edges(edge_var: np.ndarray, n: int) -> np.ndarray:
+    """(n, 2) edges of each variable, in edge order, if each of the n has exactly two."""
+    bad = np.flatnonzero(np.bincount(edge_var) != 2)  # with 2n edges, all of 0..n-1 hold 2
+    if edge_var.size != 2 * n or bad.size:
+        raise CodeFormatError(f"variable nodes must have degree exactly 2; {edge_var.size} "
+                              f"edges for {n} of them, violated at {bad[:8].tolist()}")
+    return np.argsort(edge_var, kind="stable").reshape(n, 2)
 
 
 def flatten(g: TannerGraph) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Exact linear algebra over GF(2).
 
 Vectors and matrices are numpy arrays with entries in {0, 1}, inside the
-module as at its boundary.  Every product H v goes through one operator,
+module as at its boundary, where ``as_bits``, the package's one bit check,
+rejects anything else by name.  Every product H v goes through one operator,
 ``Syndrome``, on rows as callers hold them: (n,) or (T, n).  It holds H
 once as a float64 matrix for BLAS, whose counts are integers below 2^53,
 exact in any summation order (SOGRAND's block kernel alone uses integer
@@ -17,8 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def as_bits(name: str, v) -> np.ndarray:
+    """``v`` as a uint8 array, if every entry is 0 or 1 (any integer, float or bool dtype)."""
+    v = np.asarray(v)
+    if not ((v == 0) | (v == 1)).all():
+        raise ValueError(f"{name} of shape {v.shape} must hold only 0s and 1s")
+    return v.astype(np.uint8)
+
+
 def _as_bitmatrix(H) -> np.ndarray:
-    H = np.asarray(H, dtype=np.uint8) & 1
+    H = as_bits("matrix", H)
     if H.ndim != 2:
         raise ValueError(f"expected a 2-D bit matrix, got shape {H.shape}")
     return H
@@ -27,8 +36,8 @@ def _as_bitmatrix(H) -> np.ndarray:
 class Syndrome:
     """The GF(2) map v -> H v, with H held once as a float64 matrix.
 
-    ``v`` is a bit vector of length n_cols, or a (T, n_cols) block whose rows
-    are bit vectors; the result, (m,) or (T, m), is a uint8 array.
+    ``v``: bits (unchecked, as decoders call this every iteration; callers use
+    ``as_bits``), (n_cols,) or (T, n_cols); the result, (m,) or (T, m), uint8.
     """
 
     def __init__(self, H):
@@ -109,7 +118,7 @@ class RowSpace:
     def contains(self, r):
         """Whether r, a bit vector or each row of a (T, n) block, is in the row space."""
         n = self._combine.H.shape[0]
-        r = np.asarray(r, dtype=np.uint8) & 1
+        r = as_bits("vectors", r)
         if r.ndim not in (1, 2) or r.shape[-1] != n:
             raise ValueError(f"expected bit vectors of length {n}, got shape {r.shape}")
         # the basis is reduced, so the only candidate combination is the one

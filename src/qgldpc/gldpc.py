@@ -6,9 +6,9 @@ reproduces its syndrome.  Each iteration a check rule (a ``Side``: SOGRAND on
 the component code from ``sogrand_side``, all checks and active trials of a
 side in one block, or min-sum from ``minsum.minsum_side``) maps the messages
 to extrinsic ones, and a variable-node fusion combines them with the channel
-prior (binary per side, or Pauli beliefs across both graphs).  A decode
-returns one ``SideResult`` per side, whose (T, ...) arrays hold every trial
-of the chunk.  Each step is row-wise: trial order and grouping change nothing.
+prior: binary per side, or Pauli beliefs from the two edges each side gives
+every variable.  A decode returns a ``SideResult`` of (T, ...) arrays per
+side.  Each step is row-wise: trial order and grouping change nothing.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Callable
 import numpy as np
 
 from . import gf2
-from .channel import ChannelPrior, as_bits, check_count, clamp_llr
-from .codes import GldpcCode, TannerGraph
+from .channel import ChannelPrior, as_llr, check_count, clamp_llr
+from .codes import GldpcCode, TannerGraph, vn_edges
 # nothing here calls sogrand_decode, but bench/spans.py wraps gldpc.sogrand_decode
 from .sogrand import SograndParams, decode_block, sogrand_decode
 
@@ -94,10 +94,8 @@ def flood(sides: list[Side], L0: list[np.ndarray], n_iter: int,
     of the joint convergence flags.
     """
     check_count("n_iter", n_iter, 1)
-    L0 = [np.asarray(L, dtype=float) for L in L0]
-    if any(np.isnan(L).any() for L in L0):
-        raise ValueError("channel LLRs must not be NaN")
-    S = [as_bits("syndromes", side.s) for side in sides]
+    L0 = [as_llr("channel LLRs", L) for L in L0]
+    S = [gf2.as_bits("syndromes", side.s) for side in sides]
     T = S[0].shape[0]
     for side, s, L in zip(sides, S, L0):
         m, n = side.check.H.shape
@@ -192,12 +190,12 @@ def _argmax_pauli(P_app: np.ndarray) -> np.ndarray:
     return _TIE_ORDER[np.argmax(P_app[..., _TIE_ORDER], axis=-1)]
 
 
-def _pauli_fuse(prior: np.ndarray, graphs, c2v):
-    """Pauli-belief fusion of the (X graph, Z graph) messages of A trials:
-    the messages are (A, E), the beliefs (A, n, [2,] 4).
+def _pauli_fuse(prior: np.ndarray, edges, c2v):
+    """Pauli-belief fusion of the (X side, Z side) messages of A trials, (A, E),
+    gathered per variable by each side's ``vn_edges``; beliefs are (A, n, [2,] 4).
 
     The hard decision is the most likely Pauli, not the marginals' signs."""
-    bel = [_beliefs_from_llr(c[:, g.vn_edge], pair) for g, pair, c in zip(graphs, _PAIRS, c2v)]
+    bel = [_beliefs_from_llr(c[:, e], pair) for e, pair, c in zip(edges, _PAIRS, c2v)]
     P_app = prior * bel[0].prod(axis=-2) * bel[1].prod(axis=-2)
     P_app /= P_app.sum(axis=-1, keepdims=True)
     P_app = np.maximum(P_app, BELIEF_FLOOR)
@@ -208,9 +206,9 @@ def _pauli_fuse(prior: np.ndarray, graphs, c2v):
     app = [_marginal_llr(P_app, pair) for pair in _PAIRS]
     # Extrinsic: divide out the incoming belief, marginalize per graph.
     v2c = [np.empty_like(c) for c in c2v]
-    for g, pair, msg, b in zip(graphs, _PAIRS, v2c, bel):
+    for e, pair, msg, b in zip(edges, _PAIRS, v2c, bel):
         ext = P_app[..., None, :] / np.maximum(b, BELIEF_FLOOR)
-        msg[:, g.vn_edge] = _marginal_llr(ext, pair)
+        msg[:, e] = _marginal_llr(ext, pair)
     return app, v2c, e_hat
 
 
@@ -221,15 +219,16 @@ def decode_correlated_trials(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
     Check nodes on both graphs still run a binary rule; variable nodes map
     the four incoming binary LLRs into Pauli beliefs, fuse them with the
     channel's Pauli prior, and marginalize the extrinsic beliefs back into
-    binary LLRs for each graph.  A trial stops when both syndrome equations hold.
+    binary LLRs for each side, which must give every variable exactly two
+    edges.  A trial stops when both syndrome equations hold.
     """
     prior = np.asarray(priors.pauli_prior, dtype=float)
     if prior.shape != (code.n, 4):
         raise ValueError(f"Pauli prior has shape {prior.shape}, expected {(code.n, 4)}")
-    graphs = (code.x_graph, code.z_graph)
-    sides = [side(g, s) for g, s in zip(graphs, (s_z, s_x))]
+    sides = [side(code.x_graph, s_z), side(code.z_graph, s_x)]
+    edges = [vn_edges(sd.edge_var, code.n) for sd in sides]
     L0 = [_marginal_llr(prior, pair) for pair in _PAIRS]  # channel marginals: first messages
-    z_side, x_side = flood(sides, L0, n_iter, fuse=lambda c2v: _pauli_fuse(prior, graphs, c2v))
+    z_side, x_side = flood(sides, L0, n_iter, fuse=lambda c2v: _pauli_fuse(prior, edges, c2v))
     return DecodeResult(z_side=z_side, x_side=x_side)
 
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import as_bits, check_count, clamp_llr
+from .channel import as_llr, check_count, clamp_llr
 from .codes import ComponentCode
+from .gf2 import as_bits
 from .orbgrand import RankedInput, rank_flip_table
 
 
@@ -68,9 +69,7 @@ def estimate_missing_mass(P_g, m_c: int):
 def decode_block(component: ComponentCode, L_A, s_local,
                  params: SograndParams = SograndParams()) -> BlockOutput:
     """List-decode B local views, the rows of L_A (B, n_c), against s_local (B, m_c)."""
-    L_A = clamp_llr(np.asarray(L_A, dtype=float))
-    if np.isnan(L_A).any():
-        raise ValueError("soft inputs must not be NaN")
+    L_A = clamp_llr(as_llr("soft inputs", L_A))
     s_local = as_bits("local syndromes", s_local)
     n_c, m_c = component.n_c, component.m_c
     if L_A.ndim != 2 or L_A.shape[1] != n_c or s_local.shape != (L_A.shape[0], m_c):

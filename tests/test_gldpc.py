@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qgldpc import channel
 from qgldpc.channel import clamp_llr
-from qgldpc.codes import builtin_code
+from qgldpc.codes import builtin_code, vn_edges
 from qgldpc.gldpc import (BELIEF_FLOOR, _PAIRS, DecodeResult, SideResult, _argmax_pauli,
                           _beliefs_from_llr, _marginal_llr, _pauli_fuse, decode_correlated,
                           decode_correlated_trials, decode_independent,
@@ -227,10 +227,17 @@ def mirrored_marginal_llr(P, about_x):
                      - np.log(np.maximum(den, BELIEF_FLOOR)))
 
 
-def mirrored_pauli_fuse(prior, xg, zg, c2v):
+def mirrored_vn_edges(edge_var, n):
+    """Each variable's edges, in edge order, one variable at a time."""
+    return np.array([np.flatnonzero(edge_var == v) for v in range(n)])
+
+
+def mirrored_pauli_fuse(prior, edge_var_x, edge_var_z, c2v):
     c2v_x, c2v_z = c2v
-    bel_x = mirrored_beliefs_from_llr(c2v_x[:, xg.vn_edge], about_x=False)
-    bel_z = mirrored_beliefs_from_llr(c2v_z[:, zg.vn_edge], about_x=True)
+    n = len(prior)
+    edges_x, edges_z = mirrored_vn_edges(edge_var_x, n), mirrored_vn_edges(edge_var_z, n)
+    bel_x = mirrored_beliefs_from_llr(c2v_x[:, edges_x], about_x=False)
+    bel_z = mirrored_beliefs_from_llr(c2v_z[:, edges_z], about_x=True)
     P_app = prior * bel_x.prod(axis=-2) * bel_z.prod(axis=-2)
     P_app /= P_app.sum(axis=-1, keepdims=True)
     P_app = np.maximum(P_app, BELIEF_FLOOR)
@@ -242,8 +249,8 @@ def mirrored_pauli_fuse(prior, xg, zg, c2v):
     ext_x = P_app[..., None, :] / np.maximum(bel_x, BELIEF_FLOOR)
     ext_z = P_app[..., None, :] / np.maximum(bel_z, BELIEF_FLOOR)
     v2c_x, v2c_z = np.empty_like(c2v_x), np.empty_like(c2v_z)
-    v2c_x[:, xg.vn_edge] = mirrored_marginal_llr(ext_x, about_x=False)
-    v2c_z[:, zg.vn_edge] = mirrored_marginal_llr(ext_z, about_x=True)
+    v2c_x[:, edges_x] = mirrored_marginal_llr(ext_x, about_x=False)
+    v2c_z[:, edges_z] = mirrored_marginal_llr(ext_z, about_x=True)
     return app, [v2c_x, v2c_z], [e_z, e_x]
 
 
@@ -275,8 +282,9 @@ def fuse_inputs(draw):
 @settings(max_examples=150, deadline=None)
 def test_fuse_matches_mirrored_oracle_byte_for_byte(case):
     code, prior, c2v = case
-    got = _pauli_fuse(prior, (code.x_graph, code.z_graph), c2v)
-    want = mirrored_pauli_fuse(prior, code.x_graph, code.z_graph, c2v)
+    edge_vars = (code.x_graph.edge_var, code.z_graph.edge_var)
+    got = _pauli_fuse(prior, [vn_edges(ev, code.n) for ev in edge_vars], c2v)
+    want = mirrored_pauli_fuse(prior, *edge_vars, c2v)
     for name, g, w in zip(("app", "v2c", "e_hat"), got, want):
         for side, a, b in zip(("z_side", "x_side"), g, w):
             assert a.dtype == b.dtype and a.shape == b.shape, (name, side)
