@@ -100,7 +100,7 @@ def cmd_validate(args) -> int:
         print(f"INVALID: {exc}")
         return 1
     x, z = (f"{g.component.m_c}x{g.component.n_c}" for g in (code.x_graph, code.z_graph))
-    same = code.x_graph.component.H.tolist() == code.z_graph.component.H.tolist()
+    same = code.x_graph.component == code.z_graph.component
     print(f"OK: {code.name} [[{code.n},{code.k},{code.d}]] "
           f"x_checks={code.x_graph.m} z_checks={code.z_graph.m} "
           + (f"component={x}" if same else f"x_component={x} z_component={z}"))

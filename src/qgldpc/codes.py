@@ -21,7 +21,7 @@ class CodeFormatError(ValueError):
     """Raised when a code file fails to parse or violates an invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentCode:
     H: np.ndarray  # (m_c, n_c) parity-check matrix, uint8
 
@@ -36,6 +36,12 @@ class ComponentCode:
         except ValueError as exc:
             raise CodeFormatError(f"component entries must be 0 or 1: {exc}") from None
         self.H.setflags(write=False)
+
+    def __eq__(self, other):  # by value, as the hash: the shape and bits of H
+        return isinstance(other, ComponentCode) and np.array_equal(self.H, other.H)
+
+    def __hash__(self):
+        return hash((self.H.shape, self.H.tobytes()))
 
     @property
     def m_c(self) -> int:
@@ -65,11 +71,15 @@ class TannerGraph:
                     f"check {j} has {len(cn)} edges, component length is {n_c}")
         vns = np.asarray(self.cns).reshape(-1)  # no float is truncated, no bool read as 0/1
         idx = vns if vns.dtype.kind in "iu" else np.full(vns.size, -1)
+        if vns.dtype.kind in "OSU":  # strings, or ints past int64: entry by entry
+            vns = np.asarray(self.cns, dtype=object).reshape(-1)
+            idx = np.array([v if np.issubdtype(type(v), np.integer) and 0 <= v < self.n else -1
+                            for v in vns])
         bad = np.flatnonzero((idx < 0) | (idx >= self.n))
         if bad.size:
-            raise CodeFormatError(f"check {bad[0] // n_c} references VN {vns[bad[0]]}, "
-                                  f"not an integer in [0, {self.n})")
-        self.edge_var = vns.astype(np.intp)
+            raise CodeFormatError(f"check {bad[0] // n_c} references VN "
+                                  f"{vns.tolist()[bad[0]]!r}, not an integer in [0, {self.n})")
+        self.edge_var = idx.astype(np.intp)
         vn_edges(self.edge_var, self.n)
         self.flat = flatten(self)
         self.flat.setflags(write=False)

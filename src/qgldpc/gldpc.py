@@ -7,8 +7,10 @@ the component code from ``sogrand_side``, all checks and active trials of a
 side in one block, or min-sum from ``minsum.minsum_side``) maps the messages
 to extrinsic ones, and a variable-node fusion combines them with the channel
 prior: binary per side, or Pauli beliefs from the two edges each side gives
-every variable.  A decode returns a ``SideResult`` of (T, ...) arrays per
-side.  Each step is row-wise: trial order and grouping change nothing.
+every variable; sides with equal rules (SOGRAND's is the value (component,
+params)) take one call on their joined edges.  A decode returns a ``SideResult``
+of (T, ...) arrays per side.  Each step is row-wise: trial order and grouping
+change nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import gf2
 from .channel import ChannelPrior, as_llr, check_count, clamp_llr
-from .codes import GldpcCode, TannerGraph, vn_edges
+from .codes import ComponentCode, GldpcCode, TannerGraph, vn_edges
 # nothing here calls sogrand_decode, but bench/spans.py wraps gldpc.sogrand_decode
 from .sogrand import SograndParams, decode_block, sogrand_decode
 
@@ -78,7 +80,7 @@ class Side:
     edge_var: np.ndarray   # (E,) variable node of each edge, check-major order
     check: gf2.Syndrome    # e -> H e
     s: np.ndarray          # (T, m) target syndromes, one row per trial
-    # check rule: (A, E) v2c and (A, m) syndromes of the active trials -> (A, E) c2v
+    # check rule, hashable: (A, E) v2c and (A, m) syndromes of active trials -> (A, E) c2v
     rule: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -107,13 +109,22 @@ def flood(sides: list[Side], L0: list[np.ndarray], n_iter: int,
     # bincount then adds each bin's weights in edge order, as for one trial
     var = [(side.edge_var + L.size * np.arange(T)[:, None]).ravel()
            for side, L in zip(sides, L0)]
+    groups = {}  # rule -> its sides and their edge offsets: one call takes all its sides
+    for i, side in enumerate(sides):
+        idx, ends = groups.setdefault(side.rule, ([], [0]))
+        idx.append(i)
+        ends.append(ends[-1] + side.edge_var.size)
     active, s_active = np.arange(T), S
     v2c = [np.tile(L[side.edge_var], (T, 1)) for side, L in zip(sides, L0)]
     out = [SideResult(e_hat=np.empty((T, L.size), dtype=np.uint8), app=np.empty((T, L.size)),
                       converged=np.zeros(T, dtype=bool), iterations_used=np.zeros(T, dtype=int))
            for L in L0]
     for it in range(1, n_iter + 1):
-        c2v = [side.rule(msg, s) for side, msg, s in zip(sides, v2c, s_active)]
+        c2v = [None] * len(sides)
+        for rule, (idx, ends) in groups.items():
+            joint = rule(_joined([v2c[i] for i in idx]), _joined([s_active[i] for i in idx]))
+            for i, lo, hi in zip(idx, ends, ends[1:]):
+                c2v[i] = joint[:, lo:hi]
         if fuse is None:
             app = [L + np.bincount(v[:c.size], c.ravel(), len(c) * L.size).reshape(-1, L.size)
                    for L, v, c in zip(L0, var, c2v)]
@@ -137,16 +148,27 @@ def flood(sides: list[Side], L0: list[np.ndarray], n_iter: int,
         s_active = [s[active] for s in S]
 
 
-def sogrand_side(graph: TannerGraph, s, sog_params: SograndParams) -> Side:
-    """SOGRAND at every check node of ``graph`` and active trial as one block:
-    row a*m + j is check j's local view in the a-th active trial."""
-    comp = graph.component
+def _joined(arrays):  # (T, ...) arrays side by side; one array is not copied
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=1)
 
-    def rule(v2c, s_active):
+
+@dataclass(frozen=True)
+class SograndRule:
+    """SOGRAND at every check, as a value: row a*m + j is check j in active trial a."""
+
+    component: ComponentCode
+    params: SograndParams
+
+    def __call__(self, v2c, s_active):
+        comp = self.component
         return decode_block(comp, v2c.reshape(-1, comp.n_c), s_active.reshape(-1, comp.m_c),
-                            sog_params).L_E.reshape(v2c.shape)
+                            self.params).L_E.reshape(v2c.shape)
 
-    return Side(edge_var=graph.edge_var, check=graph.syndrome, s=s, rule=rule)
+
+def sogrand_side(graph: TannerGraph, s, sog_params: SograndParams) -> Side:
+    """SOGRAND at every check node of ``graph``."""
+    return Side(edge_var=graph.edge_var, check=graph.syndrome, s=s,
+                rule=SograndRule(graph.component, sog_params))
 
 
 def decode_independent_trials(code: GldpcCode, priors: ChannelPrior, s_x, s_z,

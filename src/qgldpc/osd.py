@@ -67,6 +67,8 @@ def osd_postprocess(H, s, soft_llr, cfg: OsdConfig = OsdConfig(),
     """
     H, s = np.asarray(H), gf2.as_bits("syndrome", s)
     soft_llr = as_llr("soft_llr", soft_llr)
+    if H.ndim != 2:  # its bits are checked with s appended, by row_reduce
+        raise ValueError(f"H of shape {H.shape} must be a 2-D bit matrix")
     m, n = H.shape
     if soft_llr.shape != (n,) or s.shape != (m,):
         raise ValueError("dimension mismatch between H, s and soft_llr")

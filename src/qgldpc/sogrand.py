@@ -1,17 +1,20 @@
 """Soft-in/soft-out component decoding via list-based guessing (SOGRAND).
 
-For each row of a block of local views (all check nodes of a side): query
-candidate deviations from the hard decision in ORBGRAND order, keep those
-whose implied error pattern satisfies the local syndrome, track the explored
-probability mass P_g, estimate the mass of syndrome-consistent patterns never
-queried as P_Lc = (1 - P_g) * 2^-m_c, and convert the list into bitwise APP
-and extrinsic LLRs, in one ``BlockOutput``; ``sogrand_decode`` returns its ``row(0)``.
+For each row of a block of local views (the checks of all sides that share a
+component): query candidate deviations from the hard decision in ORBGRAND order,
+keep those whose implied error pattern satisfies the local syndrome, track the
+explored probability mass P_g, estimate the mass of consistent patterns never
+queried as P_Lc = (1 - P_g) * 2^-m_c, and convert the list (``listed``, query
+indices) into bitwise APP and extrinsic LLRs, in one ``BlockOutput``.  Masses
+are taken for the block's first K' queries, K' its last used one rounded up to 8,
+bit for bit the full table's as the BLAS row kernel's are (``_masses``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,10 +45,9 @@ class BlockOutput:
 
     L_APP: np.ndarray         # (B, n_c)
     L_E: np.ndarray           # (B, n_c)
-    best_pattern: np.ndarray  # (B, n_c)
     queries_used: np.ndarray  # (B,)
     n_listed: np.ndarray      # (B,) list size; 0 means nothing was found
-    patterns: np.ndarray      # (B, S, n_c) listed error patterns, padding past n_listed
+    listed: np.ndarray        # (B, S) query indices; past n_listed the first inconsistent
     masses: np.ndarray        # (B, S) their probability masses, zero past n_listed
     P_g: np.ndarray           # (B,) explored mass
 
@@ -78,26 +80,50 @@ def decode_block(component: ComponentCode, L_A, s_local,
     hard = (L_A < 0).astype(np.uint8)
     ranked = RankedInput.from_llr(L_A)
     # All candidate deviations up to the budget, in schedule order, over ranks.
-    flips = rank_flip_table(n_c, params.resolve_budget(n_c, m_c))  # (K, n_c)
-    K, table = flips.shape[0], flips.astype(float)
+    table, groups = _schedule(component, params.resolve_budget(n_c, m_c))
+    K, S, rows = table.shape[0], min(params.list_max, table.shape[0]), np.arange(len(L_A))
 
     # The list is the first list_max consistent queries; the search stops at
     # the last of them once the list is full, else it spends the whole budget.
-    consistent = _consistent(component, s_local, hard, ranked.perm, table)
+    # Slots take the consistent queries, then the others, each in query order.
+    consistent = _consistent(groups, s_local, hard, ranked.perm, table)
     n_listed = np.minimum(consistent.sum(axis=1), params.list_max)
-    listed = np.argsort(~consistent, axis=1, kind="stable")[:, :params.list_max].copy()
+    if 8 * S > K:
+        listed = np.argsort(~consistent, axis=1, kind="stable")[:, :S].copy()
+    else:  # few slots in long rows: a first-True scan (argmax) per slot beats a sort;
+        # the other queries a short list takes all lie among the first S
+        found = np.concatenate([consistent, ~consistent[:, :S]], axis=1)
+        listed = np.empty((len(L_A), S), dtype=np.intp)
+        for k in range(S):
+            listed[:, k] = found.argmax(axis=1)
+            found[rows, listed[:, k]] = False
+        listed %= K  # past K: query - K, one of the first S
     queries_used = np.where(n_listed == params.list_max, listed[:, -1] + 1, K)
-    listed_masses, P_g = _listed_masses(ranked, table, listed, n_listed, queries_used)
 
-    # Listed deviations mapped from ranks back to positions, as error patterns.
-    deviations = flips[listed[:, :, None], np.argsort(ranked.perm)[:, None, :]]
-    patterns = hard[:, None, :] ^ deviations
-    L_APP, L_E, best = _soft(L_A, patterns, listed_masses, n_listed, P_g, m_c)
-    return BlockOutput(L_APP=L_APP, L_E=L_E, best_pattern=best, queries_used=queries_used,
-                       n_listed=n_listed, patterns=patterns, masses=listed_masses, P_g=P_g)
+    # a listed query lies past every used one only in a list that is not full: K' = K
+    masses = _masses(ranked, table[:min(K, -(-queries_used.max(initial=0) // 8) * 8)])
+    listed_masses = np.where(np.arange(S) < n_listed[:, None], masses[rows[:, None], listed], 0)
+    P_g = np.minimum(np.cumsum(masses, axis=1, out=masses)[rows, queries_used - 1], 1.0)
+    errors = table[listed] != hard[rows[:, None], ranked.perm][:, None, :]  # over ranks
+    L_APP, L_E = _soft(L_A, ranked.perm, errors, listed_masses, n_listed, P_g, m_c)
+    return BlockOutput(L_APP=L_APP, L_E=L_E, queries_used=queries_used, n_listed=n_listed,
+                       listed=listed, masses=listed_masses, P_g=P_g)
 
 
-def _consistent(component: ComponentCode, s_local, hard, perm, table) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _schedule(component: ComponentCode, K: int):
+    """The first K queries as a read-only float table, and ``_consistent``'s groups."""
+    table = rank_flip_table(component.n_c, K).astype(float)
+    table.setflags(write=False)
+    d, m_c, groups = component.n_c.bit_length() or 1, component.m_c, []
+    for t in range(0, m_c, 52 // d):
+        digit = 1 << d * np.arange(min(52 // d, m_c - t), dtype=np.int64)
+        checks = slice(t, t + digit.size)
+        groups.append((checks, digit, component.H[checks].T @ digit, int(digit.sum())))
+    return table, groups
+
+
+def _consistent(groups, s_local, hard, perm, table) -> np.ndarray:
     """(B, K) mask of the deviations (rows of ``table``, over ranks) that
     satisfy H dev = s ^ H hard.  Syndromes are integer codes: in a group of
     checks, check t is digit t (d bits) of a column's code, so the low bit of
@@ -105,12 +131,9 @@ def _consistent(component: ComponentCode, s_local, hard, perm, table) -> np.ndar
     where float products are exact; adding 2^52 puts a sum's integer value in
     the low 52 bits of the float's bit pattern, where the parity mask reads it.
     """
-    d, m_c = component.n_c.bit_length() or 1, component.m_c
     consistent = np.ones((hard.shape[0], table.shape[0]), dtype=bool)
-    for t in range(0, m_c, 52 // d):
-        digit = 1 << d * np.arange(min(52 // d, m_c - t), dtype=np.int64)
-        code, parity = component.H[t:t + digit.size].T @ digit, int(digit.sum())
-        target = (s_local[:, t:t + digit.size] @ digit) ^ (hard @ code & parity)
+    for checks, digit, code, parity in groups:
+        target = (s_local[:, checks] @ digit) ^ (hard @ code & parity)
         sums = code[perm] @ table.T                                  # (B, K)
         sums += 2.0 ** 52
         bits = sums.view(np.int64)
@@ -118,20 +141,14 @@ def _consistent(component: ComponentCode, s_local, hard, perm, table) -> np.ndar
     return consistent
 
 
-def _listed_masses(ranked: RankedInput, table, listed, n_listed, queries_used):
-    """Listed masses (zero past ``n_listed``) and P_g, the running sum of each row's
-    used query masses (all K for an empty list).  Log-masses: a stacked matmul, one
-    gemv per row (a gemm rounds differently); exp and cumsum reuse the array."""
+def _masses(ranked: RankedInput, table) -> np.ndarray:
+    """(B, K') masses of the K' queries of ``table``: one gemv per row (a gemm rounds
+    differently).  A longer table's first K' rows get the same masses on the OpenBLAS
+    tested for any K' divisible by 4, not for all others (gemv takes rows in blocks)."""
     log_1mq = np.log1p(-ranked.q)
-    weight = np.log(ranked.q) - log_1mq
-    masses = np.matmul(table, weight[:, :, None])[..., 0]
+    masses = np.matmul(table, (np.log(ranked.q) - log_1mq)[:, :, None])[..., 0]
     masses += log_1mq.sum(axis=1)[:, None]
-    np.exp(masses, out=masses)
-    rows = np.arange(masses.shape[0])
-    listed_masses = np.where(np.arange(listed.shape[1]) < n_listed[:, None],
-                             masses[rows[:, None], listed], 0.0)
-    explored = np.cumsum(masses, axis=1, out=masses)[rows, queries_used - 1]
-    return listed_masses, np.minimum(explored, 1.0)
+    return np.exp(masses, out=masses)
 
 
 def sogrand_decode(component: ComponentCode, L_A, s_local,
@@ -140,14 +157,14 @@ def sogrand_decode(component: ComponentCode, L_A, s_local,
     return decode_block(component, [L_A], [s_local], params).row(0)
 
 
-def _soft(L_A, patterns, masses, n_listed, P_g, m_c: int):
-    """(L_APP, L_E, best pattern) of each row from its candidate list, by one formula.
+def _soft(L_A, perm, errors, masses, n_listed, P_g, m_c: int):
+    """(L_APP, L_E) of each row from its candidate list, by one formula.
 
-    The unexplored mass P_Lc is apportioned to each bit's flip probability
-    by the prior q_i, so a saturated search (P_g = 1) reproduces exact coset
-    marginals.  Slots past a row's ``n_listed`` hold zero masses.  An empty
-    list keeps the prior exactly (L_E = 0); its best pattern is slot 0, the
-    schedule's first and empty deviation: the hard decision.
+    ``errors`` (B, S, n_c) are the listed error patterns over ranks, rank r at
+    position perm[b, r].  The unexplored mass P_Lc is apportioned to each bit's
+    flip probability by the prior q_i, so a saturated search (P_g = 1) reproduces
+    exact coset marginals.  Slots past a row's ``n_listed`` hold zero masses.  An
+    empty list keeps the prior exactly (L_E = 0).
     """
     P_L = np.array([math.fsum(row) for row in masses.tolist()])[:, None]
     P_Lc = estimate_missing_mass(P_g, m_c)[:, None]
@@ -155,11 +172,11 @@ def _soft(L_A, patterns, masses, n_listed, P_g, m_c: int):
     q_prior = np.exp(-np.logaddexp(0.0, L_A))  # P(bit = 1 | L_A)
 
     # a running sum over the list, in list order: the rounding of the scalar decoder
-    flip_mass = np.cumsum(masses[:, :, None] * patterns, axis=1)[:, -1]
+    flip_mass = np.empty_like(L_A)  # summed over ranks, then put at the positions
+    flip_mass[np.arange(len(L_A))[:, None], perm] = (masses[:, :, None] * errors).cumsum(1)[:, -1]
     with np.errstate(divide="ignore", invalid="ignore"):  # an empty list may have P_tot = 0
         p1 = (flip_mass + P_Lc * q_prior) / P_tot
         L_APP = clamp_llr(np.log(np.maximum(P_tot - flip_mass - P_Lc * q_prior, 0.0))
                           - np.log(np.maximum(p1 * P_tot, 0.0)))
     L_APP = np.where(n_listed[:, None] > 0, L_APP, L_A)
-    best = patterns[np.arange(len(patterns)), masses.argmax(axis=1)]
-    return L_APP, L_APP - L_A, best
+    return L_APP, L_APP - L_A

@@ -317,6 +317,18 @@ def test_component_entries_outside_0_1_rejected(H):
         ComponentCode(np.array(H))
 
 
+@pytest.mark.parametrize("H, other, equal", [
+    ([[1, 0, 1], [0, 1, 1]], np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64), True),
+    ([[1, 1, 1, 1]], [[1, 1], [1, 1]], False),          # the same bytes in another shape
+    ([[1, 0, 1], [0, 1, 1]], [[1, 0, 1], [1, 1, 0]], False),  # one shape, other bits
+])
+def test_component_codes_compare_and_hash_by_value(H, other, equal):
+    a, b = ComponentCode(H), ComponentCode(other)
+    assert (a == b) is equal and (a != b) is not equal
+    assert (hash(a) == hash(b)) if equal else len({a, b}) == 2
+    assert a != a.H  # never equal to its bare matrix
+
+
 class TestLogicals:
     """Logical operators by brute force: the vectors of one side's kernel
     outside the other side's stabilizer space (``hz_space``, ``hx_space``),

@@ -7,10 +7,13 @@ chunk of ``run_trials`` as the decoder and OSD leave it (both sides' estimates,
 APP LLRs, convergence and iterations, and the failure mask), so that float
 drift shows even when no record flips.  Each block case hashes one SOGRAND
 ``decode_block`` call on a seeded block of rows (N(2, 2) LLRs, random
-syndromes) twice: every ``BlockOutput`` field but ``P_g`` (what decoding
-reads), and ``P_g`` alone, so that a change to the explored-mass sum shows
-apart from a change to decodes.  Tight budgets leave some lists empty, where
-``P_g`` sums all K query masses.  Each schedule case hashes the bytes of one
+syndromes) twice: what decoding reads, and ``P_g`` alone, so that a change to
+the explored-mass sum shows apart from a change to decodes.  What decoding
+reads is hashed as the ``BlockOutput`` fields were recorded, in their order:
+``L_APP``, ``L_E``, ``best_pattern``, ``queries_used``, ``n_listed``,
+``patterns`` and ``masses``, the patterns rebuilt from ``listed``
+(``sogrand_lists``).  Tight budgets leave some lists empty, where ``P_g``
+sums all K query masses.  Each schedule case hashes the bytes of one
 ``rank_flip_table``, the ORBGRAND order that every SOGRAND call reads.  Each
 elimination case hashes the reduced matrices and pivots of ``row_reduce``
 calls: OSD's ``[H | s]`` on both sides of seeded toric draws, columns in
@@ -25,7 +28,7 @@ chunk case may differ by rounding while every record case still holds.
 """
 
 import hashlib
-from dataclasses import astuple, fields
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -35,7 +38,8 @@ from qgldpc.gf2 import Syndrome, row_reduce
 from qgldpc.harness import (DECODERS, ExperimentConfig, _tail, chunk_size, resolve_code,
                             run_trials)
 from qgldpc.orbgrand import rank_flip_table
-from qgldpc.sogrand import BlockOutput, SograndParams, decode_block
+from qgldpc.sogrand import SograndParams, decode_block
+from sogrand_lists import listed_patterns
 
 SEED = 7
 CHUNK_P = 0.12
@@ -84,8 +88,10 @@ CHUNKS = {
 BLOCK_ROWS = 200
 
 # (code whose X-graph component is decoded, query budget) -> SHA-256 of
-# (every BlockOutput field but P_g, P_g alone); components SPC-4, Hamming-7
-# and Hamming-15, at the default budget and at one that leaves lists empty
+# (the recorded BlockOutput fields but P_g, P_g alone); components SPC-4, Hamming-7
+# and Hamming-15, at the default budget and at one that leaves lists empty; at
+# budget 64, 72 of the Hamming-15 rows hold fewer than four consistent queries
+# (recorded with the kernel that stored the patterns)
 BLOCKS = {
     ("toric", None):
         ("cfff8ddc34ca6b2a4141e812f894f78d5adbc0ed14be9f61d0b03088f9eebaa0",
@@ -102,6 +108,9 @@ BLOCKS = {
     ("toy-gldpc", 16):
         ("c132d0ac69fbf92940d10d3ab9b72f34d431a167f1ba8a9b6df93acec33e000c",
          "13fe74970fea360b791552763f93a2536b0b01339803db4cf2e23d68c68414c7"),
+    ("toy-gldpc", 64):
+        ("a3d6b83623508ecfe5be33e7c7c489c14be395950c4f67b9e0a278ba3975f523",
+         "10eb323ca68a43ebae59ce3185385bbf91125b089f815ce69583de8a7148f85d"),
 }
 
 
@@ -204,13 +213,15 @@ def block_digests(code, budget):
     rng = np.random.default_rng(SEED)
     L = rng.normal(2.0, 2.0, size=(BLOCK_ROWS, comp.n_c))
     s = rng.integers(0, 2, size=(BLOCK_ROWS, comp.m_c), dtype=np.uint8)
-    out = decode_block(comp, L, s, SograndParams(query_budget=budget))
-    decoded, explored = hashlib.sha256(), hashlib.sha256()
-    for f in fields(BlockOutput):
-        value = getattr(out, f.name)
+    params = SograndParams(query_budget=budget)
+    out = decode_block(comp, L, s, params)
+    patterns, best_pattern = listed_patterns(comp, L, out, params)
+    decoded = hashlib.sha256()
+    for value in (out.L_APP, out.L_E, best_pattern, out.queries_used, out.n_listed, patterns,
+                  out.masses):
         dtype = "<f8" if value.dtype.kind == "f" else "<i8"
-        (explored if f.name == "P_g" else decoded).update(
-            np.ascontiguousarray(value, dtype=dtype).tobytes())
+        decoded.update(np.ascontiguousarray(value, dtype=dtype).tobytes())
+    explored = hashlib.sha256(np.ascontiguousarray(out.P_g, dtype="<f8").tobytes())
     return decoded.hexdigest(), explored.hexdigest()
 
 

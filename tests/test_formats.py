@@ -53,10 +53,17 @@ BOUNDARY = {
                         r"soft_llr of shape \(7,\) must not hold NaN"),
     "OSD of 2H": (lambda: osd_postprocess(2 * H, [1, 0, 0], np.ones(7)), ValueError,
                   r"matrix of shape \(3, 8\) must hold only 0s and 1s"),
+    "OSD of 1-D H": (lambda: osd_postprocess([1, 0, 1], [1], [1.0, 1.0, 1.0]), ValueError,
+                     r"H of shape \(3,\) must be a 2-D bit matrix"),
     "TannerGraph of float VNs": (lambda: TannerGraph(2, [[0, 1.7], [0.2, 1]], SPC),
                                  CodeFormatError, r"check 0 references VN 0.0, not an integer"),
     "TannerGraph of bool VNs": (lambda: TannerGraph(2, [[True, False], [True, False]], SPC),
                                 CodeFormatError, r"check 0 references VN True, not an integer"),
+    "TannerGraph of VNs past int64": (lambda: TannerGraph(2, [[0, 2**70], [0, 1]], SPC),
+                                      CodeFormatError,
+                                      rf"check 0 references VN {2**70}, not an integer in"),
+    "TannerGraph of string VNs": (lambda: TannerGraph(2, [[0, 1], [0, "1"]], SPC),
+                                  CodeFormatError, r"check 1 references VN '1', not an integer"),
     "syndromes of 2s": (syndromes_of_twos, ValueError,
                         r"e_x of shape \(1, 7\) must hold only 0s and 1s"),
     "correlated min-sum on toy-gldpc": (correlated_minsum_on_toy_gldpc, CodeFormatError,

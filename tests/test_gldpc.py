@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgldpc import channel
+from qgldpc import channel, gf2, gldpc
 from qgldpc.channel import clamp_llr
-from qgldpc.codes import builtin_code, vn_edges
-from qgldpc.gldpc import (BELIEF_FLOOR, _PAIRS, DecodeResult, SideResult, _argmax_pauli,
-                          _beliefs_from_llr, _marginal_llr, _pauli_fuse, decode_correlated,
-                          decode_correlated_trials, decode_independent,
+from qgldpc.codes import ComponentCode, builtin_code, vn_edges
+from qgldpc.gldpc import (BELIEF_FLOOR, _PAIRS, DecodeResult, Side, SideResult, SograndRule,
+                          _argmax_pauli, _beliefs_from_llr, _marginal_llr, _pauli_fuse,
+                          decode_correlated, decode_correlated_trials, decode_independent,
                           decode_independent_trials, flood, sogrand_side)
-from qgldpc.sogrand import SograndParams
+from qgldpc.sogrand import SograndParams, decode_block
 
 SOG = SograndParams(list_max=8)
 
@@ -417,3 +417,76 @@ class TestArrayResults:
                               converged=np.ones(T, bool), iterations_used=np.ones(T, int))
         with pytest.raises(ValueError, match="trials"):
             DecodeResult(z_side=side(2), x_side=side(3))
+
+
+def alone(side):
+    """``side`` with a rule equal to no other: flood calls it on its own."""
+    return replace(side, rule=lambda v2c, s, rule=side.rule: rule(v2c, s))
+
+
+def result_bytes(results):
+    return [[np.ascontiguousarray(getattr(r, f)).tobytes()
+             for f in ("e_hat", "app", "converged", "iterations_used")] for r in results]
+
+
+@st.composite
+def sides_sharing_a_rule(draw):
+    """Two binary sides of a random component, m_1 and m_2 random checks on n
+    variables, with the syndromes of T random errors; their SOGRAND rules are
+    equal values, built apart.  Returns (sides, channel LLRs, n_iter)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_c = draw(st.integers(2, 8))
+    H = rng.integers(0, 2, size=(draw(st.integers(1, n_c - 1)), n_c), dtype=np.uint8)
+    n, T = draw(st.integers(n_c, 16)), draw(st.integers(1, 12))
+    params = SograndParams(list_max=draw(st.integers(1, 6)),
+                           query_budget=draw(st.one_of(st.none(), st.integers(1, 64))))
+    p = draw(st.sampled_from([0.02, 0.1, 0.25]))
+    sides, L0 = [], []
+    for m in (draw(st.integers(1, 5)), draw(st.integers(1, 5))):
+        edge_var = np.concatenate([rng.choice(n, n_c, replace=False) for _ in range(m)])
+        flat = np.zeros((m, H.shape[0], n), dtype=np.uint8)
+        np.add.at(flat, (np.arange(m)[:, None, None], np.arange(H.shape[0])[:, None],
+                         edge_var.reshape(m, 1, n_c)), H)
+        check = gf2.Syndrome(flat.reshape(-1, n) % 2)
+        e = (rng.random((T, n)) < p).astype(np.uint8)
+        sides.append(Side(edge_var=edge_var, check=check, s=check(e),
+                          rule=SograndRule(ComponentCode(H.copy()), params)))
+        L0.append(np.round(rng.normal(2.0, 1.0, n), 1))
+    return sides, L0, draw(st.integers(1, 8))
+
+
+class TestSharedRule:
+    @given(sides_sharing_a_rule())
+    @settings(max_examples=80, deadline=None)
+    def test_sides_sharing_a_rule_decode_as_each_alone(self, case):
+        sides, L0, n_iter = case
+        assert sides[0].rule == sides[1].rule and sides[0].rule is not sides[1].rule
+        assert result_bytes(flood(sides, L0, n_iter)) == \
+            result_bytes(flood([alone(sd) for sd in sides], L0, n_iter))
+
+    def test_correlated_sides_take_one_call_per_iteration(self, monkeypatch):
+        # toy-gldpc: both sides check with one Hamming-15 component; the
+        # trials of the chunk leave at different iterations
+        code = builtin_code("toy-gldpc")
+        params = channel.DepolarizingParams(0.12)
+        errors = [channel.sample_error(params, code.n, channel.trial_rng(5, 0.12, t))
+                  for t in range(40)]
+        e = channel.PauliErrorPattern(e_x=np.array([x.e_x for x in errors]),
+                                      e_z=np.array([x.e_z for x in errors]))
+        s_x, s_z = channel.syndromes(code, e)
+        rows = []
+        monkeypatch.setattr(gldpc, "decode_block", lambda comp, L, s, sog_params:
+                            rows.append(len(L)) or decode_block(comp, L, s, sog_params))
+        results, calls = [], []
+        for side in (sog(SOG), lambda g, s: alone(sogrand_side(g, s, SOG))):
+            rows.clear()
+            results.append(decode_correlated_trials(code, priors_at(0.12, code.n), s_x, s_z,
+                                                    20, side))
+            calls.append(list(rows))
+        joint, apart = results
+        assert len(set(joint.iterations_used.tolist())) > 2
+        assert result_bytes([joint.z_side, joint.x_side]) == \
+            result_bytes([apart.z_side, apart.x_side])
+        # one call per iteration, on both sides' checks of the active trials
+        assert len(calls[0]) == joint.iterations_used.max() == len(calls[1]) // 2
+        assert calls[0] == [a + b for a, b in zip(calls[1][::2], calls[1][1::2])]

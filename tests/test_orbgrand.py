@@ -7,6 +7,7 @@ import pytest
 from qgldpc.codes import ComponentCode
 from qgldpc.orbgrand import RankedInput, distinct_part_subsets, rank_flip_table
 from qgldpc.sogrand import SograndParams, decode_block
+from sogrand_lists import listed_patterns
 
 
 def full_sequence(n):
@@ -59,11 +60,12 @@ def schedule_masses(q):
     """
     n = len(q)
     L = np.log((1.0 - q) / q)
-    out = decode_block(ComponentCode(np.zeros((0, n), dtype=np.uint8)), L[None],
-                       np.zeros((1, 0)),
-                       SograndParams(list_max=1 << n, query_budget=1 << n)).row(0)
+    comp = ComponentCode(np.zeros((0, n), dtype=np.uint8))
+    params = SograndParams(list_max=1 << n, query_budget=1 << n)
+    out = decode_block(comp, L[None], np.zeros((1, 0)), params).row(0)
     k = out.n_listed
-    return {tuple(p.tolist()): m for p, m in zip(out.patterns[:k], out.masses[:k])}
+    patterns = listed_patterns(comp, L, out, params)[0]
+    return {tuple(p.tolist()): m for p, m in zip(patterns[:k], out.masses[:k])}
 
 
 class TestSchedule:

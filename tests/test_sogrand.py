@@ -3,15 +3,16 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgldpc import gf2
 from qgldpc.channel import clamp_llr
 from qgldpc.codes import ComponentCode
-from qgldpc.orbgrand import rank_flip_table
-from qgldpc.sogrand import (BlockOutput, SograndParams, _soft, decode_block,
+from qgldpc.orbgrand import RankedInput, rank_flip_table
+from qgldpc.sogrand import (BlockOutput, SograndParams, _masses, _soft, decode_block,
                             estimate_missing_mass, sogrand_decode)
+from sogrand_lists import listed_patterns
 
 HAMMING = np.array([[1, 0, 1, 0, 1, 0, 1],
                     [0, 1, 1, 0, 0, 1, 1],
@@ -40,13 +41,15 @@ def brute_force_posteriors(H, L_A, s):
 
 def soft_from_list(patterns, masses, P_g, m_c, L_A):
     """(L_APP, L_E, best pattern) of one row from a finalized candidate list,
-    held as the kernel holds it: a zero-mass slot follows the list."""
+    held as the kernel holds it: a zero-mass slot follows the list.  Ranks are
+    positions here; the best pattern is the slot of largest mass."""
     n = len(patterns)
     slots = np.zeros((1, n + 1, len(L_A)), dtype=np.uint8)
     slots[0, :n] = np.reshape(patterns, (n, len(L_A)))
-    L_APP, L_E, best = _soft(np.asarray(L_A, dtype=float)[None], slots,
-                             np.append(masses, 0.0)[None], np.array([n]), np.array([P_g]), m_c)
-    return L_APP[0], L_E[0], best[0]
+    masses = np.append(masses, 0.0)[None]
+    L_APP, L_E = _soft(np.asarray(L_A, dtype=float)[None], np.arange(len(L_A))[None], slots,
+                       masses, np.array([n]), np.array([P_g]), m_c)
+    return L_APP[0], L_E[0], slots[0, masses.argmax()]
 
 
 def saturated_params(n_c):
@@ -57,7 +60,8 @@ def loop_sogrand(component, L_A, s_local, params):
     """Reference SOGRAND on one local view: the package's per-check decoder.
 
     Returns (L_APP, L_E, best pattern, queries used, listed patterns, their
-    masses, P_g)."""
+    masses, P_g, slots): ``slots`` holds the listed query indices, then the
+    first queries left out, as many as fit ``min(list_max, K)``."""
     L_A = clamp_llr(np.asarray(L_A, dtype=float))
     n_c, m_c = component.n_c, component.m_c
     s_local = np.asarray(s_local, dtype=np.uint8) % 2
@@ -76,13 +80,14 @@ def loop_sogrand(component, L_A, s_local, params):
     masses = np.exp(flips @ (log_q - log_1mq) + log_1mq.sum())
 
     listed = np.flatnonzero(consistent)[:params.list_max]
+    slots = np.append(np.flatnonzero(consistent), np.flatnonzero(~consistent))[:params.list_max]
     patterns, listed_masses = list(hard ^ deviations[listed]), masses[listed].tolist()
     queries_used = flips.shape[0]
     if listed.size == params.list_max:
         queries_used = int(listed[-1]) + 1
     P_g = min(float(np.cumsum(masses[:queries_used])[-1]), 1.0)
     if not patterns:
-        return L_A.copy(), np.zeros(n_c), hard, queries_used, [], [], P_g
+        return L_A.copy(), np.zeros(n_c), hard, queries_used, [], [], P_g, slots
 
     P_L = math.fsum(listed_masses)
     P_Lc = (1.0 - min(P_g, 1.0)) * 2.0 ** (-m_c)
@@ -96,12 +101,13 @@ def loop_sogrand(component, L_A, s_local, params):
         L_APP = clamp_llr(np.log(np.maximum(P_tot - flip_mass - P_Lc * q_prior, 0.0))
                           - np.log(np.maximum(p1 * P_tot, 0.0)))
     best = patterns[int(np.argmax(listed_masses))]
-    return L_APP, L_APP - L_A, best, queries_used, patterns, listed_masses, P_g
+    return L_APP, L_APP - L_A, best, queries_used, patterns, listed_masses, P_g, slots
 
 
 @st.composite
-def blocks(draw):
-    """A random component, a block of B local views and a SOGRAND setting.
+def blocks(draw, longer_lists=False):
+    """A random component, a block of B local views and a SOGRAND setting,
+    with ``longer_lists`` one whose list_max exceeds the query budget.
 
     LLRs are rounded to make ties in |L| and carry +-30 and +-inf entries."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -113,8 +119,13 @@ def blocks(draw):
     extreme = rng.random((B, n_c)) < draw(st.sampled_from([0.0, 0.1, 0.3]))
     L[extreme] = rng.choice([30.0, -30.0, np.inf, -np.inf], size=int(extreme.sum()))
     s = rng.integers(0, 2, size=(B, m_c), dtype=np.uint8)
-    budget = draw(st.one_of(st.none(), st.integers(1, 1 << n_c)))
-    params = SograndParams(list_max=draw(st.integers(1, 8)), query_budget=budget)
+    if longer_lists:
+        budget = draw(st.integers(1, min(64, 1 << n_c)))
+        list_max = budget + draw(st.integers(1, 8))
+    else:
+        budget = draw(st.one_of(st.none(), st.integers(1, 1 << n_c)))
+        list_max = draw(st.integers(1, 8))
+    params = SograndParams(list_max=list_max, query_budget=budget)
     return ComponentCode(H), L, s, params
 
 
@@ -137,9 +148,10 @@ class TestSograndDecodeBasics:
     def test_trivial_component_hard_decision(self):
         comp = ComponentCode(np.zeros((0, 5), dtype=np.uint8))
         L = np.array([3.0, -2.0, 1.0, -0.5, 4.0])
-        out = decode_block(comp, L[None], np.zeros((1, 0)), SograndParams(list_max=1)).row(0)
+        params = SograndParams(list_max=1)
+        out = decode_block(comp, L[None], np.zeros((1, 0)), params).row(0)
         assert out.n_listed > 0
-        assert out.best_pattern.tolist() == [0, 1, 0, 1, 0]
+        assert listed_patterns(comp, L, out, params)[1].tolist() == [0, 1, 0, 1, 0]
 
     def test_hamming_weight_one_strong_priors(self):
         # the list must be large enough to hold the ties that precede the
@@ -150,9 +162,10 @@ class TestSograndDecodeBasics:
             e = np.zeros(7, dtype=np.uint8)
             e[j] = 1
             s = (HAMMING @ e) % 2
-            out = decode_block(comp, L[None], s[None], SograndParams(list_max=16)).row(0)
+            params = SograndParams(list_max=16)
+            out = decode_block(comp, L[None], s[None], params).row(0)
             assert out.n_listed > 0
-            assert np.array_equal(out.best_pattern, e)
+            assert np.array_equal(listed_patterns(comp, L, out, params)[1], e)
 
     def test_empty_list_neutral_extrinsic(self):
         # budget 1 queries only the hard decision; each row's syndrome misses it
@@ -160,17 +173,17 @@ class TestSograndDecodeBasics:
         hard = (L < 0).astype(np.uint8)
         s = np.array([[1, 0, 0], [1, 1, 0]], dtype=np.uint8)
         assert ((hard @ HAMMING.T) % 2 != s).any(axis=1).all()
-        out = decode_block(ComponentCode(HAMMING), L, s,
-                           SograndParams(list_max=4, query_budget=1))
         # a zero check never meets syndrome 1: the search covers the space, P_g = 1
-        full = decode_block(ComponentCode(np.zeros((1, 7), dtype=np.uint8)), L, [[1], [1]],
-                            SograndParams(query_budget=1 << 7))
-        assert full.P_g.tolist() == [1.0, 1.0]
-        for out in (out, full):
+        cases = [(ComponentCode(HAMMING), s, SograndParams(list_max=4, query_budget=1)),
+                 (ComponentCode(np.zeros((1, 7), dtype=np.uint8)), [[1], [1]],
+                  SograndParams(query_budget=1 << 7))]
+        outs = [decode_block(comp, L, syndromes, params) for comp, syndromes, params in cases]
+        assert outs[1].P_g.tolist() == [1.0, 1.0]
+        for (comp, _, params), out in zip(cases, outs):
             assert out.n_listed.tolist() == [0, 0]
             assert (out.L_E == 0.0).all()
             assert np.array_equal(out.L_APP, L)
-            assert np.array_equal(out.best_pattern, hard)
+            assert np.array_equal(listed_patterns(comp, L, out, params)[1], hard)
 
     @pytest.mark.parametrize("s", [[[2, 0, 0, 0]], [[0.7, 0, 0, 0]], [[3, 0, 0, 0]],
                                    [[-1, 0, 0, 0]], [[np.nan, 0, 0, 0]]])
@@ -198,10 +211,10 @@ class TestSograndDecodeBasics:
         H = rng.integers(0, 2, size=(m_c, n_c), dtype=np.uint8)
         L = rng.normal(0, 3, size=n_c)
         s = rng.integers(0, 2, size=m_c, dtype=np.uint8)
-        out = decode_block(ComponentCode(H), L[None], s[None],
-                           SograndParams(list_max=list_max, query_budget=budget)).row(0)
+        params = SograndParams(list_max=list_max, query_budget=budget)
+        out = decode_block(ComponentCode(H), L[None], s[None], params).row(0)
         assert out.n_listed <= list_max
-        for pat in out.patterns[:out.n_listed]:
+        for pat in listed_patterns(ComponentCode(H), L, out, params)[0][:out.n_listed]:
             assert np.array_equal((H.astype(int) @ pat) % 2, s)
 
     def test_accounting_identity(self):
@@ -288,13 +301,15 @@ class TestSaturationExactness:
             e = rng.integers(0, 2, size=n_c, dtype=np.uint8)
             s = (H @ e) % 2
             p1_exact, map_exact = brute_force_posteriors(H, L, s)
-            out = decode_block(ComponentCode(H), L[None], s[None], saturated_params(n_c)).row(0)
+            params = saturated_params(n_c)
+            out = decode_block(ComponentCode(H), L[None], s[None], params).row(0)
             p1_hat = 1.0 / (1.0 + np.exp(out.L_APP))
             assert np.allclose(p1_hat, p1_exact, atol=1e-9)
             # the reported best pattern has the same exact mass as the MAP one
             q1 = 1.0 / (1.0 + np.exp(L))
             lm = lambda w: float((w * np.log(q1) + (1 - w) * np.log1p(-q1)).sum())
-            assert lm(out.best_pattern) == pytest.approx(lm(map_exact), abs=1e-9)
+            best = listed_patterns(ComponentCode(H), L, out, params)[1]
+            assert lm(best) == pytest.approx(lm(map_exact), abs=1e-9)
 
     def test_single_overwhelming_entry(self):
         L_APP, _, _ = soft_from_list([np.zeros(6, dtype=np.uint8)], [0.9], 0.999999, 3,
@@ -306,20 +321,35 @@ class TestBlockAgainstLoop:
     @given(blocks())
     @settings(max_examples=200, deadline=None)
     def test_block_matches_per_check_decoder_bit_for_bit(self, case):
+        self.check_block(*case)
+
+    @given(blocks(longer_lists=True))
+    @settings(max_examples=100, deadline=None)
+    def test_lists_longer_than_the_budget(self, case):
+        # list_max > K: no list fills, every row spends the budget and K' = K
         comp, L, s, params = case
+        assert params.list_max > params.resolve_budget(comp.n_c, comp.m_c)
+        out = self.check_block(comp, L, s, params)
+        assert out.listed.shape == (len(L), params.resolve_budget(comp.n_c, comp.m_c))
+
+    @staticmethod
+    def check_block(comp, L, s, params):
         out = decode_block(comp, L, s, params)
+        all_patterns, all_best = listed_patterns(comp, L, out, params)
         for b in range(L.shape[0]):
-            L_APP, L_E, best, queries, patterns, masses, P_g = loop_sogrand(
+            L_APP, L_E, best, queries, patterns, masses, P_g, slots = loop_sogrand(
                 comp, L[b], s[b], params)
             n = len(patterns)
             assert np.array_equal(out.L_APP[b], L_APP)
             assert np.array_equal(out.L_E[b], L_E)
-            assert np.array_equal(out.best_pattern[b], best)
+            assert np.array_equal(all_best[b], best)
             assert out.queries_used[b] == queries
             assert out.n_listed[b] == n
-            assert np.array_equal(out.patterns[b, :n], np.reshape(patterns, (n, comp.n_c)))
+            assert np.array_equal(all_patterns[b, :n], np.reshape(patterns, (n, comp.n_c)))
             assert out.masses[b, :n].tolist() == masses
             assert out.P_g[b] == P_g
+            assert out.listed[b].tolist() == slots.tolist()  # padding too
+        return out
 
     @given(blocks())
     @settings(max_examples=50, deadline=None)
@@ -330,7 +360,8 @@ class TestBlockAgainstLoop:
         for f in fields(BlockOutput):
             assert np.array_equal(getattr(one, f.name), getattr(block, f.name)[0]), f.name
         n = one.n_listed
-        L_APP, L_E, _ = soft_from_list(one.patterns[:n], one.masses[:n], one.P_g, comp.m_c,
+        patterns = listed_patterns(comp, L[0], one, params)[0]
+        L_APP, L_E, _ = soft_from_list(patterns[:n], one.masses[:n], one.P_g, comp.m_c,
                                        clamp_llr(L[0]))
         assert np.array_equal(L_APP, one.L_APP)
         assert np.array_equal(L_E, one.L_E)
@@ -349,7 +380,7 @@ class TestBlockAgainstLoop:
         out = decode_block(comp, L, s, params)
         assert out.n_listed.any()
         for b in range(L.shape[0]):
-            L_APP, _, _, queries, patterns, masses, P_g = loop_sogrand(comp, L[b], s[b], params)
+            L_APP, _, _, queries, patterns, masses, P_g, _ = loop_sogrand(comp, L[b], s[b], params)
             assert np.array_equal(out.L_APP[b], L_APP)
             assert out.queries_used[b] == queries
             assert out.masses[b, :len(masses)].tolist() == masses
@@ -360,3 +391,44 @@ class TestBlockAgainstLoop:
     def test_rejects_misshapen_block(self, L_shape, s_shape):
         with pytest.raises(ValueError):
             decode_block(ComponentCode(HAMMING), np.zeros(L_shape), np.zeros(s_shape))
+
+
+class TestMassPrefix:
+    """The kernel takes masses and P_g over the block's first K' queries only, K'
+    its largest ``queries_used`` rounded up to a multiple of 8.  These cuts must
+    give the full table's values bit for bit.  On the OpenBLAS 0.3.31 (Haswell
+    kernels) that this was measured on, every cut divisible by 4 does, while
+    about one random cut in five that is not (8 <= n_c <= 36, K <= 4,096; none
+    for n_c < 8) changes some masses in the last bits: its gemv takes rows in
+    blocks of 4."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 36), st.integers(1, 4096),
+           st.sampled_from([4, 8]))
+    @example(seed=2240, n_c=8, K=120, rounding=8)  # an unrounded cut there differs
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_masses_are_the_full_tables(self, seed, n_c, K, rounding):
+        rng = np.random.default_rng(seed)
+        K = min(K, 1 << n_c)
+        m_c = int(rng.integers(0, min(n_c, 8) + 1))
+        comp = ComponentCode(rng.integers(0, 2, size=(m_c, n_c), dtype=np.uint8))
+        L = clamp_llr(np.round(rng.normal(2.0, 2.0, size=(int(rng.integers(1, 40)), n_c)), 1))
+        s = rng.integers(0, 2, size=(len(L), m_c), dtype=np.uint8)
+        params = SograndParams(list_max=int(rng.integers(1, 9)), query_budget=K)
+        out = decode_block(comp, L, s, params)
+
+        table = rank_flip_table(n_c, K).astype(float)
+        ranked = RankedInput.from_llr(L)
+        full = _masses(ranked, table)
+        explored = np.cumsum(full, axis=1)
+        rows = np.arange(len(L))
+        # the kernel's own cut: its lists and P_g are the full table's
+        assert np.array_equal(out.P_g, np.minimum(explored[rows, out.queries_used - 1], 1.0))
+        assert np.array_equal(out.masses, np.where(np.arange(out.listed.shape[1])
+                                                   < out.n_listed[:, None],
+                                                   full[rows[:, None], out.listed], 0.0))
+        # cuts right after each row's last used query, and at random queries
+        for q in np.append(out.queries_used, rng.integers(1, K + 1, size=4)):
+            cut = min(K, -(-int(q) // rounding) * rounding)
+            part = _masses(ranked, table[:cut])
+            assert np.array_equal(part, full[:, :cut]), cut
+            assert np.array_equal(np.cumsum(part, axis=1), explored[:, :cut]), cut
