@@ -6,8 +6,7 @@ keep those whose implied error pattern satisfies the local syndrome, track the
 explored probability mass P_g, estimate the mass of consistent patterns never
 queried as P_Lc = (1 - P_g) * 2^-m_c, and convert the list (``listed``, query
 indices) into bitwise APP and extrinsic LLRs, in one ``BlockOutput``.  Masses
-are taken for the block's first K' queries, K' its last used one rounded up to 8,
-bit for bit the full table's as the BLAS row kernel's are (``_masses``).
+are exponentiated and summed only up to the block's last used query.
 """
 
 from __future__ import annotations
@@ -88,9 +87,9 @@ def decode_block(component: ComponentCode, L_A, s_local,
     # Slots take the consistent queries, then the others, each in query order.
     consistent = _consistent(groups, s_local, hard, ranked.perm, table)
     n_listed = np.minimum(consistent.sum(axis=1), params.list_max)
-    if 8 * S > K:
+    if 4 * S * S > K:
         listed = np.argsort(~consistent, axis=1, kind="stable")[:, :S].copy()
-    else:  # few slots in long rows: a first-True scan (argmax) per slot beats a sort;
+    else:  # a first-True scan (argmax) per slot beats the sort below S ~ sqrt(K) / 2;
         # the other queries a short list takes all lie among the first S
         found = np.concatenate([consistent, ~consistent[:, :S]], axis=1)
         listed = np.empty((len(L_A), S), dtype=np.intp)
@@ -100,8 +99,14 @@ def decode_block(component: ComponentCode, L_A, s_local,
         listed %= K  # past K: query - K, one of the first S
     queries_used = np.where(n_listed == params.list_max, listed[:, -1] + 1, K)
 
-    # a listed query lies past every used one only in a list that is not full: K' = K
-    masses = _masses(ranked, table[:min(K, -(-queries_used.max(initial=0) // 8) * 8)])
+    # Log-masses: one gemv per row over all K (a gemm, or a shorter table, may round
+    # differently); exp and the P_g cumsum only up to K', the block's last used query
+    # (a listed query lies past every used one only in a list that is not full: K' = K).
+    log_1mq = np.log1p(-ranked.q)
+    masses = np.matmul(table, (np.log(ranked.q) - log_1mq)[:, :, None])[..., 0]
+    masses = masses[:, :queries_used.max(initial=0)]
+    masses += log_1mq.sum(axis=1)[:, None]
+    np.exp(masses, out=masses)
     listed_masses = np.where(np.arange(S) < n_listed[:, None], masses[rows[:, None], listed], 0)
     P_g = np.minimum(np.cumsum(masses, axis=1, out=masses)[rows, queries_used - 1], 1.0)
     errors = table[listed] != hard[rows[:, None], ranked.perm][:, None, :]  # over ranks
@@ -139,16 +144,6 @@ def _consistent(groups, s_local, hard, perm, table) -> np.ndarray:
         bits = sums.view(np.int64)
         consistent &= np.bitwise_and(bits, parity, out=bits) == target[:, None]
     return consistent
-
-
-def _masses(ranked: RankedInput, table) -> np.ndarray:
-    """(B, K') masses of the K' queries of ``table``: one gemv per row (a gemm rounds
-    differently).  A longer table's first K' rows get the same masses on the OpenBLAS
-    tested for any K' divisible by 4, not for all others (gemv takes rows in blocks)."""
-    log_1mq = np.log1p(-ranked.q)
-    masses = np.matmul(table, (np.log(ranked.q) - log_1mq)[:, :, None])[..., 0]
-    masses += log_1mq.sum(axis=1)[:, None]
-    return np.exp(masses, out=masses)
 
 
 def sogrand_decode(component: ComponentCode, L_A, s_local,
