@@ -1,16 +1,14 @@
 """Iterative GLDPC decoding: one flooding driver for every decoder.
 
-Messages live on edges, in check-major order, behind a trial axis: a chunk
-of trials decodes in lock-step, each trial leaving once its hard decision
-reproduces its syndrome.  Each iteration a check rule (a ``Side``: SOGRAND on
-the component code from ``sogrand_side``, all checks and active trials of a
-side in one block, or min-sum from ``minsum.minsum_side``) maps the messages
-to extrinsic ones, and a variable-node fusion combines them with the channel
-prior: binary per side, or Pauli beliefs from the two edges each side gives
-every variable; sides with equal rules (SOGRAND's is the value (component,
-params)) take one call on their joined edges.  A decode returns a ``SideResult``
-of (T, ...) arrays per side.  Each step is row-wise: trial order and grouping
-change nothing.
+Messages live on edges, in check-major order, behind a trial axis: ``flood``
+decodes the T trials of one ``Side`` in lock-step, each leaving once its hard
+decision reproduces its syndrome.  Each iteration the side's check rule
+(SOGRAND on the component code from ``sogrand_side``, all checks and active
+trials in one block, or min-sum from ``minsum.minsum_side``) maps the messages
+to extrinsic ones, and a fusion combines them with the channel prior at the
+variables: binary, or Pauli beliefs on a correlated decode's paired side (both
+graphs; equal rules, as SOGRAND's value (component, params), take one call).
+Each step is row-wise: trial order and grouping change nothing.
 """
 
 from __future__ import annotations
@@ -80,76 +78,74 @@ class Side:
     edge_var: np.ndarray   # (E,) variable node of each edge, check-major order
     check: gf2.Syndrome    # e -> H e
     s: np.ndarray          # (T, m) target syndromes, one row per trial
-    # check rule, hashable: (A, E) v2c and (A, m) syndromes of active trials -> (A, E) c2v
+    # check rule: (A, E) v2c and (A, m) syndromes of active trials -> (A, E) c2v; it need
+    # not hash, only compare: ``_paired`` calls equal rules once on both graphs' checks
     rule: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def flood(sides: list[Side], L0: list[np.ndarray], n_iter: int,
-          fuse=None) -> list[SideResult]:
-    """Run the flooding schedule on T trials in lock-step.
+def flood(side: Side, L0, n_iter: int, fuse=None) -> SideResult:
+    """Run the flooding schedule on the T trials of ``side`` in lock-step.
 
-    ``L0`` holds each side's channel LLRs, shared by every trial: the first
-    messages.  ``fuse`` maps the sides' (A, E) c2v messages of the A active
-    trials to per-side APP LLRs, v2c messages and hard decisions; None fuses
-    each side alone (binary).  A trial leaves once all its sides meet their
-    syndromes.  Returns one ``SideResult`` per side, each with its own copy
-    of the joint convergence flags.
+    ``L0`` holds the channel LLRs shared by every trial: the first messages.
+    ``fuse`` maps the (A, E) c2v messages of the A active trials to (A, n)
+    APP LLRs, (A, E) v2c messages and (A, n) hard decisions; None fuses in
+    binary (``_binary_fuse``).  A trial leaves once it meets its syndrome.
     """
     check_count("n_iter", n_iter, 1)
-    L0 = [as_llr("channel LLRs", L) for L in L0]
-    S = [gf2.as_bits("syndromes", side.s) for side in sides]
-    T = S[0].shape[0]
-    for side, s, L in zip(sides, S, L0):
-        m, n = side.check.H.shape
-        if s.shape != (T, m) or L.shape != (n,):
-            raise ValueError(f"syndromes of shape {s.shape} and LLRs of shape "
-                             f"{L.shape} do not fit (T, {m}) and a {m}x{n} check matrix")
-
-    # flattened, an edge of the a-th active trial points at variable a*n + v:
-    # bincount then adds each bin's weights in edge order, as for one trial
-    var = [(side.edge_var + L.size * np.arange(T)[:, None]).ravel()
-           for side, L in zip(sides, L0)]
-    groups = {}  # rule -> its sides and their edge offsets: one call takes all its sides
-    for i, side in enumerate(sides):
-        idx, ends = groups.setdefault(side.rule, ([], [0]))
-        idx.append(i)
-        ends.append(ends[-1] + side.edge_var.size)
-    active, s_active = np.arange(T), S
-    v2c = [np.tile(L[side.edge_var], (T, 1)) for side, L in zip(sides, L0)]
-    out = [SideResult(e_hat=np.empty((T, L.size), dtype=np.uint8), app=np.empty((T, L.size)),
-                      converged=np.zeros(T, dtype=bool), iterations_used=np.zeros(T, dtype=int))
-           for L in L0]
+    L0, S = as_llr("channel LLRs", L0), gf2.as_bits("syndromes", side.s)
+    (m, n), T = side.check.H.shape, S.shape[0]
+    if S.shape != (T, m) or L0.shape != (n,):
+        raise ValueError(f"syndromes of shape {S.shape} and LLRs of shape "
+                         f"{L0.shape} do not fit (T, {m}) and a {m}x{n} check matrix")
+    fuse = fuse or _binary_fuse(L0, side.edge_var, T)
+    active, s_active, v2c = np.arange(T), S, np.tile(L0[side.edge_var], (T, 1))
+    out = SideResult(e_hat=np.empty((T, n), dtype=np.uint8), app=np.empty((T, n)),
+                     converged=np.zeros(T, dtype=bool), iterations_used=np.zeros(T, dtype=int))
     for it in range(1, n_iter + 1):
-        c2v = [None] * len(sides)
-        for rule, (idx, ends) in groups.items():
-            joint = rule(_joined([v2c[i] for i in idx]), _joined([s_active[i] for i in idx]))
-            for i, lo, hi in zip(idx, ends, ends[1:]):
-                c2v[i] = joint[:, lo:hi]
-        if fuse is None:
-            app = [L + np.bincount(v[:c.size], c.ravel(), len(c) * L.size).reshape(-1, L.size)
-                   for L, v, c in zip(L0, var, c2v)]
-            v2c = [clamp_llr(a.ravel()[v[:c.size]] - c.ravel()).reshape(c.shape)
-                   for a, v, c in zip(app, var, c2v)]
-            e_hat = [(a < 0).astype(np.uint8) for a in app]  # L_APP >= 0 -> 0
-        else:
-            app, v2c, e_hat = fuse(c2v)
-        ok = np.logical_and.reduce([(side.check(e) == s).all(axis=1)
-                                    for side, e, s in zip(sides, e_hat, s_active)])
+        app, v2c, e_hat = fuse(side.rule(v2c, s_active))
+        ok = (side.check(e_hat) == s_active).all(axis=1)
         if it < n_iter and not ok.any():
             continue
         done = ok | (it == n_iter)
         rows = active[done]
-        for r, e, a in zip(out, e_hat, app):
-            r.e_hat[rows], r.app[rows] = e[done], a[done]
-            r.converged[rows], r.iterations_used[rows] = ok[done], it
+        out.e_hat[rows], out.app[rows] = e_hat[done], app[done]
+        out.converged[rows], out.iterations_used[rows] = ok[done], it
         if done.all():
             return out
-        active, v2c = active[~done], [msg[~done] for msg in v2c]
-        s_active = [s[active] for s in S]
+        active, s_active, v2c = active[~done], s_active[~done], v2c[~done]
 
 
-def _joined(arrays):  # (T, ...) arrays side by side; one array is not copied
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=1)
+def _binary_fuse(L0: np.ndarray, edge_var: np.ndarray, T: int):
+    """Binary fusion for up to T active trials: a variable's APP LLR is L0 plus
+    its c2v messages, and each edge's v2c message leaves its own out."""
+    # flattened, an edge of the a-th active trial points at variable a*n + v:
+    # bincount then adds each bin's weights in edge order, as for one trial
+    var = (edge_var + L0.size * np.arange(T)[:, None]).ravel()
+
+    def fuse(c2v):
+        v = var[:c2v.size]
+        app = L0 + np.bincount(v, c2v.ravel(), len(c2v) * L0.size).reshape(-1, L0.size)
+        v2c = clamp_llr(app.ravel()[v] - c2v.ravel()).reshape(c2v.shape)
+        return app, v2c, (app < 0).astype(np.uint8)  # L_APP >= 0 -> 0
+    return fuse
+
+
+def _paired(x: Side, z: Side, n: int) -> Side:
+    """The X graph's side (e_z, variables 0..n-1) and the Z graph's (e_x,
+    n..2n-1) as one side: block-diagonal checks, syndromes [s_z | s_x]."""
+    S = [gf2.as_bits("syndromes", sd.s) for sd in (x, z)]
+    (mx, _), (mz, _), T = x.check.H.shape, z.check.H.shape, S[0].shape[:1]
+    if S[0].shape != T + (mx,) or S[1].shape != T + (mz,):
+        raise ValueError(f"syndromes of shapes {S[0].shape} and {S[1].shape} do not "
+                         f"fit (T, {mx}) and (T, {mz}) for the X and Z graphs")
+    H, ex = np.zeros((mx + mz, 2 * n)), x.edge_var.size
+    H[:mx, :n], H[mx:, n:] = x.check.H, z.check.H
+
+    def split(v2c, s_active):  # each graph's rule on its own edges and checks
+        return np.concatenate([x.rule(v2c[:, :ex], s_active[:, :mx]),
+                               z.rule(v2c[:, ex:], s_active[:, mx:])], axis=1)
+    return Side(edge_var=np.concatenate([x.edge_var, z.edge_var + n]), check=gf2.Syndrome(H),
+                s=np.concatenate(S, axis=1), rule=x.rule if x.rule == z.rule else split)
 
 
 @dataclass(frozen=True)
@@ -174,8 +170,8 @@ def sogrand_side(graph: TannerGraph, s, sog_params: SograndParams) -> Side:
 def decode_independent_trials(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
                               n_iter: int, side: Callable[..., Side]) -> DecodeResult:
     """Decode e_z on the X graph and e_x on the Z graph apart, by the rules ``side(graph, s)``."""
-    z_side, = flood([side(code.x_graph, s_z)], [priors.llr_z], n_iter)
-    x_side, = flood([side(code.z_graph, s_x)], [priors.llr_x], n_iter)
+    z_side = flood(side(code.x_graph, s_z), priors.llr_z, n_iter)
+    x_side = flood(side(code.z_graph, s_x), priors.llr_x, n_iter)
     return DecodeResult(z_side=z_side, x_side=x_side)
 
 
@@ -213,44 +209,46 @@ def _argmax_pauli(P_app: np.ndarray) -> np.ndarray:
 
 
 def _pauli_fuse(prior: np.ndarray, edges, c2v):
-    """Pauli-belief fusion of the (X side, Z side) messages of A trials, (A, E),
-    gathered per variable by each side's ``vn_edges``; beliefs are (A, n, [2,] 4).
+    """Pauli-belief fusion of a paired side's (A, E) messages of A trials, gathered
+    by its (2n, 2) ``vn_edges``: e_z's variables, then e_x's; beliefs are (A, n,
+    [2,] 4).  Returns (A, 2n) APP LLRs and hard decisions and (A, E) v2c messages.
 
     The hard decision is the most likely Pauli, not the marginals' signs."""
-    bel = [_beliefs_from_llr(c[:, e], pair) for e, pair, c in zip(edges, _PAIRS, c2v)]
+    halves = edges.reshape(2, len(prior), 2)  # per graph, each variable's two edges
+    bel = [_beliefs_from_llr(c2v[:, e], pair) for e, pair in zip(halves, _PAIRS)]
     P_app = prior * bel[0].prod(axis=-2) * bel[1].prod(axis=-2)
     P_app /= P_app.sum(axis=-1, keepdims=True)
     P_app = np.maximum(P_app, BELIEF_FLOOR)
     P_app /= P_app.sum(axis=-1, keepdims=True)
     symbol = _argmax_pauli(P_app)
 
-    e_hat = [((symbol == bit) | (symbol == _Y)).astype(np.uint8) for bit, _ in _PAIRS]
-    app = [_marginal_llr(P_app, pair) for pair in _PAIRS]
+    e_hat = np.concatenate([(symbol == bit) | (symbol == _Y) for bit, _ in _PAIRS], axis=1)
+    app = np.concatenate([_marginal_llr(P_app, pair) for pair in _PAIRS], axis=1)
     # Extrinsic: divide out the incoming belief, marginalize per graph.
-    v2c = [np.empty_like(c) for c in c2v]
-    for e, pair, msg, b in zip(edges, _PAIRS, v2c, bel):
-        ext = P_app[..., None, :] / np.maximum(b, BELIEF_FLOOR)
-        msg[:, e] = _marginal_llr(ext, pair)
-    return app, v2c, e_hat
+    v2c = np.empty_like(c2v)
+    for e, pair, b in zip(halves, _PAIRS, bel):
+        v2c[:, e] = _marginal_llr(P_app[..., None, :] / np.maximum(b, BELIEF_FLOOR), pair)
+    return app, v2c, e_hat.astype(np.uint8)
 
 
 def decode_correlated_trials(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
                              n_iter: int, side: Callable[..., Side]) -> DecodeResult:
-    """Joint X/Z decoding of T trials, with Pauli-belief fusion at the variables.
-
-    Check nodes on both graphs still run a binary rule; variable nodes map
-    the four incoming binary LLRs into Pauli beliefs, fuse them with the
-    channel's Pauli prior, and marginalize the extrinsic beliefs back into
-    binary LLRs for each side, which must give every variable exactly two
-    edges.  A trial stops when both syndrome equations hold.
-    """
+    """Joint X/Z decoding of T trials as one paired side (``_paired``), with
+    Pauli-belief fusion at the variables: the checks of both graphs run a
+    binary rule; each variable maps its four incoming LLRs into Pauli beliefs,
+    fuses them with the channel's Pauli prior and marginalizes the extrinsic
+    beliefs back into binary LLRs per graph, which must give every variable
+    exactly two edges.  A trial stops when both syndrome equations hold."""
     prior = np.asarray(priors.pauli_prior, dtype=float)
     if prior.shape != (code.n, 4):
         raise ValueError(f"Pauli prior has shape {prior.shape}, expected {(code.n, 4)}")
-    sides = [side(code.x_graph, s_z), side(code.z_graph, s_x)]
-    edges = [vn_edges(sd.edge_var, code.n) for sd in sides]
-    L0 = [_marginal_llr(prior, pair) for pair in _PAIRS]  # channel marginals: first messages
-    z_side, x_side = flood(sides, L0, n_iter, fuse=lambda c2v: _pauli_fuse(prior, edges, c2v))
+    paired = _paired(side(code.x_graph, s_z), side(code.z_graph, s_x), code.n)
+    edges = vn_edges(paired.edge_var, 2 * code.n)
+    L0 = np.concatenate([_marginal_llr(prior, pair) for pair in _PAIRS])  # first messages
+    r = flood(paired, L0, n_iter, fuse=lambda c2v: _pauli_fuse(prior, edges, c2v))
+    z_side, x_side = (SideResult(e_hat=r.e_hat[h], app=r.app[h], converged=r.converged.copy(),
+                                 iterations_used=r.iterations_used.copy())
+                      for h in (np.s_[:, :code.n], np.s_[:, code.n:]))
     return DecodeResult(z_side=z_side, x_side=x_side)
 
 

@@ -78,5 +78,4 @@ def minsum_side(check: gf2.Syndrome, s, alpha: float) -> Side:
 def minsum_decode(H, L_ch, s, cfg: BpConfig = BpConfig()) -> SideResult:
     """One trial of min-sum on a bit matrix or ``gf2.Syndrome`` H; only tests and bench/ use it."""
     check = H if isinstance(H, gf2.Syndrome) else gf2.Syndrome(H)
-    side, = flood([minsum_side(check, np.asarray(s)[None], cfg.alpha)], [L_ch], cfg.n_iter)
-    return side.row(0)
+    return flood(minsum_side(check, np.asarray(s)[None], cfg.alpha), L_ch, cfg.n_iter).row(0)

@@ -166,9 +166,10 @@ def _soft(L_A, perm, errors, masses, n_listed, P_g, m_c: int):
     P_tot = P_L + P_Lc
     q_prior = np.exp(-np.logaddexp(0.0, L_A))  # P(bit = 1 | L_A)
 
-    # a running sum over the list, in list order: the rounding of the scalar decoder
+    # slot by slot, in list order (np.sum may add pairwise): the scalar decoder's rounding
     flip_mass = np.empty_like(L_A)  # summed over ranks, then put at the positions
-    flip_mass[np.arange(len(L_A))[:, None], perm] = (masses[:, :, None] * errors).cumsum(1)[:, -1]
+    flip_mass[np.arange(len(L_A))[:, None], perm] = sum(masses[:, k, None] * errors[:, k]
+                                                        for k in range(masses.shape[1]))
     with np.errstate(divide="ignore", invalid="ignore"):  # an empty list may have P_tot = 0
         p1 = (flip_mass + P_Lc * q_prior) / P_tot
         L_APP = clamp_llr(np.log(np.maximum(P_tot - flip_mass - P_Lc * q_prior, 0.0))

@@ -5,10 +5,13 @@ Each record case holds one SHA-256 of the ``run_trials`` records of a fixed
 int64 array, a row per trial.  Each chunk case hashes the first toy-gldpc
 chunk of ``run_trials`` as the decoder and OSD leave it (both sides' estimates,
 APP LLRs, convergence and iterations, and the failure mask), so that float
-drift shows even when no record flips.  Each block case hashes one SOGRAND
-``decode_block`` call on a seeded block of rows (N(2, 2) LLRs, random
-syndromes) twice: what decoding reads, and ``P_g`` alone, so that a change to
-the explored-mass sum shows apart from a change to decodes.  What decoding
+drift shows even when no record flips.  The split-rule case hashes both, the
+records and the first chunk, for a correlated decode on a toy-gldpc whose two
+graphs' SOGRAND rules differ (``split_rule_code``), so that the paired side's
+per-graph rule calls are pinned as well as its shared one.  Each block case
+hashes one SOGRAND ``decode_block`` call on a seeded block of rows (N(2, 2)
+LLRs, random syndromes) twice: what decoding reads, and ``P_g`` alone, so that
+a change to the explored-mass sum shows apart from a change to decodes.  What decoding
 reads is hashed as the ``BlockOutput`` fields were recorded, in their order:
 ``L_APP``, ``L_E``, ``best_pattern``, ``queries_used``, ``n_listed``,
 ``patterns`` and ``masses``, the patterns rebuilt from ``listed``
@@ -28,12 +31,13 @@ chunk case may differ by rounding while every record case still holds.
 """
 
 import hashlib
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from qgldpc import channel
+from qgldpc.codes import ComponentCode, TannerGraph
 from qgldpc.gf2 import Syndrome, row_reduce
 from qgldpc.harness import (DECODERS, ExperimentConfig, _tail, chunk_size, resolve_code,
                             run_trials)
@@ -83,6 +87,14 @@ CHUNKS = {
     "sogrand": "6eab2ae0fe6d11bc1263c1c82ca99f377f6540ce1db7d4e7d65d68f1459c5b20",
     "sogrand-osd": "d93831c0ed99b14e5e003501c27bf08e1e1f3b5372080f5ef7e00ed2c3bb80e4",
     "sogrand-osd-corr": "d05d706f9b37ddbe2f9169bf2520c00b6147cfc4e563626c112057ba147d2114",
+}
+
+# (decoder, p, trials) -> SHA-256 of (the records, the first chunk at CHUNK_P) on
+# split_rule_code(): the correlated decode of two graphs whose SOGRAND rules differ
+SPLIT_RULE = {
+    ("sogrand-osd-corr", 0.08, 300):
+        ("1216a2d78a775a25d5b36a8df70905d3407f57963688dbd8e958e74a3d014976",
+         "298bec327edd15701e30797a4d95b0eba8648d942ef33526454e24ce0b3d74cd"),
 }
 
 BLOCK_ROWS = 200
@@ -177,16 +189,25 @@ def schedule_digest(n, count):
     return hashlib.sha256(rank_flip_table(n, count).tobytes()).hexdigest()
 
 
-def records_digest(source, decoder, p, trials):
+def split_rule_code():
+    """toy-gldpc with each Z-graph check's VNs listed in reverse and the component's
+    columns reversed to match: H_Z is unchanged, but the two graphs' rules differ."""
+    code = resolve_code("builtin:toy-gldpc")
+    z = code.z_graph
+    return replace(code, z_graph=TannerGraph(z.n, [cn[::-1] for cn in z.cns],
+                                             ComponentCode(z.component.H[:, ::-1])))
+
+
+def records_digest(source, decoder, p, trials, code=None):
     cfg = ExperimentConfig(code=source, decoder=decoder, p_grid=(p,), trials=trials,
                            master_seed=SEED)
-    records = run_trials(resolve_code(source), cfg, p, 0, trials)
+    records = run_trials(code or resolve_code(source), cfg, p, 0, trials)
     rows = np.array([astuple(rec) for rec in records], dtype="<i8")
     return hashlib.sha256(rows.tobytes()).hexdigest()
 
 
-def chunk_digest(decoder):
-    code = resolve_code("builtin:toy-gldpc")
+def chunk_digest(decoder, code=None):
+    code = code or resolve_code("builtin:toy-gldpc")
     cfg = ExperimentConfig(code="builtin:toy-gldpc", decoder=decoder, master_seed=SEED)
     params = channel.DepolarizingParams(CHUNK_P)
     errors = [channel.sample_error(params, code.n, channel.trial_rng(SEED, CHUNK_P, t))
@@ -236,6 +257,15 @@ def test_chunk_digest(decoder):
     assert chunk_digest(decoder) == CHUNKS[decoder]
 
 
+@pytest.mark.parametrize("case", list(SPLIT_RULE), ids="{0[0]}-p{0[1]}-{0[2]}".format)
+def test_split_rule_digests(case):
+    code = split_rule_code()
+    assert np.array_equal(code.h_z, resolve_code("builtin:toy-gldpc").h_z)
+    assert code.x_graph.component != code.z_graph.component
+    assert records_digest("builtin:toy-gldpc", *case, code=code) == SPLIT_RULE[case][0]
+    assert chunk_digest(case[0], code) == SPLIT_RULE[case][1]
+
+
 @pytest.mark.parametrize("case", list(BLOCKS), ids="{0[0]}-budget{0[1]}".format)
 def test_block_digests(case):
     decoded, explored = block_digests(*case)
@@ -262,5 +292,10 @@ if __name__ == "__main__":
         print(f"    {case!r}: {records_digest(*case)!r},")
     for decoder in CHUNKS:
         print(f"    {decoder!r}: {chunk_digest(decoder)!r},")
+    for case in SPLIT_RULE:
+        code = split_rule_code()
+        digests = (records_digest("builtin:toy-gldpc", *case, code=code),
+                   chunk_digest(case[0], code))
+        print(f"    {case!r}:\n        {digests!r},")
     for case in BLOCKS:
         print(f"    {case!r}:\n        {block_digests(*case)!r},")

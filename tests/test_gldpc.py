@@ -9,7 +9,7 @@ from qgldpc import channel, gf2, gldpc
 from qgldpc.channel import clamp_llr
 from qgldpc.codes import ComponentCode, builtin_code, vn_edges
 from qgldpc.gldpc import (BELIEF_FLOOR, _PAIRS, DecodeResult, Side, SideResult, SograndRule,
-                          _argmax_pauli, _beliefs_from_llr, _marginal_llr, _pauli_fuse,
+                          _argmax_pauli, _beliefs_from_llr, _marginal_llr, _paired, _pauli_fuse,
                           decode_correlated, decode_correlated_trials, decode_independent,
                           decode_independent_trials, flood, sogrand_side)
 from qgldpc.sogrand import SograndParams, decode_block
@@ -19,8 +19,7 @@ SOG = SograndParams(list_max=8)
 
 def decode_side(graph, L_ch, s, n_iter=20, sog_params=SograndParams()):
     """SOGRAND flooding on one Tanner graph alone, for one trial."""
-    side, = flood([sogrand_side(graph, np.asarray(s)[None], sog_params)], [L_ch], n_iter)
-    return side.row(0)
+    return flood(sogrand_side(graph, np.asarray(s)[None], sog_params), L_ch, n_iter).row(0)
 
 
 def sog(params=SograndParams()):
@@ -116,13 +115,20 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("prior_shape, s_x_len, s_z_len",
                              [((15, 3), 8, 8), ((16, 4), 8, 8), ((15, 4), 9, 8),
-                              ((15, 4), 8, 7)])
+                              ((15, 4), 8, 7), ((15, 4), 9, 7)])
     def test_decode_correlated_rejects_wrong_shapes(self, prior_shape, s_x_len, s_z_len):
         code = builtin_code("toy-gldpc")
         with pytest.raises(ValueError, match="shape"):
             priors = replace(priors_at(0.05, code.n), pauli_prior=np.full(prior_shape, 0.25))
             decode_correlated_trials(code, priors, np.zeros(s_x_len)[None],
                                      np.zeros(s_z_len)[None], 5, sog(SOG))
+
+    def test_decode_correlated_rejects_unequal_trial_counts(self):
+        code = builtin_code("toy-gldpc")
+        # 2 trials of s_x, 3 of s_z: the X graph's side comes first
+        with pytest.raises(ValueError, match=r"shapes \(3, 8\) and \(2, 8\)"):
+            decode_correlated_trials(code, priors_at(0.05, code.n), np.zeros((2, 8)),
+                                     np.zeros((3, 8)), 5, sog(SOG))
 
 
 class TestDecodeIndependent:
@@ -283,7 +289,9 @@ def fuse_inputs(draw):
 def test_fuse_matches_mirrored_oracle_byte_for_byte(case):
     code, prior, c2v = case
     edge_vars = (code.x_graph.edge_var, code.z_graph.edge_var)
-    got = _pauli_fuse(prior, [vn_edges(ev, code.n) for ev in edge_vars], c2v)
+    paired = np.concatenate([edge_vars[0], edge_vars[1] + code.n])
+    app, v2c, e_hat = _pauli_fuse(prior, vn_edges(paired, 2 * code.n), np.hstack(c2v))
+    got = [np.hsplit(app, 2), np.hsplit(v2c, [edge_vars[0].size]), np.hsplit(e_hat, 2)]
     want = mirrored_pauli_fuse(prior, *edge_vars, c2v)
     for name, g, w in zip(("app", "v2c", "e_hat"), got, want):
         for side, a, b in zip(("z_side", "x_side"), g, w):
@@ -420,7 +428,7 @@ class TestArrayResults:
 
 
 def alone(side):
-    """``side`` with a rule equal to no other: flood calls it on its own."""
+    """``side`` with a rule equal to no other: ``_paired`` calls it on its own edges."""
     return replace(side, rule=lambda v2c, s, rule=side.rule: rule(v2c, s))
 
 
@@ -459,10 +467,11 @@ class TestSharedRule:
     @given(sides_sharing_a_rule())
     @settings(max_examples=80, deadline=None)
     def test_sides_sharing_a_rule_decode_as_each_alone(self, case):
-        sides, L0, n_iter = case
-        assert sides[0].rule == sides[1].rule and sides[0].rule is not sides[1].rule
-        assert result_bytes(flood(sides, L0, n_iter)) == \
-            result_bytes(flood([alone(sd) for sd in sides], L0, n_iter))
+        (x, z), L0, n_iter = case
+        assert x.rule == z.rule and x.rule is not z.rule
+        n, L0 = len(L0[0]), np.concatenate(L0)
+        assert result_bytes([flood(_paired(x, z, n), L0, n_iter)]) == \
+            result_bytes([flood(_paired(alone(x), alone(z), n), L0, n_iter)])
 
     def test_correlated_sides_take_one_call_per_iteration(self, monkeypatch):
         # toy-gldpc: both sides check with one Hamming-15 component; the
