@@ -61,7 +61,7 @@ class PauliErrorPattern:
     e_z: np.ndarray
 
     def __post_init__(self):
-        if self.e_x.shape != self.e_z.shape:
+        if np.shape(self.e_x) != np.shape(self.e_z):
             raise ValueError("e_x and e_z must have equal shapes")
 
 

@@ -21,6 +21,15 @@ class CodeFormatError(ValueError):
     """Raised when a code file fails to parse or violates an invariant."""
 
 
+def _integer(name: str, value, n=None):
+    """``value`` if it is a Python or numpy integer, not a bool, and in [0, n) if n is given."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or n is not None and not 0 <= value < n):
+        span = "" if n is None else f" in [0, {n})"
+        raise CodeFormatError(f"{name} must be an integer{span}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class ComponentCode:
     H: np.ndarray  # (m_c, n_c) parity-check matrix, uint8
@@ -64,23 +73,14 @@ class TannerGraph:
     edge_var: np.ndarray = field(init=False, repr=False)  # (m*n_c,) VN of each edge
 
     def __post_init__(self):
-        n_c = self.component.n_c
+        n, n_c = _integer("n", self.n), self.component.n_c
         for j, cn in enumerate(self.cns):
             if len(cn) != n_c:
                 raise CodeFormatError(
                     f"check {j} has {len(cn)} edges, component length is {n_c}")
-        vns = np.asarray(self.cns).reshape(-1)  # no float is truncated, no bool read as 0/1
-        idx = vns if vns.dtype.kind in "iu" else np.full(vns.size, -1)
-        if vns.dtype.kind in "OSU":  # strings, or ints past int64: entry by entry
-            vns = np.asarray(self.cns, dtype=object).reshape(-1)
-            idx = np.array([v if np.issubdtype(type(v), np.integer) and 0 <= v < self.n else -1
-                            for v in vns])
-        bad = np.flatnonzero((idx < 0) | (idx >= self.n))
-        if bad.size:
-            raise CodeFormatError(f"check {bad[0] // n_c} references VN "
-                                  f"{vns.tolist()[bad[0]]!r}, not an integer in [0, {self.n})")
-        self.edge_var = idx.astype(np.intp)
-        vn_edges(self.edge_var, self.n)
+        self.edge_var = np.array([_integer(f"check {j} VN index", vn, n)
+                                  for j, cn in enumerate(self.cns) for vn in cn], dtype=np.intp)
+        vn_edges(self.edge_var, n)
         self.flat = flatten(self)
         self.flat.setflags(write=False)
         self.syndrome = gf2.Syndrome(self.flat)
@@ -123,6 +123,10 @@ class GldpcCode:
     z_graph: TannerGraph
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise CodeFormatError(f"name must be a string, got {self.name!r}")
+        for key in ("n", "k", "d"):
+            _integer(key, getattr(self, key))
         if self.x_graph.n != self.n or self.z_graph.n != self.n:
             raise CodeFormatError("graph lengths disagree with declared n")
         h_x, h_z = self.h_x, self.h_z
@@ -156,23 +160,18 @@ def _graph_to_obj(g: TannerGraph) -> dict:
             "cns": [list(map(int, cn)) for cn in g.cns]}
 
 
-def _json_int(value, name: str) -> int:
-    if type(value) is not int:  # no bool, float or string is coerced
-        raise CodeFormatError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _graph_from_obj(obj, n: int, label: str) -> TannerGraph:
+def _graph_from_obj(obj, n, label: str) -> TannerGraph:
     if label not in obj:
         raise CodeFormatError(f"missing {label} in code file")
     try:
-        comp = ComponentCode([[_json_int(v, "component_H entry") for v in row]
-                              for row in obj[label]["component_H"]])
-        cns = [[_json_int(vn, f"check {j} VN index") for vn in cn]
-               for j, cn in enumerate(obj[label]["cns"])]
-    except (KeyError, TypeError, ValueError) as exc:
+        # ComponentCode takes any 0/1 dtype; a file's H holds JSON integers alone
+        component = ComponentCode([[_integer("component_H entry", v) for v in row]
+                                   for row in obj[label]["component_H"]])
+        return TannerGraph(n=n, cns=obj[label]["cns"], component=component)
+    except CodeFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # not the nested lists of a graph
         raise CodeFormatError(f"malformed {label}: {exc}") from exc
-    return TannerGraph(n=n, cns=cns, component=comp)
 
 
 def write_code(code: GldpcCode, path) -> None:
@@ -185,17 +184,15 @@ def write_code(code: GldpcCode, path) -> None:
 
 
 def load_code(path) -> GldpcCode:
-    """Load and fully validate a code file (CSS condition, degrees, k)."""
+    """Parse a code file; the constructors validate it (fields, CSS condition, degrees, k)."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except ValueError as exc:  # not JSON, or not UTF-8
         raise CodeFormatError(f"cannot parse code file {path}: {exc}") from exc
     try:
-        name, n, k, d = obj["name"], *(_json_int(obj[key], key) for key in ("n", "k", "d"))
-        if type(name) is not str:
-            raise CodeFormatError(f"name must be a string, got {name!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+        name, n, k, d = (obj[key] for key in ("name", "n", "k", "d"))
+    except (KeyError, TypeError) as exc:
         raise CodeFormatError(f"missing or malformed header field in {path}: {exc}") from exc
     return GldpcCode(name=name, n=n, k=k, d=d, x_graph=_graph_from_obj(obj, n, "x_graph"),
                      z_graph=_graph_from_obj(obj, n, "z_graph"))

@@ -93,10 +93,11 @@ def flood(side: Side, L0, n_iter: int, fuse=None) -> SideResult:
     """
     check_count("n_iter", n_iter, 1)
     L0, S = as_llr("channel LLRs", L0), gf2.as_bits("syndromes", side.s)
-    (m, n), T = side.check.H.shape, S.shape[0]
-    if S.shape != (T, m) or L0.shape != (n,):
+    m, n = side.check.H.shape
+    if S.shape != S.shape[:1] + (m,) or L0.shape != (n,):  # a 0-d S fails here too
         raise ValueError(f"syndromes of shape {S.shape} and LLRs of shape "
                          f"{L0.shape} do not fit (T, {m}) and a {m}x{n} check matrix")
+    T = len(S)
     fuse = fuse or _binary_fuse(L0, side.edge_var, T)
     active, s_active, v2c = np.arange(T), S, np.tile(L0[side.edge_var], (T, 1))
     out = SideResult(e_hat=np.empty((T, n), dtype=np.uint8), app=np.empty((T, n)),

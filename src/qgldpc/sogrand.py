@@ -84,19 +84,17 @@ def decode_block(component: ComponentCode, L_A, s_local,
 
     # The list is the first list_max consistent queries; the search stops at
     # the last of them once the list is full, else it spends the whole budget.
-    # Slots take the consistent queries, then the others, each in query order.
-    consistent = _consistent(groups, s_local, hard, ranked.perm, table)
-    n_listed = np.minimum(consistent.sum(axis=1), params.list_max)
-    if 4 * S * S > K:
-        listed = np.argsort(~consistent, axis=1, kind="stable")[:, :S].copy()
-    else:  # a first-True scan (argmax) per slot beats the sort below S ~ sqrt(K) / 2;
-        # the other queries a short list takes all lie among the first S
-        found = np.concatenate([consistent, ~consistent[:, :S]], axis=1)
-        listed = np.empty((len(L_A), S), dtype=np.intp)
-        for k in range(S):
-            listed[:, k] = found.argmax(axis=1)
-            found[rows, listed[:, k]] = False
-        listed %= K  # past K: query - K, one of the first S
+    # Slots take the consistent queries, then the others, each in query order:
+    # one first-True scan (argmax) per slot, where query K + i stands for the
+    # inconsistent query i (a list of c < S takes S - c, all among the first S).
+    found = _consistent(groups, s_local, hard, ranked.perm, table)
+    found = np.concatenate([found, ~found[:, :S]], axis=1)
+    listed = np.empty((len(L_A), S), dtype=np.intp)
+    for k in range(S):
+        listed[:, k] = found.argmax(axis=1)
+        found[rows, listed[:, k]] = False
+    n_listed = (listed < K).sum(axis=1)
+    listed %= K
     queries_used = np.where(n_listed == params.list_max, listed[:, -1] + 1, K)
 
     # Log-masses: one gemv per row over all K (a gemm, or a shorter table, may round

@@ -144,3 +144,10 @@ class TestSyndromes:
         e = np.zeros(shape, dtype=np.uint8)
         with pytest.raises(ValueError):
             syndromes(code, channel.PauliErrorPattern(e, e))
+
+    def test_patterns_of_lists(self):
+        code = builtin_code("steane")
+        s_x, s_z = syndromes(code, channel.PauliErrorPattern([0] * 7, [0, 0, 0, 0, 0, 0, 1]))
+        assert s_x.tolist() == [0] * 6 and s_z.tolist() == code.h_x[:, 6].tolist()
+        with pytest.raises(ValueError, match="equal shapes"):
+            channel.PauliErrorPattern([0] * 7, [[0] * 7])

@@ -5,6 +5,7 @@ reduction, truncation or mis-wiring."""
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,12 +16,15 @@ from qgldpc import gf2
 from qgldpc.channel import (DepolarizingParams, PauliErrorPattern, as_llr, make_priors,
                             sample_error, syndromes, trial_rng)
 from qgldpc.codes import CodeFormatError, ComponentCode, TannerGraph, builtin_code
-from qgldpc.gldpc import decode_correlated_trials
+from qgldpc.gldpc import decode_correlated_trials, flood, sogrand_side
 from qgldpc.minsum import minsum_side
 from qgldpc.osd import osd_postprocess
+from qgldpc.sogrand import SograndParams
 
 H = builtin_code("steane").x_graph.component.H  # Hamming-7, (3, 7)
 SPC = ComponentCode(np.ones((1, 2), dtype=np.uint8))
+TORIC = builtin_code("toric")  # [[8, 2, 2]]
+VN_INDEX = r"check {} VN index must be an integer in \[0, 2\), got {}$"
 
 
 def minsum(graph, s):
@@ -32,6 +36,11 @@ def correlated_minsum_on_toy_gldpc():
     s_x, s_z = np.zeros((1, code.h_z.shape[0])), np.zeros((1, code.h_x.shape[0]))
     return decode_correlated_trials(code, make_priors(DepolarizingParams(0.05), code.n),
                                     s_x, s_z, 5, minsum)
+
+
+def flood_of_0d_syndromes():
+    graph = builtin_code("steane").x_graph
+    return flood(sogrand_side(graph, np.uint8(0), SograndParams()), np.ones(7), 5)
 
 
 def syndromes_of_twos():
@@ -56,18 +65,31 @@ BOUNDARY = {
     "OSD of 1-D H": (lambda: osd_postprocess([1, 0, 1], [1], [1.0, 1.0, 1.0]), ValueError,
                      r"H of shape \(3,\) must be a 2-D bit matrix"),
     "TannerGraph of float VNs": (lambda: TannerGraph(2, [[0, 1.7], [0.2, 1]], SPC),
-                                 CodeFormatError, r"check 0 references VN 0.0, not an integer"),
+                                 CodeFormatError, VN_INDEX.format(0, "1.7")),
     "TannerGraph of bool VNs": (lambda: TannerGraph(2, [[True, False], [True, False]], SPC),
-                                CodeFormatError, r"check 0 references VN True, not an integer"),
+                                CodeFormatError, VN_INDEX.format(0, "True")),
+    "TannerGraph of a bool among int VNs": (lambda: TannerGraph(2, [[0, True], [1, 0]], SPC),
+                                            CodeFormatError, VN_INDEX.format(0, "True")),
     "TannerGraph of VNs past int64": (lambda: TannerGraph(2, [[0, 2**70], [0, 1]], SPC),
-                                      CodeFormatError,
-                                      rf"check 0 references VN {2**70}, not an integer in"),
+                                      CodeFormatError, VN_INDEX.format(0, 2**70)),
     "TannerGraph of string VNs": (lambda: TannerGraph(2, [[0, 1], [0, "1"]], SPC),
-                                  CodeFormatError, r"check 1 references VN '1', not an integer"),
+                                  CodeFormatError, VN_INDEX.format(1, "'1'")),
+    "TannerGraph of float n": (lambda: TannerGraph(2.0, [[0, 1], [0, 1]], SPC),
+                               CodeFormatError, r"n must be an integer, got 2.0"),
+    "GldpcCode of float n": (lambda: replace(TORIC, n=8.0), CodeFormatError,
+                             r"n must be an integer, got 8.0"),
+    "GldpcCode of float k": (lambda: replace(TORIC, k=2.0), CodeFormatError,
+                             r"k must be an integer, got 2.0"),
+    "GldpcCode of float d": (lambda: replace(TORIC, d=2.5), CodeFormatError,
+                             r"d must be an integer, got 2.5"),
+    "GldpcCode of int name": (lambda: replace(TORIC, name=5), CodeFormatError,
+                              r"name must be a string, got 5"),
     "syndromes of 2s": (syndromes_of_twos, ValueError,
                         r"e_x of shape \(1, 7\) must hold only 0s and 1s"),
     "correlated min-sum on toy-gldpc": (correlated_minsum_on_toy_gldpc, CodeFormatError,
                                         "variable nodes must have degree exactly 2"),
+    "flood of 0-d syndromes": (flood_of_0d_syndromes, ValueError,
+                               r"syndromes of shape \(\) and LLRs of shape \(7,\) do not fit"),
 }
 
 
