@@ -7,8 +7,8 @@ import sys
 from dataclasses import fields
 
 from .codes import CodeFormatError
-from .harness import (DECODERS, ConvergenceRow, ExperimentConfig, convergence_study,
-                      pseudothreshold, read_csv, resolve_code, run_sweep)
+from .harness import (DECODERS, ExperimentConfig, convergence_study, pseudothreshold,
+                      read_csv, resolve_code, run_sweep)
 from .osd import OsdConfig
 from .sogrand import SograndParams
 
@@ -83,12 +83,10 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    rows: list[ConvergenceRow] = convergence_study(_config_from_args(args),
-                                                   args.iters_grid)
+    points = convergence_study(_config_from_args(args), args.iters_grid)
     print("n_iter,bler,failures,trials,mean_iters")
-    for row in rows:
-        pt = row.point
-        print(f"{row.n_iter},{pt.bler:.6g},{pt.failures},{pt.trials},"
+    for n_iter, pt in zip(args.iters_grid, points):
+        print(f"{n_iter},{pt.bler:.6g},{pt.failures},{pt.trials},"
               f"{pt.mean_iterations:.4g}")
     return 0
 

@@ -78,9 +78,9 @@ class TannerGraph:
             if len(cn) != n_c:
                 raise CodeFormatError(
                     f"check {j} has {len(cn)} edges, component length is {n_c}")
-        self.edge_var = np.array([_integer(f"check {j} VN index", vn, n)
-                                  for j, cn in enumerate(self.cns) for vn in cn], dtype=np.intp)
-        vn_edges(self.edge_var, n)
+        vns = [_integer(f"check {j} VN index", vn, n) for j, cn in enumerate(self.cns) for vn in cn]
+        vn_edges(vns, n)  # counts them first: with 2n edges, each index in [0, n) fits intp
+        self.edge_var = np.array(vns, dtype=np.intp)
         self.flat = flatten(self)
         self.flat.setflags(write=False)
         self.syndrome = gf2.Syndrome(self.flat)
@@ -90,12 +90,15 @@ class TannerGraph:
         return len(self.cns)
 
 
-def vn_edges(edge_var: np.ndarray, n: int) -> np.ndarray:
+def vn_edges(edge_var, n: int) -> np.ndarray:
     """(n, 2) edges of each variable, in edge order, if each of the n has exactly two."""
+    if len(edge_var) != 2 * n:
+        raise CodeFormatError(f"variable nodes must have degree exactly 2; "
+                              f"{len(edge_var)} edges for {n} of them")
     bad = np.flatnonzero(np.bincount(edge_var) != 2)  # with 2n edges, all of 0..n-1 hold 2
-    if edge_var.size != 2 * n or bad.size:
-        raise CodeFormatError(f"variable nodes must have degree exactly 2; {edge_var.size} "
-                              f"edges for {n} of them, violated at {bad[:8].tolist()}")
+    if bad.size:
+        raise CodeFormatError(f"variable nodes must have degree exactly 2, "
+                              f"violated at {bad[:8].tolist()}")
     return np.argsort(edge_var, kind="stable").reshape(n, 2)
 
 

@@ -32,9 +32,10 @@ from .osd import OsdConfig, osd_postprocess
 from .sogrand import SograndParams
 
 # Trials decode in lock-step chunks.  A SOGRAND kernel call holds a few (rows,
-# queries) arrays, rows = trials x checks of a side: this bound keeps each under
-# 512 KiB, and per-call overhead is paid per chunk and iteration, not per trial.
-CHUNK_CELLS = 1 << 16
+# queries) arrays, rows = trials x checks of both graphs (a correlated decode
+# pairs them in one call): this bound keeps each under 1 MiB, and per-call
+# overhead is paid per chunk and iteration, not per trial.
+CHUNK_CELLS = 1 << 17
 
 
 class Decoder(NamedTuple):
@@ -63,7 +64,7 @@ DECODERS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    code: str                      # path or "builtin:NAME"
+    code: str | os.PathLike        # code file path or "builtin:NAME"
     decoder: str = "sogrand"
     p_grid: tuple[float, ...] = (0.05,)
     trials: int = 1000
@@ -125,14 +126,16 @@ CSV_HEADER = ["p", "decoder", "trials", "failures", "bler",
 _CSV_TYPES = tuple(get_type_hints(CurvePoint).values())
 
 
-def resolve_code(source: str) -> GldpcCode:
+def resolve_code(source: str | os.PathLike) -> GldpcCode:
+    source = os.fspath(source)
     if source.startswith("builtin:"):
         return builtin_code(source.split(":", 1)[1])
     return load_code(source)
 
 
-def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054):
+def wilson_interval(failures: int, trials: int):
     """95% Wilson score interval; stays informative at zero failures."""
+    z = 1.959963984540054
     if trials <= 0 or not 0 <= failures <= trials:
         raise ValueError("need trials > 0 and 0 <= failures <= trials, "
                          f"got failures={failures}, trials={trials}")
@@ -164,7 +167,7 @@ def _tail(code: GldpcCode, result: DecodeResult, e: ch.PauliErrorPattern, s_x, s
 
 def chunk_size(code: GldpcCode, sog_params: SograndParams) -> int:
     """Trials per lock-step chunk: CHUNK_CELLS over one trial's kernel cells."""
-    cells = max(g.m * sog_params.resolve_budget(g.component.n_c, g.component.m_c)
+    cells = sum(g.m * sog_params.resolve_budget(g.component.n_c, g.component.m_c)
                 for g in (code.x_graph, code.z_graph))
     return max(1, CHUNK_CELLS // cells)
 
@@ -224,9 +227,8 @@ def run_point(code: GldpcCode, cfg: ExperimentConfig, p: float) -> CurvePoint:
                       osd_rate=osd_count / trials_run, seed=cfg.master_seed)
 
 
-def run_sweep(cfg: ExperimentConfig, code: GldpcCode | None = None) -> list[CurvePoint]:
-    if code is None:
-        code = resolve_code(cfg.code)
+def run_sweep(cfg: ExperimentConfig) -> list[CurvePoint]:
+    code = resolve_code(cfg.code)
     points: list[CurvePoint] = []
     if cfg.out_path:  # an unwritable path fails before any point runs
         write_csv(points, cfg.out_path)
@@ -316,23 +318,15 @@ def pseudothreshold(curve: list[CurvePoint], k: int) -> float | None:
     return None
 
 
-@dataclass
-class ConvergenceRow:
-    n_iter: int
-    point: CurvePoint
-
-
-def convergence_study(cfg: ExperimentConfig, iters_grid: list[int],
-                      code: GldpcCode | None = None) -> list[ConvergenceRow]:
-    """BLER versus iteration budget at the one p of cfg.p_grid, under common randomness."""
+def convergence_study(cfg: ExperimentConfig, iters_grid: list[int]) -> list[CurvePoint]:
+    """BLER versus iteration budget at the one p of cfg.p_grid, under common
+    randomness: one point per budget, in ``iters_grid`` order."""
     if len(cfg.p_grid) != 1:
         raise ValueError(f"a convergence study runs at one p, got {cfg.p_grid}")
     if not iters_grid:
         raise ValueError("the iteration grid is empty")
-    # every budget runs all trials, so that the rows stay paired; each
+    # every budget runs all trials, so that the points stay paired; each
     # budget's config is checked before the first point runs
     configs = [replace(cfg, n_iter=n_iter, max_failures=None) for n_iter in iters_grid]
-    if code is None:
-        code = resolve_code(cfg.code)
-    return [ConvergenceRow(n_iter=c.n_iter, point=run_point(code, c, cfg.p_grid[0]))
-            for c in configs]
+    code = resolve_code(cfg.code)
+    return [run_point(code, c, cfg.p_grid[0]) for c in configs]

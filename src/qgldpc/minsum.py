@@ -76,6 +76,6 @@ def minsum_side(check: gf2.Syndrome, s, alpha: float) -> Side:
 
 
 def minsum_decode(H, L_ch, s, cfg: BpConfig = BpConfig()) -> SideResult:
-    """One trial of min-sum on a bit matrix or ``gf2.Syndrome`` H; only tests and bench/ use it."""
-    check = H if isinstance(H, gf2.Syndrome) else gf2.Syndrome(H)
-    return flood(minsum_side(check, np.asarray(s)[None], cfg.alpha), L_ch, cfg.n_iter).row(0)
+    """One trial of min-sum on a bit matrix H; only tests and bench/ use it."""
+    return flood(minsum_side(gf2.Syndrome(H), np.asarray(s)[None], cfg.alpha),
+                 L_ch, cfg.n_iter).row(0)

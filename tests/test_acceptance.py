@@ -226,8 +226,7 @@ def test_criterion_8_convergence_monotone_and_deterministic(tmp_path):
     for decoder, trials in (("bp", 3000), ("sogrand", 2000)):
         cfg = ExperimentConfig(code="builtin:toy-gldpc", decoder=decoder,
                                p_grid=(0.06,), trials=trials, master_seed=8)
-        rows = convergence_study(cfg, grid)
-        fails = [r.point.failures for r in rows]
+        fails = [pt.failures for pt in convergence_study(cfg, grid)]
         assert all(a >= b for a, b in zip(fails, fails[1:])), (decoder, fails)
 
     paths = [str(tmp_path / f"run{i}.csv") for i in (1, 2)]

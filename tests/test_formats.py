@@ -72,6 +72,9 @@ BOUNDARY = {
                                             CodeFormatError, VN_INDEX.format(0, "True")),
     "TannerGraph of VNs past int64": (lambda: TannerGraph(2, [[0, 2**70], [0, 1]], SPC),
                                       CodeFormatError, VN_INDEX.format(0, 2**70)),
+    "TannerGraph of n and VNs past int64": (lambda: TannerGraph(10**20, [[0, 2**65]], SPC),
+                                            CodeFormatError,
+                                            f"degree exactly 2; 2 edges for {10**20} of them"),
     "TannerGraph of string VNs": (lambda: TannerGraph(2, [[0, 1], [0, "1"]], SPC),
                                   CodeFormatError, VN_INDEX.format(1, "'1'")),
     "TannerGraph of float n": (lambda: TannerGraph(2.0, [[0, 1], [0, 1]], SPC),

@@ -1,7 +1,9 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,11 +14,12 @@ from qgldpc.cli import _config_from_args, build_parser, main
 from qgldpc.codes import ComponentCode, GldpcCode, TannerGraph, builtin_code, write_code
 from qgldpc.gf2 import row_reduce
 from qgldpc.gldpc import DecodeResult, SideResult
-from qgldpc.harness import (CSV_HEADER, DECODERS, CurvePoint, ExperimentConfig,
-                            _tail, convergence_study, pseudothreshold,
+from qgldpc.harness import (CHUNK_CELLS, CSV_HEADER, DECODERS, CurvePoint, ExperimentConfig,
+                            _tail, chunk_size, convergence_study, pseudothreshold,
                             read_csv, resolve_code, run_point, run_sweep,
                             run_trial, run_trials, uncoded_bler, wilson_interval,
                             write_csv)
+from qgldpc.sogrand import SograndParams
 
 
 def make_point(p, bler, trials=10000):
@@ -217,6 +220,32 @@ class TestTrialsAndPoints:
         write_code(code, path)
         assert resolve_code(str(path)).n == 7
 
+    def test_sweeps_a_code_file_given_as_a_path(self, tmp_path):
+        path = tmp_path / "steane.json"
+        write_code(builtin_code("steane"), path)
+        cfg = ExperimentConfig(code=path, p_grid=(0.05,), trials=30, master_seed=4,
+                               out_path=str(tmp_path / "sweep.csv"))
+        assert resolve_code(path).n == 7
+        assert run_sweep(cfg) == run_sweep(replace(cfg, code="builtin:steane"))
+
+
+class TestChunkSize:
+    def test_builtin_chunks(self):
+        sizes = {name: chunk_size(builtin_code(name), SograndParams())
+                 for name in ["steane", "toy-gldpc"] + [f"toric-{L}" for L in range(2, 17)]}
+        assert sizes == {"steane": 256, "toy-gldpc": 128, "toric-2": 1024, "toric-3": 455,
+                         "toric-4": 256, "toric-5": 163, "toric-6": 113, "toric-7": 83,
+                         "toric-8": 64, "toric-9": 50, "toric-10": 40, "toric-11": 33,
+                         "toric-12": 28, "toric-13": 24, "toric-14": 20, "toric-15": 18,
+                         "toric-16": 16}
+
+    def test_counts_both_graphs(self):
+        # a correlated decode runs both graphs' checks in one kernel call:
+        # 2 Hamming-7 checks of 128 queries and 2 Hamming-15 checks of 256
+        steane, toy = builtin_code("steane"), builtin_code("toy-gldpc")
+        mixed = SimpleNamespace(x_graph=steane.x_graph, z_graph=toy.z_graph)
+        assert chunk_size(mixed, SograndParams()) == CHUNK_CELLS // (2 * 128 + 2 * 256)
+
 
 class TestCsvAndDeterminism:
     def test_round_trip(self, tmp_path):
@@ -415,11 +444,10 @@ class TestConvergenceStudy:
     def test_common_randomness_and_monotone_failures(self):
         cfg = ExperimentConfig(code="builtin:toy-gldpc", decoder="sogrand",
                                p_grid=(0.06,), trials=400, master_seed=5)
-        rows = convergence_study(cfg, [1, 3, 10])
-        fails = [r.point.failures for r in rows]
+        fails = [pt.failures for pt in convergence_study(cfg, [1, 3, 10])]
         assert fails[0] >= fails[1] >= fails[2]
         again = convergence_study(cfg, [1, 3, 10])
-        assert [r.point.failures for r in again] == fails
+        assert [pt.failures for pt in again] == fails
 
 
 class TestCli:
