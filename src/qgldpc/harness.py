@@ -5,8 +5,8 @@ All randomness is keyed by (master seed, error rate, trial index), so
 curves are bit-reproducible and trials are paired across decoder variants
 and iteration budgets (common random numbers).  Trials run in chunks: one
 syndrome product, one decoder call and one success check per chunk, on
-(T, n) arrays; only sampling and OSD go trial by trial.  The order and
-grouping of trials never change a result.
+(T, n) arrays; only OSD goes trial by trial.  The order and grouping of
+trials never change a result.
 """
 
 from __future__ import annotations
@@ -148,21 +148,35 @@ def wilson_interval(failures: int, trials: int):
 
 
 def _tail(code: GldpcCode, result: DecodeResult, e: ch.PauliErrorPattern, s_x, s_z,
-          osd_cfg: OsdConfig | None, q: float) -> np.ndarray:
-    """OSD on each side's trials that did not converge, when ``osd_cfg`` is
-    given (their estimates are replaced in place); then the (T,) mask of the
-    trials whose estimate, on either side, misses its syndrome or differs
-    from the error by more than a stabilizer."""
-    failed = np.zeros(len(s_x), dtype=bool)
-    for side, graph, stabilizers, err, s in (
-            (result.z_side, code.x_graph, code.hz_space, e.e_z, s_z),
-            (result.x_side, code.z_graph, code.hx_space, e.e_x, s_x)):
-        if osd_cfg is not None:
-            for t in np.flatnonzero(~side.converged):
-                side.e_hat[t] = osd_postprocess(graph.flat, s[t], side.app[t], osd_cfg, q)
-        failed |= (graph.syndrome(side.e_hat) != s).any(axis=1)
-        failed |= ~stabilizers.contains(err ^ side.e_hat)
-    return failed
+          osd_cfg: OsdConfig | None, q: float) -> Iterator[bool]:
+    """Each trial's failure, in index order: its estimate, on either side,
+    misses its syndrome or differs from the error by more than a stabilizer.
+    The trials that need no OSD are checked at once.  With ``osd_cfg``, a
+    trial's sides that did not converge are OSD'd (their estimates replaced in
+    place), and the trial checked, when its failure is taken: a caller that
+    stops early OSDs no trial past its stop."""
+    sides = ((result.z_side, code.x_graph, code.hz_space, e.e_z, s_z),
+             (result.x_side, code.z_graph, code.hx_space, e.e_x, s_x))
+
+    def failed(rows):
+        out = False
+        for side, graph, stabilizers, err, s in sides:
+            e_hat = side.e_hat[rows]
+            out = out | (graph.syndrome(e_hat) != s[rows]).any(axis=1)
+            out = out | ~stabilizers.contains(err[rows] ^ e_hat)
+        return out
+
+    needs_osd = ~result.converged if osd_cfg is not None else np.zeros(len(s_x), dtype=bool)
+    fails = np.zeros(len(s_x), dtype=bool)
+    if not needs_osd.all():
+        fails[~needs_osd] = failed(~needs_osd)
+    for t, (osd, fail) in enumerate(zip(needs_osd.tolist(), fails.tolist())):
+        if osd:
+            for side, graph, _, _, s in sides:
+                if not side.converged[t]:
+                    side.e_hat[t] = osd_postprocess(graph.flat, s[t], side.app[t], osd_cfg, q)
+            fail = bool(failed(slice(t, t + 1))[0])
+        yield fail
 
 
 def chunk_size(code: GldpcCode, sog_params: SograndParams) -> int:
@@ -174,12 +188,11 @@ def chunk_size(code: GldpcCode, sog_params: SograndParams) -> int:
 
 def run_trials(code: GldpcCode, cfg: ExperimentConfig, p: float,
                start: int, stop: int) -> Iterator[TrialRecord]:
-    """Records of trials start, ..., stop - 1, in index order.  Per chunk: sample
-    each trial from its own key, take the syndromes, decode in lock-step, then
-    OSD and the degeneracy-aware success check (``_tail``).  A record never
-    depends on its trial's chunk.  A chunk is finished before its first record
-    is yielded: a caller that stops inside a chunk (``max_failures``) discards
-    the decodes of its later trials, and no record it took changes."""
+    """Records of trials start, ..., stop - 1, in index order.  Per chunk:
+    sample its trials from their own keys, take the syndromes and decode in
+    lock-step; then, record by record, OSD and the degeneracy-aware success
+    check (``_tail``).  A record never depends on its trial's chunk, and a
+    caller that stops inside a chunk (``max_failures``) runs no OSD past it."""
     params = ch.DepolarizingParams(p)
     priors = ch.make_priors(params, code.n)
     decoder = DECODERS[cfg.decoder]
@@ -187,15 +200,12 @@ def run_trials(code: GldpcCode, cfg: ExperimentConfig, p: float,
     size = chunk_size(code, cfg.sog_params)
     for lo in range(start, stop, size):
         trials = range(lo, min(lo + size, stop))
-        errors = [ch.sample_error(params, code.n, ch.trial_rng(cfg.master_seed, p, t))
-                  for t in trials]
-        e = ch.PauliErrorPattern(e_x=np.array([x.e_x for x in errors]),
-                                 e_z=np.array([x.e_z for x in errors]))
+        e = ch.sample_errors(params, code.n, cfg.master_seed, trials)
         s_x, s_z = ch.syndromes(code, e)
         result = decoder.decode(code, priors, s_x, s_z, cfg.resolved_n_iter(),
                                 lambda graph, s: decoder.side(graph, s, cfg))
         converged, iterations = result.converged.tolist(), result.iterations_used.tolist()
-        failed = _tail(code, result, e, s_x, s_z, osd_cfg, params.p_eff).tolist()
+        failed = _tail(code, result, e, s_x, s_z, osd_cfg, params.p_eff)
         for t, conv, it, fail in zip(trials, converged, iterations, failed):
             yield TrialRecord(trial_index=t, seed=cfg.master_seed, converged=conv,
                               osd_invoked=decoder.osd and not conv,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgldpc import channel, gf2
@@ -54,6 +54,44 @@ class TestSampleError:
             DepolarizingParams(1.0)
         with pytest.raises(ValueError):
             DepolarizingParams(-0.1)
+
+
+# seeds of one to seven entropy words, and trial ranges that start anywhere,
+# cross 2**32 (one word to two) or are empty
+SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**128 + 3, 2**200 - 1]),
+                  st.integers(0, 2**224))
+TRIALS = st.builds(lambda start, T: range(start, start + T),
+                   st.one_of(st.integers(0, 2**40), st.integers(2**32 - 5, 2**32)),
+                   st.integers(0, 6))
+P = st.floats(0.0, 0.75, exclude_min=True)
+
+
+class TestSampleErrors:
+    """The chunk sampler against numpy's per-trial path, which stays the oracle."""
+
+    @given(SEEDS, TRIALS, P, st.integers(1, 300))
+    @example(0, range(0), 0.05, 15)
+    @example(2**32 - 1, range(2**32 - 2, 2**32 + 2), 0.75, 297)
+    @example(2**32, range(3), 1e-9, 1)
+    @example(2**129 + 1, range(7), 0.2, 130)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_are_the_per_trial_samples(self, seed, trials, p, n):
+        params = DepolarizingParams(p)
+        e = channel.sample_errors(params, n, seed, trials)
+        assert e.e_x.shape == e.e_z.shape == (len(trials), n)
+        assert e.e_x.dtype == e.e_z.dtype == np.uint8
+        for row, t in enumerate(trials):
+            one = sample_error(params, n, trial_rng(seed, p, t))
+            assert e.e_x[row].tobytes() == one.e_x.tobytes()
+            assert e.e_z[row].tobytes() == one.e_z.tobytes()
+
+    @given(SEEDS, TRIALS, P)
+    @settings(max_examples=300, deadline=None)
+    def test_keys_are_seed_sequence_keys(self, seed, trials, p):
+        p_key = int(np.float64(p).view(np.uint64))
+        want = [tuple(np.random.SeedSequence(entropy=seed, spawn_key=(p_key, t))
+                      .generate_state(2, np.uint64).tolist()) for t in trials]
+        assert channel._philox_keys(seed, p, trials) == want
 
 
 class TestMakePriors:

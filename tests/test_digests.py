@@ -219,7 +219,7 @@ def chunk_digest(decoder, code=None):
                                       cfg.resolved_n_iter(),
                                       lambda g, s: DECODERS[decoder].side(g, s, cfg))
     osd_cfg = cfg.osd_config if DECODERS[decoder].osd else None
-    failed = _tail(code, result, e, s_x, s_z, osd_cfg, params.p_eff)
+    failed = list(_tail(code, result, e, s_x, s_z, osd_cfg, params.p_eff))
     digest = hashlib.sha256(np.ascontiguousarray(failed, dtype="u1").tobytes())
     for side in (result.z_side, result.x_side):
         digest.update(np.ascontiguousarray(side.e_hat, dtype="u1").tobytes())

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from qgldpc import gf2
 from qgldpc.channel import (DepolarizingParams, PauliErrorPattern, as_llr, make_priors,
-                            sample_error, syndromes, trial_rng)
+                            sample_error, sample_errors, syndromes, trial_rng)
 from qgldpc.codes import CodeFormatError, ComponentCode, TannerGraph, builtin_code
 from qgldpc.gldpc import decode_correlated_trials, flood, sogrand_side
+from qgldpc.harness import ExperimentConfig, run_trials
 from qgldpc.minsum import minsum_side
 from qgldpc.osd import osd_postprocess
 from qgldpc.sogrand import SograndParams
@@ -24,6 +25,7 @@ from qgldpc.sogrand import SograndParams
 H = builtin_code("steane").x_graph.component.H  # Hamming-7, (3, 7)
 SPC = ComponentCode(np.ones((1, 2), dtype=np.uint8))
 TORIC = builtin_code("toric")  # [[8, 2, 2]]
+TORIC_CFG = ExperimentConfig(code="builtin:toric", decoder="bp", trials=2)
 VN_INDEX = r"check {} VN index must be an integer in \[0, 2\), got {}$"
 
 
@@ -93,6 +95,11 @@ BOUNDARY = {
                                         "variable nodes must have degree exactly 2"),
     "flood of 0-d syndromes": (flood_of_0d_syndromes, ValueError,
                                r"syndromes of shape \(\) and LLRs of shape \(7,\) do not fit"),
+    # a negative seed or trial index has no uint32 words: numpy's error, not a hang
+    "run_trials from trial -1": (lambda: list(run_trials(TORIC, TORIC_CFG, 0.1, -1, 2)),
+                                 ValueError, "trial index: expected non-negative integer, got -1"),
+    "sample_errors of seed -1": (lambda: sample_errors(DepolarizingParams(0.1), 8, -1, range(2)),
+                                 ValueError, "master_seed: expected non-negative integer, got -1"),
 }
 
 
@@ -100,6 +107,14 @@ BOUNDARY = {
 def test_bad_input_is_named(call, error, names):
     with pytest.raises(error, match=names):
         call()
+
+
+@pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(7), np.uint32(0)])
+def test_numpy_integer_seed_samples_as_the_python_int(seed):
+    params = DepolarizingParams(0.3)
+    got = sample_errors(params, 9, seed, range(3))
+    want = sample_errors(params, 9, int(seed), range(3))
+    assert got.e_x.tobytes() == want.e_x.tobytes() and got.e_z.tobytes() == want.e_z.tobytes()
 
 
 def test_llrs_keep_infinities_unclamped():

@@ -57,7 +57,7 @@ class TestSuccessCheck:
         result = DecodeResult(z_side=side(e_hat_z), x_side=side(zero))
         e = channel.PauliErrorPattern(e_x=zero, e_z=e_z)
         s_x = np.zeros((T, code.h_z.shape[0]), dtype=np.uint8)
-        return _tail(code, result, e, s_x, s_z, None, 0.1)
+        return np.fromiter(_tail(code, result, e, s_x, s_z, None, 0.1), dtype=bool)
 
     def test_exact_recovery_succeeds(self):
         code = builtin_code("toy-gldpc")
@@ -106,7 +106,7 @@ class TestSuccessCheck:
         result = DecodeResult(z_side=sides[0], x_side=sides[1])
         e = channel.PauliErrorPattern(e_x=np.eye(code.n, dtype=np.uint8)[:1], e_z=zero)
         s_x, s_z = channel.syndromes(code, e)
-        assert _tail(code, result, e, s_x, s_z, None, 0.1).tolist() == [True]
+        assert list(_tail(code, result, e, s_x, s_z, None, 0.1)) == [True]
 
 
 class TestWilsonInterval:
@@ -170,6 +170,22 @@ class TestTrialsAndPoints:
         pt = run_point(code, cfg, 0.3)
         assert pt.failures == 5
         assert pt.trials < 5000
+
+    def test_early_stop_runs_no_osd_past_the_stopping_trial(self, monkeypatch):
+        # the stop falls at trial 9 of a 128-trial chunk, whose trials leave 54
+        # sides unconverged; only the first 9 trials' sides may be OSD'd
+        osd, calls = harness.osd_postprocess, []
+        monkeypatch.setattr(harness, "osd_postprocess",
+                            lambda *args: calls.append(args) or osd(*args))
+        code = builtin_code("toy-gldpc")
+        cfg = ExperimentConfig(code="builtin:toy-gldpc", decoder="bp-osd", p_grid=(0.2,),
+                               trials=128, master_seed=3, max_failures=7)
+        pt = run_point(code, cfg, 0.2)
+        stopped = len(calls)
+        calls.clear()
+        whole = run_point(code, replace(cfg, trials=pt.trials, max_failures=None), 0.2)
+        assert (pt.trials, pt.failures) == (whole.trials, whole.failures) == (9, 7)
+        assert stopped == len(calls) == 3
 
     def test_osd_rate_zero_without_osd(self):
         code = builtin_code("toy-gldpc")
