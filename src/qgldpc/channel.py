@@ -84,50 +84,22 @@ def trial_rng(master_seed: int, p: float, trial_index: int) -> np.random.Generat
     return np.random.Generator(np.random.Philox(ss))
 
 
-# SeedSequence's hash (numpy/random/bit_generator.pyx) on uint32 words held in
-# Python ints, as numpy scalars warn on the overflow it relies on
-_M, _MULT_A, _MIX_L, _MIX_R = 0xFFFFFFFF, 0x931E8875, 0xCA01F9DD, 0x4973F715
-_B = [0x8B51F9DD * 0x58F38DED**i & _M for i in range(5)]  # generate_state's constants
-
-
-def _words(name: str, value) -> list[int]:
-    """An integer's uint32 words, low first, as SeedSequence splits it."""
+def _words(name: str, value, pad: int = 1) -> list[int]:
+    """An integer's uint32 words, low first, as SeedSequence splits it, zero-padded to ``pad``."""
     if (value := int(value)) < 0:  # numpy's error: a negative has no uint32 words
         raise ValueError(f"{name}: expected non-negative integer, got {value}")
-    return [value >> i & _M for i in range(0, max(value.bit_length(), 1), 32)]
-
-
-def _mix(pool: list[int], h: int, word: int, into=range(4)) -> int:
-    """mix_entropy's step: hash ``word`` into pool[i] for i in ``into``."""
-    for i in into:
-        v = (word ^ h) * (h := h * _MULT_A & _M) & _M  # hashmix: the old h, then the new
-        r = _MIX_L * pool[i] - _MIX_R * (v ^ v >> 16) & _M
-        pool[i] = r ^ r >> 16
-    return h
+    words = [value >> i & 0xFFFFFFFF for i in range(0, max(value.bit_length(), 1), 32)]
+    return words + [0] * (pad - len(words))
 
 
 def _philox_keys(master_seed: int, p: float, trials) -> list[tuple[int, int]]:
-    """Each trial's Philox key, as ``trial_rng``'s SeedSequence derives it; the
-    words of the seed (padded to the pool's 4) and of p are mixed once."""
-    seed = _words("master_seed", master_seed)
-    seed += [0] * (4 - len(seed))
-    pool, h = [], 0x43B0D7E5
-    for w in seed[:4]:
-        v = (w ^ h) * (h := h * _MULT_A & _M) & _M
-        pool.append(v ^ v >> 16)
-    for src in range(4):
-        h = _mix(pool, h, pool[src], [dst for dst in range(4) if dst != src])
-    for w in seed[4:] + _words("p", np.float64(p).view(np.uint64)):
-        h = _mix(pool, h, w)
-    keys = []
-    for t in trials:
-        trial_pool, trial_h = pool.copy(), h
-        for w in _words("trial index", t):
-            trial_h = _mix(trial_pool, trial_h, w)
-        s = [(w ^ x) * m & _M for w, x, m in zip(trial_pool, _B, _B[1:])]
-        s = [w ^ w >> 16 for w in s]
-        keys.append((s[0] | s[1] << 32, s[2] | s[3] << 32))
-    return keys
+    """Each trial's Philox key as ``trial_rng`` derives it: SeedSequence hashes the seed's
+    words padded to its pool size, 4, then the spawn key's, so one entropy array does too."""
+    head = _words("master_seed", master_seed, pad=4) + _words("p", np.float64(p).view(np.uint64))
+    # uint32 words, joined below: generate_state(2, np.uint64) costs 1 us more per trial
+    states = (np.random.SeedSequence(np.array(head + _words("trial index", t), np.uint32))
+              .generate_state(4).tolist() for t in trials)
+    return [(s[0] | s[1] << 32, s[2] | s[3] << 32) for s in states]
 
 
 def _pauli(params: DepolarizingParams, u: np.ndarray) -> PauliErrorPattern:
@@ -148,15 +120,15 @@ def sample_errors(params: DepolarizingParams, n: int, master_seed: int,
                   trials: range) -> PauliErrorPattern:
     """(T, n) errors, row t bit for bit ``sample_error(params, n, trial_rng(
     master_seed, params.p, t))``: Philox is counter-based, so one Philox re-keyed
-    per trial draws its stream, as ``Generator.random`` does, (x >> 11) * 2**-53."""
+    per trial, under one Generator, draws each trial's stream."""
     philox = np.random.Philox(0)
-    state = philox.state  # counter 0 and an empty buffer, as a fresh Philox's
-    raw = np.empty((len(trials), n), dtype=np.uint64)
-    for row, key in zip(raw, _philox_keys(master_seed, params.p, trials)):
+    gen, state = np.random.Generator(philox), philox.state  # counter 0, empty buffer
+    u = np.empty((len(trials), n))
+    for row, key in zip(u, _philox_keys(master_seed, params.p, trials)):
         state["state"]["key"] = key
         philox.state = state
-        row[:] = philox.random_raw(n)
-    return _pauli(params, (raw >> 11) * 2.0**-53)
+        gen.random(out=row)
+    return _pauli(params, u)
 
 
 def make_priors(params: DepolarizingParams, n: int) -> ChannelPrior:

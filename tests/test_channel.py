@@ -74,6 +74,10 @@ class TestSampleErrors:
     @example(2**32 - 1, range(2**32 - 2, 2**32 + 2), 0.75, 297)
     @example(2**32, range(3), 1e-9, 1)
     @example(2**129 + 1, range(7), 0.2, 130)
+    # seeds of exactly the pool's 4 words and of 3 (padded), p of one word, p = 0
+    @example(2**128 - 1, range(3), 0.1, 16)
+    @example(2**96 - 1, range(2**32 - 1, 2**32 + 1), 5e-324, 7)
+    @example(5, range(4), 0.0, 33)
     @settings(max_examples=150, deadline=None)
     def test_rows_are_the_per_trial_samples(self, seed, trials, p, n):
         params = DepolarizingParams(p)
@@ -86,6 +90,8 @@ class TestSampleErrors:
             assert e.e_z[row].tobytes() == one.e_z.tobytes()
 
     @given(SEEDS, TRIALS, P)
+    @example(2**128 - 1, range(3), 0.1)
+    @example(2**96 - 1, range(2**32 - 1, 2**32 + 1), 5e-324)
     @settings(max_examples=300, deadline=None)
     def test_keys_are_seed_sequence_keys(self, seed, trials, p):
         p_key = int(np.float64(p).view(np.uint64))
