@@ -46,11 +46,14 @@ class ComponentCode:
             raise CodeFormatError(f"component entries must be 0 or 1: {exc}") from None
         self.H.setflags(write=False)
 
-    def __eq__(self, other):  # by value, as the hash: the shape and bits of H
-        return isinstance(other, ComponentCode) and np.array_equal(self.H, other.H)
+    def _key(self):  # by value: the shape and bits of H (cheaper than np.array_equal)
+        return self.H.shape, self.H.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, ComponentCode) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.H.shape, self.H.tobytes()))
+        return hash(self._key())
 
     @property
     def m_c(self) -> int:

@@ -1,19 +1,21 @@
 """Iterative GLDPC decoding: one flooding driver for every decoder.
 
 Messages live on edges, in check-major order, behind a trial axis: ``flood``
-decodes the T trials of one ``Side`` in lock-step, each leaving once its hard
-decision reproduces its syndrome.  Each iteration the side's check rule
-(SOGRAND on the component code from ``sogrand_side``, all checks and active
-trials in one block, or min-sum from ``minsum.minsum_side``) maps the messages
-to extrinsic ones, and a fusion combines them with the channel prior at the
-variables: binary, or Pauli beliefs on a correlated decode's paired side (both
-graphs; equal rules, as SOGRAND's value (component, params), take one call).
-Each step is row-wise: trial order and grouping change nothing.
+decodes the T trials of one ``Side`` in lock-step, each distinct syndrome once,
+and a trial leaves once its hard decision reproduces its syndrome.  Each
+iteration the side's check rule (SOGRAND on the component code from
+``sogrand_side``, all checks and active rows in one block, or min-sum from
+``minsum.minsum_side``) maps the messages to extrinsic ones, and a fusion
+combines them with the channel prior at the variables: binary, or Pauli beliefs
+on a correlated decode's paired side (both graphs; equal rules, as SOGRAND's
+value (component, params), take one call).  Each step is row-wise: trial order
+and grouping change nothing, and trials with equal syndromes, which start from
+the same ``L0``, have equal results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -90,6 +92,8 @@ def flood(side: Side, L0, n_iter: int, fuse=None) -> SideResult:
     ``fuse`` maps the (A, E) c2v messages of the A active trials to (A, n)
     APP LLRs, (A, E) v2c messages and (A, n) hard decisions; None fuses in
     binary (``_binary_fuse``).  A trial leaves once it meets its syndrome.
+    Trials with equal syndromes share one decode, which holds only while
+    ``side.rule`` and ``fuse`` act row by row.
     """
     check_count("n_iter", n_iter, 1)
     L0, S = as_llr("channel LLRs", L0), gf2.as_bits("syndromes", side.s)
@@ -98,6 +102,14 @@ def flood(side: Side, L0, n_iter: int, fuse=None) -> SideResult:
         raise ValueError(f"syndromes of shape {S.shape} and LLRs of shape "
                          f"{L0.shape} do not fit (T, {m}) and a {m}x{n} check matrix")
     T = len(S)
+    # each distinct syndrome decodes once; its twins get copies (``_tail`` writes
+    # OSD estimates into them).  m = 0 leaves no keys, and nothing to share.
+    keys = np.ascontiguousarray(np.packbits(S, axis=1))  # F-order S packs to F-order
+    _, first, twin = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
+                               return_index=True, return_inverse=True)
+    if 0 < len(first) < T:
+        r = flood(replace(side, s=S[first]), L0, n_iter, fuse)
+        return SideResult(r.e_hat[twin], r.app[twin], r.converged[twin], r.iterations_used[twin])
     fuse = fuse or _binary_fuse(L0, side.edge_var, T)
     active, s_active, v2c = np.arange(T), S, np.tile(L0[side.edge_var], (T, 1))
     out = SideResult(e_hat=np.empty((T, n), dtype=np.uint8), app=np.empty((T, n)),

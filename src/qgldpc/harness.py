@@ -4,9 +4,9 @@ BLER curves with Wilson intervals, pseudothreshold and convergence studies.
 All randomness is keyed by (master seed, error rate, trial index), so
 curves are bit-reproducible and trials are paired across decoder variants
 and iteration budgets (common random numbers).  Trials run in chunks: one
-syndrome product, one decoder call and one success check per chunk, on
-(T, n) arrays; only OSD goes trial by trial.  The order and grouping of
-trials never change a result.
+syndrome product, one decoder call (which decodes each distinct syndrome
+once) and one success check per chunk, on (T, n) arrays; only OSD goes trial
+by trial.  The order and grouping of trials never change a result.
 """
 
 from __future__ import annotations

@@ -321,6 +321,8 @@ def test_component_entries_outside_0_1_rejected(H):
     ([[1, 0, 1], [0, 1, 1]], np.array([[1, 0, 1], [0, 1, 1]], dtype=np.int64), True),
     ([[1, 1, 1, 1]], [[1, 1], [1, 1]], False),          # the same bytes in another shape
     ([[1, 0, 1], [0, 1, 1]], [[1, 0, 1], [1, 1, 0]], False),  # one shape, other bits
+    # a transposed view: H is not C-contiguous, its bytes are read in C order
+    ([[1, 0, 1], [0, 1, 1]], np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8).T, True),
 ])
 def test_component_codes_compare_and_hash_by_value(H, other, equal):
     a, b = ComponentCode(H), ComponentCode(other)

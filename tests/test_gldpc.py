@@ -12,6 +12,7 @@ from qgldpc.gldpc import (BELIEF_FLOOR, _PAIRS, DecodeResult, Side, SideResult, 
                           _argmax_pauli, _beliefs_from_llr, _marginal_llr, _paired, _pauli_fuse,
                           decode_correlated, decode_correlated_trials, decode_independent,
                           decode_independent_trials, flood, sogrand_side)
+from qgldpc.minsum import minsum_side
 from qgldpc.sogrand import SograndParams, decode_block
 
 SOG = SograndParams(list_max=8)
@@ -84,6 +85,13 @@ class TestDecodeSide:
         s = rng.integers(0, 2, size=g.flat.shape[0], dtype=np.uint8)
         out = decode_side(g, L, s, n_iter=3, sog_params=SOG)
         assert out.iterations_used <= 3
+
+    def test_side_without_checks_returns_every_trial(self):
+        # no checks leaves no syndrome bits to key trials by: each is decoded
+        side = minsum_side(gf2.Syndrome(np.zeros((0, 4))), np.zeros((3, 0), np.uint8), 1.0)
+        out = flood(side, np.ones(4), 5)
+        assert out.e_hat.shape == (3, 4) and out.converged.all()
+        assert (out.iterations_used == 1).all()
 
     def test_invalid_n_iter(self):
         code = builtin_code("steane")

@@ -1,10 +1,11 @@
 """Lock-step chunks of trials decode exactly as each trial alone.
 
 The harness decodes the trials of a chunk together, with one check-rule
-call per side and iteration for all trials still running, and checks the
-chunk's estimates in one pass.  Every step is row-wise, so no trial's
-result may depend on which trials share its chunk or on its place in it,
-and the batched tail must give the records of a per-trial one.
+call per side and iteration for all distinct syndromes still running (trials
+with equal syndromes share one decode), and checks the chunk's estimates in
+one pass.  Every step is row-wise, so no trial's result may depend on which
+trials share its chunk or on its place in it, and the batched tail must give
+the records of a per-trial one.
 """
 
 import numpy as np
@@ -102,10 +103,10 @@ def record_facts(records):
 
 
 @st.composite
-def chunks(draw):
-    """A decoder and the syndromes of T keyed trials on a small code."""
+def chunks(draw, decoder=None):
+    """A decoder (``decoder``, if given) and the syndromes of T keyed trials on a small code."""
     code = CODES[draw(st.sampled_from(sorted(CODES)))]
-    decoder = draw(st.sampled_from(list(DECODERS)))
+    decoder = decoder or draw(st.sampled_from(list(DECODERS)))
     T, n_iter = draw(st.integers(1, 40)), draw(st.integers(1, 20))
     p, seed = draw(st.floats(0.01, 0.3)), draw(st.integers(0, 2**32 - 1))
     params = channel.DepolarizingParams(p)
@@ -128,6 +129,25 @@ def test_chunk_decodes_as_each_trial_alone_in_any_order(case):
     chunk = decode(s_x, s_z)
     assert chunk == [decode(s_x[t:t + 1], s_z[t:t + 1])[0] for t in range(len(s_x))]
     assert decode(s_x[::-1], s_z[::-1])[::-1] == chunk
+
+
+@pytest.mark.parametrize("decoder", list(DECODERS))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_repeated_syndromes_decode_as_each_trial_alone(decoder, data):
+    code, _, priors, s_x, s_z, n_iter = data.draw(chunks(decoder))
+    cfg = ExperimentConfig(code=code.name, decoder=decoder)
+    alone = [result_facts(decode_chunk(cfg, code, priors, s_x[t:t + 1], s_z[t:t + 1],
+                                       n_iter).row(0)) for t in range(len(s_x))]
+    picks = data.draw(st.lists(st.integers(0, len(s_x) - 1), min_size=1, max_size=20))
+    order = data.draw(st.permutations(picks + picks))  # every pick at least twice
+    out = decode_chunk(cfg, code, priors, s_x[order], s_z[order], n_iter)
+    assert [result_facts(out.row(t)) for t in range(len(order))] == [alone[i] for i in order]
+    # a twin's rows are its own: harness._tail writes OSD estimates in place
+    t, u = [t for t, i in enumerate(order) if i == order[0]][:2]
+    for side in (out.z_side, out.x_side):
+        side.e_hat[t] ^= 1
+    assert result_facts(out.row(u)) == alone[order[u]]
 
 
 @given(st.sampled_from(sorted(CODES)), st.sampled_from(list(DECODERS)),

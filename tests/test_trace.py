@@ -72,9 +72,10 @@ def test_every_traced_name_resolves():
 
 @pytest.mark.parametrize("correlated", [False, True])
 def test_one_block_decode_per_side_and_iteration(monkeypatch, correlated):
-    # one chunk of 30 trials: each call holds the checks of every trial still
-    # running, so its row count shrinks as trials converge; the two sides of a
-    # correlated decode share their component, so they share one call
+    # one chunk of 30 trials: each call holds the checks of every distinct
+    # syndrome still running (trials with equal syndromes share one decode), so
+    # its row count shrinks as trials converge; the two sides of a correlated
+    # decode share their component, so they share one call
     code = builtin_code("toy-gldpc")
     params = channel.DepolarizingParams(0.1)
     priors = channel.make_priors(params, code.n)
@@ -93,19 +94,19 @@ def test_one_block_decode_per_side_and_iteration(monkeypatch, correlated):
     s_x, s_z = map(np.array, zip(*(channel.syndromes(code, e) for e in errors)))
     xg, zg = code.x_graph, code.z_graph
 
-    def running(iterations, it):
-        return sum(i >= it for i in iterations)
+    def running(s, iterations, it):
+        return len({row.tobytes() for row, i in zip(s, iterations) if i >= it})
 
     if correlated:
         out = gldpc.decode_correlated_trials(code, priors, s_x, s_z, 20, sogrand)
-        iters = out.iterations_used.tolist()
-        expected = [((xg.m + zg.m) * running(iters, it), xg.component.n_c)
+        s, iters = np.concatenate([s_z, s_x], axis=1), out.iterations_used.tolist()
+        expected = [((xg.m + zg.m) * running(s, iters, it), xg.component.n_c)
                     for it in range(1, max(iters) + 1)]
     else:
         out = gldpc.decode_independent_trials(code, priors, s_x, s_z, 20, sogrand)
-        expected = [(g.m * running(iters, it), g.component.n_c)
-                    for g, iters in ((xg, out.z_side.iterations_used.tolist()),
-                                     (zg, out.x_side.iterations_used.tolist()))
+        expected = [(g.m * running(s, iters, it), g.component.n_c)
+                    for g, s, iters in ((xg, s_z, out.z_side.iterations_used.tolist()),
+                                        (zg, s_x, out.x_side.iterations_used.tolist()))
                     for it in range(1, max(iters) + 1)]
     assert calls == expected
     assert calls[0][0] > calls[-1][0]  # trials left as they converged
