@@ -3,19 +3,20 @@
 Messages live on edges, in check-major order, behind a trial axis: ``flood``
 decodes the T trials of one ``Side`` in lock-step, each distinct syndrome once,
 and a trial leaves once its hard decision reproduces its syndrome.  Each
-iteration the side's check rule (SOGRAND on the component code from
-``sogrand_side``, all checks and active rows in one block, or min-sum from
-``minsum.minsum_side``) maps the messages to extrinsic ones, and a fusion
-combines them with the channel prior at the variables: binary, or Pauli beliefs
-on a correlated decode's paired side (both graphs; equal rules, as SOGRAND's
-value (component, params), take one call).  Each step is row-wise: trial order
-and grouping change nothing, and trials with equal syndromes, which start from
-the same ``L0``, have equal results.
+iteration the side's check rule (SOGRAND from ``sogrand_side``, all checks and
+active rows in one block, or min-sum from ``minsum.minsum_side``) maps the
+messages to extrinsic ones, and a fusion combines them with the channel prior at
+the variables: binary, or Pauli beliefs on a correlated decode's paired side.
+Equal rules, as SOGRAND's value (component, params), take one call per iteration
+for both graphs' checks, whether paired or the two sides of an independent
+decode.  Each step is row-wise: trial order and grouping change nothing, and
+trials with equal syndromes, which start from the same ``L0``, have equal results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import gf2
 from .channel import ChannelPrior, as_llr, check_count, clamp_llr
 from .codes import ComponentCode, GldpcCode, TannerGraph, vn_edges
 # nothing here calls sogrand_decode, but bench/spans.py wraps gldpc.sogrand_decode
-from .sogrand import SograndParams, decode_block, sogrand_decode
+from .sogrand import SograndParams, block_kernel, sogrand_decode
 
 BELIEF_FLOOR = 1e-12
 
@@ -81,7 +82,7 @@ class Side:
     check: gf2.Syndrome    # e -> H e
     s: np.ndarray          # (T, m) target syndromes, one row per trial
     # check rule: (A, E) v2c and (A, m) syndromes of active trials -> (A, E) c2v; it need
-    # not hash, only compare: ``_paired`` calls equal rules once on both graphs' checks
+    # not hash, only compare: equal rules take one call per iteration for both graphs
     rule: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -92,40 +93,61 @@ def flood(side: Side, L0, n_iter: int, fuse=None) -> SideResult:
     ``fuse`` maps the (A, E) c2v messages of the A active trials to (A, n)
     APP LLRs, (A, E) v2c messages and (A, n) hard decisions; None fuses in
     binary (``_binary_fuse``).  A trial leaves once it meets its syndrome.
-    Trials with equal syndromes share one decode, which holds only while
-    ``side.rule`` and ``fuse`` act row by row.
+    Trials with equal syndromes share one decode, and the loop, ``_lockstep``, may
+    stack other sides' rows in its rule calls: both need a row-wise rule and fusion.
     """
+    return _lockstep([(side, L0, fuse)], n_iter)[0]
+
+
+def _lockstep(problems, n_iter: int) -> list[SideResult]:
+    """The loop behind ``flood``, for (side, L0, fuse) problems whose sides share one rule
+    and message width: each iteration, one rule call takes every side's active rows, stacked."""
     check_count("n_iter", n_iter, 1)
-    L0, S = as_llr("channel LLRs", L0), gf2.as_bits("syndromes", side.s)
-    m, n = side.check.H.shape
-    if S.shape != S.shape[:1] + (m,) or L0.shape != (n,):  # a 0-d S fails here too
-        raise ValueError(f"syndromes of shape {S.shape} and LLRs of shape "
-                         f"{L0.shape} do not fit (T, {m}) and a {m}x{n} check matrix")
-    T = len(S)
-    # each distinct syndrome decodes once; its twins get copies (``_tail`` writes
-    # OSD estimates into them).  m = 0 leaves no keys, and nothing to share.
-    keys = np.ascontiguousarray(np.packbits(S, axis=1))  # F-order S packs to F-order
-    _, first, twin = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
-                               return_index=True, return_inverse=True)
-    if 0 < len(first) < T:
-        r = flood(replace(side, s=S[first]), L0, n_iter, fuse)
-        return SideResult(r.e_hat[twin], r.app[twin], r.converged[twin], r.iterations_used[twin])
-    fuse = fuse or _binary_fuse(L0, side.edge_var, T)
-    active, s_active, v2c = np.arange(T), S, np.tile(L0[side.edge_var], (T, 1))
-    out = SideResult(e_hat=np.empty((T, n), dtype=np.uint8), app=np.empty((T, n)),
-                     converged=np.zeros(T, dtype=bool), iterations_used=np.zeros(T, dtype=int))
+    live = runs = [_Run(*problem) for problem in problems]
     for it in range(1, n_iter + 1):
-        app, v2c, e_hat = fuse(side.rule(v2c, s_active))
-        ok = (side.check(e_hat) == s_active).all(axis=1)
-        if it < n_iter and not ok.any():
-            continue
-        done = ok | (it == n_iter)
-        rows = active[done]
-        out.e_hat[rows], out.app[rows] = e_hat[done], app[done]
-        out.converged[rows], out.iterations_used[rows] = ok[done], it
-        if done.all():
-            return out
-        active, s_active, v2c = active[~done], s_active[~done], v2c[~done]
+        if len(live) == 1:  # nothing to stack, and no list to build
+            live = live if live[0].step(live[0].rule(live[0].v2c, live[0].s), it, n_iter) else []
+        else:
+            c2v = live[0].rule(np.concatenate([r.v2c for r in live]),
+                               np.concatenate([r.s for r in live]))
+            c2v = [c2v[e - len(r.s):e] for r, e in zip(live, accumulate(len(r.s) for r in live))]
+            live = [r for r, c in zip(live, c2v) if r.step(c, it, n_iter)]
+        if not live:
+            return [SideResult(*(a[r.twin] for a in r.out)) for r in runs]
+
+
+class _Run:
+    """One side of ``_lockstep``: its rows still running, and the results of those that left."""
+
+    def __init__(self, side: Side, L0, fuse):
+        L0, S = as_llr("channel LLRs", L0), gf2.as_bits("syndromes", side.s)
+        m, n = side.check.H.shape
+        if S.shape != S.shape[:1] + (m,) or L0.shape != (n,):  # a 0-d S fails here too
+            raise ValueError(f"syndromes of shape {S.shape} and LLRs of shape "
+                             f"{L0.shape} do not fit (T, {m}) and a {m}x{n} check matrix")
+        # each distinct syndrome decodes once; its twins get copies (``_tail`` writes
+        # OSD estimates into them), and with no twins the results pass as they are.
+        # m = 0 leaves no keys, and nothing to share.
+        keys = np.ascontiguousarray(np.packbits(S, axis=1))  # F-order S packs to F-order
+        _, first, twin = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
+                                   return_index=True, return_inverse=True)
+        self.twin, S = (twin, S[first]) if 0 < len(first) < len(S) else (slice(None), S)
+        T, self.check, self.rule, self.s = len(S), side.check, side.rule, S
+        self.fuse = fuse or _binary_fuse(L0, side.edge_var, T)
+        self.rows, self.v2c = np.arange(T), np.tile(L0[side.edge_var], (T, 1))
+        self.out = np.empty((T, n), np.uint8), np.empty((T, n)), np.zeros(T, bool), np.zeros(T, int)
+
+    def step(self, c2v, it: int, n_iter: int) -> bool:
+        """Iteration ``it``: the rows that meet their syndromes (all at n_iter) leave."""
+        app, v2c, e_hat = self.fuse(c2v)
+        ok = (self.check(e_hat) == self.s).all(axis=1)
+        if it == n_iter or ok.any():
+            done = ok | (it == n_iter)
+            for field, value in zip(self.out, (e_hat[done], app[done], ok[done], it)):
+                field[self.rows[done]] = value
+            self.rows, self.s, v2c = self.rows[~done], self.s[~done], v2c[~done]
+        self.v2c = v2c
+        return self.rows.size > 0
 
 
 def _binary_fuse(L0: np.ndarray, edge_var: np.ndarray, T: int):
@@ -139,7 +161,7 @@ def _binary_fuse(L0: np.ndarray, edge_var: np.ndarray, T: int):
         v = var[:c2v.size]
         app = L0 + np.bincount(v, c2v.ravel(), len(c2v) * L0.size).reshape(-1, L0.size)
         v2c = clamp_llr(app.ravel()[v] - c2v.ravel()).reshape(c2v.shape)
-        return app, v2c, (app < 0).astype(np.uint8)  # L_APP >= 0 -> 0
+        return app, v2c, (app < 0).view(np.uint8)  # L_APP >= 0 -> 0; a view, not a copy
     return fuse
 
 
@@ -168,9 +190,9 @@ class SograndRule:
     component: ComponentCode
     params: SograndParams
 
-    def __call__(self, v2c, s_active):
+    def __call__(self, v2c, s_active):  # no input checks: ``flood`` has made decode_block's
         comp = self.component
-        return decode_block(comp, v2c.reshape(-1, comp.n_c), s_active.reshape(-1, comp.m_c),
+        return block_kernel(comp, v2c.reshape(-1, comp.n_c), s_active.reshape(-1, comp.m_c),
                             self.params).L_E.reshape(v2c.shape)
 
 
@@ -182,10 +204,13 @@ def sogrand_side(graph: TannerGraph, s, sog_params: SograndParams) -> Side:
 
 def decode_independent_trials(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
                               n_iter: int, side: Callable[..., Side]) -> DecodeResult:
-    """Decode e_z on the X graph and e_x on the Z graph apart, by the rules ``side(graph, s)``."""
-    z_side = flood(side(code.x_graph, s_z), priors.llr_z, n_iter)
-    x_side = flood(side(code.z_graph, s_x), priors.llr_x, n_iter)
-    return DecodeResult(z_side=z_side, x_side=x_side)
+    """Decode e_z on the X graph and e_x on the Z graph apart, by the rules ``side(graph, s)``:
+    in lock-step, one rule call per iteration, if the rules are equal and the widths match."""
+    z, x = side(code.x_graph, s_z), side(code.z_graph, s_x)
+    problems = [(z, priors.llr_z, None), (x, priors.llr_x, None)]
+    if z.rule == x.rule and (z.edge_var.size, len(z.check.H)) == (x.edge_var.size, len(x.check.H)):
+        return DecodeResult(*_lockstep(problems, n_iter))
+    return DecodeResult(*(_lockstep([problem], n_iter)[0] for problem in problems))
 
 
 def decode_independent(code: GldpcCode, priors: ChannelPrior, s_x, s_z,

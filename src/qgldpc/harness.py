@@ -1,12 +1,12 @@
 """Monte Carlo engine: sample, decode, degeneracy-aware success check,
 BLER curves with Wilson intervals, pseudothreshold and convergence studies.
 
-All randomness is keyed by (master seed, error rate, trial index), so
-curves are bit-reproducible and trials are paired across decoder variants
-and iteration budgets (common random numbers).  Trials run in chunks: one
-syndrome product, one decoder call (which decodes each distinct syndrome
-once) and one success check per chunk, on (T, n) arrays; only OSD goes trial
-by trial.  The order and grouping of trials never change a result.
+All randomness is keyed by (master seed, error rate, trial index), so curves are
+bit-reproducible and trials are paired across decoder variants and iteration
+budgets (common random numbers).  Trials run in chunks: one syndrome product, one
+decoder call (one decode per distinct syndrome, and one kernel call per iteration
+for graphs that share a component) and one success check per chunk, on (T, n)
+arrays; only OSD goes trial by trial.  Trial order and grouping change no result.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .osd import OsdConfig, osd_postprocess
 from .sogrand import SograndParams
 
 # Trials decode in lock-step chunks.  A SOGRAND kernel call holds a few (rows,
-# queries) arrays, rows = trials x checks of both graphs (a correlated decode
-# pairs them in one call): this bound keeps each under 1 MiB, and per-call
-# overhead is paid per chunk and iteration, not per trial.
+# queries) arrays, rows = trials x checks of both graphs (both decoders stack
+# them in one call when the graphs share a component): this bound keeps each
+# under 1 MiB, and per-call overhead is paid per chunk and iteration, not per trial.
 CHUNK_CELLS = 1 << 17
 
 

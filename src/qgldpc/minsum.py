@@ -61,7 +61,7 @@ def _minsum_rule(check: gf2.Syndrome):
         min1, min2 = smallest[:, :1], smallest[:, 1:2]
         min_excl = np.minimum(np.where(mag == min1, min2, min1), LLR_CLAMP)
         out = scale * row_sign * sgn * min_excl
-        return out.reshape(len(v2c), -1).take(edge_slots, axis=1)
+        return out.reshape(len(v2c), block.size).take(edge_slots, axis=1)
 
     return edge_var, rule
 

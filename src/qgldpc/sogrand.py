@@ -70,12 +70,17 @@ def estimate_missing_mass(P_g, m_c: int):
 def decode_block(component: ComponentCode, L_A, s_local,
                  params: SograndParams = SograndParams()) -> BlockOutput:
     """List-decode B local views, the rows of L_A (B, n_c), against s_local (B, m_c)."""
-    L_A = clamp_llr(as_llr("soft inputs", L_A))
-    s_local = as_bits("local syndromes", s_local)
+    L_A, s_local = as_llr("soft inputs", L_A), as_bits("local syndromes", s_local)
     n_c, m_c = component.n_c, component.m_c
     if L_A.ndim != 2 or L_A.shape[1] != n_c or s_local.shape != (L_A.shape[0], m_c):
         raise ValueError(f"soft inputs of shape {L_A.shape} and local syndromes of "
                          f"shape {s_local.shape} do not fit (B, {n_c}) and (B, {m_c})")
+    return block_kernel(component, L_A, s_local, params)
+
+
+def block_kernel(component: ComponentCode, L_A, s_local, params: SograndParams) -> BlockOutput:
+    """``decode_block`` past its checks: (B, n_c) LLRs without NaN, clamped here; (B, m_c) bits."""
+    L_A, n_c, m_c = clamp_llr(L_A), component.n_c, component.m_c
     hard = (L_A < 0).astype(np.uint8)
     ranked = RankedInput.from_llr(L_A)
     # All candidate deviations up to the budget, in schedule order, over ranks.

@@ -9,11 +9,11 @@ from qgldpc import channel, gf2, gldpc
 from qgldpc.channel import clamp_llr
 from qgldpc.codes import ComponentCode, builtin_code, vn_edges
 from qgldpc.gldpc import (BELIEF_FLOOR, _PAIRS, DecodeResult, Side, SideResult, SograndRule,
-                          _argmax_pauli, _beliefs_from_llr, _marginal_llr, _paired, _pauli_fuse,
-                          decode_correlated, decode_correlated_trials, decode_independent,
-                          decode_independent_trials, flood, sogrand_side)
+                          _argmax_pauli, _beliefs_from_llr, _lockstep, _marginal_llr, _paired,
+                          _pauli_fuse, decode_correlated, decode_correlated_trials,
+                          decode_independent, decode_independent_trials, flood, sogrand_side)
 from qgldpc.minsum import minsum_side
-from qgldpc.sogrand import SograndParams, decode_block
+from qgldpc.sogrand import SograndParams, block_kernel, decode_block
 
 SOG = SograndParams(list_max=8)
 
@@ -446,10 +446,11 @@ def result_bytes(results):
 
 
 @st.composite
-def sides_sharing_a_rule(draw):
+def sides_sharing_a_rule(draw, widths_match=False):
     """Two binary sides of a random component, m_1 and m_2 random checks on n
-    variables, with the syndromes of T random errors; their SOGRAND rules are
-    equal values, built apart.  Returns (sides, channel LLRs, n_iter)."""
+    variables (m_1 = m_2 if ``widths_match``), with the syndromes of T random
+    errors; their SOGRAND rules are equal values, built apart.  Returns (sides,
+    channel LLRs, n_iter)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_c = draw(st.integers(2, 8))
     H = rng.integers(0, 2, size=(draw(st.integers(1, n_c - 1)), n_c), dtype=np.uint8)
@@ -458,7 +459,8 @@ def sides_sharing_a_rule(draw):
                            query_budget=draw(st.one_of(st.none(), st.integers(1, 64))))
     p = draw(st.sampled_from([0.02, 0.1, 0.25]))
     sides, L0 = [], []
-    for m in (draw(st.integers(1, 5)), draw(st.integers(1, 5))):
+    m = draw(st.integers(1, 5))
+    for m in (m, m if widths_match else draw(st.integers(1, 5))):
         edge_var = np.concatenate([rng.choice(n, n_c, replace=False) for _ in range(m)])
         flat = np.zeros((m, H.shape[0], n), dtype=np.uint8)
         np.add.at(flat, (np.arange(m)[:, None, None], np.arange(H.shape[0])[:, None],
@@ -481,6 +483,29 @@ class TestSharedRule:
         assert result_bytes([flood(_paired(x, z, n), L0, n_iter)]) == \
             result_bytes([flood(_paired(alone(x), alone(z), n), L0, n_iter)])
 
+    @given(sides_sharing_a_rule(widths_match=True),
+           st.lists(st.integers(0, 11), min_size=1, max_size=16))
+    @settings(max_examples=80, deadline=None)
+    def test_lockstep_sides_decode_as_each_alone(self, case, picks):
+        # both sides take the same trials, picked with repeats, so each dedupes
+        (x, z), L0, n_iter = case
+        picks = [t % len(x.s) for t in picks]
+        x, z = replace(x, s=x.s[picks]), replace(z, s=z.s[picks])
+        calls = []
+
+        def kernel(comp, L_A, s_local, params):
+            out = block_kernel(comp, L_A, s_local, params)
+            assert out.L_E.tobytes() == decode_block(comp, L_A, s_local, params).L_E.tobytes()
+            calls.append(len(L_A))
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gldpc, "block_kernel", kernel)
+            together = _lockstep([(x, L0[0], None), (z, L0[1], None)], n_iter)
+        apart = [flood(alone(x), L0[0], n_iter), flood(alone(z), L0[1], n_iter)]
+        assert result_bytes(together) == result_bytes(apart)
+        assert len(calls) == max(r.iterations_used.max() for r in together)
+
     def test_correlated_sides_take_one_call_per_iteration(self, monkeypatch):
         # toy-gldpc: both sides check with one Hamming-15 component; the
         # trials of the chunk leave at different iterations
@@ -492,8 +517,8 @@ class TestSharedRule:
                                       e_z=np.array([x.e_z for x in errors]))
         s_x, s_z = channel.syndromes(code, e)
         rows = []
-        monkeypatch.setattr(gldpc, "decode_block", lambda comp, L, s, sog_params:
-                            rows.append(len(L)) or decode_block(comp, L, s, sog_params))
+        monkeypatch.setattr(gldpc, "block_kernel", lambda comp, L, s, sog_params:
+                            rows.append(len(L)) or block_kernel(comp, L, s, sog_params))
         results, calls = [], []
         for side in (sog(SOG), lambda g, s: alone(sogrand_side(g, s, SOG))):
             rows.clear()

@@ -160,6 +160,13 @@ class TestMinsumDecode:
         assert not out.converged
         assert out.iterations_used == 5
 
+    def test_no_trials_of_a_check_free_side(self):
+        # an empty edge block still reshapes, by its size: (0, 0) messages in and out
+        side = minsum_side(gf2.Syndrome(np.zeros((0, 4))), np.zeros((0, 0), np.uint8), 1.0)
+        assert side.rule(np.zeros((0, 0)), side.s).shape == (0, 0)
+        out = flood(side, np.ones(4), 5)
+        assert out.e_hat.shape == (0, 4) and out.iterations_used.shape == (0,)
+
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(31)
         L = rng.normal(0, 2, size=7)

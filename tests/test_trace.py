@@ -74,21 +74,21 @@ def test_every_traced_name_resolves():
 def test_one_block_decode_per_side_and_iteration(monkeypatch, correlated):
     # one chunk of 30 trials: each call holds the checks of every distinct
     # syndrome still running (trials with equal syndromes share one decode), so
-    # its row count shrinks as trials converge; the two sides of a correlated
-    # decode share their component, so they share one call
+    # its row count shrinks as trials converge; toy-gldpc's two graphs share their
+    # component, so both decoders call the kernel once per iteration for both
     code = builtin_code("toy-gldpc")
     params = channel.DepolarizingParams(0.1)
     priors = channel.make_priors(params, code.n)
-    calls, decode_block = [], gldpc.decode_block
+    calls, block_kernel = [], gldpc.block_kernel
 
     def sogrand(graph, s):
         return gldpc.sogrand_side(graph, s, SograndParams())
 
     def counting(component, L_A, s_local, sog_params):
         calls.append(L_A.shape)
-        return decode_block(component, L_A, s_local, sog_params)
+        return block_kernel(component, L_A, s_local, sog_params)
 
-    monkeypatch.setattr(gldpc, "decode_block", counting)
+    monkeypatch.setattr(gldpc, "block_kernel", counting)
     errors = [channel.sample_error(params, code.n, channel.trial_rng(7, 0.1, t))
               for t in range(30)]
     s_x, s_z = map(np.array, zip(*(channel.syndromes(code, e) for e in errors)))
@@ -103,11 +103,12 @@ def test_one_block_decode_per_side_and_iteration(monkeypatch, correlated):
         expected = [((xg.m + zg.m) * running(s, iters, it), xg.component.n_c)
                     for it in range(1, max(iters) + 1)]
     else:
+        # each call holds both graphs' checks of the distinct syndromes each still runs
         out = gldpc.decode_independent_trials(code, priors, s_x, s_z, 20, sogrand)
-        expected = [(g.m * running(s, iters, it), g.component.n_c)
-                    for g, s, iters in ((xg, s_z, out.z_side.iterations_used.tolist()),
-                                        (zg, s_x, out.x_side.iterations_used.tolist()))
-                    for it in range(1, max(iters) + 1)]
+        sides = ((xg, s_z, out.z_side.iterations_used.tolist()),
+                 (zg, s_x, out.x_side.iterations_used.tolist()))
+        expected = [(sum(g.m * running(s, iters, it) for g, s, iters in sides),
+                     xg.component.n_c) for it in range(1, out.iterations_used.max() + 1)]
     assert calls == expected
     assert calls[0][0] > calls[-1][0]  # trials left as they converged
 
