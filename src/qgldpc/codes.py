@@ -139,8 +139,8 @@ class GldpcCode:
         if np.any(self.x_graph.syndrome(h_z)):
             raise CodeFormatError(
                 f"CSS condition violated: H_X H_Z^T != 0 for code {self.name!r}")
-        # the stabilizer row spaces: a residual e ^ e_hat is harmless iff it lies
-        # in the row space of the other side's checks (Z residuals in H_Z's)
+        # stabilizer row spaces: a residual e ^ e_hat is harmless iff it lies in the other
+        # side's (Z in H_Z's), which the CSS check puts in ker H_X: never if e_hat misses s
         self.hx_space = gf2.RowSpace(h_x)
         self.hz_space = gf2.RowSpace(h_z)
         k = self.n - self.hx_space.rank - self.hz_space.rank

@@ -149,30 +149,21 @@ def wilson_interval(failures: int, trials: int):
 
 def _tail(code: GldpcCode, result: DecodeResult, e: ch.PauliErrorPattern, s_x, s_z,
           osd_cfg: OsdConfig | None, q: float) -> Iterator[bool]:
-    """Each trial's failure, in index order: its estimate, on either side,
-    misses its syndrome or differs from the error by more than a stabilizer.
-    The trials that need no OSD are checked at once.  With ``osd_cfg``, a
-    trial's sides that did not converge are OSD'd (their estimates replaced in
-    place), and the trial checked, when its failure is taken: a caller that
-    stops early OSDs no trial past its stop."""
-    sides = ((result.z_side, code.x_graph, code.hz_space, e.e_z, s_z),
-             (result.x_side, code.z_graph, code.hx_space, e.e_x, s_x))
+    """Each trial's failure, in index order: on either side, its residual
+    e ^ e_hat is no stabilizer (an estimate that misses its syndrome s = H e is
+    one such case; see ``GldpcCode``).  The whole chunk is judged at once.  With
+    ``osd_cfg``, a trial's sides that did not converge are OSD'd (their estimates
+    replaced in place) and the trial judged again when its failure is taken: a
+    caller that stops early OSDs no trial past its stop."""
+    sides = ((result.z_side, code.x_graph, s_z), (result.x_side, code.z_graph, s_x))
 
-    def failed(rows):
-        out = False
-        for side, graph, stabilizers, err, s in sides:
-            e_hat = side.e_hat[rows]
-            out = out | (graph.syndrome(e_hat) != s[rows]).any(axis=1)
-            out = out | ~stabilizers.contains(err[rows] ^ e_hat)
-        return out
+    def failed(rows=slice(None)):
+        return ~(code.hz_space.contains(e.e_z[rows] ^ result.z_side.e_hat[rows])
+                 & code.hx_space.contains(e.e_x[rows] ^ result.x_side.e_hat[rows]))
 
-    needs_osd = ~result.converged if osd_cfg is not None else np.zeros(len(s_x), dtype=bool)
-    fails = np.zeros(len(s_x), dtype=bool)
-    if not needs_osd.all():
-        fails[~needs_osd] = failed(~needs_osd)
-    for t, (osd, fail) in enumerate(zip(needs_osd.tolist(), fails.tolist())):
-        if osd:
-            for side, graph, _, _, s in sides:
+    for t, (conv, fail) in enumerate(zip(result.converged.tolist(), failed().tolist())):
+        if osd_cfg is not None and not conv:
+            for side, graph, s in sides:
                 if not side.converged[t]:
                     side.e_hat[t] = osd_postprocess(graph.flat, s[t], side.app[t], osd_cfg, q)
             fail = bool(failed(slice(t, t + 1))[0])

@@ -7,6 +7,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_lockstep import _ham_7_2
 
 import qgldpc
 from qgldpc import channel, harness
@@ -107,6 +110,39 @@ class TestSuccessCheck:
         e = channel.PauliErrorPattern(e_x=np.eye(code.n, dtype=np.uint8)[:1], e_z=zero)
         s_x, s_z = channel.syndromes(code, e)
         assert list(_tail(code, result, e, s_x, s_z, None, 0.1)) == [True]
+
+    @given(st.sampled_from(["steane", "toric-4", "toy-gldpc", "ham-7-2"]), st.integers(1, 8),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_membership_alone_is_the_two_clause_rule(self, name, T, seed):
+        # with s = H e, a side's estimate that misses its syndrome leaves a
+        # residual outside the stabilizers, so the syndrome clause adds nothing
+        code = _ham_7_2() if name == "ham-7-2" else builtin_code(name)
+        rng = np.random.default_rng(seed)
+        e = channel.PauliErrorPattern(*rng.integers(0, 2, size=(2, T, code.n), dtype=np.uint8))
+        s_x, s_z = channel.syndromes(code, e)
+        rows = np.arange(T)
+        expected = np.zeros(T, dtype=bool)
+        sides = []
+        for err, s, graph, h_stab in ((e.e_z, s_z, code.x_graph, code.h_z),
+                                      (e.e_x, s_x, code.z_graph, code.h_x)):
+            # each estimate is the error, the error ^ a random stabilizer, the
+            # error with one bit flipped, or random bits
+            stabilizer = rng.integers(0, 2, size=(T, len(h_stab))) @ h_stab % 2
+            flipped = err.copy()
+            flipped[rows, rng.integers(0, code.n, size=T)] ^= 1
+            kinds = np.stack([err, err ^ stabilizer, flipped, rng.integers(0, 2, size=(T, code.n))])
+            e_hat = kinds[rng.integers(0, 4, size=T), rows].astype(np.uint8)
+            sides.append(SideResult(e_hat=e_hat, app=np.zeros(e_hat.shape),
+                                    converged=rng.integers(0, 2, size=T).astype(bool),
+                                    iterations_used=np.ones(T, int)))
+            # the two-clause rule: the estimate misses its syndrome, or the rank
+            # test says the residual is not a stabilizer
+            rank = row_reduce(h_stab).rank
+            expected |= (graph.syndrome(e_hat) != s).any(axis=1)
+            expected |= [row_reduce(np.vstack([h_stab, r])).rank > rank for r in err ^ e_hat]
+        result = DecodeResult(z_side=sides[0], x_side=sides[1])
+        assert list(_tail(code, result, e, s_x, s_z, None, 0.1)) == expected.tolist()
 
 
 class TestWilsonInterval:
