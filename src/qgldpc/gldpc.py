@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import gf2
-from .channel import ChannelPrior, as_llr, check_count, clamp_llr
+from .channel import LLR_CLAMP, ChannelPrior, as_llr, check_count, clamp_llr
 from .codes import ComponentCode, GldpcCode, TannerGraph, vn_edges
 # nothing here calls sogrand_decode, but bench/spans.py wraps gldpc.sogrand_decode
 from .sogrand import SograndParams, block_kernel, sogrand_decode
@@ -160,8 +160,9 @@ def _binary_fuse(L0: np.ndarray, edge_var: np.ndarray, T: int):
     def fuse(c2v):
         v = var[:c2v.size]
         app = L0 + np.bincount(v, c2v.ravel(), len(c2v) * L0.size).reshape(-1, L0.size)
-        v2c = clamp_llr(app.ravel()[v] - c2v.ravel()).reshape(c2v.shape)
-        return app, v2c, (app < 0).view(np.uint8)  # L_APP >= 0 -> 0; a view, not a copy
+        v2c = app.ravel()[v] - c2v.ravel()  # clamped in place: no E-sized temporaries
+        np.minimum(np.maximum(v2c, -LLR_CLAMP, out=v2c), LLR_CLAMP, out=v2c)
+        return app, v2c.reshape(c2v.shape), (app < 0).view(np.uint8)  # L_APP >= 0 -> 0; a view
     return fuse
 
 

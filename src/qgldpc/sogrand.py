@@ -6,7 +6,8 @@ keep those whose implied error pattern satisfies the local syndrome, track the
 explored probability mass P_g, estimate the mass of consistent patterns never
 queried as P_Lc = (1 - P_g) * 2^-m_c, and convert the list (``listed``, query
 indices) into bitwise APP and extrinsic LLRs, in one ``BlockOutput``.  Masses
-are exponentiated and summed only up to the block's last used query.
+are exponentiated and summed only up to the block's last used query.  Lists are
+slot-major, (S, B): past the S first-True scans, each step is one call for all slots.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import as_llr, check_count, clamp_llr
+from .channel import LLR_CLAMP, as_llr, check_count, clamp_llr
 from .codes import ComponentCode
 from .gf2 import as_bits
 from .orbgrand import RankedInput, rank_flip_table
@@ -81,10 +82,9 @@ def decode_block(component: ComponentCode, L_A, s_local,
 def block_kernel(component: ComponentCode, L_A, s_local, params: SograndParams) -> BlockOutput:
     """``decode_block`` past its checks: (B, n_c) LLRs without NaN, clamped here; (B, m_c) bits."""
     L_A, n_c, m_c = clamp_llr(L_A), component.n_c, component.m_c
-    hard = (L_A < 0).astype(np.uint8)
-    ranked = RankedInput.from_llr(L_A)
+    hard, ranked = L_A < 0, RankedInput.from_llr(L_A)
     # All candidate deviations up to the budget, in schedule order, over ranks.
-    table, groups = _schedule(component, params.resolve_budget(n_c, m_c))
+    table, flips, table_T, groups = _schedule(component, params.resolve_budget(n_c, m_c))
     K, S, rows = table.shape[0], min(params.list_max, table.shape[0]), np.arange(len(L_A))
 
     # The list is the first list_max consistent queries; the search stops at
@@ -92,15 +92,17 @@ def block_kernel(component: ComponentCode, L_A, s_local, params: SograndParams) 
     # Slots take the consistent queries, then the others, each in query order:
     # one first-True scan (argmax) per slot, where query K + i stands for the
     # inconsistent query i (a list of c < S takes S - c, all among the first S).
-    found = _consistent(groups, s_local, hard, ranked.perm, table)
-    found = np.concatenate([found, ~found[:, :S]], axis=1)
-    listed = np.empty((len(L_A), S), dtype=np.intp)
-    for k in range(S):
-        listed[:, k] = found.argmax(axis=1)
-        found[rows, listed[:, k]] = False
-    n_listed = (listed < K).sum(axis=1)
+    found = np.empty((len(L_A), K + S), dtype=bool)
+    _consistent(groups, s_local, hard, ranked.perm, table_T, found[:, :K])
+    np.logical_not(found[:, :S], out=found[:, K:])
+    listed, row_start = np.empty((S, len(L_A)), dtype=np.intp), rows * (K + S)
+    for slot in listed:
+        found.argmax(axis=1, out=slot)
+        found.reshape(-1)[slot + row_start] = False  # flat indices: cheaper than [rows, slot]
+    is_listed = listed < K  # consistent slots first: slot k is listed iff k < n_listed
+    n_listed = is_listed.sum(axis=0)
     listed %= K
-    queries_used = np.where(n_listed == params.list_max, listed[:, -1] + 1, K)
+    queries_used = np.where(n_listed == params.list_max, listed[-1] + 1, K)
 
     # Log-masses: one gemv per row over all K (a gemm, or a shorter table, may round
     # differently); exp and the P_g cumsum only up to K', the block's last used query
@@ -110,43 +112,49 @@ def block_kernel(component: ComponentCode, L_A, s_local, params: SograndParams) 
     masses = masses[:, :queries_used.max(initial=0)]
     masses += log_1mq.sum(axis=1)[:, None]
     np.exp(masses, out=masses)
-    listed_masses = np.where(np.arange(S) < n_listed[:, None], masses[rows[:, None], listed], 0)
+    listed_masses = masses[rows, listed] * is_listed
     P_g = np.minimum(np.cumsum(masses, axis=1, out=masses)[rows, queries_used - 1], 1.0)
-    errors = table[listed] != hard[rows[:, None], ranked.perm][:, None, :]  # over ranks
-    L_APP, L_E = _soft(L_A, ranked.perm, errors, listed_masses, n_listed, P_g, m_c)
+    at = ranked.perm + n_c * rows[:, None]  # flat index into (B, n_c) of each row's ranks
+    errors = flips[listed] != hard.take(at)  # (S, B, n_c), over ranks
+    L_APP, L_E = _soft(L_A, at, errors, listed_masses, n_listed, P_g, m_c)
     return BlockOutput(L_APP=L_APP, L_E=L_E, queries_used=queries_used, n_listed=n_listed,
-                       listed=listed, masses=listed_masses, P_g=P_g)
+                       listed=listed.T, masses=listed_masses.T, P_g=P_g)
 
 
 @lru_cache(maxsize=32)
 def _schedule(component: ComponentCode, K: int):
-    """The first K queries as a read-only float table, and ``_consistent``'s groups."""
-    table = rank_flip_table(component.n_c, K).astype(float)
-    table.setflags(write=False)
+    """The first K queries as read-only tables over ranks, float (K, n_c) for the log-masses,
+    bool for the errors and float (n_c, K) for ``_consistent``, and its groups of checks."""
+    flips = rank_flip_table(component.n_c, K)  # read-only, as are its views
+    table, table_T = flips.astype(float), np.ascontiguousarray(flips.T, dtype=float)
     d, m_c, groups = component.n_c.bit_length() or 1, component.m_c, []
     for t in range(0, m_c, 52 // d):
         digit = 1 << d * np.arange(min(52 // d, m_c - t), dtype=np.int64)
         checks = slice(t, t + digit.size)
-        groups.append((checks, digit, component.H[checks].T @ digit, int(digit.sum())))
-    return table, groups
+        code = component.H[checks].T @ digit
+        groups.append((checks, digit, code, code.astype(float), int(digit.sum())))
+    for cached in (table, table_T):
+        cached.setflags(write=False)
+    return table, flips.view(bool), table_T, groups
 
 
-def _consistent(groups, s_local, hard, perm, table) -> np.ndarray:
-    """(B, K) mask of the deviations (rows of ``table``, over ranks) that
-    satisfy H dev = s ^ H hard.  Syndromes are integer codes: in a group of
-    checks, check t is digit t (d bits) of a column's code, so the low bit of
-    each digit of a sum of codes is a parity.  Groups keep the sums below 2^52,
-    where float products are exact; adding 2^52 puts a sum's integer value in
-    the low 52 bits of the float's bit pattern, where the parity mask reads it.
-    """
-    consistent = np.ones((hard.shape[0], table.shape[0]), dtype=bool)
-    for checks, digit, code, parity in groups:
+def _consistent(groups, s_local, hard, perm, table_T, out) -> None:
+    """Write to ``out`` the (B, K) mask of the deviations (columns of ``table_T``, over ranks)
+    that satisfy H dev = s ^ H hard: all of them with no checks (m_c = 0).  Syndromes are
+    integer codes: in a group of checks, check t is digit t (d bits) of a column's code, so
+    the low bit of each digit of a sum of codes is a parity.  Groups keep the sums below
+    2^52, where float products are exact; adding 2^52 puts a sum's integer value in the low
+    52 bits of the float's bit pattern, where the parity mask reads it."""
+    if not groups:
+        out.fill(True)
+    for g, (checks, digit, code, code_f, parity) in enumerate(groups):
         target = (s_local[:, checks] @ digit) ^ (hard @ code & parity)
-        sums = code[perm] @ table.T                                  # (B, K)
+        sums = code_f[perm] @ table_T                                  # (B, K)
         sums += 2.0 ** 52
-        bits = sums.view(np.int64)
-        consistent &= np.bitwise_and(bits, parity, out=bits) == target[:, None]
-    return consistent
+        bits = np.bitwise_and(sums.view(np.int64), parity, out=sums.view(np.int64))
+        ok = np.equal(bits, target[:, None], out=None if g else out)  # group 0 writes out
+        if g:
+            out &= ok
 
 
 def sogrand_decode(component: ComponentCode, L_A, s_local,
@@ -155,27 +163,28 @@ def sogrand_decode(component: ComponentCode, L_A, s_local,
     return decode_block(component, [L_A], [s_local], params).row(0)
 
 
-def _soft(L_A, perm, errors, masses, n_listed, P_g, m_c: int):
+def _soft(L_A, at, errors, masses, n_listed, P_g, m_c: int):
     """(L_APP, L_E) of each row from its candidate list, by one formula.
 
-    ``errors`` (B, S, n_c) are the listed error patterns over ranks, rank r at
-    position perm[b, r].  The unexplored mass P_Lc is apportioned to each bit's
-    flip probability by the prior q_i, so a saturated search (P_g = 1) reproduces
-    exact coset marginals.  Slots past a row's ``n_listed`` hold zero masses.  An
-    empty list keeps the prior exactly (L_E = 0).
+    The list is slot-major: ``masses`` (S, B) and ``errors`` (S, B, n_c), the
+    listed error patterns over ranks, rank r of row b at flat index at[b, r] of
+    (B, n_c).  The unexplored mass P_Lc is apportioned to each bit's flip
+    probability by the prior q_i, so a saturated search (P_g = 1) reproduces
+    exact coset marginals.  Slots past a row's ``n_listed`` hold zero masses.
+    An empty list keeps the prior exactly (L_E = 0).
     """
-    P_L = np.array([math.fsum(row) for row in masses.tolist()])[:, None]
+    P_L = np.fromiter(map(math.fsum, zip(*masses.tolist())), float, len(L_A))[:, None]
     P_Lc = estimate_missing_mass(P_g, m_c)[:, None]
     P_tot = P_L + P_Lc
-    q_prior = np.exp(-np.logaddexp(0.0, L_A))  # P(bit = 1 | L_A)
+    P_Lc_q = P_Lc * np.exp(-np.logaddexp(0.0, L_A))  # P_Lc * P(bit = 1 | L_A)
 
-    # slot by slot, in list order (np.sum may add pairwise): the scalar decoder's rounding
-    flip_mass = np.empty_like(L_A)  # summed over ranks, then put at the positions
-    flip_mass[np.arange(len(L_A))[:, None], perm] = sum(masses[:, k, None] * errors[:, k]
-                                                        for k in range(masses.shape[1]))
+    # a reduce over the outer slot axis adds in list order: the scalar decoder's rounding
+    flip_mass = np.empty(L_A.shape)  # C order, for the flat scatter; put at the positions
+    flip_mass.reshape(-1)[at] = np.add.reduce(masses[:, :, None] * errors, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):  # an empty list may have P_tot = 0
-        p1 = (flip_mass + P_Lc * q_prior) / P_tot
-        L_APP = clamp_llr(np.log(np.maximum(P_tot - flip_mass - P_Lc * q_prior, 0.0))
-                          - np.log(np.maximum(p1 * P_tot, 0.0)))
+        p1 = (flip_mass + P_Lc_q) / P_tot
+        L_APP = np.log(np.maximum(P_tot - flip_mass - P_Lc_q, 0.0))
+        L_APP -= np.log(np.maximum(p1 * P_tot, 0.0))
+        np.minimum(np.maximum(L_APP, -LLR_CLAMP, out=L_APP), LLR_CLAMP, out=L_APP)
     L_APP = np.where(n_listed[:, None] > 0, L_APP, L_A)
     return L_APP, L_APP - L_A

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from qgldpc import gf2
 from qgldpc.channel import clamp_llr
-from qgldpc.codes import ComponentCode
+from qgldpc.codes import ComponentCode, builtin_code
+from qgldpc.gldpc import flood, sogrand_side
 from qgldpc.orbgrand import RankedInput, rank_flip_table
 from qgldpc.sogrand import (BlockOutput, SograndParams, _soft, decode_block,
                             estimate_missing_mass, sogrand_decode)
@@ -41,15 +42,15 @@ def brute_force_posteriors(H, L_A, s):
 
 def soft_from_list(patterns, masses, P_g, m_c, L_A):
     """(L_APP, L_E, best pattern) of one row from a finalized candidate list,
-    held as the kernel holds it: a zero-mass slot follows the list.  Ranks are
-    positions here; the best pattern is the slot of largest mass."""
+    held as the kernel holds it, slot-major: a zero-mass slot follows the list.
+    Ranks are positions here; the best pattern is the slot of largest mass."""
     n = len(patterns)
-    slots = np.zeros((1, n + 1, len(L_A)), dtype=np.uint8)
-    slots[0, :n] = np.reshape(patterns, (n, len(L_A)))
-    masses = np.append(masses, 0.0)[None]
+    slots = np.zeros((n + 1, 1, len(L_A)), dtype=np.uint8)
+    slots[:n, 0] = np.reshape(patterns, (n, len(L_A)))
+    masses = np.append(masses, 0.0)[:, None]
     L_APP, L_E = _soft(np.asarray(L_A, dtype=float)[None], np.arange(len(L_A))[None], slots,
                        masses, np.array([n]), np.array([P_g]), m_c)
-    return L_APP[0], L_E[0], slots[0, masses.argmax()]
+    return L_APP[0], L_E[0], slots[masses.argmax(), 0]
 
 
 def saturated_params(n_c):
@@ -199,6 +200,19 @@ class TestSograndDecodeBasics:
         ref, out = decode_block(comp, L, s), decode_block(comp, L, s.astype(dtype))
         for f in fields(BlockOutput):
             assert np.array_equal(getattr(out, f.name), getattr(ref, f.name))
+
+    def test_memory_layout_decodes_alike(self):
+        # the kernel scatters and gathers through flat indices; a Fortran-ordered
+        # or strided (or reversed) block must decode as its C-ordered copy does
+        comp = ComponentCode(HAMMING)
+        L = np.random.default_rng(7).normal(0.5, 2, size=(16, 7))
+        s = np.random.default_rng(8).integers(0, 2, size=(16, 3), dtype=np.uint8)
+        ref = decode_block(comp, L, s)
+        wide = np.repeat(L, 2, axis=1)
+        for variant in (np.asfortranarray(L), wide[:, ::2], np.ascontiguousarray(L[::-1])[::-1]):
+            out = decode_block(comp, variant, np.asfortranarray(s))
+            for f in fields(BlockOutput):
+                assert np.array_equal(getattr(out, f.name), getattr(ref, f.name)), f.name
 
     @given(st.integers(0, 5), st.integers(1, 12), st.integers(1, 9),
            st.one_of(st.none(), st.integers(1, 300)), st.integers(0, 2**32 - 1))
@@ -391,6 +405,33 @@ class TestBlockAgainstLoop:
     def test_rejects_misshapen_block(self, L_shape, s_shape):
         with pytest.raises(ValueError):
             decode_block(ComponentCode(HAMMING), np.zeros(L_shape), np.zeros(s_shape))
+
+
+class TestEmptyBlock:
+    """A block of no rows: every step of the slot-major kernel meets zero-length axes
+    (no rows to zip for P_L, and the slot reduce over an (S, 0, n_c) array)."""
+
+    @pytest.mark.parametrize("H, params", [(HAMMING, SograndParams()),
+                                           (HAMMING, SograndParams(list_max=3, query_budget=2)),
+                                           (np.zeros((0, 5), dtype=np.uint8), SograndParams())])
+    def test_zero_rows_give_empty_fields(self, H, params):
+        comp = ComponentCode(H)
+        out = decode_block(comp, np.zeros((0, comp.n_c)), np.zeros((0, comp.m_c)), params)
+        S = min(params.list_max, params.resolve_budget(comp.n_c, comp.m_c))
+        for name in ("L_APP", "L_E"):
+            assert getattr(out, name).shape == (0, comp.n_c)
+        for name in ("queries_used", "n_listed", "P_g"):
+            assert getattr(out, name).shape == (0,)
+        for name in ("listed", "masses"):
+            assert getattr(out, name).shape == (0, S)
+
+    def test_flood_of_no_trials_is_empty(self):
+        code = builtin_code("toy-gldpc")
+        g = code.x_graph
+        out = flood(sogrand_side(g, np.zeros((0, len(g.flat))), SograndParams()),
+                    np.full(code.n, 2.0), 5)
+        assert out.e_hat.shape == out.app.shape == (0, code.n)
+        assert out.converged.shape == out.iterations_used.shape == (0,)
 
 
 class TestMassPrefix:
