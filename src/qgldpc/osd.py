@@ -1,15 +1,16 @@
 """Ordered-statistics post-processing for failed iterative decodes.
 
-Columns are visited in decreasing reliability |L_APP| so the pivot set is
-the most reliably known independent column set; the remaining (non-pivot)
-bits keep their hard decisions, the pivot bits are re-solved from the
-syndrome, and low-weight flips of the least reliable non-pivot bits are
-swept.  One elimination of ``[H | s]``, s visited last, gives the pivots and
-the reduced syndrome.  All candidates are built as one (C, n) matrix.  The
-pivot bits are linear in the free bits: the reduced columns that the free
-hard decisions select, then those each flip set selects, are XORed in.  Every
-candidate satisfies the syndrome; under one flip probability q per bit the
-lightest is the most likely (the heaviest if q > 1/2).
+Columns are visited in decreasing reliability |L_APP|, ties by index (one
+stable sort), so the pivot set is the most reliably known independent column
+set; the remaining (non-pivot) bits keep their hard decisions, the pivot bits
+are re-solved from the syndrome, and low-weight flips of the least reliable
+non-pivot bits are swept.  One elimination of ``[H | s]``, s visited last,
+gives the pivots and the reduced syndrome.  All candidates are built as one
+(C, n) matrix.  The pivot bits are linear in the free bits: the reduced
+columns that the free hard decisions select, then those each flip set
+selects, are XORed in.  Every candidate satisfies the syndrome; under one
+flip probability q per bit the lightest is the most likely, so it wins
+unless q > 1/2, when the heaviest is.
 """
 
 from __future__ import annotations
@@ -77,18 +78,16 @@ def osd_postprocess(H, s, soft_llr, cfg: OsdConfig = OsdConfig(),
 
     reliability = np.abs(soft_llr)
     hard = (soft_llr < 0).astype(np.uint8)
-    # visit most reliable columns first, ties by original index; the syndrome last
-    order = np.lexsort((np.arange(n), -reliability))
+    # visit most reliable columns first, ties by index (a stable sort); the syndrome last
+    order = np.argsort(-reliability, kind="stable")
     elim = gf2.row_reduce(np.column_stack([H, s]), column_order=np.append(order, n))
     if n in elim.pivots:  # s is a pivot iff it adds to the rank of H
         raise InconsistentSyndromeError("syndrome outside the column space of H")
     pivots, rank = elim.pivots, elim.rank
 
-    # per pivot row: pivot bit = reduced syndrome ^ R_free @ free bits
-    is_pivot = np.zeros(n, dtype=bool)
-    is_pivot[pivots] = True
-    free = order[~is_pivot[order]]
-    # free positions from least to most reliable
+    # per pivot row: pivot bit = reduced syndrome ^ R_free @ free bits; the free
+    # positions from least to most reliable, ties by index (a stable sort)
+    free = np.delete(np.arange(n), pivots)
     free = free[np.argsort(reliability[free], kind="stable")]
     R_free = elim.reduced[:rank, free]
 
@@ -106,6 +105,5 @@ def osd_postprocess(H, s, soft_llr, cfg: OsdConfig = OsdConfig(),
     # A candidate of weight k scores k log(q / (1 - q)): the lightest wins, or
     # the heaviest when q > 1/2; ties go to the smallest row as bytes
     weight = E.sum(axis=1)
-    heavier_wins = np.log(channel_q) > np.log1p(-channel_q)
-    tied = np.flatnonzero(weight == (weight.max() if heavier_wins else weight.min()))
+    tied = np.flatnonzero(weight == (weight.max() if channel_q > 0.5 else weight.min()))
     return E[min(tied, key=lambda c: E[c].tobytes())]

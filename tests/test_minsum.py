@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgldpc import gf2
-from qgldpc.channel import LLR_CLAMP, clamp_llr
-from qgldpc.codes import builtin_code
-from qgldpc.gldpc import SideResult, flood
+from qgldpc.channel import LLR_CLAMP, DepolarizingParams, clamp_llr, make_priors
+from qgldpc.codes import ComponentCode, GldpcCode, TannerGraph, builtin_code
+from qgldpc.gldpc import SideResult, decode_correlated_trials, decode_independent_trials, flood
 from qgldpc.minsum import BpConfig, _minsum_rule, minsum_decode, minsum_side
 
 
@@ -258,3 +258,32 @@ class TestAgainstDenseReference:
             out = operator_decode(op, np.full(code.n, 2.0), op(e))
             assert out.e_hat.shape == (code.n,)
         assert _minsum_rule.cache_info().misses == misses
+
+    def test_rule_is_one_object_per_operator_and_alpha(self):
+        op = builtin_code("toy-gldpc").x_graph.syndrome
+        s = np.zeros((3, op.H.shape[0]), np.uint8)
+        rule = minsum_side(op, s, 0.625).rule
+        assert minsum_side(op, s[:1], 0.625).rule is rule
+        assert minsum_side(op, s, 0.5).rule is not rule
+
+    @pytest.mark.parametrize("decode", [decode_independent_trials, decode_correlated_trials])
+    def test_one_operator_for_both_graphs(self, decode):
+        # one graph object as X and Z graph gives both sides one cached rule, which a
+        # correlated decode calls once on both graphs' edges side by side: the
+        # result must be that of two equal graphs, each with its own rule
+        spc = ComponentCode(np.ones((1, 4), dtype=np.uint8))
+        graph, twin = (TannerGraph(8, [[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 4, 5],
+                                       [2, 3, 6, 7]], spc) for _ in range(2))
+        rng = np.random.default_rng(3)
+        s_x, s_z = (graph.syndrome(rng.random((20, 8)) < 0.2) for _ in range(2))
+        priors = make_priors(DepolarizingParams(0.1), 8)
+
+        def side(g, s):
+            return minsum_side(g.syndrome, s, 0.625)
+        shared, apart = (decode(GldpcCode("cube", 8, 2, 2, graph, z), priors, s_x, s_z, 10, side)
+                         for z in (graph, twin))
+        assert shared.converged.any() and not shared.converged.all()
+        for name in ("x_side", "z_side"):
+            for field in ("e_hat", "app", "converged", "iterations_used"):
+                a, b = getattr(getattr(shared, name), field), getattr(getattr(apart, name), field)
+                assert a.tobytes() == b.tobytes(), (name, field)

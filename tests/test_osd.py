@@ -290,3 +290,38 @@ class TestReliabilityOrdering:
                                  OsdConfig(order_w=4, strategy="exhaustive_w"),
                                  channel_q=q)
             assert score_of(e2, q) >= score_of(e0, q) - 1e-12
+
+
+def two_log_pick(candidates, q):
+    """The pick rule of the package's earlier versions, by two logarithms: the
+    lightest candidate, or the heaviest when log q > log(1 - q); ties go to the
+    smallest row as bytes."""
+    weight = candidates.sum(axis=1)
+    heavier_wins = np.log(q) > np.log1p(-q)
+    tied = np.flatnonzero(weight == (weight.max() if heavier_wins else weight.min()))
+    return candidates[min(tied, key=lambda c: candidates[c].tobytes())]
+
+
+def ulps_from_half(k: int) -> float:
+    q = 0.5
+    for _ in range(abs(k)):
+        q = math.nextafter(q, 1.0 if k > 0 else 0.0)
+    return q
+
+
+class TestPickRule:
+    @given(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                     st.integers(-6, 6).map(ulps_from_half)),
+           st.sampled_from(["float", "0-d", "numpy scalar"]),
+           st.integers(0, 7), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_two_log_rule(self, q, form, syndrome, seed):
+        # a full-order exhaustive sweep of the Hamming code lists its whole coset,
+        # so the pick is the two-log rule's over the enumerated coset
+        s = np.array([(syndrome >> i) & 1 for i in range(3)], dtype=np.uint8)
+        coset = np.array([e for e in itertools.product((0, 1), repeat=7)
+                          if np.array_equal(gf2.Syndrome(HAMMING)(e), s)], dtype=np.uint8)
+        soft = np.random.default_rng(seed).normal(0.0, 2.0, 7)
+        channel_q = {"float": q, "0-d": np.array(q), "numpy scalar": np.float64(q)}[form]
+        e = osd_postprocess(HAMMING, s, soft, OsdConfig(7, "exhaustive_w"), channel_q=channel_q)
+        assert np.array_equal(e, two_log_pick(coset, q))
