@@ -4,8 +4,8 @@ Vectors and matrices are numpy arrays with entries in {0, 1}, inside the
 module as at its boundary, where ``as_bits``, the package's one bit check,
 rejects anything else by name.  Every product H v goes through one operator,
 ``Syndrome``, on rows as callers hold them: (n,) or (T, n).  It holds H
-once as a float64 matrix for BLAS, whose counts are integers below 2^53,
-exact in any summation order (SOGRAND's block kernel alone uses integer
+once as a float32 matrix for BLAS: with at most 2^24 columns, its counts are
+integers exact in any summation order (SOGRAND's block kernel alone uses integer
 syndrome codes of its own).  Elimination reduces packed-int columns against
 an XOR basis to the one reduced form of a visiting order, which row-space
 tests and OSD's solve of ``[H | s]`` read.
@@ -34,14 +34,17 @@ def _as_bitmatrix(H) -> np.ndarray:
 
 
 class Syndrome:
-    """The GF(2) map v -> H v, with H held once as a float64 matrix.
+    """The GF(2) map v -> H v, with H held once as a float32 matrix.
 
     ``v``: bits (unchecked, as decoders call this every iteration; callers use
     ``as_bits``), (n_cols,) or (T, n_cols); the result, (m,) or (T, m), uint8.
     """
 
     def __init__(self, H):
-        self.H = _as_bitmatrix(H).astype(np.float64)
+        H = _as_bitmatrix(H)
+        if H.shape[1] > 2**24:  # a count past 2^24 may round in float32
+            raise ValueError(f"a {H.shape[0]}x{H.shape[1]} matrix has more than 2^24 columns")
+        self.H = H.astype(np.float32)
         self.H.setflags(write=False)
 
     def __call__(self, v) -> np.ndarray:

@@ -7,10 +7,11 @@ iteration the side's check rule (SOGRAND from ``sogrand_side``, all checks and
 active rows in one block, or min-sum from ``minsum.minsum_side``) maps the
 messages to extrinsic ones, and a fusion combines them with the channel prior at
 the variables: binary, or Pauli beliefs on a correlated decode's paired side.
-Equal rules, as SOGRAND's value (component, params), take one call per iteration
-for both graphs' checks, whether paired or the two sides of an independent
-decode.  Each step is row-wise: trial order and grouping change nothing, and
-trials with equal syndromes, which start from the same ``L0``, have equal results.
+Equal rules (SOGRAND's value (component, params), min-sum's per check-degree
+layout) take one call per iteration for both graphs' checks, paired or the two
+sides of an independent decode.  Each step is row-wise: trial order and grouping
+change nothing, and trials with equal syndromes, which start from the same
+``L0``, have equal results.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Min-sum is a check rule, as SOGRAND is: ``minsum_side`` builds a
 ``gldpc.Side`` on the edges of H, and the GLDPC flooding driver,
 ``gldpc.flood``, runs it for all active trials of a chunk at once.  The
-rule, cached per operator and alpha, takes k copies of H side by side (a
-correlated decode's two graphs, when both are one operator).
+rule, slot-major and cached per check-degree sequence and alpha (one for both
+toric graphs), takes k copies of H side by side (graphs that share it).
 Syndrome-based: check t multiplies its outgoing message by (-1)^{s_t}, so
 decoding targets the error pattern rather than a codeword.  Same clamping
 and hard-decision conventions as the GLDPC decoder, for comparability.
@@ -34,20 +34,24 @@ class BpConfig:
 
 
 @lru_cache(maxsize=8)
-def _minsum_rule(check: gf2.Syndrome, alpha: float):
-    """(edge_var, rule), cached per operator and alpha: the edges of H in
-    check-major order, and min-sum on them, scaled as ``minsum_side`` says.
-
-    Row t of the padded block holds check t's edges by ascending column; pads
-    read +inf (sign +1, never the minimum), so the edge of a degree-1 check
-    gets the clamp of +inf, LLR_CLAMP, as the min over the empty set."""
+def _edges(check: gf2.Syndrome):
+    """(variable of each edge of H in check-major order, check degrees), per operator."""
     rows, edge_var = np.nonzero(check.H)
-    m, n_edges = check.H.shape[0], rows.size
-    degree = np.bincount(rows, minlength=m)
-    block = np.full((m, max(2, degree.max(initial=0))), n_edges)
-    first = np.cumsum(degree) - degree
-    block[rows, np.arange(n_edges) - first[rows]] = np.arange(n_edges)
-    edge_slots = np.flatnonzero(block < n_edges)  # in the flattened (m, d) block
+    return edge_var, tuple(np.bincount(rows, minlength=check.H.shape[0]).tolist())
+
+
+@lru_cache(maxsize=8)
+def _minsum_rule(degrees: tuple, alpha: float):
+    """Min-sum, scaled as ``minsum_side`` says, on any H with these check degrees.
+
+    Slot-major: edge j of check t sits at [j, t] of a (d, m) block, so every
+    reduction runs across checks.  Pads read +inf (sign +1, never below an edge),
+    so a degree-1 check's edge gets LLR_CLAMP, the clamped min over the empty set."""
+    degree = np.array(degrees, dtype=np.intp)
+    m, n_edges = degree.size, int(degree.sum())
+    slot = np.arange(max(1, degree.max(initial=0)))[:, None]
+    block = np.where(slot < degree, np.cumsum(degree) - degree + slot, n_edges)  # edge, or pad
+    edge_slots = block.ravel().argsort(kind="stable")[:n_edges]  # each edge's place in block
     scales = np.array([alpha, -alpha])
 
     def rule(v2c, s_active):  # (A, k*E), (A, k*m): k copies of H side by side -> (A, k*E)
@@ -55,26 +59,28 @@ def _minsum_rule(check: gf2.Syndrome, alpha: float):
         padded = np.empty((copies, n_edges + 1))
         padded[:, :n_edges] = v2c.reshape(copies, n_edges)
         padded[:, n_edges] = np.inf
-        msg = padded.take(block, axis=1).reshape(-1, block.shape[1])
-        sgn = np.where(msg < 0, -1.0, 1.0)
-        row_sign = sgn.prod(axis=1, keepdims=True)
-        # two smallest magnitudes per check, to exclude each edge's own; an
-        # edge tied with the minimum gets min2, which then equals min1
-        mag = np.abs(msg)
-        smallest = np.partition(mag, 1, axis=1)
-        min1, min2 = smallest[:, :1], smallest[:, 1:2]
-        min_excl = np.minimum(np.where(mag == min1, min2, min1), LLR_CLAMP)
-        out = scales[s_active].reshape(-1, 1) * row_sign * sgn * min_excl
+        msg = padded.take(block, axis=1)  # (copies, d, m)
+        neg = msg < 0
+        flip = np.logical_xor.reduce(neg, axis=1) ^ s_active.reshape(copies, m).view(bool)
+        mag = np.abs(msg, out=msg)
+        min1 = np.minimum.reduce(mag, axis=1, keepdims=True)
+        at_min = mag == min1
+        # an edge at the minimum gets min2, which is min1 if two or more slots hold it
+        min2 = np.minimum.reduce(np.where(at_min, np.inf, mag), axis=1, keepdims=True)
+        np.copyto(min2, min1, where=np.add.reduce(at_min, axis=1, keepdims=True) > 1)
+        min_excl = np.minimum(np.where(at_min, min2, min1), LLR_CLAMP)
+        neg ^= flip[:, None]  # each edge's sign: s_t, times the signs of the others
+        out = scales.take(neg) * min_excl  # one rounding: (+-alpha) * min_excl
         return out.reshape(copies, block.size).take(edge_slots, axis=1).reshape(v2c.shape)
 
-    return edge_var, rule
+    return rule
 
 
 def minsum_side(check: gf2.Syndrome, s, alpha: float) -> Side:
     """Min-sum on the edges of ``check.H`` for (T, m) syndromes ``s``: check t
     scaled by -alpha if s_t = 1, else alpha."""
-    edge_var, rule = _minsum_rule(check, alpha)
-    return Side(edge_var, check, s, rule)
+    edge_var, degrees = _edges(check)
+    return Side(edge_var, check, s, _minsum_rule(degrees, alpha))
 
 
 def minsum_decode(H, L_ch, s, cfg: BpConfig = BpConfig()) -> SideResult:

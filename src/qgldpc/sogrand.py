@@ -174,7 +174,7 @@ def _soft(L_A, at, errors, masses, n_listed, P_g, m_c: int):
     An empty list keeps the prior exactly (L_E = 0).
     """
     P_L = np.fromiter(map(math.fsum, zip(*masses.tolist())), float, len(L_A))[:, None]
-    P_Lc = estimate_missing_mass(P_g, m_c)[:, None]
+    P_Lc = ((1.0 - P_g) * 2.0 ** (-m_c))[:, None]  # estimate_missing_mass of P_g <= 1, unchecked
     P_tot = P_L + P_Lc
     P_Lc_q = P_Lc * np.exp(-np.logaddexp(0.0, L_A))  # P_Lc * P(bit = 1 | L_A)
 

@@ -25,7 +25,8 @@ matrices in column order, as ``RowSpace`` reduces them.  A failure names the
 case that changed.
 
 A change that alters decoder results on purpose re-records these digests
-(``python tests/test_digests.py`` prints the table) and says so.  The float
+(``python tests/test_digests.py``, run from a checkout, prints the table; as a
+script it imports ``qgldpc`` from the checkout's ``src/``) and says so.  The float
 bytes assume the numpy and BLAS builds of the recording, and so do some
 records: with OpenBLAS's Nehalem kernel (``OPENBLAS_CORETYPE=Nehalem``), 11
 of the 38 cases fail, three of them record cases (toy-gldpc at p 0.12 under
@@ -33,19 +34,24 @@ of the 38 cases fail, three of them record cases (toy-gldpc at p 0.12 under
 """
 
 import hashlib
+import sys
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qgldpc import channel
-from qgldpc.codes import ComponentCode, TannerGraph
-from qgldpc.gf2 import Syndrome, row_reduce
-from qgldpc.harness import (DECODERS, ExperimentConfig, _tail, chunk_size, resolve_code,
-                            run_trials)
-from qgldpc.orbgrand import rank_flip_table
-from qgldpc.sogrand import SograndParams, decode_block
-from sogrand_lists import listed_patterns
+if __name__ == "__main__":  # a script run needs no installed package and no PYTHONPATH
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from qgldpc import channel  # noqa: E402
+from qgldpc.codes import ComponentCode, TannerGraph  # noqa: E402
+from qgldpc.gf2 import Syndrome, row_reduce  # noqa: E402
+from qgldpc.harness import (  # noqa: E402
+    DECODERS, ExperimentConfig, _tail, chunk_size, resolve_code, run_trials)
+from qgldpc.orbgrand import rank_flip_table  # noqa: E402
+from qgldpc.sogrand import SograndParams, decode_block  # noqa: E402
+from sogrand_lists import listed_patterns  # noqa: E402
 
 SEED = 7
 CHUNK_P = 0.12

@@ -108,7 +108,33 @@ def syndrome_operands(draw):
     return H, v.astype(draw(st.sampled_from([np.uint8, np.bool_, np.float64])))
 
 
+@st.composite
+def wide_syndrome_operands(draw):
+    """H up to 70,000 columns wide, all-ones rows mixed in, and an (n,) or (T, n)
+    operand of 0/1 uint8, so that counts reach the tens of thousands."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 4)), draw(st.sampled_from([1, 7, 600, 4097, 70_000]))
+    H = (rng.random((m, n)) < draw(st.sampled_from([0.1, 0.5]))).astype(np.uint8)
+    H[rng.random(m) < 0.5] = 1
+    shape = draw(st.sampled_from([(n,), (draw(st.integers(1, 3)), n)]))
+    return H, (rng.random(shape) < draw(st.sampled_from([0.5, 1.0]))).astype(np.uint8)
+
+
 class TestSyndromeAgainstParityOracle:
+    @given(wide_syndrome_operands())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_int64_product(self, case):
+        # H is held in float32, whose counts are exact up to 2^24
+        H, v = case
+        want = (v.astype(np.int64) @ H.T.astype(np.int64)) % 2
+        assert np.array_equal(gf2.Syndrome(H)(v), want)
+
+    def test_more_than_2_24_columns_rejected(self):
+        # a float32 count past 2^24 could round; the empty matrix allocates nothing
+        with pytest.raises(ValueError, match=r"more than 2\^24 columns"):
+            gf2.Syndrome(np.zeros((0, 2**24 + 1)))
+        assert gf2.Syndrome(np.zeros((0, 2**24))).H.shape == (0, 2**24)
+
     @given(syndrome_operands())
     @settings(max_examples=150, deadline=None)
     def test_matches_plain_python_parities(self, case):

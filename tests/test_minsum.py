@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,32 @@ from qgldpc import gf2
 from qgldpc.channel import LLR_CLAMP, DepolarizingParams, clamp_llr, make_priors
 from qgldpc.codes import ComponentCode, GldpcCode, TannerGraph, builtin_code
 from qgldpc.gldpc import SideResult, decode_correlated_trials, decode_independent_trials, flood
-from qgldpc.minsum import BpConfig, _minsum_rule, minsum_decode, minsum_side
+from qgldpc.minsum import BpConfig, _edges, _minsum_rule, minsum_decode, minsum_side
+
+
+def dense_c2v(H, v2c, s, alpha: float) -> np.ndarray:
+    """Check messages of min-sum on dense (m, n) masks, zero off the edges of H:
+    the check update of the package's first version."""
+    mask = H == 1
+    m, n = H.shape
+    row_deg = mask.sum(axis=1)
+    check_sign = np.where(s == 1, -1.0, 1.0)[:, None]
+    # per-row sign product and two smallest magnitudes, excluding self
+    sgn = np.where(v2c < 0, -1.0, 1.0)
+    sgn = np.where(mask, sgn, 1.0)
+    row_sign = sgn.prod(axis=1, keepdims=True)
+    mag = np.where(mask, np.abs(v2c), np.inf)
+    min1_idx = np.argmin(mag, axis=1)
+    min1 = mag[np.arange(m), min1_idx]
+    mag_wo = mag.copy()
+    mag_wo[np.arange(m), min1_idx] = np.inf
+    min2 = mag_wo.min(axis=1)
+    min_excl = np.where(
+        np.arange(n)[None, :] == min1_idx[:, None], min2[:, None], min1[:, None])
+    # degree-1 checks: min over the empty set, pinned to the clamp value
+    min_excl = np.where(row_deg[:, None] <= 1, LLR_CLAMP, min_excl)
+    min_excl = np.minimum(min_excl, LLR_CLAMP)
+    return np.where(mask, alpha * check_sign * row_sign * sgn * min_excl, 0.0)
 
 
 def dense_minsum(H, L_ch, s, cfg: BpConfig) -> SideResult:
@@ -15,32 +42,13 @@ def dense_minsum(H, L_ch, s, cfg: BpConfig) -> SideResult:
     H = np.asarray(H, dtype=np.uint8) % 2
     L_ch = np.asarray(L_ch, dtype=float)
     s = np.asarray(s, dtype=np.uint8) % 2
-    m, n = H.shape
     mask = H == 1
-    row_deg = mask.sum(axis=1)
-    check_sign = np.where(s == 1, -1.0, 1.0)[:, None]
 
     v2c = np.where(mask, L_ch[None, :], 0.0)
     e_hat = (L_ch < 0).astype(np.uint8)
     app = L_ch.copy()
     for it in range(1, cfg.n_iter + 1):
-        # per-row sign product and two smallest magnitudes, excluding self
-        sgn = np.where(v2c < 0, -1.0, 1.0)
-        sgn = np.where(mask, sgn, 1.0)
-        row_sign = sgn.prod(axis=1, keepdims=True)
-        mag = np.where(mask, np.abs(v2c), np.inf)
-        min1_idx = np.argmin(mag, axis=1)
-        min1 = mag[np.arange(m), min1_idx]
-        mag_wo = mag.copy()
-        mag_wo[np.arange(m), min1_idx] = np.inf
-        min2 = mag_wo.min(axis=1)
-        min_excl = np.where(
-            np.arange(n)[None, :] == min1_idx[:, None], min2[:, None], min1[:, None])
-        # degree-1 checks: min over the empty set, pinned to the clamp value
-        min_excl = np.where(row_deg[:, None] <= 1, LLR_CLAMP, min_excl)
-        min_excl = np.minimum(min_excl, LLR_CLAMP)
-        c2v = np.where(mask, cfg.alpha * check_sign * row_sign * sgn * min_excl, 0.0)
-
+        c2v = dense_c2v(H, v2c, s, cfg.alpha)
         app = L_ch + c2v.sum(axis=0)
         e_hat = (app < 0).astype(np.uint8)
         v2c = np.where(mask, clamp_llr(app[None, :] - c2v), 0.0)
@@ -81,6 +89,20 @@ def tied_minsum_inputs(draw):
     L = rng.choice([-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5], size=H.shape[1])
     cfg = BpConfig(alpha=draw(st.sampled_from([0.5, 1.0])), n_iter=cfg.n_iter)
     return H, L, s, cfg
+
+
+@st.composite
+def rule_inputs(draw):
+    """One rule call: an irregular H from ``minsum_inputs`` (degree-0 and degree-1 checks
+    mixed in), alpha, and the messages and syndromes of A trials of k copies of H side
+    by side.  Messages are tie-heavy, with +-0, values past the clamp and +-inf."""
+    H, _, _, cfg = draw(minsum_inputs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A, k = draw(st.integers(0, 3)), draw(st.integers(1, 2))
+    grid = [-np.inf, -45.0, -1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 45.0, np.inf]
+    v2c = rng.choice(grid, size=(A, k * int(H.sum())))
+    s = rng.integers(0, 2, (A, k * len(H)), dtype=np.uint8)
+    return H, v2c, s, cfg.alpha
 
 
 HAMMING = np.array([[1, 0, 1, 0, 1, 0, 1],
@@ -247,17 +269,35 @@ class TestAgainstDenseReference:
         assert np.array_equal(got.e_hat, ref.e_hat)
         assert (got.converged, got.iterations_used) == (ref.converged, ref.iterations_used)
 
+    @given(rule_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_rule_matches_dense_check_update(self, inputs):
+        # every row and copy of one rule call is the dense check update of its
+        # own messages and syndrome, bit for bit (the sign of zero too)
+        H, v2c, s, alpha = inputs
+        rule = minsum_side(gf2.Syndrome(H), s[:, :0], alpha).rule
+        got = rule(v2c, s)
+        assert got.shape == v2c.shape
+        rows, cols = np.nonzero(H)
+        E, m = rows.size, len(H)
+        for a in range(len(v2c)):
+            for c in range(s.shape[1] // m):
+                dense = np.zeros(H.shape)
+                dense[rows, cols] = v2c[a, c * E:(c + 1) * E]
+                want = dense_c2v(H, dense, s[a, c * m:(c + 1) * m], alpha)[rows, cols]
+                assert got[a, c * E:(c + 1) * E].tobytes() == want.tobytes(), (a, c)
+
     def test_edge_block_built_once_per_operator(self):
         code = builtin_code("toy-gldpc")
         op = code.x_graph.syndrome
         rng = np.random.default_rng(8)
         operator_decode(op, np.full(code.n, 3.0), np.zeros(op.H.shape[0]))
-        misses = _minsum_rule.cache_info().misses
+        misses = _edges.cache_info().misses, _minsum_rule.cache_info().misses
         for _ in range(5):
             e = (rng.random(code.n) < 0.1).astype(np.uint8)
             out = operator_decode(op, np.full(code.n, 2.0), op(e))
             assert out.e_hat.shape == (code.n,)
-        assert _minsum_rule.cache_info().misses == misses
+        assert (_edges.cache_info().misses, _minsum_rule.cache_info().misses) == misses
 
     def test_rule_is_one_object_per_operator_and_alpha(self):
         op = builtin_code("toy-gldpc").x_graph.syndrome
@@ -266,11 +306,50 @@ class TestAgainstDenseReference:
         assert minsum_side(op, s[:1], 0.625).rule is rule
         assert minsum_side(op, s, 0.5).rule is not rule
 
+    def test_toric_graphs_share_one_rule_and_its_calls(self):
+        # the X and Z graphs of a toric code are two operators with one check-degree
+        # layout, so one rule: an independent decode calls it once per iteration
+        # for both sides, as long as either side runs
+        code = builtin_code("toric-4")
+        assert code.x_graph.syndrome is not code.z_graph.syndrome
+        s = np.zeros((1, code.n // 2), np.uint8)
+        assert (minsum_side(code.x_graph.syndrome, s, 0.625).rule
+                is minsum_side(code.z_graph.syndrome, s, 0.625).rule)
+        calls, counted = [], {}
+
+        def counting(rule):
+            def wrapped(v2c, s_active):
+                calls.append(len(v2c))
+                return rule(v2c, s_active)
+            return wrapped
+
+        def side(g, s):  # one counting wrapper per rule, so that equal rules stay equal
+            sd = minsum_side(g.syndrome, s, 0.625)
+            if sd.rule not in counted:
+                counted[sd.rule] = counting(sd.rule)
+            return replace(sd, rule=counted[sd.rule])
+        rng = np.random.default_rng(12)
+        priors = make_priors(DepolarizingParams(0.1), code.n)
+        iterations = set()
+        for _ in range(40):
+            e_x, e_z = (rng.random((2, 1, code.n)) < 0.07).astype(np.uint8)
+            calls.clear()
+            r = decode_independent_trials(code, priors, code.z_graph.syndrome(e_x),
+                                          code.x_graph.syndrome(e_z), 100, side)
+            sides = (int(r.z_side.iterations_used[0]), int(r.x_side.iterations_used[0]))
+            assert len(calls) == max(sides), sides
+            iterations.add(sides)
+        assert len(counted) == 1
+        assert any(z != x for z, x in iterations)  # the sides did not always stop together
+
     @pytest.mark.parametrize("decode", [decode_independent_trials, decode_correlated_trials])
     def test_one_operator_for_both_graphs(self, decode):
-        # one graph object as X and Z graph gives both sides one cached rule, which a
-        # correlated decode calls once on both graphs' edges side by side: the
-        # result must be that of two equal graphs, each with its own rule
+        # one graph object as X and Z graph, or two equal graphs, give both sides one
+        # rule (a rule per check-degree layout), which a correlated decode calls once
+        # on both graphs' edges side by side.  The oracle of an independent decode is
+        # dense min-sum on each side and trial; that of a correlated decode is the
+        # paired side with the graphs' rules apart (a distinct wrapper on the Z
+        # graph's makes ``_paired`` call each graph's rule on its own edges)
         spc = ComponentCode(np.ones((1, 4), dtype=np.uint8))
         graph, twin = (TannerGraph(8, [[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 4, 5],
                                        [2, 3, 6, 7]], spc) for _ in range(2))
@@ -280,10 +359,26 @@ class TestAgainstDenseReference:
 
         def side(g, s):
             return minsum_side(g.syndrome, s, 0.625)
-        shared, apart = (decode(GldpcCode("cube", 8, 2, 2, graph, z), priors, s_x, s_z, 10, side)
+        shared, twins = (decode(GldpcCode("cube", 8, 2, 2, graph, z), priors, s_x, s_z, 10, side)
                          for z in (graph, twin))
         assert shared.converged.any() and not shared.converged.all()
-        for name in ("x_side", "z_side"):
-            for field in ("e_hat", "app", "converged", "iterations_used"):
-                a, b = getattr(getattr(shared, name), field), getattr(getattr(apart, name), field)
-                assert a.tobytes() == b.tobytes(), (name, field)
+        fields = ("e_hat", "app", "converged", "iterations_used")
+        if decode is decode_correlated_trials:
+            def apart(g, s):
+                sd = side(g, s)
+                return sd if g is graph else replace(sd, rule=lambda *a: sd.rule(*a))
+            want = decode(GldpcCode("cube", 8, 2, 2, graph, twin), priors, s_x, s_z, 10, apart)
+            want = {name: [getattr(getattr(want, name), f) for f in fields]
+                    for name in ("x_side", "z_side")}
+        else:
+            cfg = BpConfig(alpha=0.625, n_iter=10)
+            problems = (("z_side", priors.llr_z, s_z), ("x_side", priors.llr_x, s_x))
+            dense = {name: [dense_minsum(graph.syndrome.H, L, t, cfg) for t in s]
+                     for name, L, s in problems}
+            want = {name: [np.array([getattr(r, f) for r in rs]) for f in fields]
+                    for name, rs in dense.items()}
+        for got in (shared, twins):
+            for name in ("x_side", "z_side"):
+                for field, b in zip(fields, want[name]):
+                    a = getattr(getattr(got, name), field)
+                    assert a.tobytes() == np.asarray(b, a.dtype).tobytes(), (name, field)
