@@ -6,14 +6,18 @@ rejects anything else by name.  Every product H v goes through one operator,
 ``Syndrome``, on rows as callers hold them: (n,) or (T, n).  It holds H
 once as a float32 matrix for BLAS: with at most 2^24 columns, its counts are
 integers exact in any summation order (SOGRAND's block kernel alone uses integer
-syndrome codes of its own).  Elimination reduces packed-int columns against
-an XOR basis to the one reduced form of a visiting order, which row-space
-tests and OSD's solve of ``[H | s]`` read.
+syndrome codes of its own).  Its support form, H's nonzeros slot-major, kept
+once per operator, gives the same bits for a block whose rows belong to several
+operators of one shape (``stacked_syndrome``: the flooding loop's two graphs)
+by one gather and one XOR over the slots.  Elimination reduces packed-int
+columns against an XOR basis to the one reduced form of a visiting order, which
+row-space tests and OSD's solve of ``[H | s]`` read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +58,35 @@ class Syndrome:
                              f"{self.H.shape[0]}x{self.H.shape[1]} matrix")
         # counts are exact integers; int64 -> uint8 wraps mod 256, keeping parity
         return (v @ self.H.T).astype(np.int64).astype(np.uint8) & 1
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """H's nonzeros slot-major, computed once: (d, m) columns, the j-th nonzero
+        of row i at [j, i], d the largest row weight; a lighter row's last slots
+        hold column n, one past H's, which reads zero in ``stacked_syndrome``."""
+        rows, cols = np.nonzero(self.H)
+        weight = np.bincount(rows, minlength=len(self.H))
+        table = np.full((weight.max(initial=0), len(weight)), self.H.shape[1])
+        table[np.arange(len(rows)) - (np.cumsum(weight) - weight)[rows], rows] = cols
+        table.setflags(write=False)
+        return table
+
+
+def stacked_syndrome(checks, sid):
+    """v -> H_i v on a stacked (A, n) block, row a against ``checks[sid[a]]`` (all of
+    one shape), as a function: each row's bits are gathered at its operator's
+    ``support`` and XORed slot by slot, one call for all rows.  Like ``Syndrome``,
+    it takes unchecked bits and gives (A, m) uint8, the same ones."""
+    (m, n), d = checks[0].H.shape, max(len(check.support) for check in checks)
+    tables = np.stack([np.vstack([check.support, np.full((d - len(check.support), m), n)])
+                       for check in checks])  # (k, d, m): pads read column n
+    at = (tables[sid] + (n + 1) * np.arange(len(sid))[:, None, None]).transpose(1, 0, 2)
+    at, bits = at.reshape(d, len(sid) * m), np.zeros((len(sid), n + 1), np.uint8)  # (d, A*m)
+
+    def parity(v):  # row a's last column of bits stays zero: its pads read it
+        bits[:, :-1] = v
+        return np.bitwise_xor.reduce(bits.reshape(-1).take(at), axis=0).reshape(len(sid), m)
+    return parity
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,22 @@
 """Iterative GLDPC decoding: one flooding driver for every decoder.
 
 Messages live on edges, in check-major order, behind a trial axis: ``flood``
-decodes the T trials of one ``Side`` in lock-step, each distinct syndrome once,
-and a trial leaves once its hard decision reproduces its syndrome.  Each
-iteration the side's check rule (SOGRAND from ``sogrand_side``, all checks and
-active rows in one block, or min-sum from ``minsum.minsum_side``) maps the
-messages to extrinsic ones, and a fusion combines them with the channel prior at
-the variables: binary, or Pauli beliefs on a correlated decode's paired side.
-Equal rules (SOGRAND's value (component, params), min-sum's per check-degree
-layout) take one call per iteration for both graphs' checks, paired or the two
-sides of an independent decode.  Each step is row-wise: trial order and grouping
-change nothing, and trials with equal syndromes, which start from the same
-``L0``, have equal results.
+decodes the T trials of one ``Side`` in lock-step, each distinct syndrome once.
+Each iteration the side's check rule (SOGRAND from ``sogrand_side``, all checks
+and active rows in one block, or min-sum from ``minsum.minsum_side``) maps the
+messages to extrinsic ones, a fusion combines them with the channel prior at the
+variables (binary, or Pauli beliefs on a correlated decode's paired side), and a
+syndrome test lets each trial leave once it meets its syndrome.  Equal rules
+(SOGRAND's value (component, params), min-sum's per check-degree layout) take
+one call per iteration for both graphs' checks: on a paired side, or on an
+independent decode's two sides of one shape, stacked in one block with one
+fusion and one syndrome test, on each side's H support.  Each step is row-wise:
+trial order and grouping change nothing; equal syndromes have equal results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -95,73 +94,67 @@ def flood(side: Side, L0, n_iter: int, fuse=None) -> SideResult:
     APP LLRs, (A, E) v2c messages and (A, n) hard decisions; None fuses in
     binary (``_binary_fuse``).  A trial leaves once it meets its syndrome.
     Trials with equal syndromes share one decode, and the loop, ``_lockstep``, may
-    stack other sides' rows in its rule calls: both need a row-wise rule and fusion.
+    stack other sides' rows with these: both need a row-wise rule and fusion.
     """
     return _lockstep([(side, L0, fuse)], n_iter)[0]
 
 
 def _lockstep(problems, n_iter: int) -> list[SideResult]:
-    """The loop behind ``flood``, for (side, L0, fuse) problems whose sides share one rule
-    and message width: each iteration, one rule call takes every side's active rows, stacked."""
+    """The loop behind ``flood``, for (side, L0, fuse) problems of one rule and one (m, n, E),
+    a fuse only with one side: their active rows sit in one block, each side's contiguous, and
+    each iteration makes one rule call, one fusion and one syndrome test for them all."""
     check_count("n_iter", n_iter, 1)
-    live = runs = [_Run(*problem) for problem in problems]
-    for it in range(1, n_iter + 1):
-        if len(live) == 1:  # nothing to stack, and no list to build
-            live = live if live[0].step(live[0].rule(live[0].v2c, live[0].s), it, n_iter) else []
-        else:
-            c2v = live[0].rule(np.concatenate([r.v2c for r in live]),
-                               np.concatenate([r.s for r in live]))
-            c2v = [c2v[e - len(r.s):e] for r, e in zip(live, accumulate(len(r.s) for r in live))]
-            live = [r for r, c in zip(live, c2v) if r.step(c, it, n_iter)]
-        if not live:
-            return [SideResult(*(a[r.twin] for a in r.out)) for r in runs]
-
-
-class _Run:
-    """One side of ``_lockstep``: its rows still running, and the results of those that left."""
-
-    def __init__(self, side: Side, L0, fuse):
-        L0, S = as_llr("channel LLRs", L0), gf2.as_bits("syndromes", side.s)
-        m, n = side.check.H.shape
-        if S.shape != S.shape[:1] + (m,) or L0.shape != (n,):  # a 0-d S fails here too
-            raise ValueError(f"syndromes of shape {S.shape} and LLRs of shape "
-                             f"{L0.shape} do not fit (T, {m}) and a {m}x{n} check matrix")
-        # each distinct syndrome decodes once; its twins get copies (``_tail`` writes
-        # OSD estimates into them), and with no twins the results pass as they are.
-        # m = 0 leaves no keys, and nothing to share.
-        keys = np.ascontiguousarray(np.packbits(S, axis=1))  # F-order S packs to F-order
-        _, first, twin = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
-                                   return_index=True, return_inverse=True)
-        self.twin, S = (twin, S[first]) if 0 < len(first) < len(S) else (slice(None), S)
-        T, self.check, self.rule, self.s = len(S), side.check, side.rule, S
-        self.fuse = fuse or _binary_fuse(L0, side.edge_var, T)
-        self.rows, self.v2c = np.arange(T), np.tile(L0[side.edge_var], (T, 1))
-        self.out = np.empty((T, n), np.uint8), np.empty((T, n)), np.zeros(T, bool), np.zeros(T, int)
-
-    def step(self, c2v, it: int, n_iter: int) -> bool:
-        """Iteration ``it``: the rows that meet their syndromes (all at n_iter) leave."""
-        app, v2c, e_hat = self.fuse(c2v)
-        ok = (self.check(e_hat) == self.s).all(axis=1)
+    sides, fuse, checks = [p[0] for p in problems], problems[0][2], [p[0].check for p in problems]
+    shapes = [side.check.H.shape + side.edge_var.shape for side in sides]
+    if len(set(shapes)) > 1:
+        raise ValueError(f"sides of (m, n, E) {shapes} cannot stack")
+    L0, S, twins = zip(*(_distinct(side, L0) for side, L0, _ in problems))
+    counts, edge_var = [len(s) for s in S], np.stack([side.edge_var for side in sides])
+    sid, S, L0 = np.repeat(np.arange(len(sides)), counts), np.concatenate(S), np.stack(L0)
+    rows, v2c, it, fused = np.arange(len(sid)), L0[sid[:, None], edge_var[sid]], 0, None
+    out = np.zeros_like(L0[sid], np.uint8), L0[sid], np.zeros_like(rows, bool), np.zeros_like(rows)
+    while rows.size:  # at n_iter every row leaves
+        if fused is None:  # the indices of the rows still running, rebuilt as rows leave
+            fused = fuse or _binary_fuse(L0, edge_var, sid)
+            # one side tests by its own product, cheaper than a gather built per block
+            test = checks[0] if len(checks) == 1 else gf2.stacked_syndrome(checks, sid)
+        it += 1
+        app, v2c, e_hat = fused(sides[0].rule(v2c, S))
+        ok = (test(e_hat) == S).all(axis=1)
         if it == n_iter or ok.any():
             done = ok | (it == n_iter)
-            for field, value in zip(self.out, (e_hat[done], app[done], ok[done], it)):
-                field[self.rows[done]] = value
-            self.rows, self.s, v2c = self.rows[~done], self.s[~done], v2c[~done]
-        self.v2c = v2c
-        return self.rows.size > 0
+            for field, value in zip(out, (e_hat[done], app[done], ok[done], it)):
+                field[rows[done]] = value
+            rows, sid, S, v2c, fused = rows[~done], sid[~done], S[~done], v2c[~done], None
+    ends = np.cumsum(counts)
+    return [SideResult(*(a[e - c:e][twin] for a in out)) for c, e, twin in zip(counts, ends, twins)]
 
 
-def _binary_fuse(L0: np.ndarray, edge_var: np.ndarray, T: int):
-    """Binary fusion for up to T active trials: a variable's APP LLR is L0 plus
-    its c2v messages, and each edge's v2c message leaves its own out."""
-    # flattened, an edge of the a-th active trial points at variable a*n + v:
-    # bincount then adds each bin's weights in edge order, as for one trial
-    var = (edge_var + L0.size * np.arange(T)[:, None]).ravel()
+def _distinct(side: Side, L0):
+    """(L0, the side's distinct syndromes, twin) if the shapes fit: trial t is row twin[t]."""
+    L0, S = as_llr("channel LLRs", L0), gf2.as_bits("syndromes", side.s)
+    m, n = side.check.H.shape
+    if S.shape != S.shape[:1] + (m,) or L0.shape != (n,):  # a 0-d S fails here too
+        raise ValueError(f"syndromes of shape {S.shape} and LLRs of shape "
+                         f"{L0.shape} do not fit (T, {m}) and a {m}x{n} check matrix")
+    # twins get copies (``_tail`` writes OSD estimates into them), and with no twins
+    # the results pass as they are.  m = 0 leaves no keys, and nothing to share.
+    keys = np.ascontiguousarray(np.packbits(S, axis=1))  # F-order S packs to F-order
+    _, first, twin = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
+                               return_index=True, return_inverse=True)
+    return (L0, S[first], twin) if 0 < len(first) < len(S) else (L0, S, slice(None))
+
+
+def _binary_fuse(L0: np.ndarray, edge_var: np.ndarray, sid: np.ndarray):
+    """Binary fusion of stacked rows, row a of side sid[a] of (k, n) ``L0`` and (k, E)
+    ``edge_var``: APP LLRs are L0 plus the c2v messages; each edge's v2c leaves its own out."""
+    # flattened, an edge of row a points at variable a*n + v: bincount then adds
+    # each bin's weights in edge order, as for one row alone
+    var, L0 = (edge_var[sid] + L0.shape[1] * np.arange(len(sid))[:, None]).ravel(), L0[sid]
 
     def fuse(c2v):
-        v = var[:c2v.size]
-        app = L0 + np.bincount(v, c2v.ravel(), len(c2v) * L0.size).reshape(-1, L0.size)
-        v2c = app.ravel()[v] - c2v.ravel()  # clamped in place: no E-sized temporaries
+        app = L0 + np.bincount(var, c2v.ravel(), L0.size).reshape(L0.shape)
+        v2c = app.ravel()[var] - c2v.ravel()  # clamped in place: no E-sized temporaries
         np.minimum(np.maximum(v2c, -LLR_CLAMP, out=v2c), LLR_CLAMP, out=v2c)
         return app, v2c.reshape(c2v.shape), (app < 0).view(np.uint8)  # L_APP >= 0 -> 0; a view
     return fuse
@@ -207,10 +200,10 @@ def sogrand_side(graph: TannerGraph, s, sog_params: SograndParams) -> Side:
 def decode_independent_trials(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
                               n_iter: int, side: Callable[..., Side]) -> DecodeResult:
     """Decode e_z on the X graph and e_x on the Z graph apart, by the rules ``side(graph, s)``:
-    in lock-step, one rule call per iteration, if the rules are equal and the widths match."""
+    in lock-step, if the rules are equal and the shapes (m, n, E) match."""
     z, x = side(code.x_graph, s_z), side(code.z_graph, s_x)
     problems = [(z, priors.llr_z, None), (x, priors.llr_x, None)]
-    if z.rule == x.rule and (z.edge_var.size, len(z.check.H)) == (x.edge_var.size, len(x.check.H)):
+    if z.rule == x.rule and len({sd.check.H.shape + sd.edge_var.shape for sd in (z, x)}) == 1:
         return DecodeResult(*_lockstep(problems, n_iter))
     return DecodeResult(*(_lockstep([problem], n_iter)[0] for problem in problems))
 

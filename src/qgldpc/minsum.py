@@ -36,8 +36,8 @@ class BpConfig:
 @lru_cache(maxsize=8)
 def _edges(check: gf2.Syndrome):
     """(variable of each edge of H in check-major order, check degrees), per operator."""
-    rows, edge_var = np.nonzero(check.H)
-    return edge_var, tuple(np.bincount(rows, minlength=check.H.shape[0]).tolist())
+    table, n = check.support.T, check.H.shape[1]  # check t's columns in order, then pads (n)
+    return table[table < n], tuple((table < n).sum(axis=1).tolist())
 
 
 @lru_cache(maxsize=8)

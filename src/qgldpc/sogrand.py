@@ -56,18 +56,6 @@ class BlockOutput:
         return BlockOutput(*(getattr(self, f.name)[b] for f in fields(self)))
 
 
-def estimate_missing_mass(P_g, m_c: int):
-    """Mass of syndrome-consistent patterns outside the explored prefix.
-
-    Consistent patterns are modelled as uniformly spread over the guessing
-    order, one in every 2^m_c queries: (1 - P_g) * 2^-m_c, elementwise.
-    """
-    P_g = np.asarray(P_g, dtype=float)
-    if not ((0.0 <= P_g) & (P_g <= 1.0 + 1e-12)).all():
-        raise ValueError(f"P_g must lie in [0, 1], got {P_g}")
-    return (1.0 - np.minimum(P_g, 1.0)) * 2.0 ** (-m_c)
-
-
 def decode_block(component: ComponentCode, L_A, s_local,
                  params: SograndParams = SograndParams()) -> BlockOutput:
     """List-decode B local views, the rows of L_A (B, n_c), against s_local (B, m_c)."""
@@ -174,7 +162,7 @@ def _soft(L_A, at, errors, masses, n_listed, P_g, m_c: int):
     An empty list keeps the prior exactly (L_E = 0).
     """
     P_L = np.fromiter(map(math.fsum, zip(*masses.tolist())), float, len(L_A))[:, None]
-    P_Lc = ((1.0 - P_g) * 2.0 ** (-m_c))[:, None]  # estimate_missing_mass of P_g <= 1, unchecked
+    P_Lc = ((1.0 - P_g) * 2.0 ** (-m_c))[:, None]  # the kernel's P_g lies in [0, 1]
     P_tot = P_L + P_Lc
     P_Lc_q = P_Lc * np.exp(-np.logaddexp(0.0, L_A))  # P_Lc * P(bit = 1 | L_A)
 

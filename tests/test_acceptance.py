@@ -19,8 +19,8 @@ from qgldpc.harness import (DECODERS, ExperimentConfig, convergence_study, pseud
                             wilson_interval, CurvePoint)
 from qgldpc.orbgrand import RankedInput, rank_flip_table
 from qgldpc.osd import OsdConfig, osd_postprocess
-from qgldpc.sogrand import SograndParams, decode_block, estimate_missing_mass
-from sogrand_lists import listed_patterns
+from qgldpc.sogrand import SograndParams, decode_block
+from sogrand_lists import estimate_missing_mass, listed_patterns
 
 PAIRED_TRIALS = 10_000
 PAIRED_P = 0.05

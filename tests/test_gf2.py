@@ -164,6 +164,56 @@ class TestSyndromeAgainstParityOracle:
             op.H[0, 0] = 0
 
 
+@st.composite
+def stacked_operands(draw):
+    """Two operators of one (m, n) shape, with 0 rows, empty rows or columns and
+    all-ones rows mixed in, and an (A, n) block of uint8 bits whose row a is to be
+    checked against operator sid[a]; sid is sorted (each operator's rows
+    contiguous, as the flooding loop stacks them) or in any order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(0, 6)), draw(st.sampled_from([0, 1, 2, 7, 16]))
+    ops = []
+    for _ in range(2):
+        H = (rng.random((m, n)) < draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))).astype(np.uint8)
+        H[rng.random(m) < 0.3] = 1
+        H[rng.random(m) < 0.3] = 0
+        H[:, rng.random(n) < 0.2] = 0
+        ops.append(gf2.Syndrome(H))
+    sid = rng.integers(0, 2, size=draw(st.integers(0, 8)))
+    sid = np.sort(sid) if draw(st.booleans()) else sid
+    return ops, sid, rng.integers(0, 2, size=(len(sid), n), dtype=np.uint8)
+
+
+class TestSupportForm:
+    @given(stacked_operands())
+    @settings(max_examples=200, deadline=None)
+    def test_stacked_parities_are_the_products(self, case):
+        # row a of the stacked test is operator sid[a]'s product, byte for byte
+        ops, sid, v = case
+        got = gf2.stacked_syndrome(ops, sid)(v)
+        want = np.array([ops[k](row) for k, row in zip(sid, v)], np.uint8).reshape(
+            len(sid), len(ops[0].H))
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # one operator: the product of the whole block
+        alone = gf2.stacked_syndrome(ops[:1], np.zeros_like(sid))(v)
+        assert alone.tobytes() == ops[0](v).tobytes()
+
+    @given(stacked_operands())
+    @settings(max_examples=100, deadline=None)
+    def test_support_lists_each_nonzero_once(self, case):
+        # column j of row i's slots: its nonzeros in order, then pads at column n
+        (op, _), _, _ = case
+        m, n = op.H.shape
+        table = op.support
+        assert table.shape == (int(op.H.sum(axis=1).max(initial=0)), m)
+        for i in range(m):
+            cols = np.flatnonzero(op.H[i])
+            assert table[:len(cols), i].tolist() == cols.tolist()
+            assert (table[len(cols):, i] == n).all()
+        assert op.support is table and not table.flags.writeable
+
+
 class TestRowReduce:
     def test_identity(self):
         elim = gf2.row_reduce(np.eye(5))

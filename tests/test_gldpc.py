@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -440,6 +441,25 @@ def alone(side):
     return replace(side, rule=lambda v2c, s, rule=side.rule: rule(v2c, s))
 
 
+def count_fusions_and_tests(patch):
+    """Count the binary fusions and syndrome tests that ``_lockstep`` calls while
+    ``patch`` is active; returns the live counts."""
+    counts = {"fusion": 0, "test": 0}
+
+    def counting(key, build):
+        def built(*args):
+            step = build(*args)
+
+            def counted(*a):
+                counts[key] += 1
+                return step(*a)
+            return counted
+        return built
+    patch.setattr(gldpc, "_binary_fuse", counting("fusion", gldpc._binary_fuse))
+    patch.setattr(gf2, "stacked_syndrome", counting("test", gf2.stacked_syndrome))
+    return counts
+
+
 def result_bytes(results):
     return [[np.ascontiguousarray(getattr(r, f)).tobytes()
              for f in ("e_hat", "app", "converged", "iterations_used")] for r in results]
@@ -449,11 +469,16 @@ def result_bytes(results):
 def sides_sharing_a_rule(draw, widths_match=False):
     """Two binary sides of a random component, m_1 and m_2 random checks on n
     variables (m_1 = m_2 if ``widths_match``), with the syndromes of T random
-    errors; their SOGRAND rules are equal values, built apart.  Returns (sides,
-    channel LLRs, n_iter)."""
+    errors; their SOGRAND rules are equal values, built apart.  If the widths
+    match, the second side's first check meets one variable twice, at the two
+    first positions of the component, which its first row both holds: that
+    variable leaves that row of the flat H, so the sides' flat H have one shape
+    but differ in nonzero count.  Returns (sides, channel LLRs, n_iter)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_c = draw(st.integers(2, 8))
     H = rng.integers(0, 2, size=(draw(st.integers(1, n_c - 1)), n_c), dtype=np.uint8)
+    if widths_match:
+        H[0, :2] = 1
     n, T = draw(st.integers(n_c, 16)), draw(st.integers(1, 12))
     params = SograndParams(list_max=draw(st.integers(1, 6)),
                            query_budget=draw(st.one_of(st.none(), st.integers(1, 64))))
@@ -462,6 +487,8 @@ def sides_sharing_a_rule(draw, widths_match=False):
     m = draw(st.integers(1, 5))
     for m in (m, m if widths_match else draw(st.integers(1, 5))):
         edge_var = np.concatenate([rng.choice(n, n_c, replace=False) for _ in range(m)])
+        if widths_match and sides:
+            edge_var[1] = edge_var[0]
         flat = np.zeros((m, H.shape[0], n), dtype=np.uint8)
         np.add.at(flat, (np.arange(m)[:, None, None], np.arange(H.shape[0])[:, None],
                          edge_var.reshape(m, 1, n_c)), H)
@@ -487,8 +514,12 @@ class TestSharedRule:
            st.lists(st.integers(0, 11), min_size=1, max_size=16))
     @settings(max_examples=80, deadline=None)
     def test_lockstep_sides_decode_as_each_alone(self, case, picks):
-        # both sides take the same trials, picked with repeats, so each dedupes
+        # both sides take the same trials, picked with repeats, so each dedupes;
+        # their flat H differ in support, so the stacked syndrome test reads each
+        # row at its own side's
         (x, z), L0, n_iter = case
+        assert x.check.H.shape == z.check.H.shape
+        assert np.count_nonzero(x.check.H) != np.count_nonzero(z.check.H)
         picks = [t % len(x.s) for t in picks]
         x, z = replace(x, s=x.s[picks]), replace(z, s=z.s[picks])
         calls = []
@@ -501,10 +532,28 @@ class TestSharedRule:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gldpc, "block_kernel", kernel)
+            counts = count_fusions_and_tests(patch)
             together = _lockstep([(x, L0[0], None), (z, L0[1], None)], n_iter)
         apart = [flood(alone(x), L0[0], n_iter), flood(alone(z), L0[1], n_iter)]
         assert result_bytes(together) == result_bytes(apart)
-        assert len(calls) == max(r.iterations_used.max() for r in together)
+        iterations = max(r.iterations_used.max() for r in together)
+        assert len(calls) == counts["fusion"] == counts["test"] == iterations
+
+    def test_sides_of_unequal_shapes_do_not_stack(self):
+        # (m, n, E) must match; sides that differ decode apart, as the independent
+        # decode does when its two graphs differ in shape
+        comp = ComponentCode(np.array([[1, 1, 1]], np.uint8))
+        rule = SograndRule(comp, SOG)
+        wide = Side(np.array([0, 1, 2]), gf2.Syndrome([[1, 1, 1, 0]]), np.ones((2, 1)), rule)
+        narrow = Side(np.array([0, 1, 2]), gf2.Syndrome([[1, 1, 1]]), np.ones((2, 1)), rule)
+        L0 = [np.full(4, 2.0), np.full(3, 2.0)]
+        with pytest.raises(ValueError, match=r"\(1, 4, 3\), \(1, 3, 3\)"):
+            _lockstep([(wide, L0[0], None), (narrow, L0[1], None)], 5)
+        graphs = SimpleNamespace(x_graph=wide, z_graph=narrow)
+        priors = SimpleNamespace(llr_z=L0[0], llr_x=L0[1])
+        r = decode_independent_trials(graphs, priors, narrow.s, wide.s, 5, lambda g, s: g)
+        assert result_bytes([r.z_side, r.x_side]) == \
+            result_bytes([flood(wide, L0[0], 5), flood(narrow, L0[1], 5)])
 
     def test_correlated_sides_take_one_call_per_iteration(self, monkeypatch):
         # toy-gldpc: both sides check with one Hamming-15 component; the

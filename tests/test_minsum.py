@@ -10,6 +10,7 @@ from qgldpc.channel import LLR_CLAMP, DepolarizingParams, clamp_llr, make_priors
 from qgldpc.codes import ComponentCode, GldpcCode, TannerGraph, builtin_code
 from qgldpc.gldpc import SideResult, decode_correlated_trials, decode_independent_trials, flood
 from qgldpc.minsum import BpConfig, _edges, _minsum_rule, minsum_decode, minsum_side
+from test_gldpc import count_fusions_and_tests, result_bytes
 
 
 def dense_c2v(H, v2c, s, alpha: float) -> np.ndarray:
@@ -341,6 +342,26 @@ class TestAgainstDenseReference:
             iterations.add(sides)
         assert len(counted) == 1
         assert any(z != x for z, x in iterations)  # the sides did not always stop together
+
+    def test_toric_graphs_stack_and_decode_as_each_alone(self):
+        # the chunk twin of the test above: the two toric graphs have one shape but
+        # different supports; stacked in one block, each side decodes as it does
+        # alone, with one fusion and one syndrome test per iteration for both
+        code = builtin_code("toric-4")
+        hx, hz = code.x_graph.syndrome, code.z_graph.syndrome
+        assert hx.H.shape == hz.H.shape and not np.array_equal(hx.support, hz.support)
+        priors = make_priors(DepolarizingParams(0.1), code.n)
+        e_x, e_z = (np.random.default_rng(13).random((2, 40, code.n)) < 0.07).astype(np.uint8)
+        z = minsum_side(hx, hx(e_z), 0.625)
+        x = minsum_side(hz, hz(e_x), 0.625)
+        with pytest.MonkeyPatch.context() as patch:
+            counts = count_fusions_and_tests(patch)
+            r = decode_independent_trials(code, priors, x.s, z.s, 100, lambda g, s: (
+                z if g is code.x_graph else x))
+        apart = [flood(z, priors.llr_z, 100), flood(x, priors.llr_x, 100)]
+        assert result_bytes([r.z_side, r.x_side]) == result_bytes(apart)
+        assert counts["fusion"] == counts["test"] == r.iterations_used.max()
+        assert (r.z_side.iterations_used != r.x_side.iterations_used).any()
 
     @pytest.mark.parametrize("decode", [decode_independent_trials, decode_correlated_trials])
     def test_one_operator_for_both_graphs(self, decode):

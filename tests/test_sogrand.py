@@ -11,9 +11,8 @@ from qgldpc.channel import clamp_llr
 from qgldpc.codes import ComponentCode, builtin_code
 from qgldpc.gldpc import flood, sogrand_side
 from qgldpc.orbgrand import RankedInput, rank_flip_table
-from qgldpc.sogrand import (BlockOutput, SograndParams, _soft, decode_block,
-                            estimate_missing_mass, sogrand_decode)
-from sogrand_lists import listed_patterns
+from qgldpc.sogrand import BlockOutput, SograndParams, _soft, decode_block, sogrand_decode
+from sogrand_lists import estimate_missing_mass, listed_patterns
 
 HAMMING = np.array([[1, 0, 1, 0, 1, 0, 1],
                     [0, 1, 1, 0, 0, 1, 1],
