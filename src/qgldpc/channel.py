@@ -75,13 +75,12 @@ class ChannelPrior:
 def trial_rng(master_seed: int, p: float, trial_index: int) -> np.random.Generator:
     """Counter-based generator keyed by (master seed, error rate, trial).
 
-    Philox keyed through a SeedSequence spawn key, so every trial draws an
+    Philox under the trial's key from ``_philox_keys``, so every trial draws an
     independent, platform-stable stream regardless of execution order.
     """
-    p_key = int(np.float64(p).view(np.uint64))
-    ss = np.random.SeedSequence(entropy=int(master_seed),
-                                spawn_key=(p_key, int(trial_index)))
-    return np.random.Generator(np.random.Philox(ss))
+    (low, high), = _philox_keys(master_seed, p, [trial_index])
+    # one 128-bit int: numpy reads a list of two ints through float64 once a word is >= 2^63
+    return np.random.Generator(np.random.Philox(key=low | high << 64))
 
 
 def _words(name: str, value, pad: int = 1) -> list[int]:
@@ -93,8 +92,10 @@ def _words(name: str, value, pad: int = 1) -> list[int]:
 
 
 def _philox_keys(master_seed: int, p: float, trials) -> list[tuple[int, int]]:
-    """Each trial's Philox key as ``trial_rng`` derives it: SeedSequence hashes the seed's
-    words padded to its pool size, 4, then the spawn key's, so one entropy array does too."""
+    """Each trial's Philox key, (low, high) 64-bit words: the key of
+    ``SeedSequence(entropy=master_seed, spawn_key=(p's bits, t))``.  SeedSequence hashes
+    the seed's words padded to its pool size, 4, then the spawn key's, so one entropy
+    array does too."""
     head = _words("master_seed", master_seed, pad=4) + _words("p", np.float64(p).view(np.uint64))
     # uint32 words, joined below: generate_state(2, np.uint64) costs 1 us more per trial
     states = (np.random.SeedSequence(np.array(head + _words("trial index", t), np.uint32))

@@ -10,8 +10,9 @@ syndrome test lets each trial leave once it meets its syndrome.  Equal rules
 (SOGRAND's value (component, params), min-sum's per check-degree layout) take
 one call per iteration for both graphs' checks: on a paired side, or on an
 independent decode's two sides of one shape, stacked in one block with one
-fusion and one syndrome test, on each side's H support.  Each step is row-wise:
-trial order and grouping change nothing; equal syndromes have equal results.
+fusion and one syndrome test, on each side's H support.  ``_lockstep`` alone
+decides what stacks, and runs problems that cannot stack apart.  Each step is
+row-wise: trial order and grouping change nothing; equal syndromes have equal results.
 """
 
 from __future__ import annotations
@@ -100,14 +101,16 @@ def flood(side: Side, L0, n_iter: int, fuse=None) -> SideResult:
 
 
 def _lockstep(problems, n_iter: int) -> list[SideResult]:
-    """The loop behind ``flood``, for (side, L0, fuse) problems of one rule and one (m, n, E),
-    a fuse only with one side: their active rows sit in one block, each side's contiguous, and
-    each iteration makes one rule call, one fusion and one syndrome test for them all."""
+    """The loop behind ``flood``, for (side, L0, fuse) problems.  They stack when their rules
+    compare equal, their (m, n, E) match and none carries a fuse: their active rows sit in one
+    block, each side's contiguous, and each iteration makes one rule call, one fusion and one
+    syndrome test for them all.  Any other set runs apart, one block per problem."""
     check_count("n_iter", n_iter, 1)
     sides, fuse, checks = [p[0] for p in problems], problems[0][2], [p[0].check for p in problems]
-    shapes = [side.check.H.shape + side.edge_var.shape for side in sides]
-    if len(set(shapes)) > 1:
-        raise ValueError(f"sides of (m, n, E) {shapes} cannot stack")
+    shapes = {side.check.H.shape + side.edge_var.shape for side in sides}
+    if len(problems) > 1 and (len(shapes) > 1 or any(p[2] is not None for p in problems)
+                              or any(side.rule != sides[0].rule for side in sides)):
+        return [_lockstep([problem], n_iter)[0] for problem in problems]
     L0, S, twins = zip(*(_distinct(side, L0) for side, L0, _ in problems))
     counts, edge_var = [len(s) for s in S], np.stack([side.edge_var for side in sides])
     sid, S, L0 = np.repeat(np.arange(len(sides)), counts), np.concatenate(S), np.stack(L0)
@@ -186,8 +189,9 @@ class SograndRule:
     params: SograndParams
 
     def __call__(self, v2c, s_active):  # no input checks: ``flood`` has made decode_block's
-        comp = self.component
-        return block_kernel(comp, v2c.reshape(-1, comp.n_c), s_active.reshape(-1, comp.m_c),
+        comp, L_A = self.component, v2c.reshape(-1, self.component.n_c)
+        # the row count from the messages: with no component checks, s_active has no entries
+        return block_kernel(comp, L_A, s_active.reshape(len(L_A), comp.m_c),
                             self.params).L_E.reshape(v2c.shape)
 
 
@@ -200,12 +204,10 @@ def sogrand_side(graph: TannerGraph, s, sog_params: SograndParams) -> Side:
 def decode_independent_trials(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
                               n_iter: int, side: Callable[..., Side]) -> DecodeResult:
     """Decode e_z on the X graph and e_x on the Z graph apart, by the rules ``side(graph, s)``:
-    in lock-step, if the rules are equal and the shapes (m, n, E) match."""
-    z, x = side(code.x_graph, s_z), side(code.z_graph, s_x)
-    problems = [(z, priors.llr_z, None), (x, priors.llr_x, None)]
-    if z.rule == x.rule and len({sd.check.H.shape + sd.edge_var.shape for sd in (z, x)}) == 1:
-        return DecodeResult(*_lockstep(problems, n_iter))
-    return DecodeResult(*(_lockstep([problem], n_iter)[0] for problem in problems))
+    in lock-step, if ``_lockstep`` stacks them."""
+    problems = [(side(code.x_graph, s_z), priors.llr_z, None),
+                (side(code.z_graph, s_x), priors.llr_x, None)]
+    return DecodeResult(*_lockstep(problems, n_iter))
 
 
 def decode_independent(code: GldpcCode, priors: ChannelPrior, s_x, s_z,

@@ -12,7 +12,7 @@ missing mass that the block kernel computes inline.
 import numpy as np
 
 from qgldpc.channel import clamp_llr
-from qgldpc.orbgrand import RankedInput, rank_flip_table
+from qgldpc.sogrand import RankedInput, rank_flip_table
 
 
 def listed_patterns(component, L_A, out, params):

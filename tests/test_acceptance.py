@@ -17,9 +17,8 @@ from qgldpc.gldpc import decode_independent_trials, sogrand_side
 from qgldpc.harness import (DECODERS, ExperimentConfig, convergence_study, pseudothreshold,
                             run_sweep, run_trials, uncoded_bler,
                             wilson_interval, CurvePoint)
-from qgldpc.orbgrand import RankedInput, rank_flip_table
 from qgldpc.osd import OsdConfig, osd_postprocess
-from qgldpc.sogrand import SograndParams, decode_block
+from qgldpc.sogrand import RankedInput, SograndParams, decode_block, rank_flip_table
 from sogrand_lists import estimate_missing_mass, listed_patterns
 
 PAIRED_TRIALS = 10_000

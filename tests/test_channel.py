@@ -100,6 +100,47 @@ class TestSampleErrors:
         assert channel._philox_keys(seed, p, trials) == want
 
 
+
+def spawn_key_rng(seed, p, t):
+    """The oracle of ``trial_rng``: Philox seeded by numpy's spawn-key derivation."""
+    p_key = int(np.float64(p).view(np.uint64))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(p_key, t))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+class TestTrialRng:
+    """``trial_rng`` keys its Philox by ``_philox_keys``, and so draws the spawn-key stream."""
+
+    @given(SEEDS, st.one_of(st.integers(0, 2**80), st.integers(2**64 - 3, 2**64 + 3)), P)
+    @example(2**128, 2**64, 0.05)
+    @example(2**200 - 1, 2**64 - 1, 0.75)
+    @example(0, 0, 5e-324)
+    @settings(max_examples=150, deadline=None)
+    def test_stream_is_the_spawn_key_stream(self, seed, t, p):
+        got, want = trial_rng(seed, p, t), spawn_key_rng(seed, p, t)
+        for word in ("key", "counter"):
+            assert (got.bit_generator.state["state"][word].tolist()
+                    == want.bit_generator.state["state"][word].tolist())
+        assert got.random(40).tobytes() == want.random(40).tobytes()
+        assert got.integers(0, 2**64, 8, np.uint64).tobytes() == \
+            want.integers(0, 2**64, 8, np.uint64).tobytes()
+
+    def test_key_words_of_2_to_the_63_or_more_are_kept_whole(self):
+        # a word read through float64 loses its low bits once it reaches 2^63
+        keys = channel._philox_keys(11, 0.05, range(32))
+        high = [t for t, (_, hi) in enumerate(keys) if hi >= 2**63]
+        low = [t for t, (lo, _) in enumerate(keys) if lo >= 2**63]
+        assert high and low
+        for t in high + low:
+            rng = trial_rng(11, 0.05, t)
+            assert rng.bit_generator.state["state"]["key"].tolist() == list(keys[t])
+            assert rng.random(16).tobytes() == spawn_key_rng(11, 0.05, t).random(16).tobytes()
+
+    @pytest.mark.parametrize("seed, t", [(-1, 0), (0, -1), (-(2**70), 3), (4, -(2**64))])
+    def test_negative_seed_or_trial_rejected(self, seed, t):
+        with pytest.raises(ValueError, match="non-negative"):
+            trial_rng(seed, 0.1, t)
+
 class TestMakePriors:
     def test_llr_value_at_p_015(self):
         prior = make_priors(DepolarizingParams(0.015), 4)

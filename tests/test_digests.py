@@ -49,8 +49,7 @@ from qgldpc.codes import ComponentCode, TannerGraph  # noqa: E402
 from qgldpc.gf2 import Syndrome, row_reduce  # noqa: E402
 from qgldpc.harness import (  # noqa: E402
     DECODERS, ExperimentConfig, _tail, chunk_size, resolve_code, run_trials)
-from qgldpc.orbgrand import rank_flip_table  # noqa: E402
-from qgldpc.sogrand import SograndParams, decode_block  # noqa: E402
+from qgldpc.sogrand import SograndParams, decode_block, rank_flip_table  # noqa: E402
 from sogrand_lists import listed_patterns  # noqa: E402
 
 SEED = 7

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qgldpc import channel, gf2, gldpc
 from qgldpc.channel import clamp_llr
-from qgldpc.codes import ComponentCode, builtin_code, vn_edges
+from qgldpc.codes import ComponentCode, TannerGraph, builtin_code, vn_edges
 from qgldpc.gldpc import (BELIEF_FLOOR, _PAIRS, DecodeResult, Side, SideResult, SograndRule,
                           _argmax_pauli, _beliefs_from_llr, _lockstep, _marginal_llr, _paired,
                           _pauli_fuse, decode_correlated, decode_correlated_trials,
@@ -547,13 +547,72 @@ class TestSharedRule:
         wide = Side(np.array([0, 1, 2]), gf2.Syndrome([[1, 1, 1, 0]]), np.ones((2, 1)), rule)
         narrow = Side(np.array([0, 1, 2]), gf2.Syndrome([[1, 1, 1]]), np.ones((2, 1)), rule)
         L0 = [np.full(4, 2.0), np.full(3, 2.0)]
-        with pytest.raises(ValueError, match=r"\(1, 4, 3\), \(1, 3, 3\)"):
-            _lockstep([(wide, L0[0], None), (narrow, L0[1], None)], 5)
+        apart = [flood(wide, L0[0], 5), flood(narrow, L0[1], 5)]
+        assert result_bytes(_lockstep([(wide, L0[0], None), (narrow, L0[1], None)], 5)) == \
+            result_bytes(apart)
         graphs = SimpleNamespace(x_graph=wide, z_graph=narrow)
         priors = SimpleNamespace(llr_z=L0[0], llr_x=L0[1])
         r = decode_independent_trials(graphs, priors, narrow.s, wide.s, 5, lambda g, s: g)
-        assert result_bytes([r.z_side, r.x_side]) == \
-            result_bytes([flood(wide, L0[0], 5), flood(narrow, L0[1], 5)])
+        assert result_bytes([r.z_side, r.x_side]) == result_bytes(apart)
+
+    def test_sides_of_unequal_rules_do_not_stack(self):
+        # one (m, n, E), but the second graph's [7,4] component has its columns
+        # permuted: its rows decode by its own rule, not by the first side's
+        H = np.array([[1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 1]])
+        cns = [list(range(7)), [3, 5, 0, 6, 1, 2, 4]]
+        graphs = [TannerGraph(7, cns, ComponentCode(h)) for h in (H, H[:, [6, 0, 1, 2, 3, 4, 5]])]
+        e = (np.random.default_rng(4).random((2, 30, 7)) < 0.15).astype(np.uint8)
+        sides = [sogrand_side(g, g.syndrome(err), SOG) for g, err in zip(graphs, e)]
+        assert sides[0].rule != sides[1].rule
+        L0 = [np.full(7, 1.5), np.full(7, 2.5)]
+        together = _lockstep([(sd, L, None) for sd, L in zip(sides, L0)], 6)
+        assert result_bytes(together) == \
+            result_bytes([flood(sd, L, 6) for sd, L in zip(sides, L0)])
+
+    @given(sides_sharing_a_rule(widths_match=True), st.sampled_from([0, 1]))
+    @settings(max_examples=40, deadline=None)
+    def test_a_side_with_a_fuse_does_not_stack(self, case, fused):
+        # equal rules and shapes, but one problem, the first or the second, fuses by
+        # its own ``fuse``: a binary fusion of halved messages
+        (x, z), L0, n_iter = case
+        side = (x, z)[fused]
+
+        def halved(c2v):
+            return gldpc._binary_fuse(L0[fused][None], side.edge_var[None],
+                                      np.zeros(len(c2v), int))(0.5 * c2v)
+        fuses = [halved if k == fused else None for k in range(2)]
+        together = _lockstep([(x, L0[0], fuses[0]), (z, L0[1], fuses[1])], n_iter)
+        apart = [flood(x, L0[0], n_iter, fuses[0]), flood(z, L0[1], n_iter, fuses[1])]
+        assert result_bytes(together) == result_bytes(apart)
+
+    @pytest.mark.parametrize("split", [False, True], ids=["equal-rules", "split-rules"])
+    def test_independent_decode_stacks_equal_rules_only(self, split):
+        # toy-gldpc's graphs share one rule and stack: one kernel call, one fusion
+        # and one syndrome test per iteration for both.  With the Z graph's VN lists
+        # and component columns reversed, H_Z holds but the rules differ, so the
+        # sides decode apart, each as it does alone
+        code = builtin_code("toy-gldpc")
+        if split:
+            z = code.z_graph
+            code = replace(code, z_graph=TannerGraph(z.n, [cn[::-1] for cn in z.cns],
+                                                     ComponentCode(z.component.H[:, ::-1])))
+        e_x, e_z = (np.random.default_rng(9).random((2, 40, code.n)) < 0.1).astype(np.uint8)
+        s_x, s_z = code.z_graph.syndrome(e_x), code.x_graph.syndrome(e_z)
+        pr, calls = priors_at(0.1, code.n), []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gldpc, "block_kernel", lambda comp, L, s, params:
+                          calls.append(len(L)) or block_kernel(comp, L, s, params))
+            counts = count_fusions_and_tests(patch)
+            r = decode_independent_trials(code, pr, s_x, s_z, 20, sog(SOG))
+        apart = [flood(sogrand_side(code.x_graph, s_z, SOG), pr.llr_z, 20),
+                 flood(sogrand_side(code.z_graph, s_x, SOG), pr.llr_x, 20)]
+        assert result_bytes([r.z_side, r.x_side]) == result_bytes(apart)
+        iterations = [int(sd.iterations_used.max()) for sd in (r.z_side, r.x_side)]
+        if split:  # each side alone tests by its own product, not the stacked test
+            assert len(calls) == sum(iterations) and counts == {"fusion": sum(iterations),
+                                                                "test": 0}
+        else:
+            assert len(calls) == counts["fusion"] == counts["test"] == max(iterations)
 
     def test_correlated_sides_take_one_call_per_iteration(self, monkeypatch):
         # toy-gldpc: both sides check with one Hamming-15 component; the

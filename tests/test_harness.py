@@ -460,6 +460,23 @@ class TestDecoderRegistry:
             assert 1 <= rec.iterations_used <= DECODERS[decoder].n_iter
             assert rec.osd_invoked <= DECODERS[decoder].osd
 
+    def test_every_decoder_decodes_a_check_free_component(self):
+        # a (0, 2) component gives each graph two checks with no syndrome bits: every
+        # trial meets its syndrome at once, and keeps its hard decision, under any rule
+        free = ComponentCode(np.zeros((0, 2), np.uint8))
+        code = GldpcCode("check-free", 2, 2, 1, TannerGraph(2, [[0, 1], [1, 0]], free),
+                         TannerGraph(2, [[0, 1], [0, 1]], free))
+        points, records = [], []
+        for decoder in DECODERS:
+            cfg = ExperimentConfig(code="check-free", decoder=decoder, p_grid=(0.2,),
+                                   trials=20, master_seed=3)
+            points.append(replace(run_point(code, cfg, 0.2), decoder_id=None))
+            records.append(list(run_trials(code, cfg, 0.2, 0, 20)))
+            assert all(rec.converged and rec.iterations_used == 1 for rec in records[-1])
+        assert all(point == points[0] for point in points)
+        assert all(recs == records[0] for recs in records)
+        assert 0 < points[0].failures < 20  # the errors that occurred are all missed
+
     def test_cli_choices_are_the_registry(self, capsys):
         with pytest.raises(SystemExit):
             main(["sim", "--help"])

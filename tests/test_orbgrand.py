@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qgldpc.codes import ComponentCode
-from qgldpc.orbgrand import RankedInput, distinct_part_subsets, rank_flip_table
-from qgldpc.sogrand import SograndParams, decode_block
+from qgldpc.sogrand import (RankedInput, SograndParams, decode_block, distinct_part_subsets,
+                            rank_flip_table)
 from sogrand_lists import listed_patterns
 
 

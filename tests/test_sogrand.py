@@ -10,8 +10,8 @@ from qgldpc import gf2
 from qgldpc.channel import clamp_llr
 from qgldpc.codes import ComponentCode, builtin_code
 from qgldpc.gldpc import flood, sogrand_side
-from qgldpc.orbgrand import RankedInput, rank_flip_table
-from qgldpc.sogrand import BlockOutput, SograndParams, _soft, decode_block, sogrand_decode
+from qgldpc.sogrand import (BlockOutput, RankedInput, SograndParams, _soft, decode_block,
+                            rank_flip_table, sogrand_decode)
 from sogrand_lists import estimate_missing_mass, listed_patterns
 
 HAMMING = np.array([[1, 0, 1, 0, 1, 0, 1],
