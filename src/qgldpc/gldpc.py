@@ -34,8 +34,13 @@ BELIEF_FLOOR = 1e-12
 _I, _X, _Y, _Z = 0, 1, 2, 3
 _TIE_ORDER = np.array([_I, _X, _Z, _Y])
 # (bit, other) of each graph: the Pauli that flips the component its messages are
-# about (e_z on the X graph, e_x on the Z graph) and the one that leaves it.
+# about (e_z on the X graph, e_x on the Z graph) and the one that leaves it.  A
+# message's keep belief goes to its keep pair (I, other) and its flip belief to its
+# flip pair (bit, Y): those columns as [keep/flip, 2, graph], and per graph a 1 on
+# each column its messages flip.
 _PAIRS = ((_Z, _X), (_X, _Z))
+_KEEP_FLIP = np.array([[(_I, other), (bit, _Y)] for bit, other in _PAIRS]).transpose(1, 2, 0)
+_FLIPS = np.array([[c in (bit, _Y) for c in range(4)] for bit, _ in _PAIRS], np.uint8)
 
 
 @dataclass
@@ -218,24 +223,16 @@ def decode_independent(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
                                      n_iter, lambda g, s: sogrand_side(g, s, sog_params)).row(0)
 
 
-def _beliefs_from_llr(L: np.ndarray, pair) -> np.ndarray:
-    """Map a binary LLR message about one error component into Pauli beliefs that
-    say nothing about the other: with q = 1/(1+exp(L)) and ``(bit, other) = pair``,
-    P(bit) = P(Y) = q/2 and P(I) = P(other) = (1-q)/2."""
-    bit, other = pair
-    q = np.exp(-np.logaddexp(0.0, L))
-    out = np.empty(L.shape + (4,))
-    out[..., bit] = out[..., _Y] = 0.5 * q
-    out[..., _I] = out[..., other] = 0.5 * (1.0 - q)
-    return out
+def _keep_flip(P: np.ndarray) -> np.ndarray:
+    """(..., n, 4) Pauli beliefs as (2, 2, ..., 2n): the keep pair and the flip pair of
+    each graph's variables, e_z's then e_x's."""
+    pairs = np.moveaxis(P, -1, 0)[_KEEP_FLIP]  # (keep/flip, 2, graph, ..., n)
+    return np.moveaxis(pairs, 2, -2).reshape(2, 2, *P.shape[:-2], -1)
 
 
-def _marginal_llr(P: np.ndarray, pair) -> np.ndarray:
-    bit, other = pair
-    num = P[..., _I] + P[..., other]
-    den = P[..., bit] + P[..., _Y]
-    return clamp_llr(np.log(np.maximum(num, BELIEF_FLOOR))
-                     - np.log(np.maximum(den, BELIEF_FLOOR)))
+def _llr(num, den):
+    """Binary LLRs of keep-pair belief sums over flip-pair sums, each floored, clamped."""
+    return clamp_llr(np.log(np.maximum(num, BELIEF_FLOOR)) - np.log(np.maximum(den, BELIEF_FLOOR)))
 
 
 def _argmax_pauli(P_app: np.ndarray) -> np.ndarray:
@@ -245,41 +242,42 @@ def _argmax_pauli(P_app: np.ndarray) -> np.ndarray:
 
 def _pauli_fuse(prior: np.ndarray, edges, c2v):
     """Pauli-belief fusion of a paired side's (A, E) messages of A trials, gathered
-    by its (2n, 2) ``vn_edges``: e_z's variables, then e_x's; beliefs are (A, n,
-    [2,] 4).  Returns (A, 2n) APP LLRs and hard decisions and (A, E) v2c messages.
+    by its (2n, 2) ``vn_edges``: e_z's variables, then e_x's.  A message of LLR L
+    holds two beliefs, keep (1-q)/2 and flip q/2 with q = 1/(1+exp(L)), each held by
+    two Paulis.  Returns (A, 2n) APP LLRs and hard decisions and (A, E) v2c messages.
 
     The hard decision is the most likely Pauli, not the marginals' signs."""
-    halves = edges.reshape(2, len(prior), 2)  # per graph, each variable's two edges
-    bel = [_beliefs_from_llr(c2v[:, e], pair) for e, pair in zip(halves, _PAIRS)]
-    P_app = prior * bel[0].prod(axis=-2) * bel[1].prod(axis=-2)
+    q = np.exp(-np.logaddexp(0.0, c2v[:, edges]))
+    keep, flip = 0.5 * (1.0 - q), 0.5 * q  # (A, 2n, 2): each message's two beliefs
+    # each variable's two-edge products, per graph, spread to (I, X, Y, Z) columns
+    prod = np.stack([keep[..., 0] * keep[..., 1], flip[..., 0] * flip[..., 1]], axis=-1)
+    x, z = prod.reshape(len(c2v), 2, len(prior), 2).swapaxes(0, 1)
+    P_app = prior * x[..., _FLIPS[0]] * z[..., _FLIPS[1]]
     P_app /= P_app.sum(axis=-1, keepdims=True)
     P_app = np.maximum(P_app, BELIEF_FLOOR)
     P_app /= P_app.sum(axis=-1, keepdims=True)
-    symbol = _argmax_pauli(P_app)
-
-    e_hat = np.concatenate([(symbol == bit) | (symbol == _Y) for bit, _ in _PAIRS], axis=1)
-    app = np.concatenate([_marginal_llr(P_app, pair) for pair in _PAIRS], axis=1)
-    # Extrinsic: divide out the incoming belief, marginalize per graph.
-    v2c = np.empty_like(c2v)
-    for e, pair, b in zip(halves, _PAIRS, bel):
-        v2c[:, e] = _marginal_llr(P_app[..., None, :] / np.maximum(b, BELIEF_FLOOR), pair)
-    return app, v2c, e_hat.astype(np.uint8)
+    (i, o), (b, y) = _keep_flip(P_app)  # I and other; bit and Y
+    k, f = np.maximum(keep, BELIEF_FLOOR), np.maximum(flip, BELIEF_FLOOR)
+    v2c = np.empty_like(c2v)  # extrinsic: each edge's own beliefs divided out
+    v2c[:, edges] = _llr(i[..., None] / k + o[..., None] / k, b[..., None] / f + y[..., None] / f)
+    return _llr(i + o, b + y), v2c, np.concatenate(_FLIPS[:, _argmax_pauli(P_app)], axis=1)
 
 
 def decode_correlated_trials(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
                              n_iter: int, side: Callable[..., Side]) -> DecodeResult:
     """Joint X/Z decoding of T trials as one paired side (``_paired``), with
-    Pauli-belief fusion at the variables: the checks of both graphs run a
-    binary rule; each variable maps its four incoming LLRs into Pauli beliefs,
-    fuses them with the channel's Pauli prior and marginalizes the extrinsic
-    beliefs back into binary LLRs per graph, which must give every variable
-    exactly two edges.  A trial stops when both syndrome equations hold."""
+    Pauli-belief fusion at the variables: the checks of both graphs run a binary
+    rule; each variable fuses its four messages' keep and flip beliefs with the
+    channel's Pauli prior, and takes the APP and extrinsic beliefs back to binary
+    LLRs per graph (``_llr``), which must give every variable exactly two edges.
+    A trial stops when both syndrome equations hold."""
     prior = np.asarray(priors.pauli_prior, dtype=float)
     if prior.shape != (code.n, 4):
         raise ValueError(f"Pauli prior has shape {prior.shape}, expected {(code.n, 4)}")
     paired = _paired(side(code.x_graph, s_z), side(code.z_graph, s_x), code.n)
     edges = vn_edges(paired.edge_var, 2 * code.n)
-    L0 = np.concatenate([_marginal_llr(prior, pair) for pair in _PAIRS])  # first messages
+    (i, o), (b, y) = _keep_flip(prior)
+    L0 = _llr(i + o, b + y)  # first messages
     r = flood(paired, L0, n_iter, fuse=lambda c2v: _pauli_fuse(prior, edges, c2v))
     z_side, x_side = (SideResult(e_hat=r.e_hat[h], app=r.app[h], converged=r.converged.copy(),
                                  iterations_used=r.iterations_used.copy())

@@ -88,6 +88,10 @@ class ExperimentConfig:
         for p in self.p_grid:
             ch.check_decoding_p(p)
         BpConfig(alpha=self.alpha, n_iter=self.resolved_n_iter())  # checks both
+        for name, kind in (("sog_params", SograndParams), ("osd_config", OsdConfig)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):  # else a sweep fails at its first use, or never
+                raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
         ch.check_count("master_seed", self.master_seed, 0)
 
     def resolved_n_iter(self) -> int:
@@ -144,7 +148,9 @@ def wilson_interval(failures: int, trials: int):
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials
                          + z * z / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # exact at no and at all failures, where rounding leaves 5.55e-17 and 1 - 2^-53
+    lo = 0.0 if failures == 0 else max(0.0, center - half)
+    return lo, 1.0 if failures == trials else min(1.0, center + half)
 
 
 def _tail(code: GldpcCode, result: DecodeResult, e: ch.PauliErrorPattern, s_x, s_z,

@@ -100,6 +100,13 @@ BOUNDARY = {
                                  ValueError, "trial index: expected non-negative integer, got -1"),
     "sample_errors of seed -1": (lambda: sample_errors(DepolarizingParams(0.1), 8, -1, range(2)),
                                  ValueError, "master_seed: expected non-negative integer, got -1"),
+    # a sweep failed on these at the first trial that used them, or at none
+    "ExperimentConfig of sog_params None": (lambda: replace(TORIC_CFG, sog_params=None),
+                                            ValueError,
+                                            "sog_params must be of type SograndParams, got None"),
+    "ExperimentConfig of a dict osd_config": (lambda: replace(TORIC_CFG, osd_config={"order_w": 2}),
+                                              ValueError, r"osd_config must be of type OsdConfig, "
+                                                          r"got \{'order_w': 2\}"),
 }
 
 

@@ -10,7 +10,7 @@ from qgldpc import channel, gf2, gldpc
 from qgldpc.channel import clamp_llr
 from qgldpc.codes import ComponentCode, TannerGraph, builtin_code, vn_edges
 from qgldpc.gldpc import (BELIEF_FLOOR, _PAIRS, DecodeResult, Side, SideResult, SograndRule,
-                          _argmax_pauli, _beliefs_from_llr, _lockstep, _marginal_llr, _paired,
+                          _argmax_pauli, _keep_flip, _llr, _lockstep, _paired,
                           _pauli_fuse, decode_correlated, decode_correlated_trials,
                           decode_independent, decode_independent_trials, flood, sogrand_side)
 from qgldpc.minsum import minsum_side
@@ -185,29 +185,42 @@ class TestDecodeIndependent:
 
 
 class TestPauliBeliefs:
-    ABOUT_X = _PAIRS[1]  # the Z graph's (bit, other): X flips e_x, Z leaves it
+    # one qubit: its X-graph edges 0 and 1 carry e_z's messages, its Z-graph edges 2 and 3 e_x's
+    EDGES = np.array([[0, 1], [2, 3]])
+    UNIFORM = np.full((1, 4), 0.25)
 
     def test_neutral_llr_gives_uniform_beliefs(self):
-        bel = _beliefs_from_llr(np.array([0.0]), self.ABOUT_X)
-        assert np.allclose(bel, 0.25)
+        prior = np.array([[0.7, 0.1, 0.05, 0.15]])
+        app, v2c, e_hat = _pauli_fuse(prior, self.EDGES, np.zeros((3, 4)))
+        (i, o), (b, y) = _keep_flip(prior)
+        L0 = _llr(i + o, b + y)
+        assert np.allclose(app, L0, atol=1e-12) and np.allclose(v2c, L0[[0, 0, 1, 1]], atol=1e-12)
+        app, v2c, e_hat = _pauli_fuse(self.UNIFORM, self.EDGES, np.zeros((1, 4)))
+        assert not app.any() and not v2c.any() and not e_hat.any()
 
     def test_strong_positive_llr_concentrates_on_no_flip(self):
-        bel = _beliefs_from_llr(np.array([20.0]), self.ABOUT_X)[0]
-        assert bel[0] + bel[3] == pytest.approx(1.0, abs=1e-6)  # I and Z
+        c2v = np.array([[0.0, 0.0, 20.0, 0.0]])  # about e_x: I and Z hold its mass
+        app, v2c, e_hat = _pauli_fuse(self.UNIFORM, self.EDGES, c2v)
+        assert app[0].tolist() == [0.0, pytest.approx(20.0, abs=1e-6)]
+        assert v2c[0, 3] == pytest.approx(20.0, abs=1e-6)  # carried to the other edge
+        assert not v2c[0, :3].any() and not e_hat.any()
 
     def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(17)
-        L = rng.normal(0, 5, size=40)
-        for pair in _PAIRS:
-            bel = _beliefs_from_llr(L, pair)
-            assert np.allclose(bel.sum(axis=-1), 1.0)
+        P = np.random.default_rng(17).dirichlet(np.ones(4), size=40)
+        pairs = _keep_flip(P)
+        assert pairs.shape == (2, 2, 80)
+        assert np.allclose(pairs.sum(axis=(0, 1)), 1.0)
+        for g, (bit, other) in enumerate(_PAIRS):  # I and other kept, bit and Y flipped
+            want = P[:, [[0, other], [bit, 2]]].transpose(1, 2, 0)
+            assert np.array_equal(pairs[..., 40 * g:40 * (g + 1)], want)
 
     def test_marginal_inverts_belief_map(self):
         rng = np.random.default_rng(19)
         L = np.clip(rng.normal(0, 4, size=25), -20, 20)
-        for pair in _PAIRS:
-            bel = _beliefs_from_llr(L, pair)
-            assert np.allclose(_marginal_llr(bel, pair), L, atol=1e-9)
+        q = 1.0 / (1.0 + np.exp(L))
+        keep, flip = 0.5 * (1.0 - q), 0.5 * q  # each held by two Paulis
+        assert np.allclose(2 * keep + 2 * flip, 1.0)
+        assert np.allclose(_llr(keep + keep, flip + flip), L, atol=1e-9)
 
     def test_argmax_tie_order(self):
         P = np.array([[0.25, 0.25, 0.25, 0.25],   # full tie: I

@@ -148,8 +148,15 @@ class TestSuccessCheck:
 class TestWilsonInterval:
     def test_zero_failures_informative(self):
         lo, hi = wilson_interval(0, 1000)
-        assert lo == pytest.approx(0.0, abs=1e-12)
+        assert lo == 0.0
         assert 0.0 < hi < 0.01
+
+    def test_exact_endpoints(self):
+        # the formula rounds to 5.55e-17 at 0 failures from T = 3 on, and to
+        # 0.9999999999999999 at T failures from T = 10 on
+        for trials in range(1, 5001):
+            assert wilson_interval(0, trials)[0] == 0.0
+            assert wilson_interval(trials, trials)[1] == 1.0
 
     def test_contains_point_estimate(self):
         for failures, trials in ((1, 10), (50, 200), (999, 1000)):
