@@ -2,22 +2,20 @@
 
 Vectors and matrices are numpy arrays with entries in {0, 1}, inside the
 module as at its boundary, where ``as_bits``, the package's one bit check,
-rejects anything else by name.  Every product H v goes through one operator,
-``Syndrome``, on rows as callers hold them: (n,) or (T, n).  It holds H
-once as a float32 matrix for BLAS: with at most 2^24 columns, its counts are
-integers exact in any summation order (SOGRAND's block kernel alone uses integer
-syndrome codes of its own).  Its support form, H's nonzeros slot-major, kept
-once per operator, gives the same bits for a block whose rows belong to several
-operators of one shape (``stacked_syndrome``: the flooding loop's two graphs)
-by one gather and one XOR over the slots.  Elimination reduces packed-int
-columns against an XOR basis to the one reduced form of a visiting order, which
-row-space tests and OSD's solve of ``[H | s]`` read.
+rejects anything else by name.  Every product H v of the decode path is one
+gather, ``Syndrome``'s, on rows as callers hold them, (n,) or (T, n): their bits
+at H's nonzeros, its ``support`` built with it, XORed over the slots, exact for any n
+(SOGRAND's block kernel alone uses integer syndrome codes of its own).  It serves
+a block of several operators' rows (``stacked_syndrome``) and two operators paired
+once (``block_diagonal``).  Elimination reduces packed-int columns against an XOR
+basis to the one reduced form of a visiting order, which row-space tests and OSD's
+solve of ``[H | s]`` read; ``RowSpace``, whose basis is dense, alone takes a product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,55 +36,58 @@ def _as_bitmatrix(H) -> np.ndarray:
 
 
 class Syndrome:
-    """The GF(2) map v -> H v, with H held once as a float32 matrix.
+    """The GF(2) map v -> H v, a gather at H's nonzeros.
 
-    ``v``: bits (unchecked, as decoders call this every iteration; callers use
-    ``as_bits``), (n_cols,) or (T, n_cols); the result, (m,) or (T, m), uint8.
-    """
+    ``v``: bits (unchecked, as decoders call this every iteration; callers use ``as_bits``),
+    (n_cols,) or (T, n_cols); the result, (m,) or (T, m), uint8.  ``H`` is kept as read-only
+    bits, and ``support`` as its nonzeros slot-major: (d, m) columns, the j-th nonzero of row
+    i at [j, i], d the largest row weight; a lighter row's last slots hold column n, one past
+    H's, which reads zero."""
 
     def __init__(self, H):
-        H = _as_bitmatrix(H)
-        if H.shape[1] > 2**24:  # a count past 2^24 may round in float32
-            raise ValueError(f"a {H.shape[0]}x{H.shape[1]} matrix has more than 2^24 columns")
-        self.H = H.astype(np.float32)
+        self.H = _as_bitmatrix(H)
+        rows, cols = np.nonzero(self.H)
+        weight = np.bincount(rows, minlength=len(self.H))
+        self.support = np.full((weight.max(initial=0), len(weight)), self.H.shape[1])
+        self.support[np.arange(len(rows)) - (np.cumsum(weight) - weight)[rows], rows] = cols
         self.H.setflags(write=False)
+        self.support.setflags(write=False)
 
     def __call__(self, v) -> np.ndarray:
         v = np.asarray(v)
         if v.ndim not in (1, 2) or v.shape[-1] != self.H.shape[1]:
             raise ValueError(f"operand of shape {v.shape} does not fit a "
                              f"{self.H.shape[0]}x{self.H.shape[1]} matrix")
-        # counts are exact integers; int64 -> uint8 wraps mod 256, keeping parity
-        return (v @ self.H.T).astype(np.int64).astype(np.uint8) & 1
+        bits = np.zeros((v.shape[-1] + 1,) + v.shape[:-1], np.uint8)
+        return _parity(bits, v, self.support).T  # (m, T) -> a row per row of v
 
-    @cached_property
-    def support(self) -> np.ndarray:
-        """H's nonzeros slot-major, computed once: (d, m) columns, the j-th nonzero
-        of row i at [j, i], d the largest row weight; a lighter row's last slots
-        hold column n, one past H's, which reads zero in ``stacked_syndrome``."""
-        rows, cols = np.nonzero(self.H)
-        weight = np.bincount(rows, minlength=len(self.H))
-        table = np.full((weight.max(initial=0), len(weight)), self.H.shape[1])
-        table[np.arange(len(rows)) - (np.cumsum(weight) - weight)[rows], rows] = cols
-        table.setflags(write=False)
-        return table
+
+def _parity(bits, v, at):
+    """The gather both forms share: v's (n,) or (T, n) bits go column by column into ``bits``,
+    whose row n stays zero for pads to read; its rows at ``at`` (d, ...) XOR over the d slots."""
+    bits[:-1] = v.T
+    return np.bitwise_xor.reduce(bits.take(at, axis=0), axis=0)  # at.shape[1:] + (T,)
 
 
 def stacked_syndrome(checks, sid):
-    """v -> H_i v on a stacked (A, n) block, row a against ``checks[sid[a]]`` (all of
-    one shape), as a function: each row's bits are gathered at its operator's
-    ``support`` and XORed slot by slot, one call for all rows.  Like ``Syndrome``,
-    it takes unchecked bits and gives (A, m) uint8, the same ones."""
+    """v -> H_i v on a stacked (A, n) block, row a against ``checks[sid[a]]`` (all of one
+    shape), with ``Syndrome``'s bits, unchecked: one operator is its own test; several gather
+    the block as one operand of A*n bits, rows offset to their places, pads to its zero bit."""
+    if len(checks) == 1:  # one support serves every row: no per-row index
+        return checks[0]
     (m, n), d = checks[0].H.shape, max(len(check.support) for check in checks)
     tables = np.stack([np.vstack([check.support, np.full((d - len(check.support), m), n)])
-                       for check in checks])  # (k, d, m): pads read column n
-    at = (tables[sid] + (n + 1) * np.arange(len(sid))[:, None, None]).transpose(1, 0, 2)
-    at, bits = at.reshape(d, len(sid) * m), np.zeros((len(sid), n + 1), np.uint8)  # (d, A*m)
+                       for check in checks], axis=1)  # (d, k, m)
+    tables[tables == n], bits = n * len(sid), np.zeros(len(sid) * n + 1, np.uint8)
+    at = np.minimum(tables.take(sid, axis=1) + n * np.arange(len(sid))[:, None], n * len(sid))
+    return lambda v: _parity(bits, v.reshape(-1), at)  # at: (d, A, m), C order
 
-    def parity(v):  # row a's last column of bits stays zero: its pads read it
-        bits[:, :-1] = v
-        return np.bitwise_xor.reduce(bits.reshape(-1).take(at), axis=0).reshape(len(sid), m)
-    return parity
+
+@lru_cache(maxsize=8)
+def block_diagonal(a: Syndrome, b: Syndrome) -> Syndrome:
+    """The operator of [[H_a, 0], [0, H_b]], built once per pair."""
+    return Syndrome(np.block([[a.H, np.zeros((len(a.H), b.H.shape[1]))],
+                              [np.zeros((len(b.H), a.H.shape[1])), b.H]]))
 
 
 @dataclass(frozen=True)
@@ -147,16 +148,18 @@ class RowSpace:
 
     def __init__(self, H):
         elim = row_reduce(H)
-        self.rank = elim.rank
-        self._pivots = elim.pivots
-        self._combine = Syndrome(elim.reduced[:elim.rank].T)  # coefficients -> vector
+        if len(elim.reduced) > 2**24:  # float32 counts of up to m products are exact to 2^24
+            raise ValueError(f"a matrix of {len(elim.reduced)} rows has more than 2^24 rows")
+        self.rank, self._pivots = elim.rank, elim.pivots
+        self._basis = elim.reduced[:elim.rank].astype(np.float32)  # dense: a product, not a gather
 
     def contains(self, r):
         """Whether r, a bit vector or each row of a (T, n) block, is in the row space."""
-        n = self._combine.H.shape[0]
+        n = self._basis.shape[1]
         r = as_bits("vectors", r)
         if r.ndim not in (1, 2) or r.shape[-1] != n:
             raise ValueError(f"expected bit vectors of length {n}, got shape {r.shape}")
-        # the basis is reduced, so the only candidate combination is the one
-        # whose coefficients are r's pivot bits
-        return (self._combine(r[..., self._pivots]) == r).all(axis=-1)
+        # the basis is reduced: the one candidate combination has r's pivot bits as its
+        # coefficients; counts are exact integers, and int64 -> uint8 keeps their parity
+        combo = (r[..., self._pivots] @ self._basis).astype(np.int64).astype(np.uint8) & 1
+        return (combo == r).all(axis=-1)

@@ -6,11 +6,11 @@ Each iteration the side's check rule (SOGRAND from ``sogrand_side``, all checks
 and active rows in one block, or min-sum from ``minsum.minsum_side``) maps the
 messages to extrinsic ones, a fusion combines them with the channel prior at the
 variables (binary, or Pauli beliefs on a correlated decode's paired side), and a
-syndrome test lets each trial leave once it meets its syndrome.  Equal rules
-(SOGRAND's value (component, params), min-sum's per check-degree layout) take
-one call per iteration for both graphs' checks: on a paired side, or on an
-independent decode's two sides of one shape, stacked in one block with one
-fusion and one syndrome test, on each side's H support.  ``_lockstep`` alone
+syndrome test (``gf2.stacked_syndrome``, a gather at H's support) lets each trial
+leave once it meets its syndrome.  Equal rules (SOGRAND's value (component, params),
+min-sum's per check-degree layout) take one call per iteration for both graphs'
+checks: on a paired side, or on an independent decode's two sides of one shape,
+stacked in one block with one fusion and one syndrome test.  ``_lockstep`` alone
 decides what stacks, and runs problems that cannot stack apart.  Each step is
 row-wise: trial order and grouping change nothing; equal syndromes have equal results.
 """
@@ -111,7 +111,7 @@ def _lockstep(problems, n_iter: int) -> list[SideResult]:
     block, each side's contiguous, and each iteration makes one rule call, one fusion and one
     syndrome test for them all.  Any other set runs apart, one block per problem."""
     check_count("n_iter", n_iter, 1)
-    sides, fuse, checks = [p[0] for p in problems], problems[0][2], [p[0].check for p in problems]
+    sides, fuse, ops = [p[0] for p in problems], problems[0][2], [p[0].check for p in problems]
     shapes = {side.check.H.shape + side.edge_var.shape for side in sides}
     if len(problems) > 1 and (len(shapes) > 1 or any(p[2] is not None for p in problems)
                               or any(side.rule != sides[0].rule for side in sides)):
@@ -123,9 +123,7 @@ def _lockstep(problems, n_iter: int) -> list[SideResult]:
     out = np.zeros_like(L0[sid], np.uint8), L0[sid], np.zeros_like(rows, bool), np.zeros_like(rows)
     while rows.size:  # at n_iter every row leaves
         if fused is None:  # the indices of the rows still running, rebuilt as rows leave
-            fused = fuse or _binary_fuse(L0, edge_var, sid)
-            # one side tests by its own product, cheaper than a gather built per block
-            test = checks[0] if len(checks) == 1 else gf2.stacked_syndrome(checks, sid)
+            fused, test = fuse or _binary_fuse(L0, edge_var, sid), gf2.stacked_syndrome(ops, sid)
         it += 1
         app, v2c, e_hat = fused(sides[0].rule(v2c, S))
         ok = (test(e_hat) == S).all(axis=1)
@@ -168,22 +166,21 @@ def _binary_fuse(L0: np.ndarray, edge_var: np.ndarray, sid: np.ndarray):
     return fuse
 
 
-def _paired(x: Side, z: Side, n: int) -> Side:
-    """The X graph's side (e_z, variables 0..n-1) and the Z graph's (e_x,
-    n..2n-1) as one side: block-diagonal checks, syndromes [s_z | s_x]."""
+def _paired(x: Side, z: Side) -> Side:
+    """The X graph's side (e_z, variables 0..n-1) and the Z graph's (e_x, n..2n-1) as
+    one side: block-diagonal checks, built once per pair of graphs, syndromes [s_z | s_x]."""
     S = [gf2.as_bits("syndromes", sd.s) for sd in (x, z)]
-    (mx, _), (mz, _), T = x.check.H.shape, z.check.H.shape, S[0].shape[:1]
+    (mx, n), (mz, _), T = x.check.H.shape, z.check.H.shape, S[0].shape[:1]
     if S[0].shape != T + (mx,) or S[1].shape != T + (mz,):
         raise ValueError(f"syndromes of shapes {S[0].shape} and {S[1].shape} do not "
                          f"fit (T, {mx}) and (T, {mz}) for the X and Z graphs")
-    H, ex = np.zeros((mx + mz, 2 * n)), x.edge_var.size
-    H[:mx, :n], H[mx:, n:] = x.check.H, z.check.H
 
     def split(v2c, s_active):  # each graph's rule on its own edges and checks
-        return np.concatenate([x.rule(v2c[:, :ex], s_active[:, :mx]),
-                               z.rule(v2c[:, ex:], s_active[:, mx:])], axis=1)
-    return Side(edge_var=np.concatenate([x.edge_var, z.edge_var + n]), check=gf2.Syndrome(H),
-                s=np.concatenate(S, axis=1), rule=x.rule if x.rule == z.rule else split)
+        return np.concatenate([x.rule(v2c[:, :x.edge_var.size], s_active[:, :mx]),
+                               z.rule(v2c[:, x.edge_var.size:], s_active[:, mx:])], axis=1)
+    return Side(edge_var=np.concatenate([x.edge_var, z.edge_var + n]),
+                check=gf2.block_diagonal(x.check, z.check), s=np.concatenate(S, axis=1),
+                rule=x.rule if x.rule == z.rule else split)
 
 
 @dataclass(frozen=True)
@@ -274,7 +271,7 @@ def decode_correlated_trials(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
     prior = np.asarray(priors.pauli_prior, dtype=float)
     if prior.shape != (code.n, 4):
         raise ValueError(f"Pauli prior has shape {prior.shape}, expected {(code.n, 4)}")
-    paired = _paired(side(code.x_graph, s_z), side(code.z_graph, s_x), code.n)
+    paired = _paired(side(code.x_graph, s_z), side(code.z_graph, s_x))
     edges = vn_edges(paired.edge_var, 2 * code.n)
     (i, o), (b, y) = _keep_flip(prior)
     L0 = _llr(i + o, b + y)  # first messages

@@ -3,7 +3,7 @@ BLER curves with Wilson intervals, pseudothreshold and convergence studies.
 
 All randomness is keyed by (master seed, error rate, trial index), so curves are
 bit-reproducible and trials are paired across decoder variants and iteration
-budgets (common random numbers).  Trials run in chunks: one syndrome product, one
+budgets (common random numbers).  Trials run in chunks: one syndrome gather, one
 decoder call (one decode per distinct syndrome, and one kernel call per iteration
 for graphs that share a component) and one success check per chunk, on (T, n)
 arrays; only OSD goes trial by trial.  Trial order and grouping change no result.

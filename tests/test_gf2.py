@@ -91,17 +91,27 @@ def parity_oracle(H, v):
     return np.array(out, dtype=np.uint8).reshape(v.shape[:-1] + (len(H),))
 
 
+def mixed_rows(rng, m, n, density):
+    """An (m, n) bit matrix whose rows differ in weight: each row's density is
+    ``density`` or a fresh draw, and all-ones and all-zero rows are mixed in."""
+    H = (rng.random((m, n)) < np.where(rng.random((m, 1)) < 0.5, density,
+                                       rng.random((m, 1)))).astype(np.uint8)
+    H[rng.random(m) < 0.3] = 1
+    H[rng.random(m) < 0.2] = 0
+    return H
+
+
 @st.composite
 def syndrome_operands(draw):
-    """H with all-ones rows mixed in (up to width 600: the largest counts),
-    and an (n,) or (T, n) operand, or a square (n, n) one up to width 64
-    (keeps the plain-Python oracle fast), as uint8, bool or float 0/1."""
+    """H with rows of unequal weight, all-ones and all-zero rows mixed in (up to
+    width 600: the largest counts; m = 0 and n = 0 too), and an (n,) or (T, n)
+    operand, or a square (n, n) one up to width 64 (keeps the plain-Python
+    oracle fast), as uint8, bool or float 0/1."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    m = draw(st.integers(1, 6))
-    n = draw(st.sampled_from([1, 2, 7, 64, 255, 256, 257, 600]))
-    H = (rng.random((m, n)) < draw(st.sampled_from([0.1, 0.5, 0.9]))).astype(np.uint8)
-    H[rng.random(m) < 0.5] = 1
+    m = draw(st.integers(0, 6))
+    n = draw(st.sampled_from([0, 1, 2, 7, 64, 255, 256, 257, 600]))
+    H = mixed_rows(rng, m, n, draw(st.sampled_from([0.1, 0.5, 0.9])))
     shapes = [(n,), (draw(st.integers(1, 4)), n)] + [(n, n)] * (n <= 64)
     shape = draw(st.sampled_from(shapes))
     v = (rng.random(shape) < draw(st.sampled_from([0.5, 1.0]))).astype(np.uint8)
@@ -110,12 +120,12 @@ def syndrome_operands(draw):
 
 @st.composite
 def wide_syndrome_operands(draw):
-    """H up to 70,000 columns wide, all-ones rows mixed in, and an (n,) or (T, n)
-    operand of 0/1 uint8, so that counts reach the tens of thousands."""
+    """H up to 70,000 columns wide (m = 0 and n = 0 too), rows of unequal weight
+    with all-ones and all-zero rows mixed in, and an (n,) or (T, n) operand of
+    0/1 uint8, so that counts reach the tens of thousands."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    m, n = draw(st.integers(1, 4)), draw(st.sampled_from([1, 7, 600, 4097, 70_000]))
-    H = (rng.random((m, n)) < draw(st.sampled_from([0.1, 0.5]))).astype(np.uint8)
-    H[rng.random(m) < 0.5] = 1
+    m, n = draw(st.integers(0, 4)), draw(st.sampled_from([0, 1, 7, 600, 4097, 70_000]))
+    H = mixed_rows(rng, m, n, draw(st.sampled_from([0.1, 0.5])))
     shape = draw(st.sampled_from([(n,), (draw(st.integers(1, 3)), n)]))
     return H, (rng.random(shape) < draw(st.sampled_from([0.5, 1.0]))).astype(np.uint8)
 
@@ -124,24 +134,18 @@ class TestSyndromeAgainstParityOracle:
     @given(wide_syndrome_operands())
     @settings(max_examples=60, deadline=None)
     def test_matches_int64_product(self, case):
-        # H is held in float32, whose counts are exact up to 2^24
+        # the parities of exact integer counts
         H, v = case
         want = (v.astype(np.int64) @ H.T.astype(np.int64)) % 2
         assert np.array_equal(gf2.Syndrome(H)(v), want)
-
-    def test_more_than_2_24_columns_rejected(self):
-        # a float32 count past 2^24 could round; the empty matrix allocates nothing
-        with pytest.raises(ValueError, match=r"more than 2\^24 columns"):
-            gf2.Syndrome(np.zeros((0, 2**24 + 1)))
-        assert gf2.Syndrome(np.zeros((0, 2**24))).H.shape == (0, 2**24)
 
     @given(syndrome_operands())
     @settings(max_examples=150, deadline=None)
     def test_matches_plain_python_parities(self, case):
         H, v = case
-        out = gf2.Syndrome(H)(v)
-        assert out.dtype == np.uint8
-        assert np.array_equal(out, parity_oracle(H, v))
+        out, want = gf2.Syndrome(H)(v), parity_oracle(H, v)
+        assert out.dtype == np.uint8 and out.shape == want.shape
+        assert out.tobytes() == want.tobytes()
 
     def test_square_block_is_rows(self):
         # a square block fits rows and columns alike, so only the values tell
@@ -466,6 +470,13 @@ class TestRowSpace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             gf2.RowSpace(HAMMING).contains(np.zeros(6))
+
+    def test_more_than_2_24_rows_rejected(self):
+        # the float32 product's counts sum at most m terms, and one past 2^24 could
+        # round; the empty matrices allocate nothing
+        with pytest.raises(ValueError, match=r"more than 2\^24 rows"):
+            gf2.RowSpace(np.zeros((2**24 + 1, 0)))
+        assert gf2.RowSpace(np.zeros((2**24, 0))).rank == 0
 
     @given(bit_matrices(), st.data())
     @settings(max_examples=300)

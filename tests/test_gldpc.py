@@ -15,6 +15,7 @@ from qgldpc.gldpc import (BELIEF_FLOOR, _PAIRS, DecodeResult, Side, SideResult, 
                           decode_independent, decode_independent_trials, flood, sogrand_side)
 from qgldpc.minsum import minsum_side
 from qgldpc.sogrand import SograndParams, block_kernel, decode_block
+from test_digests import split_rule_code
 
 SOG = SograndParams(list_max=8)
 
@@ -519,9 +520,9 @@ class TestSharedRule:
     def test_sides_sharing_a_rule_decode_as_each_alone(self, case):
         (x, z), L0, n_iter = case
         assert x.rule == z.rule and x.rule is not z.rule
-        n, L0 = len(L0[0]), np.concatenate(L0)
-        assert result_bytes([flood(_paired(x, z, n), L0, n_iter)]) == \
-            result_bytes([flood(_paired(alone(x), alone(z), n), L0, n_iter)])
+        L0 = np.concatenate(L0)
+        assert result_bytes([flood(_paired(x, z), L0, n_iter)]) == \
+            result_bytes([flood(_paired(alone(x), alone(z)), L0, n_iter)])
 
     @given(sides_sharing_a_rule(widths_match=True),
            st.lists(st.integers(0, 11), min_size=1, max_size=16))
@@ -621,11 +622,27 @@ class TestSharedRule:
                  flood(sogrand_side(code.z_graph, s_x, SOG), pr.llr_x, 20)]
         assert result_bytes([r.z_side, r.x_side]) == result_bytes(apart)
         iterations = [int(sd.iterations_used.max()) for sd in (r.z_side, r.x_side)]
-        if split:  # each side alone tests by its own product, not the stacked test
-            assert len(calls) == sum(iterations) and counts == {"fusion": sum(iterations),
-                                                                "test": 0}
-        else:
-            assert len(calls) == counts["fusion"] == counts["test"] == max(iterations)
+        # split, each side runs alone: a kernel call, a fusion and a test per iteration
+        expected = sum(iterations) if split else max(iterations)
+        assert len(calls) == counts["fusion"] == counts["test"] == expected
+
+    @pytest.mark.parametrize("split", [False, True], ids=["toy-gldpc", "split-rules"])
+    def test_paired_operator_is_built_once_per_pair_of_graphs(self, split):
+        # every correlated chunk of one code takes the same block-diagonal operator,
+        # and its parities are each graph's, side by side
+        code = split_rule_code() if split else builtin_code("toy-gldpc")
+
+        def paired(T):
+            x, z = (sogrand_side(g, np.zeros((T, len(g.flat)), np.uint8), SOG)
+                    for g in (code.x_graph, code.z_graph))
+            return x, z, _paired(x, z)
+        x, z, first = paired(3)
+        assert paired(5)[2].check is first.check
+        n, v = code.n, np.random.default_rng(8).integers(0, 2, (17, 2 * code.n), np.uint8)
+        want = np.concatenate([x.check(v[:, :n]), z.check(v[:, n:])], axis=1)
+        got = first.check(v)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_correlated_sides_take_one_call_per_iteration(self, monkeypatch):
         # toy-gldpc: both sides check with one Hamming-15 component; the
