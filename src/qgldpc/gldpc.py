@@ -13,11 +13,15 @@ checks: on a paired side, or on an independent decode's two sides of one shape,
 stacked in one block with one fusion and one syndrome test.  ``_lockstep`` alone
 decides what stacks, and runs problems that cannot stack apart.  Each step is
 row-wise: trial order and grouping change nothing; equal syndromes have equal results.
+So the first iteration's SOGRAND call, whose rows all hold one message row when the
+prior is the same at every variable, is a lookup by local syndrome in a table that
+the kernel fills once per syndrome met.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -144,11 +148,17 @@ def _distinct(side: Side, L0):
         raise ValueError(f"syndromes of shape {S.shape} and LLRs of shape "
                          f"{L0.shape} do not fit (T, {m}) and a {m}x{n} check matrix")
     # twins get copies (``_tail`` writes OSD estimates into them), and with no twins
-    # the results pass as they are.  m = 0 leaves no keys, and nothing to share.
-    keys = np.ascontiguousarray(np.packbits(S, axis=1))  # F-order S packs to F-order
-    _, first, twin = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
-                               return_index=True, return_inverse=True)
-    return (L0, S[first], twin) if 0 < len(first) < len(S) else (L0, S, slice(None))
+    # the results pass as they are
+    _, first, twin = _row_keys(S)
+    return (L0, S[first], twin) if len(first) < len(S) else (L0, S, slice(None))
+
+
+def _row_keys(bits):
+    """``np.unique`` of the rows of a (R, w) bit block, each packed into one bytes key:
+    (sorted keys, each key's first row, each row's key index)."""
+    keys = np.zeros((len(bits), bits.shape[1] // 8 + 1), np.uint8)  # a spare byte: w = 0 keys too
+    keys[:, :(bits.shape[1] + 7) // 8] = np.packbits(bits, axis=1)
+    return np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True, return_inverse=True)
 
 
 def _binary_fuse(L0: np.ndarray, edge_var: np.ndarray, sid: np.ndarray):
@@ -185,7 +195,13 @@ def _paired(x: Side, z: Side) -> Side:
 
 @dataclass(frozen=True)
 class SograndRule:
-    """SOGRAND at every check, as a value: row a*m + j is check j in active trial a."""
+    """SOGRAND at every check, as a value: row a*m + j is check j in active trial a.
+
+    A block whose rows all hold one bit pattern (the first iteration's, when the
+    prior is the same at every variable) is a lookup: its L_E rows are gathered by
+    local syndrome from ``_prior_table``, which the kernel fills with the syndromes
+    it lacks.  That is exact because the kernel is row-wise: a row's output depends
+    only on its messages and its local syndrome, not on the block it sits in."""
 
     component: ComponentCode
     params: SograndParams
@@ -193,8 +209,31 @@ class SograndRule:
     def __call__(self, v2c, s_active):  # no input checks: ``flood`` has made decode_block's
         comp, L_A = self.component, v2c.reshape(-1, self.component.n_c)
         # the row count from the messages: with no component checks, s_active has no entries
-        return block_kernel(comp, L_A, s_active.reshape(len(L_A), comp.m_c),
-                            self.params).L_E.reshape(v2c.shape)
+        s_local, bits = s_active.reshape(len(L_A), comp.m_c), L_A.view(np.int64)
+        # rows compare by bit pattern (-0.0 is not 0.0); one row alone gains nothing
+        if len(L_A) > 1 and (bits == bits[0]).all():
+            return _lookup(self, L_A, s_local).reshape(v2c.shape)
+        return block_kernel(comp, L_A, s_local, self.params).L_E.reshape(v2c.shape)
+
+
+@lru_cache(maxsize=32)
+def _prior_table(rule: SograndRule, row: bytes) -> dict:
+    """``rule``'s L_E rows on messages whose bytes are ``row``, keyed by packed local
+    syndrome: one read-only n_c row per syndrome met, filled by ``_lookup``."""
+    return {}
+
+
+def _lookup(rule: SograndRule, L_A, s_local):
+    """The kernel's L_E on a block whose rows all equal L_A[0], from its table: the
+    syndromes the table lacks are decoded first, in one call of as many rows."""
+    table, (keys, first, inverse) = _prior_table(rule, L_A[0].tobytes()), _row_keys(s_local)
+    keys = keys.tolist()
+    new = [i for i, key in enumerate(keys) if key not in table]
+    if new:
+        L_E = block_kernel(rule.component, L_A[:len(new)], s_local[first[new]], rule.params).L_E
+        L_E.setflags(write=False)
+        table.update(zip([keys[i] for i in new], L_E))
+    return np.stack([table[key] for key in keys])[inverse]
 
 
 def sogrand_side(graph: TannerGraph, s, sog_params: SograndParams) -> Side:

@@ -83,7 +83,15 @@ def minsum_side(check: gf2.Syndrome, s, alpha: float) -> Side:
     return Side(edge_var, check, s, _minsum_rule(degrees, alpha))
 
 
+@lru_cache(maxsize=8)
+def _operator(shape: tuple, bits: bytes) -> gf2.Syndrome:
+    """The operator of the bit matrix of this shape and these bytes: one per H, so that
+    ``_edges`` finds it again."""
+    return gf2.Syndrome(np.frombuffer(bits, np.uint8).reshape(shape))
+
+
 def minsum_decode(H, L_ch, s, cfg: BpConfig = BpConfig()) -> SideResult:
     """One trial of min-sum on a bit matrix H; only tests and bench/ use it."""
-    return flood(minsum_side(gf2.Syndrome(H), np.asarray(s)[None], cfg.alpha),
+    H = gf2.as_bits("matrix", H)
+    return flood(minsum_side(_operator(H.shape, H.tobytes()), np.asarray(s)[None], cfg.alpha),
                  L_ch, cfg.n_iter).row(0)

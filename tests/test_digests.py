@@ -28,9 +28,15 @@ A change that alters decoder results on purpose re-records these digests
 (``python tests/test_digests.py``, run from a checkout, prints the table; as a
 script it imports ``qgldpc`` from the checkout's ``src/``) and says so.  The float
 bytes assume the numpy and BLAS builds of the recording, and so do some
-records: with OpenBLAS's Nehalem kernel (``OPENBLAS_CORETYPE=Nehalem``), 11
-of the 38 cases fail, three of them record cases (toy-gldpc at p 0.12 under
-``sogrand``, ``sogrand-osd`` and ``sogrand-osd-corr``).
+records, in two ways.  The BLAS kernel sums SOGRAND's log-mass gemv in its own
+order: with OpenBLAS's Nehalem kernel (``OPENBLAS_CORETYPE=Nehalem``), 11 of the
+38 cases fail, three of them record cases (toy-gldpc at p 0.12 under
+``sogrand``, ``sogrand-osd`` and ``sogrand-osd-corr``).  numpy's AVX-512 loops
+for ``exp``, ``log`` and ``log1p`` round differently from its baseline ones: with
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` set for the test
+process, on a host that has them, 17 of the 38 cases fail, seven of them record
+cases (toy-gldpc at p 0.05 and 0.12 under the three SOGRAND decoders, and steane
+under ``sogrand-osd-corr``).
 """
 
 import hashlib

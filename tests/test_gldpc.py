@@ -530,22 +530,25 @@ class TestSharedRule:
     def test_lockstep_sides_decode_as_each_alone(self, case, picks):
         # both sides take the same trials, picked with repeats, so each dedupes;
         # their flat H differ in support, so the stacked syndrome test reads each
-        # row at its own side's
+        # row at its own side's.  Rule calls are counted: a block whose rows all hold
+        # one message row (the first, or a budget too small to move the messages)
+        # may find its table warm and call no kernel
         (x, z), L0, n_iter = case
         assert x.check.H.shape == z.check.H.shape
         assert np.count_nonzero(x.check.H) != np.count_nonzero(z.check.H)
         picks = [t % len(x.s) for t in picks]
         x, z = replace(x, s=x.s[picks]), replace(z, s=z.s[picks])
-        calls = []
+        calls, rule = [], SograndRule.__call__
 
         def kernel(comp, L_A, s_local, params):
             out = block_kernel(comp, L_A, s_local, params)
             assert out.L_E.tobytes() == decode_block(comp, L_A, s_local, params).L_E.tobytes()
-            calls.append(len(L_A))
             return out
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gldpc, "block_kernel", kernel)
+            patch.setattr(SograndRule, "__call__", lambda self, v2c, s:
+                          calls.append(len(v2c)) or rule(self, v2c, s))
             counts = count_fusions_and_tests(patch)
             together = _lockstep([(x, L0[0], None), (z, L0[1], None)], n_iter)
         apart = [flood(alone(x), L0[0], n_iter), flood(alone(z), L0[1], n_iter)]
@@ -604,7 +607,8 @@ class TestSharedRule:
         # toy-gldpc's graphs share one rule and stack: one kernel call, one fusion
         # and one syndrome test per iteration for both.  With the Z graph's VN lists
         # and component columns reversed, H_Z holds but the rules differ, so the
-        # sides decode apart, each as it does alone
+        # sides decode apart, each as it does alone.  The first iteration is a lookup
+        # in each rule's table: one call if the table is cold, none once it is warm
         code = builtin_code("toy-gldpc")
         if split:
             z = code.z_graph
@@ -612,19 +616,24 @@ class TestSharedRule:
                                                      ComponentCode(z.component.H[:, ::-1])))
         e_x, e_z = (np.random.default_rng(9).random((2, 40, code.n)) < 0.1).astype(np.uint8)
         s_x, s_z = code.z_graph.syndrome(e_x), code.x_graph.syndrome(e_z)
-        pr, calls = priors_at(0.1, code.n), []
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(gldpc, "block_kernel", lambda comp, L, s, params:
-                          calls.append(len(L)) or block_kernel(comp, L, s, params))
-            counts = count_fusions_and_tests(patch)
-            r = decode_independent_trials(code, pr, s_x, s_z, 20, sog(SOG))
+        pr, tallies = priors_at(0.1, code.n), []
+        gldpc._prior_table.cache_clear()
+        for _ in ("cold", "warm"):
+            calls = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(gldpc, "block_kernel", lambda comp, L, s, params:
+                              calls.append(len(L)) or block_kernel(comp, L, s, params))
+                counts = count_fusions_and_tests(patch)
+                r = decode_independent_trials(code, pr, s_x, s_z, 20, sog(SOG))
+            tallies.append((len(calls), counts["fusion"], counts["test"]))
         apart = [flood(sogrand_side(code.x_graph, s_z, SOG), pr.llr_z, 20),
                  flood(sogrand_side(code.z_graph, s_x, SOG), pr.llr_x, 20)]
         assert result_bytes([r.z_side, r.x_side]) == result_bytes(apart)
         iterations = [int(sd.iterations_used.max()) for sd in (r.z_side, r.x_side)]
-        # split, each side runs alone: a kernel call, a fusion and a test per iteration
-        expected = sum(iterations) if split else max(iterations)
-        assert len(calls) == counts["fusion"] == counts["test"] == expected
+        # split, each side runs alone: a fusion and a test per iteration, and a kernel
+        # call per iteration after the first, plus one fill of each rule's cold table
+        expected, tables = (sum(iterations), 2) if split else (max(iterations), 1)
+        assert tallies == [(expected,) * 3, (expected - tables, expected, expected)]
 
     @pytest.mark.parametrize("split", [False, True], ids=["toy-gldpc", "split-rules"])
     def test_paired_operator_is_built_once_per_pair_of_graphs(self, split):
@@ -658,6 +667,7 @@ class TestSharedRule:
         monkeypatch.setattr(gldpc, "block_kernel", lambda comp, L, s, sog_params:
                             rows.append(len(L)) or block_kernel(comp, L, s, sog_params))
         results, calls = [], []
+        gldpc._prior_table.cache_clear()
         for side in (sog(SOG), lambda g, s: alone(sogrand_side(g, s, SOG))):
             rows.clear()
             results.append(decode_correlated_trials(code, priors_at(0.12, code.n), s_x, s_z,
@@ -667,6 +677,82 @@ class TestSharedRule:
         assert len(set(joint.iterations_used.tolist())) > 2
         assert result_bytes([joint.z_side, joint.x_side]) == \
             result_bytes([apart.z_side, apart.x_side])
-        # one call per iteration, on both sides' checks of the active trials
-        assert len(calls[0]) == joint.iterations_used.max() == len(calls[1]) // 2
-        assert calls[0] == [a + b for a, b in zip(calls[1][::2], calls[1][1::2])]
+        # one call per iteration after the first, on both sides' checks of the active
+        # trials; the first is a lookup in one table, which the joint decode fills in one
+        # call with the distinct local syndromes, and which both graphs' rule calls of the
+        # decode apart find warm
+        m_c = code.x_graph.component.m_c
+        local = {row.tobytes() for s in (s_x, s_z) for row in s.reshape(-1, m_c)}
+        assert len(calls[0]) == joint.iterations_used.max() == len(calls[1]) // 2 + 1
+        assert calls[0] == [len(local)] + [a + b for a, b in zip(calls[1][::2], calls[1][1::2])]
+
+
+HAMMING_7 = builtin_code("steane").x_graph.component.H
+TABLE_COMPONENTS = {  # Hamming-7 and -15, SPC-4, a check-free (0, 4), a permuted [7,4]
+    "ham7": HAMMING_7, "ham15": builtin_code("toy-gldpc").x_graph.component.H,
+    "spc4": np.ones((1, 4)), "free4": np.zeros((0, 4)),
+    "ham7-perm": HAMMING_7[:, [3, 6, 0, 5, 1, 4, 2]]}
+# uniform rows may hold signed zeros, values past the clamp and infinities
+TABLE_LLRS = st.one_of(st.sampled_from([0.0, -0.0, 30.0, -30.0, 75.0, -1e300, np.inf, -np.inf]),
+                       st.floats(-40, 40, allow_nan=False))
+
+
+@st.composite
+def rule_blocks(draw):
+    """A SOGRAND rule, a block of R message rows (one row repeated, and maybe one entry of
+    one row changed: non-uniform unless the change keeps its bits), R local syndromes, and
+    how warm the rule's table is: rows decoded before, none, some or all of the block's."""
+    comp = ComponentCode(TABLE_COMPONENTS[draw(st.sampled_from(sorted(TABLE_COMPONENTS)))])
+    params = SograndParams(list_max=draw(st.integers(1, 6)),
+                           query_budget=draw(st.one_of(st.none(), st.integers(1, 64))))
+    R = draw(st.integers(0, 40))
+    L = np.tile(np.array(draw(st.lists(TABLE_LLRS, min_size=comp.n_c, max_size=comp.n_c))), (R, 1))
+    if R > 1 and draw(st.booleans()):
+        L[draw(st.integers(1, R - 1)), draw(st.integers(0, comp.n_c - 1))] = draw(TABLE_LLRS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = rng.integers(0, 2, (R, comp.m_c), dtype=np.uint8)
+    return SograndRule(comp, params), L, s, draw(st.sampled_from([0, R // 2, R]))
+
+
+class TestPriorTable:
+    @given(rule_blocks())
+    @settings(max_examples=200, deadline=None)
+    def test_rule_is_the_kernel_byte_for_byte(self, case):
+        # a block whose rows share one bit pattern is gathered from the table, and only
+        # the syndromes the table lacks are decoded, in one call; any other block is one
+        # kernel call on all its rows
+        rule, L, s, warmed = case
+        comp, calls = rule.component, []
+        gldpc._prior_table.cache_clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gldpc, "block_kernel", lambda c, L_A, s_local, params:
+                          calls.append(s_local.copy()) or block_kernel(c, L_A, s_local, params))
+            rule(L[:warmed], s[:warmed])
+            calls.clear()
+            got = rule(L.copy(), s.copy())
+        want = block_kernel(comp, L, s, rule.params).L_E
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        bits = L.view(np.int64)
+        if len(L) > 1 and (bits == bits[0]).all():
+            seen = {row.tobytes() for row in s[:warmed]} if warmed > 1 else set()
+            new = {row.tobytes() for row in s} - seen
+            assert [sorted(row.tobytes() for row in c) for c in calls] == \
+                ([sorted(new)] if new else [])
+        else:
+            assert len(calls) == 1 and calls[0].tobytes() == s.tobytes()
+
+    def test_signed_zeros_never_share_an_entry(self):
+        # rows are told apart by bit pattern: a block of -0.0 rows finds no entry
+        # that a block of 0.0 rows filled, and a block that mixes them is not uniform
+        rule, s, calls = SograndRule(ComponentCode(HAMMING_7), SOG), np.zeros((4, 3), np.uint8), []
+        gldpc._prior_table.cache_clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gldpc, "block_kernel", lambda c, L_A, s_local, params:
+                          calls.append(len(L_A)) or block_kernel(c, L_A, s_local, params))
+            for zeros in ([0.0] * 4, [-0.0] * 4, [0.0] * 4, [-0.0] * 4, [0.0] * 3 + [-0.0]):
+                L = np.full((4, 7), 1.5)
+                L[:, 2] = zeros
+                assert rule(L, s).tobytes() == block_kernel(rule.component, L, s, SOG).L_E.tobytes()
+        assert calls == [1, 1, 4]
+        assert gldpc._prior_table.cache_info().currsize == 2

@@ -300,6 +300,15 @@ class TestAgainstDenseReference:
             assert out.e_hat.shape == (code.n,)
         assert (_edges.cache_info().misses, _minsum_rule.cache_info().misses) == misses
 
+    def test_bit_matrix_decodes_reuse_one_operator(self):
+        # minsum_decode takes a bit matrix: calls on one H (even a fresh copy of it)
+        # share one operator, so its edge list is built once
+        H = builtin_code("toric-8").h_x
+        hits = _edges.cache_info().hits
+        for _ in range(3):
+            minsum_decode(H.copy(), np.full(H.shape[1], 3.0), np.zeros(len(H)))
+        assert _edges.cache_info().hits - hits >= 2
+
     def test_rule_is_one_object_per_operator_and_alpha(self):
         op = builtin_code("toy-gldpc").x_graph.syndrome
         s = np.zeros((3, op.H.shape[0]), np.uint8)

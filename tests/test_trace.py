@@ -75,7 +75,9 @@ def test_one_block_decode_per_side_and_iteration(monkeypatch, correlated):
     # one chunk of 30 trials: each call holds the checks of every distinct
     # syndrome still running (trials with equal syndromes share one decode), so
     # its row count shrinks as trials converge; toy-gldpc's two graphs share their
-    # component, so both decoders call the kernel once per iteration for both
+    # component, so both decoders call the kernel once per iteration for both.
+    # The first iteration's rows all hold the prior, so it is a table lookup: a cold
+    # table takes one call for its distinct local syndromes, a warm one none
     code = builtin_code("toy-gldpc")
     params = channel.DepolarizingParams(0.1)
     priors = channel.make_priors(params, code.n)
@@ -93,24 +95,30 @@ def test_one_block_decode_per_side_and_iteration(monkeypatch, correlated):
               for t in range(30)]
     s_x, s_z = map(np.array, zip(*(channel.syndromes(code, e) for e in errors)))
     xg, zg = code.x_graph, code.z_graph
+    m_c, n_c = xg.component.m_c, xg.component.n_c
+    assert xg.component == zg.component and np.array_equal(priors.llr_x, priors.llr_z)
+    local = {row.tobytes() for s in (s_x, s_z) for row in s.reshape(-1, m_c)}
 
     def running(s, iterations, it):
         return len({row.tobytes() for row, i in zip(s, iterations) if i >= it})
 
-    if correlated:
-        out = gldpc.decode_correlated_trials(code, priors, s_x, s_z, 20, sogrand)
-        s, iters = np.concatenate([s_z, s_x], axis=1), out.iterations_used.tolist()
-        expected = [((xg.m + zg.m) * running(s, iters, it), xg.component.n_c)
-                    for it in range(1, max(iters) + 1)]
-    else:
-        # each call holds both graphs' checks of the distinct syndromes each still runs
-        out = gldpc.decode_independent_trials(code, priors, s_x, s_z, 20, sogrand)
-        sides = ((xg, s_z, out.z_side.iterations_used.tolist()),
-                 (zg, s_x, out.x_side.iterations_used.tolist()))
-        expected = [(sum(g.m * running(s, iters, it) for g, s, iters in sides),
-                     xg.component.n_c) for it in range(1, out.iterations_used.max() + 1)]
-    assert calls == expected
-    assert calls[0][0] > calls[-1][0]  # trials left as they converged
+    gldpc._prior_table.cache_clear()
+    for table in ("cold", "warm"):
+        calls.clear()
+        if correlated:
+            out = gldpc.decode_correlated_trials(code, priors, s_x, s_z, 20, sogrand)
+            s, iters = np.concatenate([s_z, s_x], axis=1), out.iterations_used.tolist()
+            expected = [((xg.m + zg.m) * running(s, iters, it), n_c)
+                        for it in range(2, max(iters) + 1)]
+        else:
+            # each call holds both graphs' checks of the distinct syndromes each still runs
+            out = gldpc.decode_independent_trials(code, priors, s_x, s_z, 20, sogrand)
+            sides = ((xg, s_z, out.z_side.iterations_used.tolist()),
+                     (zg, s_x, out.x_side.iterations_used.tolist()))
+            expected = [(sum(g.m * running(s, iters, it) for g, s, iters in sides), n_c)
+                        for it in range(2, out.iterations_used.max() + 1)]
+        assert calls == ([(len(local), n_c)] if table == "cold" else []) + expected
+        assert expected[0][0] > expected[-1][0]  # trials left as they converged
 
 
 def test_bench_micro_benches_run():
