@@ -1,7 +1,12 @@
-"""Depolarizing channel: sampling, syndromes, priors, and ``as_llr``, the one LLR check."""
+"""Depolarizing channel: sampling, syndromes, priors, and ``as_llr``, the one LLR check.
+
+Trials draw from Philox under SeedSequence's key of (seed, p, t): numpy hashes the
+point's words once, and a chunk's trial words are mixed in as arrays, all at once."""
 
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,16 +96,46 @@ def _words(name: str, value, pad: int = 1) -> list[int]:
     return words + [0] * (pad - len(words))
 
 
+# numpy's SeedSequence constants: the entropy hash's, the state draw's, and the mix's
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+
+
+@functools.lru_cache(maxsize=64)
+def _hash_consts(init: int, mult: int, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's hash constants at steps ``step`` to ``step + 4``: the 4 a hashmix xors
+    in, and the 4 it multiplies by, as (4, 1) uint32 columns."""
+    c = np.array([init * pow(mult, step + i, 2**32) % 2**32 for i in range(5)], np.uint32)
+    c.flags.writeable = False  # every caller shares them
+    return c[:-1, None], c[1:, None]
+
+
+def _hash(v, init: int, mult: int, step: int) -> np.ndarray:
+    """SeedSequence's hashmix of ``v`` at steps ``step`` to ``step + 3``, one per row."""
+    xor, mul = _hash_consts(init, mult, step)
+    v = (v ^ xor) * mul
+    return v ^ v >> _SHIFT
+
+
 def _philox_keys(master_seed: int, p: float, trials) -> list[tuple[int, int]]:
     """Each trial's Philox key, (low, high) 64-bit words: the key of
-    ``SeedSequence(entropy=master_seed, spawn_key=(p's bits, t))``.  SeedSequence hashes
-    the seed's words padded to its pool size, 4, then the spawn key's, so one entropy
-    array does too."""
+    ``SeedSequence(entropy=master_seed, spawn_key=(p's bits, t))``, which hashes the seed's
+    words padded to its pool size, 4, then p's and t's.  numpy hashes the point's words
+    once; all trials' words are mixed into that pool, and drawn from, as (4, T) rows."""
     head = _words("master_seed", master_seed, pad=4) + _words("p", np.float64(p).view(np.uint64))
-    # uint32 words, joined below: generate_state(2, np.uint64) costs 1 us more per trial
-    states = (np.random.SeedSequence(np.array(head + _words("trial index", t), np.uint32))
-              .generate_state(4).tolist() for t in trials)
-    return [(s[0] | s[1] << 32, s[2] | s[3] << 32) for s in states]
+    pool = np.random.SeedSequence(np.array(head, np.uint32)).pool[:, None]
+    rest = [int(t) for t in trials]  # each index's words not yet mixed in
+    _words("trial index", min(rest, default=0))  # numpy's error on a negative index
+    for k in range(len(_words("trial index", max(rest, default=0)))):
+        # 4 + 12 hash steps fill and mix the pool, then 4 per word: head's past 4, t's below k
+        word = np.array([t & 0xFFFFFFFF for t in rest], np.uint32)
+        mixed = _MIX_L * pool - _MIX_R * _hash(word, _INIT_A, _MULT_A, 4 * (len(head) + k))
+        mixed ^= mixed >> _SHIFT
+        # a word past the first is mixed in only where the index has it
+        pool = np.where([t > 0 for t in rest], mixed, pool) if k else mixed
+        rest = [t >> 32 for t in rest]
+    state = _hash(pool, _INIT_B, _MULT_B, 0).astype(np.uint64)
+    return list(zip(*(state[0::2] | state[1::2] << np.uint64(32)).tolist()))
 
 
 def _pauli(params: DepolarizingParams, u: np.ndarray) -> PauliErrorPattern:
@@ -117,13 +152,28 @@ def sample_error(params: DepolarizingParams, n: int,
     return _pauli(params, rng.random(n))
 
 
+_THREAD = threading.local()
+
+
+def _sampler() -> tuple[np.random.Philox, np.random.Generator, dict]:
+    """This thread's Philox and Generator, made at its first call, and a state that
+    restarts a trial's stream once set under its key."""
+    if not hasattr(_THREAD, "sampler"):
+        philox = np.random.Philox(0)
+        state = philox.state
+        # counter 0 and an empty buffer, as lists: the setter reads them 2x faster than arrays
+        state["state"]["counter"], state["buffer"] = [0] * 4, [0] * 4
+        _THREAD.sampler = philox, np.random.Generator(philox), state
+    return _THREAD.sampler
+
+
 def sample_errors(params: DepolarizingParams, n: int, master_seed: int,
                   trials: range) -> PauliErrorPattern:
     """(T, n) errors, row t bit for bit ``sample_error(params, n, trial_rng(
-    master_seed, params.p, t))``: Philox is counter-based, so one Philox re-keyed
-    per trial, under one Generator, draws each trial's stream."""
-    philox = np.random.Philox(0)
-    gen, state = np.random.Generator(philox), philox.state  # counter 0, empty buffer
+    master_seed, params.p, t))``.  Philox is counter-based, so this thread's one
+    Philox, re-keyed per trial under one Generator, draws each trial's stream; one
+    ``_philox_keys`` call gives the chunk's keys."""
+    philox, gen, state = _sampler()
     u = np.empty((len(trials), n))
     for row, key in zip(u, _philox_keys(master_seed, params.p, trials)):
         state["state"]["key"] = key

@@ -1,4 +1,6 @@
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -78,6 +80,11 @@ class TestSampleErrors:
     @example(2**128 - 1, range(3), 0.1, 16)
     @example(2**96 - 1, range(2**32 - 1, 2**32 + 1), 5e-324, 7)
     @example(5, range(4), 0.0, 33)
+    # chunks of a sweep's size: across 2**32, at a seed of seven words, and across 2**64,
+    # where trial indices go from two words to three
+    @example(7, range(2**32 - 500, 2**32 + 500), 0.05, 15)
+    @example(2**200 - 1, range(128), 0.05, 288)
+    @example(3, range(2**64 - 40, 2**64 + 40), 0.3, 9)
     @settings(max_examples=150, deadline=None)
     def test_rows_are_the_per_trial_samples(self, seed, trials, p, n):
         params = DepolarizingParams(p)
@@ -92,6 +99,9 @@ class TestSampleErrors:
     @given(SEEDS, TRIALS, P)
     @example(2**128 - 1, range(3), 0.1)
     @example(2**96 - 1, range(2**32 - 1, 2**32 + 1), 5e-324)
+    @example(7, range(2**32 - 500, 2**32 + 500), 0.05)
+    @example(2**200 - 1, range(128), 0.05)
+    @example(3, range(2**64 - 40, 2**64 + 40), 0.3)
     @settings(max_examples=300, deadline=None)
     def test_keys_are_seed_sequence_keys(self, seed, trials, p):
         p_key = int(np.float64(p).view(np.uint64))
@@ -99,6 +109,40 @@ class TestSampleErrors:
                       .generate_state(2, np.uint64).tolist()) for t in trials]
         assert channel._philox_keys(seed, p, trials) == want
 
+    def test_keys_of_a_long_run_are_seed_sequence_keys_and_distinct(self):
+        # 100,000 contiguous trials across 2**32, in one chunk
+        trials = range(2**32 - 50_000, 2**32 + 50_000)
+        p_key = int(np.float64(0.05).view(np.uint64))
+        keys = channel._philox_keys(20_260, 0.05, trials)
+        assert keys == [tuple(np.random.SeedSequence(entropy=20_260, spawn_key=(p_key, t))
+                              .generate_state(2, np.uint64).tolist()) for t in trials]
+        assert len(set(keys)) == len(trials)
+
+    def test_threads_sample_as_if_alone(self):
+        # each thread re-keys its own Philox.  Generator.random releases the GIL while
+        # it draws, so with a shared one another thread would set its key mid-draw;
+        # the barrier starts the calls of each round together
+        jobs = [(DepolarizingParams(0.05), 15, 1, range(40)),
+                (DepolarizingParams(0.3), 288, 2**70, range(2**32 - 20, 2**32 + 20)),
+                (DepolarizingParams(0.1), 128, 0, range(2**64 - 10, 2**64 + 10)),
+                (DepolarizingParams(0.75), 1, 2**200 - 1, range(100))]
+        want = [channel.sample_errors(*job) for job in jobs]
+        rounds = threading.Barrier(len(jobs))
+
+        def run(job):
+            out = []
+            for _ in range(50):
+                rounds.wait(timeout=60)
+                out.append(channel.sample_errors(*job))
+            return out
+
+        with ThreadPoolExecutor(len(jobs)) as pool:
+            got = list(pool.map(run, jobs, timeout=120))
+        for runs, one in zip(got, want):
+            assert len(runs) == 50
+            for e in runs:
+                assert e.e_x.tobytes() == one.e_x.tobytes()
+                assert e.e_z.tobytes() == one.e_z.tobytes()
 
 
 def spawn_key_rng(seed, p, t):
