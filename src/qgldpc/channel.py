@@ -1,12 +1,12 @@
 """Depolarizing channel: sampling, syndromes, priors, and ``as_llr``, the one LLR check.
 
 Trials draw from Philox under SeedSequence's key of (seed, p, t): numpy hashes the
-point's words once, and a chunk's trial words are mixed in as arrays, all at once."""
+point's words once, and a chunk's trial words are mixed in as arrays, all at once.
+Each ``sample_errors`` call makes one Philox and re-keys it per trial; none is kept."""
 
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +18,9 @@ from .gf2 import as_bits
 LLR_CLAMP = 30.0
 
 
-def clamp_llr(L):
-    # np.clip's result, without its wrappers' per-call cost on small arrays
-    return np.minimum(np.maximum(L, -LLR_CLAMP), LLR_CLAMP)
+def clamp_llr(L, out=None):
+    # np.clip's result, without its wrappers' per-call cost on small arrays; in place if out is L
+    return np.minimum(np.maximum(L, -LLR_CLAMP, out=out), LLR_CLAMP, out=out)
 
 
 def check_count(name: str, value, low: int) -> None:
@@ -152,28 +152,16 @@ def sample_error(params: DepolarizingParams, n: int,
     return _pauli(params, rng.random(n))
 
 
-_THREAD = threading.local()
-
-
-def _sampler() -> tuple[np.random.Philox, np.random.Generator, dict]:
-    """This thread's Philox and Generator, made at its first call, and a state that
-    restarts a trial's stream once set under its key."""
-    if not hasattr(_THREAD, "sampler"):
-        philox = np.random.Philox(0)
-        state = philox.state
-        # counter 0 and an empty buffer, as lists: the setter reads them 2x faster than arrays
-        state["state"]["counter"], state["buffer"] = [0] * 4, [0] * 4
-        _THREAD.sampler = philox, np.random.Generator(philox), state
-    return _THREAD.sampler
-
-
 def sample_errors(params: DepolarizingParams, n: int, master_seed: int,
                   trials: range) -> PauliErrorPattern:
     """(T, n) errors, row t bit for bit ``sample_error(params, n, trial_rng(
-    master_seed, params.p, t))``.  Philox is counter-based, so this thread's one
-    Philox, re-keyed per trial under one Generator, draws each trial's stream; one
-    ``_philox_keys`` call gives the chunk's keys."""
-    philox, gen, state = _sampler()
+    master_seed, params.p, t))``.  Philox is counter-based, so one Philox, re-keyed
+    per trial under one Generator, draws each trial's stream; one ``_philox_keys``
+    call gives the chunk's keys."""
+    philox = np.random.Philox(0)
+    gen, state = np.random.Generator(philox), philox.state
+    # counter 0 and an empty buffer, as lists: the setter reads them 2x faster than arrays
+    state["state"]["counter"], state["buffer"] = [0] * 4, [0] * 4
     u = np.empty((len(trials), n))
     for row, key in zip(u, _philox_keys(master_seed, params.p, trials)):
         state["state"]["key"] = key

@@ -13,9 +13,9 @@ checks: on a paired side, or on an independent decode's two sides of one shape,
 stacked in one block with one fusion and one syndrome test.  ``_lockstep`` alone
 decides what stacks, and runs problems that cannot stack apart.  Each step is
 row-wise: trial order and grouping change nothing; equal syndromes have equal results.
-So the first iteration's SOGRAND call, whose rows all hold one message row when the
-prior is the same at every variable, is a lookup by local syndrome in a table that
-the kernel fills once per syndrome met.
+So the first iteration's SOGRAND call, whose messages all hold the prior's one LLR
+when the prior is the same at every variable, is a lookup by local syndrome in a
+table keyed by that LLR, which the kernel fills once per syndrome met.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import gf2
-from .channel import LLR_CLAMP, ChannelPrior, as_llr, check_count, clamp_llr
+from .channel import ChannelPrior, as_llr, check_count, clamp_llr
 from .codes import ComponentCode, GldpcCode, TannerGraph, vn_edges
 # nothing here calls sogrand_decode, but bench/spans.py wraps gldpc.sogrand_decode
 from .sogrand import SograndParams, block_kernel, sogrand_decode
@@ -170,8 +170,8 @@ def _binary_fuse(L0: np.ndarray, edge_var: np.ndarray, sid: np.ndarray):
 
     def fuse(c2v):
         app = L0 + np.bincount(var, c2v.ravel(), L0.size).reshape(L0.shape)
-        v2c = app.ravel()[var] - c2v.ravel()  # clamped in place: no E-sized temporaries
-        np.minimum(np.maximum(v2c, -LLR_CLAMP, out=v2c), LLR_CLAMP, out=v2c)
+        v2c = app.ravel()[var] - c2v.ravel()
+        clamp_llr(v2c, out=v2c)  # in place: no E-sized temporaries
         return app, v2c.reshape(c2v.shape), (app < 0).view(np.uint8)  # L_APP >= 0 -> 0; a view
     return fuse
 
@@ -197,11 +197,11 @@ def _paired(x: Side, z: Side) -> Side:
 class SograndRule:
     """SOGRAND at every check, as a value: row a*m + j is check j in active trial a.
 
-    A block whose rows all hold one bit pattern (the first iteration's, when the
-    prior is the same at every variable) is a lookup: its L_E rows are gathered by
-    local syndrome from ``_prior_table``, which the kernel fills with the syndromes
-    it lacks.  That is exact because the kernel is row-wise: a row's output depends
-    only on its messages and its local syndrome, not on the block it sits in."""
+    A block whose every message holds one bit pattern (the first iteration's, when
+    the prior is the same at every variable) is a lookup: its L_E rows are gathered by
+    local syndrome from ``_prior_table``, which the kernel fills with the syndromes it
+    lacks.  That is exact because the kernel is row-wise: a row's output depends only
+    on its messages and its local syndrome, not on the block it sits in."""
 
     component: ComponentCode
     params: SograndParams
@@ -210,27 +210,27 @@ class SograndRule:
         comp, L_A = self.component, v2c.reshape(-1, self.component.n_c)
         # the row count from the messages: with no component checks, s_active has no entries
         s_local, bits = s_active.reshape(len(L_A), comp.m_c), L_A.view(np.int64)
-        # rows compare by bit pattern (-0.0 is not 0.0); one row alone gains nothing
-        if len(L_A) > 1 and (bits == bits[0]).all():
-            return _lookup(self, L_A, s_local).reshape(v2c.shape)
+        if bits.size and (bits == bits.flat[0]).all():  # by bit pattern: -0.0 is not 0.0
+            return _lookup(self, L_A.flat[0], s_local).reshape(v2c.shape)
         return block_kernel(comp, L_A, s_local, self.params).L_E.reshape(v2c.shape)
 
 
 @lru_cache(maxsize=32)
-def _prior_table(rule: SograndRule, row: bytes) -> dict:
-    """``rule``'s L_E rows on messages whose bytes are ``row``, keyed by packed local
-    syndrome: one read-only n_c row per syndrome met, filled by ``_lookup``."""
+def _prior_table(rule: SograndRule, llr: bytes) -> dict:
+    """``rule``'s L_E rows on messages that all hold the LLR whose bytes are ``llr``, keyed
+    by packed local syndrome: one read-only n_c row per syndrome met, filled by ``_lookup``."""
     return {}
 
 
-def _lookup(rule: SograndRule, L_A, s_local):
-    """The kernel's L_E on a block whose rows all equal L_A[0], from its table: the
-    syndromes the table lacks are decoded first, in one call of as many rows."""
-    table, (keys, first, inverse) = _prior_table(rule, L_A[0].tobytes()), _row_keys(s_local)
+def _lookup(rule: SograndRule, L, s_local):
+    """The kernel's L_E on rows whose every message is ``L``, from its table: the syndromes
+    the table lacks are decoded first, in one call of as many rows."""
+    table, (keys, first, inverse) = _prior_table(rule, L.tobytes()), _row_keys(s_local)
     keys = keys.tolist()
     new = [i for i, key in enumerate(keys) if key not in table]
     if new:
-        L_E = block_kernel(rule.component, L_A[:len(new)], s_local[first[new]], rule.params).L_E
+        L_A = np.full((len(new), rule.component.n_c), L)
+        L_E = block_kernel(rule.component, L_A, s_local[first[new]], rule.params).L_E
         L_E.setflags(write=False)
         table.update(zip([keys[i] for i in new], L_E))
     return np.stack([table[key] for key in keys])[inverse]

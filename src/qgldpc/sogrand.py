@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import LLR_CLAMP, as_llr, check_count, clamp_llr
+from .channel import as_llr, check_count, clamp_llr
 from .codes import ComponentCode
 from .gf2 import as_bits
 
@@ -234,7 +234,7 @@ def _soft(L_A, at, errors, masses, n_listed, P_g, m_c: int):
         p1 = (flip_mass + P_Lc_q) / P_tot
         L_APP = np.log(np.maximum(P_tot - flip_mass - P_Lc_q, 0.0))
         L_APP -= np.log(np.maximum(p1 * P_tot, 0.0))
-        np.minimum(np.maximum(L_APP, -LLR_CLAMP, out=L_APP), LLR_CLAMP, out=L_APP)
+        clamp_llr(L_APP, out=L_APP)
     L_APP = np.where(n_listed[:, None] > 0, L_APP, L_A)
     return L_APP, L_APP - L_A
 

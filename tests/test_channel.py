@@ -119,7 +119,7 @@ class TestSampleErrors:
         assert len(set(keys)) == len(trials)
 
     def test_threads_sample_as_if_alone(self):
-        # each thread re-keys its own Philox.  Generator.random releases the GIL while
+        # each call re-keys its own Philox.  Generator.random releases the GIL while
         # it draws, so with a shared one another thread would set its key mid-draw;
         # the barrier starts the calls of each round together
         jobs = [(DepolarizingParams(0.05), 15, 1, range(40)),

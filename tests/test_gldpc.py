@@ -13,6 +13,7 @@ from qgldpc.gldpc import (BELIEF_FLOOR, _PAIRS, DecodeResult, Side, SideResult, 
                           _argmax_pauli, _keep_flip, _llr, _lockstep, _paired,
                           _pauli_fuse, decode_correlated, decode_correlated_trials,
                           decode_independent, decode_independent_trials, flood, sogrand_side)
+from qgldpc.harness import ExperimentConfig, run_sweep
 from qgldpc.minsum import minsum_side
 from qgldpc.sogrand import SograndParams, block_kernel, decode_block
 from test_digests import split_rule_code
@@ -699,14 +700,17 @@ TABLE_LLRS = st.one_of(st.sampled_from([0.0, -0.0, 30.0, -30.0, 75.0, -1e300, np
 
 @st.composite
 def rule_blocks(draw):
-    """A SOGRAND rule, a block of R message rows (one row repeated, and maybe one entry of
-    one row changed: non-uniform unless the change keeps its bits), R local syndromes, and
+    """A SOGRAND rule, a block of R message rows (one row repeated, whose entries are all
+    one LLR half the time, and maybe one entry of one row changed: the block then holds
+    more than one bit pattern unless the change keeps its bits), R local syndromes, and
     how warm the rule's table is: rows decoded before, none, some or all of the block's."""
     comp = ComponentCode(TABLE_COMPONENTS[draw(st.sampled_from(sorted(TABLE_COMPONENTS)))])
     params = SograndParams(list_max=draw(st.integers(1, 6)),
                            query_budget=draw(st.one_of(st.none(), st.integers(1, 64))))
     R = draw(st.integers(0, 40))
-    L = np.tile(np.array(draw(st.lists(TABLE_LLRS, min_size=comp.n_c, max_size=comp.n_c))), (R, 1))
+    row = [draw(TABLE_LLRS)] * comp.n_c if draw(st.booleans()) else \
+        draw(st.lists(TABLE_LLRS, min_size=comp.n_c, max_size=comp.n_c))
+    L = np.tile(np.array(row), (R, 1))
     if R > 1 and draw(st.booleans()):
         L[draw(st.integers(1, R - 1)), draw(st.integers(0, comp.n_c - 1))] = draw(TABLE_LLRS)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -718,9 +722,10 @@ class TestPriorTable:
     @given(rule_blocks())
     @settings(max_examples=200, deadline=None)
     def test_rule_is_the_kernel_byte_for_byte(self, case):
-        # a block whose rows share one bit pattern is gathered from the table, and only
-        # the syndromes the table lacks are decoded, in one call; any other block is one
-        # kernel call on all its rows
+        # a block whose every message holds one bit pattern, of any row count, is gathered
+        # from the table, and only the syndromes the table lacks are decoded, in one call;
+        # any other block, equal rows that are not constant too, is one kernel call on all
+        # its rows
         rule, L, s, warmed = case
         comp, calls = rule.component, []
         gldpc._prior_table.cache_clear()
@@ -734,25 +739,37 @@ class TestPriorTable:
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
         bits = L.view(np.int64)
-        if len(L) > 1 and (bits == bits[0]).all():
-            seen = {row.tobytes() for row in s[:warmed]} if warmed > 1 else set()
-            new = {row.tobytes() for row in s} - seen
+        if bits.size and (bits == bits.flat[0]).all():
+            new = {row.tobytes() for row in s} - {row.tobytes() for row in s[:warmed]}
             assert [sorted(row.tobytes() for row in c) for c in calls] == \
                 ([sorted(new)] if new else [])
         else:
             assert len(calls) == 1 and calls[0].tobytes() == s.tobytes()
 
     def test_signed_zeros_never_share_an_entry(self):
-        # rows are told apart by bit pattern: a block of -0.0 rows finds no entry
-        # that a block of 0.0 rows filled, and a block that mixes them is not uniform
+        # messages are told apart by bit pattern: a block of -0.0 finds no entry that a
+        # block of 0.0 filled, and a block that mixes them, across rows or within each
+        # row, is not a lookup
         rule, s, calls = SograndRule(ComponentCode(HAMMING_7), SOG), np.zeros((4, 3), np.uint8), []
+        across, within = np.zeros((4, 7)), np.zeros((4, 7))
+        across[3], within[:, 2] = -0.0, -0.0
         gldpc._prior_table.cache_clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gldpc, "block_kernel", lambda c, L_A, s_local, params:
                           calls.append(len(L_A)) or block_kernel(c, L_A, s_local, params))
-            for zeros in ([0.0] * 4, [-0.0] * 4, [0.0] * 4, [-0.0] * 4, [0.0] * 3 + [-0.0]):
-                L = np.full((4, 7), 1.5)
-                L[:, 2] = zeros
+            for L in [np.full((4, 7), zero) for zero in (0.0, -0.0, 0.0, -0.0)] + [across, within]:
                 assert rule(L, s).tobytes() == block_kernel(rule.component, L, s, SOG).L_E.tobytes()
-        assert calls == [1, 1, 4]
+        assert calls == [1, 1, 4, 4]
         assert gldpc._prior_table.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("code, decoder, p_grid, trials, entries", [
+        ("steane", "sogrand-osd", (0.02, 0.05, 0.1, 0.3), 200, 4),
+        ("toy-gldpc", "sogrand-osd-corr", (0.05,), 2000, 1)])
+    def test_a_sweep_fills_one_entry_per_prior(self, code, decoder, p_grid, trials, entries):
+        # only the first iteration's blocks, each the prior's one LLR, are lookups: steane's
+        # duplicated check makes later blocks of equal rows, which the kernel decodes and no
+        # table keeps, so every point's prior keeps its entry
+        gldpc._prior_table.cache_clear()
+        run_sweep(ExperimentConfig(code=f"builtin:{code}", decoder=decoder, p_grid=p_grid,
+                                   trials=trials, master_seed=3))
+        assert gldpc._prior_table.cache_info().currsize == entries
