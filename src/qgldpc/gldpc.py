@@ -34,18 +34,6 @@ from .sogrand import SograndParams, block_kernel, sogrand_decode
 
 BELIEF_FLOOR = 1e-12
 
-# Pauli belief columns, and argmax tie preference I < X < Z < Y.
-_I, _X, _Y, _Z = 0, 1, 2, 3
-_TIE_ORDER = np.array([_I, _X, _Z, _Y])
-# (bit, other) of each graph: the Pauli that flips the component its messages are
-# about (e_z on the X graph, e_x on the Z graph) and the one that leaves it.  A
-# message's keep belief goes to its keep pair (I, other) and its flip belief to its
-# flip pair (bit, Y): those columns as [keep/flip, 2, graph], and per graph a 1 on
-# each column its messages flip.
-_PAIRS = ((_Z, _X), (_X, _Z))
-_KEEP_FLIP = np.array([[(_I, other), (bit, _Y)] for bit, other in _PAIRS]).transpose(1, 2, 0)
-_FLIPS = np.array([[c in (bit, _Y) for c in range(4)] for bit, _ in _PAIRS], np.uint8)
-
 
 @dataclass
 class SideResult:
@@ -259,44 +247,40 @@ def decode_independent(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
                                      n_iter, lambda g, s: sogrand_side(g, s, sog_params)).row(0)
 
 
-def _keep_flip(P: np.ndarray) -> np.ndarray:
-    """(..., n, 4) Pauli beliefs as (2, 2, ..., 2n): the keep pair and the flip pair of
-    each graph's variables, e_z's then e_x's."""
-    pairs = np.moveaxis(P, -1, 0)[_KEEP_FLIP]  # (keep/flip, 2, graph, ..., n)
-    return np.moveaxis(pairs, 2, -2).reshape(2, 2, *P.shape[:-2], -1)
+def _pairs(P: np.ndarray) -> np.ndarray:
+    """(..., n, 2, 2) Pauli tables [e_z][e_x] as (..., 2n, 2, 2) [keep, flip] pairs: e_z's (the
+    X graph's) are the rows, (I, X) and (Z, Y), then e_x's the columns, (I, Z) and (X, Y)."""
+    return np.concatenate([P, np.swapaxes(P, -1, -2)], axis=-3)
 
 
-def _llr(num, den):
-    """Binary LLRs of keep-pair belief sums over flip-pair sums, each floored, clamped."""
-    return clamp_llr(np.log(np.maximum(num, BELIEF_FLOOR)) - np.log(np.maximum(den, BELIEF_FLOOR)))
+def _llr(pairs: np.ndarray) -> np.ndarray:
+    """LLRs of [keep, flip] pairs: the keep pair's sum over the flip pair's, floored, clamped."""
+    logs = np.log(np.maximum(pairs[..., 0] + pairs[..., 1], BELIEF_FLOOR))
+    return clamp_llr(logs[..., 0] - logs[..., 1])
 
 
-def _argmax_pauli(P_app: np.ndarray) -> np.ndarray:
-    """Per-qubit argmax over the last axis, with tie order I, X, Z, Y."""
-    return _TIE_ORDER[np.argmax(P_app[..., _TIE_ORDER], axis=-1)]
+def _normalize(P: np.ndarray) -> np.ndarray:
+    """Each Pauli table over its total, summed in the fixed order ((I + X) + Y) + Z."""
+    P /= (((P[..., 0, 0] + P[..., 0, 1]) + P[..., 1, 1]) + P[..., 1, 0])[..., None, None]
+    return P
 
 
 def _pauli_fuse(prior: np.ndarray, edges, c2v):
-    """Pauli-belief fusion of a paired side's (A, E) messages of A trials, gathered
-    by its (2n, 2) ``vn_edges``: e_z's variables, then e_x's.  A message of LLR L
-    holds two beliefs, keep (1-q)/2 and flip q/2 with q = 1/(1+exp(L)), each held by
-    two Paulis.  Returns (A, 2n) APP LLRs and hard decisions and (A, E) v2c messages.
-
-    The hard decision is the most likely Pauli, not the marginals' signs."""
+    """Pauli-belief fusion of a paired side's (A, E) messages of A trials, gathered by its
+    (2n, 2) ``vn_edges`` (e_z's variables, then e_x's).  ``prior`` and the beliefs are (n, 2, 2)
+    tables [e_z][e_x]: I, X on row 0; Z, Y on row 1.  A message of LLR L gives its ``_pairs``
+    keep (1-q)/2 and flip q/2, q = 1/(1+exp(L)).  Returns (A, 2n) APP LLRs, hard decisions (the
+    most likely Pauli, not the marginals' signs: the flat argmax, tie order I, X, Z, Y) and
+    (A, E) v2c messages."""
     q = np.exp(-np.logaddexp(0.0, c2v[:, edges]))
-    keep, flip = 0.5 * (1.0 - q), 0.5 * q  # (A, 2n, 2): each message's two beliefs
-    # each variable's two-edge products, per graph, spread to (I, X, Y, Z) columns
-    prod = np.stack([keep[..., 0] * keep[..., 1], flip[..., 0] * flip[..., 1]], axis=-1)
-    x, z = prod.reshape(len(c2v), 2, len(prior), 2).swapaxes(0, 1)
-    P_app = prior * x[..., _FLIPS[0]] * z[..., _FLIPS[1]]
-    P_app /= P_app.sum(axis=-1, keepdims=True)
-    P_app = np.maximum(P_app, BELIEF_FLOOR)
-    P_app /= P_app.sum(axis=-1, keepdims=True)
-    (i, o), (b, y) = _keep_flip(P_app)  # I and other; bit and Y
-    k, f = np.maximum(keep, BELIEF_FLOOR), np.maximum(flip, BELIEF_FLOOR)
+    own = np.stack([0.5 * (1.0 - q), 0.5 * q], axis=-1)  # (A, 2n, 2, 2): each edge's [keep, flip]
+    x, z = np.split(own[:, :, 0] * own[:, :, 1], 2, axis=1)  # two-edge products: e_z's, e_x's
+    P = _normalize(np.maximum(_normalize(prior * x[..., :, None] * z[..., None, :]), BELIEF_FLOOR))
+    pairs = _pairs(P)
     v2c = np.empty_like(c2v)  # extrinsic: each edge's own beliefs divided out
-    v2c[:, edges] = _llr(i[..., None] / k + o[..., None] / k, b[..., None] / f + y[..., None] / f)
-    return _llr(i + o, b + y), v2c, np.concatenate(_FLIPS[:, _argmax_pauli(P_app)], axis=1)
+    v2c[:, edges] = _llr(pairs[:, :, None] / np.maximum(own, BELIEF_FLOOR)[..., None])
+    pauli = P.reshape(len(c2v), -1, 4).argmax(axis=-1).astype(np.uint8)
+    return _llr(pairs), v2c, np.concatenate([pauli >> 1, pauli & 1], axis=1)
 
 
 def decode_correlated_trials(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
@@ -310,10 +294,10 @@ def decode_correlated_trials(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
     prior = np.asarray(priors.pauli_prior, dtype=float)
     if prior.shape != (code.n, 4):
         raise ValueError(f"Pauli prior has shape {prior.shape}, expected {(code.n, 4)}")
+    prior = prior[:, [0, 1, 3, 2]].reshape(-1, 2, 2)  # columns I, X, Y, Z as [e_z][e_x] tables
     paired = _paired(side(code.x_graph, s_z), side(code.z_graph, s_x))
     edges = vn_edges(paired.edge_var, 2 * code.n)
-    (i, o), (b, y) = _keep_flip(prior)
-    L0 = _llr(i + o, b + y)  # first messages
+    L0 = _llr(_pairs(prior))  # first messages
     r = flood(paired, L0, n_iter, fuse=lambda c2v: _pauli_fuse(prior, edges, c2v))
     z_side, x_side = (SideResult(e_hat=r.e_hat[h], app=r.app[h], converged=r.converged.copy(),
                                  iterations_used=r.iterations_used.copy())

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, astuple, dataclass, replace
 from typing import Callable, Iterator, NamedTuple, get_type_hints
@@ -83,8 +84,13 @@ class ExperimentConfig:
         ch.check_count("trials", self.trials, 1)
         if self.max_failures is not None:
             ch.check_count("max_failures", self.max_failures, 1)
-        if not self.p_grid:
-            raise ValueError("p_grid is empty")
+        try:  # a sequence or 1-D array of real numbers, kept as Python floats
+            grid = tuple(self.p_grid)
+        except TypeError:  # not iterable
+            grid = (None,)
+        if not grid or not all(isinstance(p, numbers.Real) for p in grid):
+            raise ValueError(f"p_grid must be a non-empty sequence of numbers, got {self.p_grid!r}")
+        object.__setattr__(self, "p_grid", tuple(map(float, grid)))
         for p in self.p_grid:
             ch.check_decoding_p(p)
         BpConfig(alpha=self.alpha, n_iter=self.resolved_n_iter())  # checks both

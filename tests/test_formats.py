@@ -3,6 +3,7 @@
 the sides it fuses.  Each bad input is an error naming it, not a silent
 reduction, truncation or mis-wiring."""
 
+import json
 import math
 import re
 from dataclasses import replace
@@ -17,7 +18,7 @@ from qgldpc.channel import (DepolarizingParams, PauliErrorPattern, as_llr, make_
                             sample_error, sample_errors, syndromes, trial_rng)
 from qgldpc.codes import CodeFormatError, ComponentCode, TannerGraph, builtin_code
 from qgldpc.gldpc import decode_correlated_trials, flood, sogrand_side
-from qgldpc.harness import ExperimentConfig, run_trials
+from qgldpc.harness import ExperimentConfig, run_trials, write_metadata
 from qgldpc.minsum import minsum_side
 from qgldpc.osd import osd_postprocess
 from qgldpc.sogrand import SograndParams
@@ -27,6 +28,7 @@ SPC = ComponentCode(np.ones((1, 2), dtype=np.uint8))
 TORIC = builtin_code("toric")  # [[8, 2, 2]]
 TORIC_CFG = ExperimentConfig(code="builtin:toric", decoder="bp", trials=2)
 VN_INDEX = r"check {} VN index must be an integer in \[0, 2\), got {}$"
+P_GRID = "p_grid must be a non-empty sequence of numbers, got {}$"
 
 
 def minsum(graph, s):
@@ -107,6 +109,15 @@ BOUNDARY = {
     "ExperimentConfig of a dict osd_config": (lambda: replace(TORIC_CFG, osd_config={"order_w": 2}),
                                               ValueError, r"osd_config must be of type OsdConfig, "
                                                           r"got \{'order_w': 2\}"),
+    # these escaped as a TypeError from the range check or the loop over the grid
+    "ExperimentConfig of a string p": (lambda: replace(TORIC_CFG, p_grid=("a",)), ValueError,
+                                       P_GRID.format(r"\('a',\)")),
+    "ExperimentConfig of a None p": (lambda: replace(TORIC_CFG, p_grid=(None,)), ValueError,
+                                     P_GRID.format(r"\(None,\)")),
+    "ExperimentConfig of a bare p": (lambda: replace(TORIC_CFG, p_grid=0.05), ValueError,
+                                     P_GRID.format("0.05")),
+    "ExperimentConfig of a 0-d array p_grid": (lambda: replace(TORIC_CFG, p_grid=np.array(0.05)),
+                                               ValueError, P_GRID.format(r"array\(0.05\)")),
 }
 
 
@@ -114,6 +125,18 @@ BOUNDARY = {
 def test_bad_input_is_named(call, error, names):
     with pytest.raises(error, match=names):
         call()
+
+
+@pytest.mark.parametrize("p_grid", [np.array([0.01, 0.05]), np.array([0.05]),
+                                    (np.float64(0.01), 0.05), (np.float32(0.05),)])
+def test_p_grid_is_kept_as_python_floats(p_grid, tmp_path):
+    """An array grid once failed on its truth value, or, of one element, was written to
+    ``.meta.json`` as the string "[0.05]"; every grid is now a tuple of floats."""
+    cfg = replace(TORIC_CFG, p_grid=p_grid)
+    assert type(cfg.p_grid) is tuple and all(type(p) is float for p in cfg.p_grid)
+    assert cfg.p_grid == tuple(np.asarray(p_grid).tolist())
+    write_metadata(cfg, str(tmp_path / "meta.json"))
+    assert json.loads((tmp_path / "meta.json").read_text())["p_grid"] == list(cfg.p_grid)
 
 
 @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(7), np.uint32(0)])

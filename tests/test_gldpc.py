@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from qgldpc import channel, gf2, gldpc
 from qgldpc.channel import clamp_llr
 from qgldpc.codes import ComponentCode, TannerGraph, builtin_code, vn_edges
-from qgldpc.gldpc import (BELIEF_FLOOR, _PAIRS, DecodeResult, Side, SideResult, SograndRule,
-                          _argmax_pauli, _keep_flip, _llr, _lockstep, _paired,
-                          _pauli_fuse, decode_correlated, decode_correlated_trials,
-                          decode_independent, decode_independent_trials, flood, sogrand_side)
+from qgldpc.gldpc import (BELIEF_FLOOR, DecodeResult, Side, SideResult, SograndRule, _llr,
+                          _lockstep, _paired, _pairs, _pauli_fuse, decode_correlated,
+                          decode_correlated_trials, decode_independent,
+                          decode_independent_trials, flood, sogrand_side)
 from qgldpc.harness import ExperimentConfig, run_sweep
 from qgldpc.minsum import minsum_side
 from qgldpc.sogrand import SograndParams, block_kernel, decode_block
@@ -186,16 +186,20 @@ class TestDecodeIndependent:
         assert res.x_side.iterations_used == 1
 
 
+def pauli_table(prior):
+    """(n, 4) Pauli beliefs, columns (I, X, Y, Z), as the fusion's (n, 2, 2) [e_z][e_x] tables."""
+    return np.asarray(prior)[:, [0, 1, 3, 2]].reshape(-1, 2, 2)
+
+
 class TestPauliBeliefs:
     # one qubit: its X-graph edges 0 and 1 carry e_z's messages, its Z-graph edges 2 and 3 e_x's
     EDGES = np.array([[0, 1], [2, 3]])
-    UNIFORM = np.full((1, 4), 0.25)
+    UNIFORM = np.full((1, 2, 2), 0.25)
 
     def test_neutral_llr_gives_uniform_beliefs(self):
-        prior = np.array([[0.7, 0.1, 0.05, 0.15]])
+        prior = pauli_table([[0.7, 0.1, 0.05, 0.15]])
         app, v2c, e_hat = _pauli_fuse(prior, self.EDGES, np.zeros((3, 4)))
-        (i, o), (b, y) = _keep_flip(prior)
-        L0 = _llr(i + o, b + y)
+        L0 = _llr(_pairs(prior))
         assert np.allclose(app, L0, atol=1e-12) and np.allclose(v2c, L0[[0, 0, 1, 1]], atol=1e-12)
         app, v2c, e_hat = _pauli_fuse(self.UNIFORM, self.EDGES, np.zeros((1, 4)))
         assert not app.any() and not v2c.any() and not e_hat.any()
@@ -208,13 +212,13 @@ class TestPauliBeliefs:
         assert not v2c[0, :3].any() and not e_hat.any()
 
     def test_rows_sum_to_one(self):
-        P = np.random.default_rng(17).dirichlet(np.ones(4), size=40)
-        pairs = _keep_flip(P)
-        assert pairs.shape == (2, 2, 80)
-        assert np.allclose(pairs.sum(axis=(0, 1)), 1.0)
-        for g, (bit, other) in enumerate(_PAIRS):  # I and other kept, bit and Y flipped
-            want = P[:, [[0, other], [bit, 2]]].transpose(1, 2, 0)
-            assert np.array_equal(pairs[..., 40 * g:40 * (g + 1)], want)
+        P = np.random.default_rng(17).dirichlet(np.ones(4), size=40)  # columns I, X, Y, Z
+        pairs = _pairs(pauli_table(P))
+        assert pairs.shape == (80, 2, 2)
+        assert np.allclose(pairs.sum(axis=(1, 2)), 1.0)
+        # [keep, flip] pairs: the X graph's (I, X) and (Z, Y), the Z graph's (I, Z) and (X, Y)
+        assert np.array_equal(pairs[:40], P[:, [[0, 1], [3, 2]]])
+        assert np.array_equal(pairs[40:], P[:, [[0, 3], [1, 2]]])
 
     def test_marginal_inverts_belief_map(self):
         rng = np.random.default_rng(19)
@@ -222,14 +226,19 @@ class TestPauliBeliefs:
         q = 1.0 / (1.0 + np.exp(L))
         keep, flip = 0.5 * (1.0 - q), 0.5 * q  # each held by two Paulis
         assert np.allclose(2 * keep + 2 * flip, 1.0)
-        assert np.allclose(_llr(keep + keep, flip + flip), L, atol=1e-9)
+        pairs = np.stack([keep, flip], axis=-1)[..., None].repeat(2, axis=-1)
+        assert np.allclose(_llr(pairs), L, atol=1e-9)
 
     def test_argmax_tie_order(self):
-        P = np.array([[0.25, 0.25, 0.25, 0.25],   # full tie: I
-                      [0.1, 0.4, 0.4, 0.1],       # X vs Y tie: X
-                      [0.1, 0.1, 0.4, 0.4],       # Y vs Z tie: Z
-                      [0.1, 0.2, 0.3, 0.4]])      # clear: Z
-        assert _argmax_pauli(P).tolist() == [0, 1, 3, 3]
+        # zero messages leave each prior's ties; I < X < Z < Y breaks them
+        prior = pauli_table([[0.25, 0.25, 0.25, 0.25],   # full tie: I
+                             [0.1, 0.4, 0.4, 0.1],       # X vs Y tie: X
+                             [0.1, 0.4, 0.1, 0.4],       # X vs Z tie: X
+                             [0.1, 0.1, 0.4, 0.4],       # Y vs Z tie: Z
+                             [0.1, 0.2, 0.3, 0.4]])      # clear: Z
+        app, v2c, e_hat = _pauli_fuse(prior, np.arange(20).reshape(10, 2), np.zeros((1, 20)))
+        assert e_hat.tolist() == [[0, 0, 0, 1, 1,  # e_z
+                                   0, 1, 1, 0, 0]]  # e_x
 
 
 # The fusion written with mirrored X/Z branches (columns I, X, Y, Z): the
@@ -272,7 +281,7 @@ def mirrored_pauli_fuse(prior, edge_var_x, edge_var_z, c2v):
     P_app /= P_app.sum(axis=-1, keepdims=True)
     P_app = np.maximum(P_app, BELIEF_FLOOR)
     P_app /= P_app.sum(axis=-1, keepdims=True)
-    symbol = _argmax_pauli(P_app)
+    symbol = np.array([0, 1, 3, 2])[np.argmax(P_app[..., [0, 1, 3, 2]], axis=-1)]  # I < X < Z < Y
     e_x = ((symbol == 1) | (symbol == 2)).astype(np.uint8)
     e_z = ((symbol == 3) | (symbol == 2)).astype(np.uint8)
     app = [mirrored_marginal_llr(P_app, about_x=False), mirrored_marginal_llr(P_app, about_x=True)]
@@ -314,7 +323,7 @@ def test_fuse_matches_mirrored_oracle_byte_for_byte(case):
     code, prior, c2v = case
     edge_vars = (code.x_graph.edge_var, code.z_graph.edge_var)
     paired = np.concatenate([edge_vars[0], edge_vars[1] + code.n])
-    app, v2c, e_hat = _pauli_fuse(prior, vn_edges(paired, 2 * code.n), np.hstack(c2v))
+    app, v2c, e_hat = _pauli_fuse(pauli_table(prior), vn_edges(paired, 2 * code.n), np.hstack(c2v))
     got = [np.hsplit(app, 2), np.hsplit(v2c, [edge_vars[0].size]), np.hsplit(e_hat, 2)]
     want = mirrored_pauli_fuse(prior, *edge_vars, c2v)
     for name, g, w in zip(("app", "v2c", "e_hat"), got, want):
