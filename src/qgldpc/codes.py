@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,8 @@ def _integer(name: str, value, n=None):
 @dataclass(frozen=True, eq=False)
 class ComponentCode:
     H: np.ndarray  # (m_c, n_c) parity-check matrix, uint8
+    # ``cached``'s: SOGRAND's schedules by budget, its first-iteration tables by (params, LLR)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = np.asarray(self.H)
@@ -54,6 +57,10 @@ class ComponentCode:
 
     def __hash__(self):
         return hash(self._key())
+
+    def cached(self, key, build):
+        """``key``'s value, ``build()`` on first use, kept as long as this component."""
+        return self._memo[key] if key in self._memo else self._memo.setdefault(key, build())
 
     @property
     def m_c(self) -> int:
@@ -124,7 +131,7 @@ class GldpcCode:
     name: str
     n: int
     k: int
-    d: int          # declared metadata, never verified
+    d: int          # declared, not checked on load; tests check the fixtures' by enumeration
     x_graph: TannerGraph
     z_graph: TannerGraph
 
@@ -147,6 +154,11 @@ class GldpcCode:
         if k != self.k:
             raise CodeFormatError(
                 f"declared k={self.k} inconsistent with ranks (computed k={k})")
+
+    @cached_property
+    def paired_syndrome(self) -> gf2.Syndrome:
+        """[e_z | e_x] -> [H_X e_z | H_Z e_x], a correlated decode's checks, built on first use."""
+        return gf2.block_diagonal(self.x_graph.syndrome, self.z_graph.syndrome)
 
     @property
     def h_x(self) -> np.ndarray:

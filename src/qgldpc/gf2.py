@@ -5,17 +5,17 @@ module as at its boundary, where ``as_bits``, the package's one bit check,
 rejects anything else by name.  Every product H v of the decode path is one
 gather, ``Syndrome``'s, on rows as callers hold them, (n,) or (T, n): their bits
 at H's nonzeros, its ``support`` built with it, XORed over the slots, exact for any n
-(SOGRAND's block kernel alone uses integer syndrome codes of its own).  It serves
-a block of several operators' rows (``stacked_syndrome``) and two operators paired
-once (``block_diagonal``).  Elimination reduces packed-int columns against an XOR
-basis to the one reduced form of a visiting order, which row-space tests and OSD's
-solve of ``[H | s]`` read; ``RowSpace``, whose basis is dense, alone takes a product.
+(SOGRAND's block kernel alone uses integer syndrome codes of its own).  It serves a
+block of several operators' rows (``stacked_syndrome``) and two operators paired
+(``block_diagonal``).  Elimination reduces packed-int columns against an XOR basis
+to the one reduced form of a visiting order, which row-space tests and OSD's solve
+of ``[H | s]`` read; ``RowSpace``, whose basis is dense, alone takes a product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class Syndrome:
     (n_cols,) or (T, n_cols); the result, (m,) or (T, m), uint8.  ``H`` is kept as read-only
     bits, and ``support`` as its nonzeros slot-major: (d, m) columns, the j-th nonzero of row
     i at [j, i], d the largest row weight; a lighter row's last slots hold column n, one past
-    H's, which reads zero."""
+    H's, which reads zero.  ``edges``, min-sum's edge layout, is built on first use and kept."""
 
     def __init__(self, H):
         self.H = _as_bitmatrix(H)
@@ -60,6 +60,12 @@ class Syndrome:
                              f"{self.H.shape[0]}x{self.H.shape[1]} matrix")
         bits = np.zeros((v.shape[-1] + 1,) + v.shape[:-1], np.uint8)
         return _parity(bits, v, self.support).T  # (m, T) -> a row per row of v
+
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, tuple]:
+        """(H's nonzeros' columns, row-major: each edge's variable; the check degrees)."""
+        table, n = self.support.T, self.H.shape[1]  # row i's columns in order, then pads (n)
+        return table[table < n], tuple((table < n).sum(axis=1).tolist())
 
 
 def _parity(bits, v, at):
@@ -83,9 +89,8 @@ def stacked_syndrome(checks, sid):
     return lambda v: _parity(bits, v.reshape(-1), at)  # at: (d, A, m), C order
 
 
-@lru_cache(maxsize=8)
 def block_diagonal(a: Syndrome, b: Syndrome) -> Syndrome:
-    """The operator of [[H_a, 0], [0, H_b]], built once per pair."""
+    """The operator of [[H_a, 0], [0, H_b]]."""
     return Syndrome(np.block([[a.H, np.zeros((len(a.H), b.H.shape[1]))],
                               [np.zeros((len(b.H), a.H.shape[1])), b.H]]))
 

@@ -7,21 +7,22 @@ and active rows in one block, or min-sum from ``minsum.minsum_side``) maps the
 messages to extrinsic ones, a fusion combines them with the channel prior at the
 variables (binary, or Pauli beliefs on a correlated decode's paired side), and a
 syndrome test (``gf2.stacked_syndrome``, a gather at H's support) lets each trial
-leave once it meets its syndrome.  Equal rules (SOGRAND's value (component, params),
-min-sum's per check-degree layout) take one call per iteration for both graphs'
+leave once it meets its syndrome.  Equal rules (values: SOGRAND's (component, params),
+min-sum's (check degrees, alpha)) take one call per iteration for both graphs'
 checks: on a paired side, or on an independent decode's two sides of one shape,
 stacked in one block with one fusion and one syndrome test.  ``_lockstep`` alone
 decides what stacks, and runs problems that cannot stack apart.  Each step is
 row-wise: trial order and grouping change nothing; equal syndromes have equal results.
 So the first iteration's SOGRAND call, whose messages all hold the prior's one LLR
 when the prior is the same at every variable, is a lookup by local syndrome in a
-table keyed by that LLR, which the kernel fills once per syndrome met.
+table keyed by that LLR, which the kernel fills once per syndrome met.  Rules hold no
+state: the component keeps SOGRAND's schedules and tables, each ``gf2.Syndrome``
+min-sum's edges and the code its paired operator, each from first use while it lives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -164,9 +165,9 @@ def _binary_fuse(L0: np.ndarray, edge_var: np.ndarray, sid: np.ndarray):
     return fuse
 
 
-def _paired(x: Side, z: Side) -> Side:
+def _paired(x: Side, z: Side, check: gf2.Syndrome) -> Side:
     """The X graph's side (e_z, variables 0..n-1) and the Z graph's (e_x, n..2n-1) as
-    one side: block-diagonal checks, built once per pair of graphs, syndromes [s_z | s_x]."""
+    one side: the block-diagonal checks ``check`` of both, syndromes [s_z | s_x]."""
     S = [gf2.as_bits("syndromes", sd.s) for sd in (x, z)]
     (mx, n), (mz, _), T = x.check.H.shape, z.check.H.shape, S[0].shape[:1]
     if S[0].shape != T + (mx,) or S[1].shape != T + (mz,):
@@ -176,9 +177,8 @@ def _paired(x: Side, z: Side) -> Side:
     def split(v2c, s_active):  # each graph's rule on its own edges and checks
         return np.concatenate([x.rule(v2c[:, :x.edge_var.size], s_active[:, :mx]),
                                z.rule(v2c[:, x.edge_var.size:], s_active[:, mx:])], axis=1)
-    return Side(edge_var=np.concatenate([x.edge_var, z.edge_var + n]),
-                check=gf2.block_diagonal(x.check, z.check), s=np.concatenate(S, axis=1),
-                rule=x.rule if x.rule == z.rule else split)
+    return Side(edge_var=np.concatenate([x.edge_var, z.edge_var + n]), check=check,
+                s=np.concatenate(S, axis=1), rule=x.rule if x.rule == z.rule else split)
 
 
 @dataclass(frozen=True)
@@ -187,9 +187,9 @@ class SograndRule:
 
     A block whose every message holds one bit pattern (the first iteration's, when
     the prior is the same at every variable) is a lookup: its L_E rows are gathered by
-    local syndrome from ``_prior_table``, which the kernel fills with the syndromes it
-    lacks.  That is exact because the kernel is row-wise: a row's output depends only
-    on its messages and its local syndrome, not on the block it sits in."""
+    local syndrome from the table its component keeps, as long as it lives, per (params,
+    that LLR's bytes); the kernel fills it with the syndromes it lacks.  That is exact as
+    the kernel is row-wise: a row's output depends only on its messages and local syndrome."""
 
     component: ComponentCode
     params: SograndParams
@@ -203,22 +203,15 @@ class SograndRule:
         return block_kernel(comp, L_A, s_local, self.params).L_E.reshape(v2c.shape)
 
 
-@lru_cache(maxsize=32)
-def _prior_table(rule: SograndRule, llr: bytes) -> dict:
-    """``rule``'s L_E rows on messages that all hold the LLR whose bytes are ``llr``, keyed
-    by packed local syndrome: one read-only n_c row per syndrome met, filled by ``_lookup``."""
-    return {}
-
-
 def _lookup(rule: SograndRule, L, s_local):
-    """The kernel's L_E on rows whose every message is ``L``, from its table: the syndromes
-    the table lacks are decoded first, in one call of as many rows."""
-    table, (keys, first, inverse) = _prior_table(rule, L.tobytes()), _row_keys(s_local)
-    keys = keys.tolist()
+    """The kernel's L_E on rows whose every message is ``L``, from its table (a read-only n_c
+    row per packed local syndrome met); those it lacks are decoded first, in one call."""
+    comp, (keys, first, inverse) = rule.component, _row_keys(s_local)
+    table, keys = comp.cached((rule.params, L.tobytes()), dict), keys.tolist()
     new = [i for i, key in enumerate(keys) if key not in table]
     if new:
-        L_A = np.full((len(new), rule.component.n_c), L)
-        L_E = block_kernel(rule.component, L_A, s_local[first[new]], rule.params).L_E
+        L_A = np.full((len(new), comp.n_c), L)
+        L_E = block_kernel(comp, L_A, s_local[first[new]], rule.params).L_E
         L_E.setflags(write=False)
         table.update(zip([keys[i] for i in new], L_E))
     return np.stack([table[key] for key in keys])[inverse]
@@ -285,17 +278,19 @@ def _pauli_fuse(prior: np.ndarray, edges, c2v):
 
 def decode_correlated_trials(code: GldpcCode, priors: ChannelPrior, s_x, s_z,
                              n_iter: int, side: Callable[..., Side]) -> DecodeResult:
-    """Joint X/Z decoding of T trials as one paired side (``_paired``), with
-    Pauli-belief fusion at the variables: the checks of both graphs run a binary
-    rule; each variable fuses its four messages' keep and flip beliefs with the
-    channel's Pauli prior, and takes the APP and extrinsic beliefs back to binary
-    LLRs per graph (``_llr``), which must give every variable exactly two edges.
+    """Joint X/Z decoding of T trials as one paired side (``_paired``, on the operator the code
+    keeps if the sides check with its graphs'), with Pauli-belief fusion at the variables: the
+    checks of both graphs run a binary rule; each variable fuses its four messages' keep and
+    flip beliefs with the channel's Pauli prior, and takes the APP and extrinsic beliefs back
+    to binary LLRs per graph (``_llr``), which must give every variable exactly two edges.
     A trial stops when both syndrome equations hold."""
     prior = np.asarray(priors.pauli_prior, dtype=float)
     if prior.shape != (code.n, 4):
         raise ValueError(f"Pauli prior has shape {prior.shape}, expected {(code.n, 4)}")
     prior = prior[:, [0, 1, 3, 2]].reshape(-1, 2, 2)  # columns I, X, Y, Z as [e_z][e_x] tables
-    paired = _paired(side(code.x_graph, s_z), side(code.z_graph, s_x))
+    x, z = side(code.x_graph, s_z), side(code.z_graph, s_x)
+    own = x.check is code.x_graph.syndrome and z.check is code.z_graph.syndrome
+    paired = _paired(x, z, code.paired_syndrome if own else gf2.block_diagonal(x.check, z.check))
     edges = vn_edges(paired.edge_var, 2 * code.n)
     L0 = _llr(_pairs(prior))  # first messages
     r = flood(paired, L0, n_iter, fuse=lambda c2v: _pauli_fuse(prior, edges, c2v))

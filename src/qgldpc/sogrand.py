@@ -131,10 +131,10 @@ def decode_block(component: ComponentCode, L_A, s_local,
 def block_kernel(component: ComponentCode, L_A, s_local, params: SograndParams) -> BlockOutput:
     """``decode_block`` past its checks: (B, n_c) LLRs without NaN, clamped here; (B, m_c) bits."""
     L_A, n_c, m_c = clamp_llr(L_A), component.n_c, component.m_c
-    hard, ranked = L_A < 0, RankedInput.from_llr(L_A)
+    hard, ranked, K = L_A < 0, RankedInput.from_llr(L_A), params.resolve_budget(n_c, m_c)
     # All candidate deviations up to the budget, in schedule order, over ranks.
-    table, flips, table_T, groups = _schedule(component, params.resolve_budget(n_c, m_c))
-    K, S, rows = table.shape[0], min(params.list_max, table.shape[0]), np.arange(len(L_A))
+    table, flips, table_T, groups = component.cached(K, lambda: _schedule(component, K))
+    S, rows = min(params.list_max, K), np.arange(len(L_A))  # the budget caps K at 2^n_c
 
     # The list is the first list_max consistent queries; the search stops at
     # the last of them once the list is full, else it spends the whole budget.
@@ -170,10 +170,10 @@ def block_kernel(component: ComponentCode, L_A, s_local, params: SograndParams) 
                        listed=listed.T, masses=listed_masses.T, P_g=P_g)
 
 
-@lru_cache(maxsize=32)
 def _schedule(component: ComponentCode, K: int):
     """The first K queries as read-only tables over ranks, float (K, n_c) for the log-masses,
-    bool for the errors and float (n_c, K) for ``_consistent``, and its groups of checks."""
+    bool for the errors and float (n_c, K) for ``_consistent``, and its groups of checks; the
+    component keeps one per budget."""
     flips = rank_flip_table(component.n_c, K)  # read-only, as are its views
     table, table_T = flips.astype(float), np.ascontiguousarray(flips.T, dtype=float)
     d, m_c, groups = component.n_c.bit_length() or 1, component.m_c, []
@@ -182,8 +182,7 @@ def _schedule(component: ComponentCode, K: int):
         checks = slice(t, t + digit.size)
         code = component.H[checks].T @ digit
         groups.append((checks, digit, code, code.astype(float), int(digit.sum())))
-    for cached in (table, table_T):
-        cached.setflags(write=False)
+    table.flags.writeable = table_T.flags.writeable = False
     return table, flips.view(bool), table_T, groups
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -354,6 +355,25 @@ class TestLogicals:
                          z_graph=TannerGraph(4, [[0, 1, 2, 3], [0, 1, 2, 3]], comp))
         for ker, stabilizers in kernels_and_stabilizers(code):
             assert stabilizers.contains(ker).all()
+
+    @pytest.mark.parametrize("name", ["steane", "toy-gldpc", "toric-2", "toric-3", "toric-4"])
+    def test_declared_distance_is_the_least_logical_weight(self, name):
+        # d is declared, not computed on load: here it is the least weight of a vector
+        # in one side's kernel outside the other side's stabilizer space, found by
+        # enumerating the patterns of weight 1, 2, ... until one is a logical
+        code = builtin_code(name)
+
+        def least_logical(check, stabilizers):
+            for w in range(1, code.n + 1):
+                support = np.array(list(itertools.combinations(range(code.n), w)))
+                pats = np.zeros((len(support), code.n), np.uint8)
+                pats[np.arange(len(support))[:, None], support] = 1
+                ker = pats[~check(pats).any(axis=1)]
+                if not stabilizers.contains(ker).all():
+                    return w
+        z_least = least_logical(code.x_graph.syndrome, code.hz_space)  # Z logicals
+        x_least = least_logical(code.z_graph.syndrome, code.hx_space)  # X logicals
+        assert min(z_least, x_least) == code.d
 
     def test_logicals_satisfy_postconditions(self):
         # each kernel holds its 2^rank stabilizers and 2^k cosets of them

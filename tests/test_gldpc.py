@@ -13,7 +13,7 @@ from qgldpc.gldpc import (BELIEF_FLOOR, DecodeResult, Side, SideResult, SograndR
                           _lockstep, _paired, _pairs, _pauli_fuse, decode_correlated,
                           decode_correlated_trials, decode_independent,
                           decode_independent_trials, flood, sogrand_side)
-from qgldpc.harness import ExperimentConfig, run_sweep
+from qgldpc.harness import ExperimentConfig, run_point
 from qgldpc.minsum import minsum_side
 from qgldpc.sogrand import SograndParams, block_kernel, decode_block
 from test_digests import split_rule_code
@@ -33,6 +33,12 @@ def sog(params=SograndParams()):
 
 def priors_at(p, n):
     return channel.make_priors(channel.DepolarizingParams(p), n)
+
+
+def prior_tables(component):
+    """The first-iteration tables that ``component`` keeps, by (params, LLR bytes); its
+    schedules are keyed by budget alone."""
+    return {key: table for key, table in component._memo.items() if isinstance(key, tuple)}
 
 
 class TestDecodeSide:
@@ -530,9 +536,9 @@ class TestSharedRule:
     def test_sides_sharing_a_rule_decode_as_each_alone(self, case):
         (x, z), L0, n_iter = case
         assert x.rule == z.rule and x.rule is not z.rule
-        L0 = np.concatenate(L0)
-        assert result_bytes([flood(_paired(x, z), L0, n_iter)]) == \
-            result_bytes([flood(_paired(alone(x), alone(z)), L0, n_iter)])
+        L0, check = np.concatenate(L0), gf2.block_diagonal(x.check, z.check)
+        assert result_bytes([flood(_paired(x, z, check), L0, n_iter)]) == \
+            result_bytes([flood(_paired(alone(x), alone(z), check), L0, n_iter)])
 
     @given(sides_sharing_a_rule(widths_match=True),
            st.lists(st.integers(0, 11), min_size=1, max_size=16))
@@ -618,7 +624,8 @@ class TestSharedRule:
         # and one syndrome test per iteration for both.  With the Z graph's VN lists
         # and component columns reversed, H_Z holds but the rules differ, so the
         # sides decode apart, each as it does alone.  The first iteration is a lookup
-        # in each rule's table: one call if the table is cold, none once it is warm
+        # in each rule's table, which its fresh component keeps: one call if the table
+        # is cold, none once it is warm
         code = builtin_code("toy-gldpc")
         if split:
             z = code.z_graph
@@ -627,7 +634,6 @@ class TestSharedRule:
         e_x, e_z = (np.random.default_rng(9).random((2, 40, code.n)) < 0.1).astype(np.uint8)
         s_x, s_z = code.z_graph.syndrome(e_x), code.x_graph.syndrome(e_z)
         pr, tallies = priors_at(0.1, code.n), []
-        gldpc._prior_table.cache_clear()
         for _ in ("cold", "warm"):
             calls = []
             with pytest.MonkeyPatch.context() as patch:
@@ -647,21 +653,43 @@ class TestSharedRule:
 
     @pytest.mark.parametrize("split", [False, True], ids=["toy-gldpc", "split-rules"])
     def test_paired_operator_is_built_once_per_pair_of_graphs(self, split):
-        # every correlated chunk of one code takes the same block-diagonal operator,
-        # and its parities are each graph's, side by side
+        # every correlated chunk of one code takes the block-diagonal operator the code
+        # keeps, and its parities are each graph's, side by side
         code = split_rule_code() if split else builtin_code("toy-gldpc")
-
-        def paired(T):
-            x, z = (sogrand_side(g, np.zeros((T, len(g.flat)), np.uint8), SOG)
-                    for g in (code.x_graph, code.z_graph))
-            return x, z, _paired(x, z)
-        x, z, first = paired(3)
-        assert paired(5)[2].check is first.check
+        checks = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gldpc, "flood", lambda side, *a, **k:
+                          checks.append(side.check) or flood(side, *a, **k))
+            for T in (3, 5):
+                s_x, s_z = (np.zeros((T, len(h)), np.uint8) for h in (code.h_z, code.h_x))
+                decode_correlated_trials(code, priors_at(0.1, code.n), s_x, s_z, 2, sog(SOG))
+        assert checks[0] is checks[1] is code.paired_syndrome
+        x, z = code.x_graph.syndrome, code.z_graph.syndrome
         n, v = code.n, np.random.default_rng(8).integers(0, 2, (17, 2 * code.n), np.uint8)
-        want = np.concatenate([x.check(v[:, :n]), z.check(v[:, n:])], axis=1)
-        got = first.check(v)
+        want = np.concatenate([x(v[:, :n]), z(v[:, n:])], axis=1)
+        got = checks[0](v)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    def test_a_code_keeps_its_state_through_a_sweep_over_many_codes(self):
+        # a one-trial correlated decode on each of toric-2 to toric-10, then on toric-2
+        # again: toric-2 keeps its paired operator, and its component the table that its
+        # first iteration filled, however many codes ran in between
+        codes, checks, fills = [builtin_code(f"toric-{L}") for L in range(2, 11)], [], []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gldpc, "flood", lambda side, *a, **k:
+                          checks.append(side.check) or flood(side, *a, **k))
+            patch.setattr(gldpc, "block_kernel", lambda c, L_A, s_local, params:
+                          fills.append(len(L_A)) or block_kernel(c, L_A, s_local, params))
+            for code in codes + codes[:1]:
+                fills.clear()
+                e = np.zeros((1, code.n), np.uint8)
+                e[0, 0] = 1  # a Y error: checks of local syndrome 0 and 1 on both graphs
+                decode_correlated_trials(code, priors_at(0.05, code.n), code.z_graph.syndrome(e),
+                                         code.x_graph.syndrome(e), 1, sog(SOG))
+        assert checks[-1] is checks[0]
+        assert checks[0] is codes[0].paired_syndrome
+        assert fills == []  # one iteration, all of it found in the table
 
     def test_correlated_sides_take_one_call_per_iteration(self, monkeypatch):
         # toy-gldpc: both sides check with one Hamming-15 component; the
@@ -677,7 +705,6 @@ class TestSharedRule:
         monkeypatch.setattr(gldpc, "block_kernel", lambda comp, L, s, sog_params:
                             rows.append(len(L)) or block_kernel(comp, L, s, sog_params))
         results, calls = [], []
-        gldpc._prior_table.cache_clear()
         for side in (sog(SOG), lambda g, s: alone(sogrand_side(g, s, SOG))):
             rows.clear()
             results.append(decode_correlated_trials(code, priors_at(0.12, code.n), s_x, s_z,
@@ -737,7 +764,6 @@ class TestPriorTable:
         # its rows
         rule, L, s, warmed = case
         comp, calls = rule.component, []
-        gldpc._prior_table.cache_clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gldpc, "block_kernel", lambda c, L_A, s_local, params:
                           calls.append(s_local.copy()) or block_kernel(c, L_A, s_local, params))
@@ -762,14 +788,13 @@ class TestPriorTable:
         rule, s, calls = SograndRule(ComponentCode(HAMMING_7), SOG), np.zeros((4, 3), np.uint8), []
         across, within = np.zeros((4, 7)), np.zeros((4, 7))
         across[3], within[:, 2] = -0.0, -0.0
-        gldpc._prior_table.cache_clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gldpc, "block_kernel", lambda c, L_A, s_local, params:
                           calls.append(len(L_A)) or block_kernel(c, L_A, s_local, params))
             for L in [np.full((4, 7), zero) for zero in (0.0, -0.0, 0.0, -0.0)] + [across, within]:
                 assert rule(L, s).tobytes() == block_kernel(rule.component, L, s, SOG).L_E.tobytes()
         assert calls == [1, 1, 4, 4]
-        assert gldpc._prior_table.cache_info().currsize == 2
+        assert len(prior_tables(rule.component)) == 2
 
     @pytest.mark.parametrize("code, decoder, p_grid, trials, entries", [
         ("steane", "sogrand-osd", (0.02, 0.05, 0.1, 0.3), 200, 4),
@@ -777,8 +802,12 @@ class TestPriorTable:
     def test_a_sweep_fills_one_entry_per_prior(self, code, decoder, p_grid, trials, entries):
         # only the first iteration's blocks, each the prior's one LLR, are lookups: steane's
         # duplicated check makes later blocks of equal rows, which the kernel decodes and no
-        # table keeps, so every point's prior keeps its entry
-        gldpc._prior_table.cache_clear()
-        run_sweep(ExperimentConfig(code=f"builtin:{code}", decoder=decoder, p_grid=p_grid,
-                                   trials=trials, master_seed=3))
-        assert gldpc._prior_table.cache_info().currsize == entries
+        # table keeps, so every point's prior keeps its entry on the one component that
+        # both graphs of the code share
+        kept = builtin_code(code)
+        cfg = ExperimentConfig(code=f"builtin:{code}", decoder=decoder, p_grid=p_grid,
+                               trials=trials, master_seed=3)
+        for p in p_grid:
+            run_point(kept, cfg, p)
+        assert kept.z_graph.component is kept.x_graph.component
+        assert len(prior_tables(kept.x_graph.component)) == entries

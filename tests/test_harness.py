@@ -455,7 +455,34 @@ class TestPseudothreshold:
             "qgldpc threshold: error: k (logical qubits) must be >= 1, got 0"]
 
 
+# (code, decoder, SOGRAND list size) cells where every weight-1 error is corrected.  SOGRAND
+# with the default list of 4 on steane and toy-gldpc, and min-sum on toy-gldpc, miss some
+WEIGHT_ONE_CELLS = ([("toric-4", decoder, 4) for decoder in DECODERS]
+                    + [("steane", decoder, 4) for decoder in ("bp", "bp-osd")]
+                    + [(code, decoder, 8) for code in ("steane", "toy-gldpc")
+                       for decoder in ("sogrand", "sogrand-osd", "sogrand-osd-corr")])
+
+
 class TestDecoderRegistry:
+    @pytest.mark.parametrize("p", [0.01, 0.05, 0.1])
+    @pytest.mark.parametrize("name, decoder, list_max", WEIGHT_ONE_CELLS)
+    def test_every_weight_one_error_is_corrected(self, name, decoder, list_max, p):
+        # all 3n single-qubit Paulis (X, Y, then Z on each qubit) as one chunk, decoded and
+        # judged as ``run_trials`` does, OSD included
+        code = builtin_code(name)
+        cfg = ExperimentConfig(code=f"builtin:{name}", decoder=decoder, p_grid=(p,),
+                               sog_params=SograndParams(list_max=list_max))
+        eye, zero = np.eye(code.n, dtype=np.uint8), np.zeros((code.n, code.n), np.uint8)
+        e = channel.PauliErrorPattern(e_x=np.vstack([eye, eye, zero]),
+                                      e_z=np.vstack([zero, eye, eye]))
+        params, dec = channel.DepolarizingParams(p), DECODERS[decoder]
+        s_x, s_z = channel.syndromes(code, e)
+        result = dec.decode(code, channel.make_priors(params, code.n), s_x, s_z,
+                            cfg.resolved_n_iter(), lambda graph, s: dec.side(graph, s, cfg))
+        failed = _tail(code, result, e, s_x, s_z, cfg.osd_config if dec.osd else None,
+                       params.p_eff)
+        assert [t for t, fail in enumerate(failed) if fail] == []
+
     @pytest.mark.parametrize("decoder", list(DECODERS))
     def test_every_decoder_runs_a_toy_trial(self, decoder):
         code = builtin_code("toy-gldpc")

@@ -9,7 +9,7 @@ from qgldpc import gf2
 from qgldpc.channel import LLR_CLAMP, DepolarizingParams, clamp_llr, make_priors
 from qgldpc.codes import ComponentCode, GldpcCode, TannerGraph, builtin_code
 from qgldpc.gldpc import SideResult, decode_correlated_trials, decode_independent_trials, flood
-from qgldpc.minsum import BpConfig, _edges, _minsum_rule, minsum_decode, minsum_side
+from qgldpc.minsum import BpConfig, MinsumRule, minsum_decode, minsum_side
 from test_gldpc import count_fusions_and_tests, result_bytes
 
 
@@ -289,42 +289,37 @@ class TestAgainstDenseReference:
                 assert got[a, c * E:(c + 1) * E].tobytes() == want.tobytes(), (a, c)
 
     def test_edge_block_built_once_per_operator(self):
+        # the operator keeps its edge layout: every decode on it reads the one built first,
+        # and its rules are equal values
         code = builtin_code("toy-gldpc")
         op = code.x_graph.syndrome
         rng = np.random.default_rng(8)
         operator_decode(op, np.full(code.n, 3.0), np.zeros(op.H.shape[0]))
-        misses = _edges.cache_info().misses, _minsum_rule.cache_info().misses
+        edges, rule = op.edges, minsum_side(op, np.zeros((1, len(op.H))), 0.625).rule
         for _ in range(5):
             e = (rng.random(code.n) < 0.1).astype(np.uint8)
             out = operator_decode(op, np.full(code.n, 2.0), op(e))
             assert out.e_hat.shape == (code.n,)
-        assert (_edges.cache_info().misses, _minsum_rule.cache_info().misses) == misses
+            assert op.edges is edges and minsum_side(op, op(e)[None], 0.625).rule == rule
 
-    def test_bit_matrix_decodes_reuse_one_operator(self):
-        # minsum_decode takes a bit matrix: calls on one H (even a fresh copy of it)
-        # share one operator, so its edge list is built once
-        H = builtin_code("toric-8").h_x
-        hits = _edges.cache_info().hits
-        for _ in range(3):
-            minsum_decode(H.copy(), np.full(H.shape[1], 3.0), np.zeros(len(H)))
-        assert _edges.cache_info().hits - hits >= 2
-
-    def test_rule_is_one_object_per_operator_and_alpha(self):
+    def test_rules_compare_equal_per_degrees_and_alpha(self):
         op = builtin_code("toy-gldpc").x_graph.syndrome
         s = np.zeros((3, op.H.shape[0]), np.uint8)
         rule = minsum_side(op, s, 0.625).rule
-        assert minsum_side(op, s[:1], 0.625).rule is rule
-        assert minsum_side(op, s, 0.5).rule is not rule
+        assert minsum_side(op, s[:1], 0.625).rule == rule
+        assert minsum_side(op, s, 0.5).rule != rule
+        twin = MinsumRule(op.edges[1], 0.625)  # built apart, from the degrees alone
+        assert rule == twin and hash(rule) == hash(twin)
 
     def test_toric_graphs_share_one_rule_and_its_calls(self):
         # the X and Z graphs of a toric code are two operators with one check-degree
-        # layout, so one rule: an independent decode calls it once per iteration
-        # for both sides, as long as either side runs
+        # layout, so their rules compare equal: an independent decode calls one of them
+        # once per iteration for both sides, as long as either side runs
         code = builtin_code("toric-4")
         assert code.x_graph.syndrome is not code.z_graph.syndrome
         s = np.zeros((1, code.n // 2), np.uint8)
         assert (minsum_side(code.x_graph.syndrome, s, 0.625).rule
-                is minsum_side(code.z_graph.syndrome, s, 0.625).rule)
+                == minsum_side(code.z_graph.syndrome, s, 0.625).rule)
         calls, counted = [], {}
 
         def counting(rule):

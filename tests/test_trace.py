@@ -102,8 +102,7 @@ def test_one_block_decode_per_side_and_iteration(monkeypatch, correlated):
     def running(s, iterations, it):
         return len({row.tobytes() for row, i in zip(s, iterations) if i >= it})
 
-    gldpc._prior_table.cache_clear()
-    for table in ("cold", "warm"):
+    for table in ("cold", "warm"):  # the code is fresh: its component's table starts cold
         calls.clear()
         if correlated:
             out = gldpc.decode_correlated_trials(code, priors, s_x, s_z, 20, sogrand)
